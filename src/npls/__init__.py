@@ -37,6 +37,7 @@ from .derivation import (
     TemplateNode,
     ValidationReport,
     detect_mode,
+    expand_template,
     format_path,
     kb_index,
     postorder_index,

@@ -24,11 +24,11 @@ from .derivation import (
     Derivation,
     DerivationTemplate,
     detect_mode,
+    expand_template,
     format_path,
-    substitute_numeral,
     validate,
 )
-from .errors import FormatError, NplsError, ValidationFailed
+from .errors import FormatError, NplsError
 from .extraction import (
     ExtractionContext,
     build_npls,
@@ -90,8 +90,13 @@ def _load_input(name: str):
 
 
 def _as_derivation(doc, cfg: RunConfig) -> Derivation:
+    """The input as a derivation; templates expand at --x, unvalidated.
+
+    Every command validates the result exactly once, in the mode it runs
+    in: ``validate`` directly, the others through ExtractionContext.
+    """
     if isinstance(doc, DerivationTemplate):
-        return substitute_numeral(doc, cfg.x_value)
+        return expand_template(doc, cfg.x_value)
     if isinstance(doc, Derivation):
         return doc
     raise NplsError("this command needs a derivation or template input")
@@ -105,14 +110,7 @@ def _resolve_mode(cfg: RunConfig, derivation: Derivation) -> str:
 
 
 def cmd_validate(cfg: RunConfig) -> tuple[int, list[str]]:
-    doc = _load_input(cfg.input_path)
-    try:
-        derivation = _as_derivation(doc, cfg)
-    except ValidationFailed as exc:
-        report = exc.report
-        if report is None:
-            raise
-        return 1, _report_lines(report, cfg)
+    derivation = _as_derivation(_load_input(cfg.input_path), cfg)
     report = validate(derivation, _resolve_mode(cfg, derivation))
     return (0 if report.ok else 1), _report_lines(report, cfg)
 

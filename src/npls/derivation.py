@@ -290,8 +290,9 @@ def validate(d: Derivation, mode: str = MODE_NPLS, bit_cap: int = DEFAULT_BIT_CA
                 flag(path, f"formula {i} has free variables {sorted(extra)}")
         if any(formula_vars(f) - {"x"} for f in sequent):
             continue
-        count = d.child_count(path)
+        count = len(order[path])
         rule = node.rule
+        base = _norm_counter(sequent) if count else None
 
         if isinstance(rule, InitialRule):
             if count != 0:
@@ -335,7 +336,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS, bit_cap: int = DEFAULT_BIT_CA
                     flag(path, f"existential rule has {count} children, expected 1")
                     continue
                 added = LitFormula(exists_instance(principal, rule.witness))
-                _check_child(d, path, 0, added, flag)
+                _check_child(d, path, base, 0, added, flag)
             else:
                 inner = value(principal.bound2)
                 if inner is None:
@@ -346,7 +347,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS, bit_cap: int = DEFAULT_BIT_CA
                     continue
                 for n in range(inner):
                     added = LitFormula(exists_forall_instance(principal, rule.witness, n))
-                    _check_child(d, path, n, added, flag)
+                    _check_child(d, path, base, n, added, flag)
             continue
 
         if isinstance(rule, CutRule):
@@ -369,8 +370,8 @@ def validate(d: Derivation, mode: str = MODE_NPLS, bit_cap: int = DEFAULT_BIT_CA
                 flag(path, f"cut has {count} children, expected {b + 1}")
                 continue
             for n in range(b):
-                _check_child(d, path, n, negated_instance(formula, n), flag)
-            _check_child(d, path, b, formula, flag)
+                _check_child(d, path, base, n, negated_instance(formula, n), flag)
+            _check_child(d, path, base, b, formula, flag)
             continue
 
         flag(path, f"unknown rule {type(rule).__name__}")
@@ -381,13 +382,14 @@ def validate(d: Derivation, mode: str = MODE_NPLS, bit_cap: int = DEFAULT_BIT_CA
 def _check_child(
     d: Derivation,
     path: NodePath,
+    base: Counter,
     index: int,
     added: Formula,
     flag,
 ) -> None:
-    """The upper sequent must be the lower sequent plus the added formula."""
+    """The upper sequent must be the lower sequent (``base``) plus the added formula."""
     child = path + (index,)
-    want = _norm_counter(d.sequent(path))
+    want = base.copy()
     want[normalize(added)] += 1
     got = _norm_counter(d.sequent(child))
     if got != want:
@@ -464,16 +466,15 @@ def _subst_rule(rule: Rule, env: Mapping[str, Term]) -> Rule:
     return rule
 
 
-def substitute_numeral(
-    template: DerivationTemplate,
-    x: int,
-    mode: str | None = None,
-    bit_cap: int = DEFAULT_BIT_CAP,
+def expand_template(
+    template: DerivationTemplate, x: int, bit_cap: int = DEFAULT_BIT_CAP
 ) -> Derivation:
-    """Expand a template at a value of x into a validated derivation.
+    """Expand a template at a value of x, without validating the result.
 
-    Raises ValidationFailed when the expansion is not sound at x; the
-    attached report names the offending nodes.
+    Raises ValidationFailed, with no report, when a family bound is
+    still open after substitution.  Callers that go on to validate in a
+    mode of their own use this to validate once; ``substitute_numeral``
+    is expansion plus validation.
     """
     env0: dict[str, Term] = {"x": Term("num", value=x)}
     nodes: dict[NodePath, ProofNode] = {}
@@ -499,7 +500,21 @@ def substitute_numeral(
             index += 1
 
     expand(template.root, (), env0)
-    derivation = Derivation(x, nodes)
+    return Derivation(x, nodes)
+
+
+def substitute_numeral(
+    template: DerivationTemplate,
+    x: int,
+    mode: str | None = None,
+    bit_cap: int = DEFAULT_BIT_CAP,
+) -> Derivation:
+    """Expand a template at a value of x into a validated derivation.
+
+    Raises ValidationFailed when the expansion is not sound at x; the
+    attached report names the offending nodes.
+    """
+    derivation = expand_template(template, x, bit_cap)
     if mode is None:
         mode = MODE_NPLS if _mentions_exists_forall(derivation) else MODE_PLS
     report = validate(derivation, mode, bit_cap)

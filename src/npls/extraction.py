@@ -18,9 +18,13 @@ In ``npls`` mode cuts are on exists-forall formulas, and a single
 descent no longer suffices: refuting one instantiation of a cut
 formula is itself a search problem.  Source rows are the root and the
 value-indexed cut uppers; the targets of a row are the exists-forall
-rules above it with no cut upper in between, plus any existential rule
-with a true instance whose principal already occurs in the row's
-sequent.  A stuck exists-forall target spawns the cut upper selected
+rules at or above it with no value-indexed cut upper in between, plus
+any existential rule with a true instance whose principal already
+occurs in the row's sequent.  A value-indexed cut upper opens a row of
+its own, so when it is an exists-forall rule it is a target of that
+row only, never of the row below it: its subtree, and with it every
+point its subproblems lift to, lies beyond the cut.  A stuck
+exists-forall target spawns the cut upper selected
 by its witness value as a subproblem; the subproblem's solution either
 is a target of the original row outright or points, through its own
 witness value, at the universal branch that pushes the search deeper.
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .derivation import (
     MODE_NPLS,
@@ -103,9 +108,16 @@ class ExtractionContext:
     derivation whose formulas or rules do not fit the mode at all
     raises ModeError; any other defect raises ValidationFailed.  The
     cached tables cover sequent multisets, rule classification, the
-    truth of witnessing instances, post-order indices and node depths.
-    ``d_max`` exceeds the deepest node by one, so exists-forall targets
-    always cost at least one.
+    truth of witnessing instances, post-order indices, child counts and
+    node depths.  ``d_max`` exceeds the deepest node by one, so
+    exists-forall targets always cost at least one.
+
+    ``low[i]`` is the smallest post-order id in the subtree of node
+    ``i``, so that subtree is exactly the ids ``low[i]..i``.  Each table
+    is filled in one pass over the nodes; child counts in particular are
+    counted once rather than rescanned per child.  Past validation a
+    context therefore costs time linear in the total size of the
+    sequents, plus sorting the post-order index.
     """
 
     def __init__(self, derivation: Derivation, mode: str, bit_cap: int = DEFAULT_BIT_CAP):
@@ -133,6 +145,17 @@ class ExtractionContext:
         self.path_of = [p for p, _ in sorted(self.kb.items(), key=lambda kv: kv[1])]
         self.n_nodes = len(self.path_of)
         self.d_max = max(len(p) for p in self.kb) + 1
+        # Validation guarantees contiguous child indices, so counting
+        # children gives each node's child count.  Children come before
+        # their parent in post-order, so a child's ``low`` is final when
+        # it reaches the parent.
+        self._child_count: Counter = Counter()
+        self.low = list(range(self.n_nodes))
+        for i, path in enumerate(self.path_of):
+            if path:
+                self._child_count[path[:-1]] += 1
+                parent = self.kb[path[:-1]]
+                self.low[parent] = min(self.low[parent], self.low[i])
 
         self._seq_counter: dict[NodePath, Counter] = {}
         self._has_true_literal: dict[NodePath, bool] = {}
@@ -156,7 +179,7 @@ class ExtractionContext:
                     self._true_goal[path] = eval_literal(aux, self.x, bit_cap)
             self._left_upper[path] = bool(path) and (
                 isinstance(derivation.rule(path[:-1]), CutRule)
-                and path[-1] < derivation.child_count(path[:-1]) - 1
+                and path[-1] < self._child_count[path[:-1]] - 1
             )
 
     @staticmethod
@@ -206,6 +229,9 @@ class ExtractionContext:
     def depth(self, path: NodePath) -> int:
         return len(path)
 
+    def child_count(self, path: NodePath) -> int:
+        return self._child_count[path]
+
 
 def target_condition(ctx: ExtractionContext, path: NodePath) -> bool:
     """No literal in the sequent at ``path`` evaluates to true."""
@@ -221,14 +247,13 @@ def rightmost_goal(ctx: ExtractionContext, path: NodePath) -> NodePath:
     whose true literal must have been introduced on the way, and the
     rule introducing it qualifies.
     """
-    d = ctx.derivation
     current = path
     while True:
         if ctx.has_true_goal(current):
             return current
         if ctx.mode == MODE_NPLS and ctx.is_exists_forall(current):
             return current
-        count = d.child_count(current)
+        count = ctx.child_count(current)
         if count == 0:
             raise GoalNotFound(
                 f"no witnessing rule on the rightmost branch above {format_path(path)}"
@@ -353,14 +378,27 @@ def _no_left_upper_between(ctx: ExtractionContext, sigma: NodePath, tau: NodePat
 def npls_targets(ctx: ExtractionContext, sigma: NodePath, tau: NodePath) -> bool:
     """Targets of a source row.
 
-    Either an exists-forall rule above sigma with no value-indexed cut
-    upper strictly between, or an existential rule with a true instance
-    whose principal formula already occurs in sigma's sequent.  Both
-    kinds must carry no true literal.
+    Either an exists-forall rule at or above sigma with no value-indexed
+    cut upper strictly between, or an existential rule with a true
+    instance whose principal formula already occurs in sigma's sequent.
+    Both kinds must carry no true literal.
+
+    An exists-forall rule that is itself a value-indexed cut upper is a
+    target only of its own row.  That node is a row of its own: its
+    sequent holds the negated cut instance, which the row below lacks,
+    and its subtree is searched from it.  Were it also a target of the
+    row below, ``npls_extract`` would lift from it to its exists-forall
+    descendants, which that row cannot reach past the cut upper, and the
+    lifted point would leave the row's target set.
+
+    This is the path-level definition; ``build_npls`` tabulates the same
+    relation for every row at once.
     """
     if not target_condition(ctx, tau):
         return False
     if ctx.is_exists_forall(tau):
+        if tau != sigma and ctx.is_left_upper(tau):
+            return False
         return (
             len(sigma) <= len(tau)
             and tau[: len(sigma)] == sigma
@@ -478,39 +516,87 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     """The nested search instance of an npls-mode derivation.
 
     Point ids are post-order indices for rows and targets alike; the
-    rank of a row is its own id.  Target sets are precomputed per row
-    so the instance's predicates are dictionary lookups.
+    rank of a row is its own id.  The instance is tabulated once: the
+    target set of every source row is a frozenset of ids, and plain
+    lists by id hold the exists-forall flag, the cost and the subtree
+    bound ``ctx.low``, so ``targets``, ``nbr_rel`` and ``cost`` are int
+    lookups.
+
+    The tables realize ``npls_sources``, ``npls_targets`` and
+    ``npls_neighbor_rel`` without calling them per pair.  One pass from
+    the root down gives each node its owner, the deepest value-indexed
+    cut upper at or below it (the root when there is none), and whether
+    a witnessing existential rule lies strictly below it.  An
+    exists-forall target belongs to exactly one row, its owner; an
+    existential target belongs to every row whose sequent holds its
+    principal, found through one map from principal to rules.  Building
+    takes time linear in the nodes, the (row, target) pairs and the
+    sizes of the source rows' sequents.
     """
     if ctx.mode != MODE_NPLS:
         raise ModeError("build_npls needs an npls-mode context")
     kb = ctx.kb
     paths = ctx.path_of
-    source_ids = [kb[p] for p in kb if npls_sources(ctx, p)]
-    source_set = frozenset(source_ids)
-    target_sets: dict[int, frozenset[int]] = {}
-    for s in source_ids:
-        sp = paths[s]
-        target_sets[s] = frozenset(
-            kb[t] for t in kb if npls_targets(ctx, sp, t)
-        )
+    n = ctx.n_nodes
+    root = n - 1
+    is_ef = [ctx.is_exists_forall(p) for p in paths]
+    no_true_lit = [target_condition(ctx, p) for p in paths]
     cost_of = [npls_cost(ctx, p) for p in paths]
+    low = ctx.low
 
-    def valid_target(s: int, t: int) -> bool:
-        return s in target_sets and t in target_sets[s]
+    # Parents come after their children in post-order, so a descending
+    # scan sees every parent first.
+    owner = [root] * n
+    below_goal = [False] * n
+    source_ids = [root]
+    for i in range(n - 2, -1, -1):
+        path = paths[i]
+        parent = kb[path[:-1]]
+        below_goal[i] = below_goal[parent] or ctx.has_true_goal(paths[parent])
+        if ctx.is_left_upper(path):
+            owner[i] = i
+            if no_true_lit[i] and not below_goal[i]:
+                source_ids.append(i)
+        else:
+            owner[i] = owner[parent]
+
+    owned: dict[int, list[int]] = {}
+    goals_of: dict[Formula, list[int]] = {}
+    for i, path in enumerate(paths):
+        if not no_true_lit[i]:
+            continue
+        if is_ef[i]:
+            owned.setdefault(owner[i], []).append(i)
+        elif ctx.has_true_goal(path):
+            goals_of.setdefault(ctx.principal(path), []).append(i)
+    target_sets = {
+        s: frozenset(
+            chain(
+                owned.get(s, ()),
+                *(goals_of.get(f, ()) for f in ctx._seq_counter[paths[s]]),
+            )
+        )
+        for s in source_ids
+    }
+    source_set = frozenset(source_ids)
+    no_targets: frozenset[int] = frozenset()
 
     def rel(x: int, s: int, y: int, z: int) -> bool:
-        if not (valid_target(s, y) and valid_target(s, z)):
+        row = target_sets.get(s, no_targets)
+        if y not in row or z not in row:
             return False
-        return npls_neighbor_rel(ctx, paths[s], paths[y], paths[z])
+        if is_ef[y]:
+            return not is_ef[z] or low[y] <= z < y
+        return y == z
 
-    d_bits = max((ctx.n_nodes - 1).bit_length(), 1)
+    d_bits = max((n - 1).bit_length(), 1)
     return NplsInstance(
         d_bound=Polynomial.constant(d_bits),
         sources=lambda x, s: s in source_set,
-        targets=lambda x, s, t: valid_target(s, t),
+        targets=lambda x, s, t: t in target_sets.get(s, no_targets),
         nbr_rel=rel,
         nbr0=lambda x, s, y: kb[npls_rank0_step(ctx, paths[s], paths[y])],
-        initial_source=lambda x: kb[()],
+        initial_source=lambda x: root,
         initial_target=lambda x, s: kb[rightmost_goal(ctx, paths[s])],
         cost=lambda x, t: cost_of[t],
         gen_source=lambda x, s, y: kb[npls_gen_source(ctx, paths[s], paths[y])],

@@ -3,7 +3,8 @@
 Each test covers one end-to-end promise: condition conformance and
 totality on a generated corpus, witness extraction on fixed and random
 derivations in both modes, traversal-order correctness, the rank-zero
-collapse onto plain search, and validator robustness under mutation.
+collapse onto plain search, validator robustness under mutation, and
+condition conformance on instances extracted from random derivations.
 Timing assertions pin the desk-scale budgets.
 """
 
@@ -241,3 +242,17 @@ def test_criterion_7_single_field_mutations_are_rejected_with_their_path():
         assert hits, (path, [(i.path, i.message) for i in report.issues])
         assert any(needle in issue.message for issue in hits), (needle, hits)
     print("criterion 7: pass")
+
+
+def test_criterion_8_nine_conditions_hold_on_extracted_random_derivations():
+    # In each of these derivations some value-indexed cut upper is an
+    # exists-forall rule with no other cut upper between it and a row
+    # below; the nested target sets must keep it out of that row.
+    for seed in (19, 22, 99, 119, 122, 164, 176, 196):
+        d = random_sigma2_derivation(seed)
+        start = time.perf_counter()
+        report = verify_npls_conditions(build_npls(ExtractionContext(d, MODE_NPLS)), d.end_x)
+        elapsed = time.perf_counter() - start
+        assert report.all_passed, (seed, report.lines())
+        assert elapsed < 1.0, (seed, elapsed)
+    print("criterion 8: pass")

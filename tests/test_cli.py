@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+import npls.cli
+import npls.derivation
+import npls.extraction
 from npls.cli import main
-from npls.corpus import d2
+from npls.corpus import d2, t_d3
 from npls.derivation import ProofNode
-from npls.serialization import derivation_to_json, dumps
+from npls.serialization import derivation_to_json, dumps, template_to_json
 from npls.terms import LitFormula
 
 
@@ -76,6 +79,49 @@ def test_fixture_directory_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NPLS_FIXTURES", str(tmp_path))
     assert main(["validate", "mine"]) == 0
     assert _lines(capsys) == ["ok mode=pls"]
+
+
+def _t_d3_file(tmp_path, family_witness=2):
+    obj = template_to_json(t_d3())
+    # The family schema proves the end-formula with witness 2; any other
+    # witness breaks the upper sequent of every value-indexed cut upper.
+    obj["root"]["family"]["body"]["rule"]["witness"] = {"num": family_witness}
+    path = tmp_path / "t-d3.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    return path
+
+
+def _counting_validate(monkeypatch):
+    calls = []
+    real = npls.derivation.validate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (npls.derivation, npls.cli, npls.extraction):
+        monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
+def test_template_commands_validate_the_expansion_once(tmp_path, monkeypatch, capsys):
+    path = _t_d3_file(tmp_path)
+    calls = _counting_validate(monkeypatch)
+    for command in ("validate", "extract"):
+        calls.clear()
+        assert main([command, str(path), "--x", "5"]) == 0, command
+        assert len(calls) == 1, command
+
+
+def test_invalid_template_expansion_lists_node_paths(tmp_path, monkeypatch, capsys):
+    path = _t_d3_file(tmp_path, family_witness=1)
+    calls = _counting_validate(monkeypatch)
+    assert main(["validate", str(path), "--x", "1"]) == 1
+    assert len(calls) == 1
+    mismatch = "upper sequent mismatch: missing 1 formula(s), 1 unexpected formula(s)"
+    assert _lines(capsys) == [f"({i},0): {mismatch}" for i in range(3)]
+    assert main(["extract", str(path), "--x", "1"]) == 1
+    assert "ValidationFailed" in capsys.readouterr().err
 
 
 def test_extract_d3(capsys):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from npls.corpus import d1, d2, d3, t_d3
+from npls.corpus import d1, d2, d3, random_sigma2_derivation, t_d3
 from npls.derivation import Derivation, InitialRule, ProofNode, substitute_numeral, validate
 from npls.errors import (
     GoalNotFound,
@@ -261,3 +261,43 @@ def test_template_instances_extract_at_every_value():
         report = extract_witness_npls(ctx)
         assert report.verified
         assert report.witness == 2
+
+
+def test_a_value_indexed_exists_forall_upper_is_a_target_of_its_own_row_only():
+    ctx = ExtractionContext(random_sigma2_derivation(99), "npls")
+    tau = (3, 0)
+    assert ctx.is_exists_forall(tau) and ctx.is_left_upper(tau)
+    assert target_condition(ctx, tau)
+    assert npls_sources(ctx, tau) and npls_targets(ctx, tau, tau)
+    # Nothing but the cut lies between the root row and tau, yet tau's
+    # subtree belongs to tau's own row.
+    assert not npls_targets(ctx, (), tau)
+    rows = [p for p in ctx.kb if npls_sources(ctx, p)]
+    assert [p for p in rows if npls_targets(ctx, p, tau)] == [tau]
+
+
+def _tabulation_cases():
+    yield "D3", d3()
+    for x in range(21):
+        yield f"T-D3 x={x}", substitute_numeral(t_d3(), x)
+    for seed in range(60):
+        yield f"sigma2 seed={seed}", random_sigma2_derivation(seed)
+
+
+def test_build_npls_tables_match_the_path_level_definitions():
+    for name, d in _tabulation_cases():
+        ctx = ExtractionContext(d, "npls")
+        inst = build_npls(ctx)
+        paths = ctx.path_of
+        ids = range(ctx.n_nodes)
+        for s in ids:
+            row = paths[s]
+            assert inst.sources(0, s) == npls_sources(ctx, row), (name, row)
+            if not inst.sources(0, s):
+                continue
+            tabulated = {t for t in ids if inst.targets(0, s, t)}
+            assert tabulated == {t for t in ids if npls_targets(ctx, row, paths[t])}, (name, row)
+            for y in tabulated:
+                for z in tabulated:
+                    want = npls_neighbor_rel(ctx, row, paths[y], paths[z])
+                    assert inst.nbr_rel(0, s, y, z) == want, (name, row, paths[y], paths[z])
