@@ -39,11 +39,9 @@ from .derivation import (
     detect_mode,
     expand_template,
     format_path,
-    kb_index,
     postorder_index,
     substitute_numeral,
     validate,
-    vanishing_point,
 )
 from .errors import (
     FormatError,
@@ -69,12 +67,9 @@ from .extraction import (
 from .nested_graph import (
     CostedDigraph,
     NestedGraphFamily,
-    find_sink,
     generate_family,
     npls_from_family,
     pls_from_digraph,
-    sinks,
-    unpack_point,
     validate_family,
 )
 from .search_core import (
@@ -84,13 +79,9 @@ from .search_core import (
     NplsInstance,
     PlsInstance,
     Polynomial,
-    PredicatePls,
     SearchTrace,
     TraceStep,
-    as_function_pls,
     brute_force_npls,
-    derive_self_loop_predicate,
-    local_minimum_check,
     rank0_pls,
     solve_npls,
     solve_pls,

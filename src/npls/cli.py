@@ -44,7 +44,6 @@ from .nested_graph import (
     pls_from_digraph,
 )
 from .search_core import (
-    as_function_pls,
     solve_npls,
     solve_pls,
     verify_npls_conditions,
@@ -184,8 +183,7 @@ def _trace_lines(trace, solution, cfg: RunConfig) -> list[str]:
 def cmd_solve(cfg: RunConfig) -> tuple[int, list[str]]:
     doc = _load_input(cfg.input_path)
     if isinstance(doc, CostedDigraph):
-        inst = as_function_pls(pls_from_digraph(doc))
-        solution, trace = solve_pls(inst, cfg.x_value, cfg.max_steps)
+        solution, trace = solve_pls(pls_from_digraph(doc), cfg.x_value, cfg.max_steps)
     elif isinstance(doc, NestedGraphFamily):
         inst = npls_from_family(doc)
         solution, trace = solve_npls(inst, cfg.x_value, cfg.max_steps)

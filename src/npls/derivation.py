@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .errors import (
-    FormulaAbsent,
-    LeafNode,
     NoSuchNode,
     NplsError,
     ValidationFailed,
@@ -66,17 +64,6 @@ _MODE_CLASS = {MODE_PLS: 1, MODE_NPLS: 2}
 
 def format_path(path: NodePath) -> str:
     return "(" + ",".join(str(k) for k in path) + ")"
-
-
-def parent_path(path: NodePath) -> NodePath:
-    if not path:
-        raise NoSuchNode("the root has no parent")
-    return path[:-1]
-
-
-def is_prefix(a: NodePath, b: NodePath) -> bool:
-    """True when a is a (not necessarily proper) prefix of b."""
-    return len(a) <= len(b) and b[: len(a)] == a
 
 
 # Rules
@@ -140,29 +127,11 @@ class Derivation:
     def rule(self, path: NodePath) -> Rule:
         return self.node(path).rule
 
-    def child_count(self, path: NodePath) -> int:
-        self.node(path)
-        count = 0
-        while path + (count,) in self.nodes:
-            count += 1
-        return count
-
-    def is_leaf(self, path: NodePath) -> bool:
-        return path + (0,) not in self.nodes
-
     def paths(self) -> list[NodePath]:
         return sorted(self.nodes)
 
     def depth(self) -> int:
         return max(len(p) for p in self.nodes)
-
-
-def rightmost_child(d: Derivation, path: NodePath) -> NodePath:
-    """The child with the largest index; the final cut upper for cuts."""
-    count = d.child_count(path)
-    if count == 0:
-        raise LeafNode(f"{format_path(path)} is a leaf")
-    return path + (count - 1,)
 
 
 # Post-order traversal index
@@ -201,14 +170,6 @@ def postorder_index(paths: Iterable[NodePath]) -> dict[NodePath, int]:
         unreached = min(node_set - set(order))
         raise NoSuchNode(f"node {format_path(unreached)} is not connected to the root")
     return order
-
-
-def kb_index(d: Derivation, path: NodePath) -> int:
-    """Post-order index of a node within its derivation."""
-    order = postorder_index(d.nodes.keys())
-    if path not in order:
-        raise NoSuchNode(f"no node at {format_path(path)}")
-    return order[path]
 
 
 # Validation
@@ -401,24 +362,6 @@ def _check_child(
         if surplus:
             parts.append(f"{sum(surplus.values())} unexpected formula(s)")
         flag(child, "upper sequent mismatch: " + ", ".join(parts))
-
-
-def vanishing_point(d: Derivation, path: NodePath, formula: Formula) -> NodePath:
-    """The node where a formula enters on the way down to ``path``.
-
-    Sequents grow monotonically upward, so the prefixes of ``path``
-    whose sequents contain the formula form a suffix of the branch; the
-    result is the shortest such prefix.  The root is returned when the
-    formula is already in the end-sequent.
-    """
-    target = normalize(formula)
-    if target not in _norm_counter(d.sequent(path)):
-        raise FormulaAbsent(f"formula not in the sequent at {format_path(path)}")
-    for k in range(len(path) + 1):
-        prefix = path[:k]
-        if target in _norm_counter(d.sequent(prefix)):
-            return prefix
-    raise FormulaAbsent("unreachable: formula vanished from its own node")
 
 
 # Templates

@@ -33,14 +33,6 @@ class NoSuchNode(NplsError):
     """A node path does not occur in the derivation."""
 
 
-class LeafNode(NplsError):
-    """A child of a leaf node was requested."""
-
-
-class FormulaAbsent(NplsError):
-    """The formula whose entry point was requested is not in the sequent."""
-
-
 class ValidationFailed(NplsError):
     """A derivation or template failed validation.
 
@@ -76,10 +68,6 @@ class CostViolation(NplsError):
 
 class Rank0SelfLoopMissing(NplsError):
     """A rank-zero row never reached a fixed point within its cost range."""
-
-
-class CardinalityBoundViolated(NplsError):
-    """A neighborhood is larger than the declared cardinality bound."""
 
 
 class EmptyTargetSpace(NplsError):

@@ -108,9 +108,9 @@ class ExtractionContext:
     derivation whose formulas or rules do not fit the mode at all
     raises ModeError; any other defect raises ValidationFailed.  The
     cached tables cover sequent multisets, rule classification, the
-    truth of witnessing instances, post-order indices, child counts and
-    node depths.  ``d_max`` exceeds the deepest node by one, so
-    exists-forall targets always cost at least one.
+    truth of witnessing instances, post-order indices and child counts.
+    ``d_max`` exceeds the deepest node by one, so exists-forall targets
+    always cost at least one.
 
     ``low[i]`` is the smallest post-order id in the subtree of node
     ``i``, so that subtree is exactly the ids ``low[i]..i``.  Each table
@@ -222,12 +222,6 @@ class ExtractionContext:
     def is_left_upper(self, path: NodePath) -> bool:
         """True on the value-indexed uppers of a cut (all but the last)."""
         return self._left_upper[path]
-
-    def contains(self, path: NodePath, formula: Formula) -> bool:
-        return normalize(formula) in self._seq_counter[path]
-
-    def depth(self, path: NodePath) -> int:
-        return len(path)
 
     def child_count(self, path: NodePath) -> int:
         return self._child_count[path]

@@ -27,8 +27,8 @@ from .errors import (
 )
 from .search_core import (
     NplsInstance,
+    PlsInstance,
     Polynomial,
-    PredicatePls,
 )
 
 
@@ -60,58 +60,43 @@ def check_cost_condition(g: CostedDigraph) -> None:
             )
 
 
-def find_sink(g: CostedDigraph, start: int) -> int:
-    """Walk cost-decreasing edges from start until no distinct successor is left.
+def descent_steps(g: CostedDigraph) -> list[int]:
+    """The descent step function of a costed digraph, as a table by node id.
 
-    The walk always picks the smallest-id distinct successor, so the
-    result is deterministic.  Conformance of the edge costs is checked
-    first; it is what makes the walk terminate.
+    Each node steps to its smallest-id strictly cheaper successor, or
+    to itself when it has none; its fixed points are therefore the
+    local minima.  One pass over the edges fills the table.
     """
-    check_cost_condition(g)
-    if not 0 <= start < g.n_nodes:
-        raise ValueError(f"start node {start} out of range")
-    current = start
-    while True:
-        nxt = [t for t in g.successors(current) if t != current]
-        if not nxt:
-            return current
-        current = nxt[0]
-
-
-def sinks(g: CostedDigraph) -> list[int]:
-    """All nodes with no outgoing edge to a distinct node."""
-    out = []
-    for s in range(g.n_nodes):
-        if all(t == s for t in g.successors(s)):
-            out.append(s)
-    return out
-
-
-def pls_from_digraph(g: CostedDigraph, start: int = 0) -> PredicatePls:
-    """View a costed digraph as a relational local search instance.
-
-    Points are node ids, the relation keeps the edges that strictly
-    decrease the cost, and the cardinality bound is the largest such
-    out-degree.  Self-loops never decrease the cost, so local minima of
-    the instance are exactly the sinks of the graph.
-    """
-    check_cost_condition(g)
-    if not 0 <= start < g.n_nodes:
-        raise ValueError(f"start node {start} out of range")
-    decreasing: dict[int, set[int]] = {s: set() for s in range(g.n_nodes)}
+    costs = g.costs
+    step = list(range(g.n_nodes))
     for s, t in g.edges:
-        if s != t and g.costs[s] > g.costs[t]:
-            decreasing[s].add(t)
-    degree = max((len(v) for v in decreasing.values()), default=0)
+        if costs[t] < costs[s] and (step[s] == s or t < step[s]):
+            step[s] = t
+    return step
+
+
+def pls_from_digraph(g: CostedDigraph, start: int = 0) -> PlsInstance:
+    """View a costed digraph as a plain local search instance.
+
+    Points are node ids and the neighbor function is the tabulated
+    descent step function, so solving follows the smallest-id
+    cost-decreasing edge until it reaches a node with no cheaper
+    successor.  Conformance of the edge costs is checked first; it is
+    what makes every walk terminate.
+    """
+    check_cost_condition(g)
+    if not 0 <= start < g.n_nodes:
+        raise ValueError(f"start node {start} out of range")
+    step = descent_steps(g)
+    costs = g.costs
     d_bits = max((g.n_nodes - 1).bit_length(), 1)
 
-    return PredicatePls(
+    return PlsInstance(
         d_bound=Polynomial.constant(d_bits),
         feasible=lambda x, s: 0 <= s < g.n_nodes,
         initial=lambda x: start,
-        neighbor_rel=lambda x, s, t: t in decreasing.get(s, ()),
-        cost=lambda x, s: g.costs[s] if 0 <= s < g.n_nodes else 0,
-        p_bound=Polynomial.constant(max(degree, 1)),
+        neighbor=lambda x, s: step[s],
+        cost=lambda x, s: costs[s],
     )
 
 
@@ -223,7 +208,7 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
     sizes: list[int] = []
     costs: list[tuple[int, ...]] = []
     edge_sets: list[frozenset[tuple[int, int]]] = []
-    step_fn: list[dict[int, int]] = []
+    step_fn: list[list[int]] = []
     child_pid: dict[tuple[int, int], int] = {}
     sol_edge: dict[tuple[int, int, int], int] = {}
 
@@ -233,14 +218,11 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
         costs.append(p.graph.costs)
         edges = frozenset(p.graph.edges)
         edge_sets.append(edges)
-        steps: dict[int, int] = {}
+        has_out = {s for s, _ in p.graph.edges}
         for s in range(p.graph.n_nodes):
-            succ = p.graph.successors(s)
-            if not succ:
+            if s not in has_out:
                 raise TotalityViolated(f"problem {i}: node {s} has no outgoing edge")
-            cheaper = [t for t in succ if t != s and p.graph.costs[t] < p.graph.costs[s]]
-            steps[s] = cheaper[0] if cheaper else s
-        step_fn.append(steps)
+        step_fn.append(descent_steps(p.graph))
         for node, child in p.children.items():
             child_pid[(i, node)] = pid_of[id(child)]
         for (node, sol), tgt in p.solution_to_edge.items():
@@ -301,14 +283,6 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
         extract=extract,
         rank=lambda x, s: ranks[s] if 0 <= s < n_problems else 0,
     )
-
-
-def unpack_point(inst_family: NestedGraphFamily, point: int) -> tuple[int, int]:
-    """Split a packed target id of a family instance into (problem, node)."""
-    problems = _flatten(inst_family)
-    max_nodes = max(p.graph.n_nodes for p in problems)
-    node_bits = max((max_nodes - 1).bit_length(), 1)
-    return point >> node_bits, point & ((1 << node_bits) - 1)
 
 
 def generate_family(seed: int, max_rank: int, max_width: int) -> NestedGraphFamily:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
-    CardinalityBoundViolated,
     CostViolation,
     DomainTooLarge,
     EmptyTargetSpace,
@@ -76,23 +75,6 @@ class PlsInstance:
     initial: Callable[[int], PointId]
     neighbor: Callable[[int, PointId], PointId]
     cost: Callable[[int, PointId], int]
-
-
-@dataclass(frozen=True)
-class PredicatePls:
-    """A local search family whose neighborhood is a bounded relation.
-
-    ``p_bound`` bounds the number of related points of any feasible
-    point; a solution is a feasible point none of whose neighbors is
-    cheaper.
-    """
-
-    d_bound: Polynomial
-    feasible: Callable[[int, PointId], bool]
-    initial: Callable[[int], PointId]
-    neighbor_rel: Callable[[int, PointId, PointId], bool]
-    cost: Callable[[int, PointId], int]
-    p_bound: Polynomial
 
 
 @dataclass(frozen=True)
@@ -236,88 +218,6 @@ def solve_pls(
         if inst.cost(x, nxt) >= cost:
             raise InvariantViolation(f"neighbor {nxt} of {point} does not cost less")
         point = nxt
-
-
-def local_minimum_check(inst: PredicatePls, x: int, s: PointId) -> bool:
-    """True when no related feasible point is cheaper than s.
-
-    The neighborhood is enumerated over the whole point space, which
-    the bit bound keeps small; a neighborhood larger than the declared
-    cardinality bound raises CardinalityBoundViolated.
-    """
-    if not inst.feasible(x, s):
-        raise InvariantViolation(f"{s} is not a feasible point")
-    space = 1 << inst.d_bound(_bits(x))
-    limit = inst.p_bound(_bits(x))
-    cost_s = inst.cost(x, s)
-    seen = 0
-    minimal = True
-    for t in range(space):
-        if inst.neighbor_rel(x, s, t) and inst.feasible(x, t):
-            seen += 1
-            if seen > limit:
-                raise CardinalityBoundViolated(
-                    f"point {s} has more than {limit} neighbors"
-                )
-            if inst.cost(x, t) < cost_s:
-                minimal = False
-    return minimal
-
-
-def derive_self_loop_predicate(inst: PredicatePls) -> PredicatePls:
-    """Rewire a relational instance so solutions are exactly self-loops.
-
-    The derived relation keeps every edge between distinct points and
-    relates a point to itself exactly when it is a local minimum of the
-    original instance.  The cardinality bound grows by one for the
-    possible self-loop.
-    """
-
-    def rel(x: int, s: PointId, t: PointId) -> bool:
-        if s != t:
-            return inst.neighbor_rel(x, s, t)
-        return local_minimum_check(inst, x, s)
-
-    coeffs = list(inst.p_bound.coeffs) or [0]
-    coeffs[0] += 1
-    return PredicatePls(
-        d_bound=inst.d_bound,
-        feasible=inst.feasible,
-        initial=inst.initial,
-        neighbor_rel=rel,
-        cost=inst.cost,
-        p_bound=Polynomial(tuple(coeffs)),
-    )
-
-
-def as_function_pls(inst: PredicatePls) -> PlsInstance:
-    """Turn a relational instance into a functional one.
-
-    The neighbor function moves to the related feasible point of
-    smallest id among those that are strictly cheaper, and stays put at
-    a local minimum.  Ties break toward the smallest id so runs are
-    reproducible.
-    """
-
-    def neighbor(x: int, s: PointId) -> PointId:
-        space = 1 << inst.d_bound(_bits(x))
-        cost_s = inst.cost(x, s)
-        for t in range(space):
-            if (
-                inst.neighbor_rel(x, s, t)
-                and inst.feasible(x, t)
-                and inst.cost(x, t) < cost_s
-            ):
-                return t
-        return s
-
-    return PlsInstance(
-        d_bound=inst.d_bound,
-        feasible=inst.feasible,
-        initial=inst.initial,
-        neighbor=neighbor,
-        cost=inst.cost,
-    )
 
 
 def solve_npls(

@@ -436,9 +436,15 @@ def document_to_json(value: Document) -> Any:
 
 
 def loads_document(text: str) -> Document:
-    """Parse JSON text and decode it as a document."""
+    """Parse JSON text and decode it as a document.
+
+    Parsing and decoding both recurse on the nesting depth, so a
+    document nested deeper than the interpreter's recursion limit is
+    rejected as malformed rather than left to escape as RecursionError.
+    """
     try:
-        obj = json.loads(text)
+        return document_from_json(json.loads(text))
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
-    return document_from_json(obj)
+    except RecursionError as exc:
+        raise FormatError("document is nested too deeply to decode") from exc

@@ -154,6 +154,45 @@ def test_solve_digraph(capsys):
     assert lines[-1] == "solution=5 steps=3"
 
 
+def test_solve_digraph_machine_output_is_pinned(capsys):
+    assert main(["solve", "G1", "--format", "machine"]) == 0
+    assert capsys.readouterr().out == (
+        '{"action":"init-target","cost":5,"rank":0,"source":0,"target":0}\n'
+        '{"action":"rank0-step","cost":4,"rank":0,"source":0,"target":1}\n'
+        '{"action":"solved","cost":0,"rank":0,"source":0,"target":5}\n'
+        '{"solution":5,"steps":3}\n'
+    )
+
+
+def test_solve_rejects_a_digraph_edge_that_does_not_decrease_cost(tmp_path, capsys):
+    path = tmp_path / "uphill.json"
+    path.write_text('{"costs":[0,1],"edges":[[0,1]],"n":2}', encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    assert "CostConditionViolated" in capsys.readouterr().err
+
+
+def _deep_witness_file(tmp_path, depth):
+    obj = derivation_to_json(d2())
+    rule = next(n["rule"] for n in obj["nodes"] if "witness" in n["rule"])
+    inner = dumps(rule["witness"])
+    rule["witness"] = "WITNESS"
+    deep = '{"op":"div2","args":[' * depth + inner + "]}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(dumps(obj).replace('"WITNESS"', deep), encoding="utf-8")
+    return path
+
+
+def test_deeply_nested_witness_term_exits_two(tmp_path, capsys):
+    # 3000 nested div2 terms lie far beyond the interpreter's recursion
+    # limit; the file is malformed input, not a crash.
+    path = _deep_witness_file(tmp_path, 3000)
+    for command in ("validate", "extract"):
+        assert main([command, str(path)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), command
+        assert captured.out == "", command
+
+
 def test_solve_family_and_derivation(capsys):
     assert main(["solve", "NG2"]) == 0
     assert "solution=" in _lines(capsys)[-1]

@@ -13,6 +13,7 @@ from npls.errors import (
 )
 from npls.extraction import (
     ExtractionContext,
+    _entry_point,
     build_npls,
     build_pls,
     extract_witness_npls,
@@ -107,6 +108,16 @@ def test_rightmost_goal():
     assert rightmost_goal(nctx, ()) == (2,)
     assert rightmost_goal(nctx, (2, 1)) == (2, 1)
     assert rightmost_goal(nctx, (0,)) == (0,)
+
+
+def test_entry_point_is_where_a_formula_enters_the_branch():
+    ctx = _npls_ctx()
+    end, cut, b00 = ctx.derivation.sequent((2, 0))
+    assert _entry_point(ctx, (2, 0), b00) == (2, 0)
+    assert _entry_point(ctx, (2, 0), cut) == (2,)
+    assert _entry_point(ctx, (2, 0), end) == ()
+    with pytest.raises(UnreachableCase):
+        _entry_point(ctx, (0,), cut)
 
 
 def test_pls_neighbor_steps():

@@ -8,17 +8,14 @@ from npls.nested_graph import (
     CostedDigraph,
     NestedGraphFamily,
     check_cost_condition,
-    find_sink,
     generate_family,
     npls_from_family,
     pls_from_digraph,
-    sinks,
-    unpack_point,
     validate_family,
 )
 from npls.search_core import (
-    local_minimum_check,
     solve_npls,
+    solve_pls,
     verify_npls_conditions,
 )
 from npls.serialization import dumps, family_to_json
@@ -45,28 +42,33 @@ def test_cost_condition():
     check_cost_condition(CostedDigraph(1, ((0, 0),), (5,)))
 
 
+def _sink_from(g, start):
+    """The end of cost descent from ``start``: a node with no cheaper successor."""
+    solution, _ = solve_pls(pls_from_digraph(g, start), 0)
+    return solution
+
+
 def test_find_sink_on_the_fixture():
     g = g1()
-    assert find_sink(g, 0) == 5
-    assert find_sink(g, 3) == 5
-    assert find_sink(g, 5) == 5
-    assert sinks(g) == [5]
+    assert _sink_from(g, 0) == 5
+    assert _sink_from(g, 3) == 5
+    assert _sink_from(g, 5) == 5
     with pytest.raises(ValueError):
-        find_sink(g, 9)
+        pls_from_digraph(g, start=9)
 
 
 def test_find_sink_rejects_nonconforming_costs():
     with pytest.raises(CostConditionViolated):
-        find_sink(CostedDigraph(2, ((0, 1),), (0, 1)), 0)
+        pls_from_digraph(CostedDigraph(2, ((0, 1),), (0, 1)))
 
 
 def test_find_sink_lands_in_a_sink_everywhere():
     # The rank-0 generator produces conforming graphs by construction.
-    for seed in range(1, 21):
-        g = generate_family(seed, 0, 8).graph
-        sink_set = set(sinks(g))
+    graphs = [g1()] + [generate_family(seed, 0, 8).graph for seed in range(1, 21)]
+    for g in graphs:
         for start in range(g.n_nodes):
-            assert find_sink(g, start) in sink_set
+            end = _sink_from(g, start)
+            assert all(g.costs[t] >= g.costs[end] for t in g.successors(end))
 
 
 def test_generated_rank0_graphs_are_deterministic_chains():
@@ -77,11 +79,10 @@ def test_generated_rank0_graphs_are_deterministic_chains():
 
 
 def test_pls_from_digraph_keeps_only_decreasing_edges():
-    inst = pls_from_digraph(g1())
-    assert inst.neighbor_rel(0, 0, 1)
-    assert not inst.neighbor_rel(0, 1, 0)
-    assert not inst.neighbor_rel(0, 5, 5)
-    assert local_minimum_check(inst, 0, 5)
+    # Node 0 steps to 1, not to the cheaper 2; a self-loop is never a step.
+    g = CostedDigraph(3, ((0, 2), (0, 1), (1, 2), (2, 2)), (3, 1, 0))
+    inst = pls_from_digraph(g)
+    assert [inst.neighbor(0, s) for s in range(3)] == [1, 2, 2]
     with pytest.raises(ValueError):
         pls_from_digraph(g1(), start=17)
 
@@ -146,6 +147,15 @@ def test_npls_from_family_requires_outgoing_edges():
         npls_from_family(fam)
 
 
+def test_rank0_step_needs_a_strictly_cheaper_successor():
+    # Families are compiled without a cost check; an edge between equal
+    # costs is not a descent step, so node 0 rests on itself.
+    fam = NestedGraphFamily(CostedDigraph(2, ((0, 1), (1, 1)), (1, 1)), 0)
+    inst = npls_from_family(fam)
+    assert inst.nbr0(0, 0, 0) == 0
+    assert inst.nbr_rel(0, 0, 0, 0)
+
+
 def test_broken_costs_compile_and_fail_the_condition_check():
     fam = ng2()
     g = fam.graph
@@ -162,13 +172,13 @@ def test_broken_costs_compile_and_fail_the_condition_check():
     assert failed == {"cost_decrease"}
 
 
-def test_unpack_point_inverts_the_packing():
+def test_top_problem_points_are_node_ids():
     fam = ng2()
     inst = npls_from_family(fam)
     solution, _ = solve_npls(inst, 0)
-    pid, node = unpack_point(fam, solution)
-    assert pid == 0
-    assert 0 <= node < fam.graph.n_nodes
+    assert inst.initial_source(0) == 0
+    assert inst.targets(0, 0, solution)
+    assert 0 <= solution < fam.graph.n_nodes
 
 
 def test_generate_family_shape_pins():

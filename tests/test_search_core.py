@@ -6,7 +6,6 @@ import pytest
 
 from npls.corpus import g1, ng2
 from npls.errors import (
-    CardinalityBoundViolated,
     CostViolation,
     DomainTooLarge,
     EmptyTargetSpace,
@@ -14,7 +13,12 @@ from npls.errors import (
     RankViolation,
     StepBudgetExceeded,
 )
-from npls.nested_graph import npls_from_family, pls_from_digraph, sinks, unpack_point
+from npls.nested_graph import (
+    NestedGraphFamily,
+    generate_family,
+    npls_from_family,
+    pls_from_digraph,
+)
 from npls.search_core import (
     CONDITION_NAMES,
     DESCEND,
@@ -26,10 +30,7 @@ from npls.search_core import (
     Polynomial,
     SearchTrace,
     TraceStep,
-    as_function_pls,
     brute_force_npls,
-    derive_self_loop_predicate,
-    local_minimum_check,
     rank0_pls,
     solve_npls,
     solve_pls,
@@ -99,39 +100,31 @@ def test_solve_pls_rejects_infeasible_neighbor():
 
 
 def test_digraph_instance_solves_to_the_sink():
-    inst = as_function_pls(pls_from_digraph(g1()))
+    inst = pls_from_digraph(g1())
     solution, trace = solve_pls(inst, 0)
     assert solution == 5
     assert trace.step_count == 3
     assert trace.targets() == [0, 1, 5]
 
 
-def test_local_minimum_check():
-    inst = pls_from_digraph(g1())
-    assert local_minimum_check(inst, 0, 5)
-    assert not local_minimum_check(inst, 0, 0)
-    with pytest.raises(InvariantViolation):
-        local_minimum_check(inst, 0, 99)
-
-
-def test_local_minimum_check_enforces_the_cardinality_bound():
-    inst = dataclasses.replace(pls_from_digraph(g1()), p_bound=Polynomial.constant(1))
-    with pytest.raises(CardinalityBoundViolated):
-        local_minimum_check(inst, 0, 0)
+def _fixed_points(inst, n_nodes):
+    return {y for y in range(n_nodes) if inst.neighbor(0, y) == y}
 
 
 def test_self_loop_predicate_marks_exactly_the_local_minima():
+    assert _fixed_points(pls_from_digraph(g1()), g1().n_nodes) == {5}
+    graphs = [g1()] + [generate_family(seed, 0, 8).graph for seed in range(1, 21)]
+    for g in graphs:
+        nested = npls_from_family(NestedGraphFamily(g, 0))
+        # The top problem has problem id 0, so its packed points are node ids.
+        loops = {y for y in range(g.n_nodes) if nested.nbr_rel(0, 0, y, y)}
+        assert _fixed_points(pls_from_digraph(g), g.n_nodes) == loops
+
+
+def test_digraph_neighbor_prefers_the_smallest_id():
     inst = pls_from_digraph(g1())
-    derived = derive_self_loop_predicate(inst)
-    loops = {s for s in range(g1().n_nodes) if derived.neighbor_rel(0, s, s)}
-    assert loops == set(sinks(g1()))
-    assert derived.neighbor_rel(0, 0, 1)
-    assert not derived.neighbor_rel(0, 1, 0)
-
-
-def test_as_function_pls_prefers_the_smallest_id():
-    inst = as_function_pls(pls_from_digraph(g1()))
     assert inst.neighbor(0, 0) == 1
+    assert inst.neighbor(0, 1) == 5
     assert inst.neighbor(0, 5) == 5
 
 
@@ -181,9 +174,9 @@ def test_solve_npls_on_the_family_fixture():
     trace.check()
     top = inst.initial_source(0)
     assert inst.nbr_rel(0, top, solution, solution)
-    pid, node = unpack_point(fam, solution)
-    assert pid == 0
-    assert (node, node) in set(fam.graph.edges)
+    # The top problem has problem id 0, so its packed points are node ids.
+    assert top == 0 and 0 <= solution < fam.graph.n_nodes
+    assert (solution, solution) in set(fam.graph.edges)
     for step in trace.steps:
         if step.action == DESCEND:
             assert step.rank < fam.rank
@@ -211,8 +204,7 @@ def test_brute_force_finds_the_cheapest_target():
     fam = ng2()
     inst = npls_from_family(fam)
     best = brute_force_npls(inst, 0, 0)
-    _, node = unpack_point(fam, best)
-    assert fam.graph.costs[node] == min(fam.graph.costs)
+    assert fam.graph.costs[best] == min(fam.graph.costs)
 
 
 def test_brute_force_error_cases():
@@ -251,8 +243,6 @@ def test_verify_pinpoints_a_bad_initial_source():
 
 
 def test_rank0_adapter_matches_the_nested_solver():
-    from npls.nested_graph import NestedGraphFamily
-
     inst = npls_from_family(NestedGraphFamily(g1(), 0))
     y_nested, tr_nested = solve_npls(inst, 0)
     y_plain, tr_plain = solve_pls(rank0_pls(inst, 0), 0)

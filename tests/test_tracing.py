@@ -1,0 +1,39 @@
+"""The benchmark tracer still finds every name it patches.
+
+``bench/tracing.py`` looks package functions up by name at run time, so
+deleting or renaming one of them breaks ``bench/run.py --trace 1``
+without failing any other test.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from npls.cli import main
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_records_the_command_path(capsys):
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["solve", "G1"]) == 0
+        assert main(["extract", "D3"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["search_core.calls.neighbor"] > 0
+    names = {span[1] for span in tracer.spans}
+    assert {"nested_graph.pls_from_digraph", "derivation.validate"} <= names
+    # Uninstalling restores the package: nothing more is recorded.
+    before = len(tracer.spans)
+    assert main(["solve", "G1"]) == 0
+    assert len(tracer.spans) == before
