@@ -13,6 +13,7 @@ command to line-delimited JSON records with deterministic bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -275,7 +276,9 @@ _COMMANDS = {
 _NEEDS_INPUT = {"validate", "extract", "solve", "verify"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--mode",

@@ -442,7 +442,12 @@ def expand_template(
             expand(child, path + (index,), env)
             index += 1
 
-    expand(template.root, (), env0)
+    try:
+        expand(template.root, (), env0)
+    finally:
+        # expand reaches itself through its closure; unbinding it frees
+        # that cycle, and ``nodes`` with it, without the cycle collector.
+        del expand
     return Derivation(x, nodes)
 
 

@@ -514,7 +514,7 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     target set of every source row is a frozenset of ids, and plain
     lists by id hold the exists-forall flag, the cost and the subtree
     bound ``ctx.low``, so ``targets``, ``nbr_rel`` and ``cost`` are int
-    lookups.
+    lookups.  ``rows`` and ``sources`` read the same target-set table.
 
     The tables realize ``npls_sources``, ``npls_targets`` and
     ``npls_neighbor_rel`` without calling them per pair.  One pass from
@@ -572,7 +572,6 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
         )
         for s in source_ids
     }
-    source_set = frozenset(source_ids)
     no_targets: frozenset[int] = frozenset()
 
     def rel(x: int, s: int, y: int, z: int) -> bool:
@@ -586,7 +585,8 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     d_bits = max((n - 1).bit_length(), 1)
     return NplsInstance(
         d_bound=Polynomial.constant(d_bits),
-        sources=lambda x, s: s in source_set,
+        rows=lambda x: {s: sorted(target_sets[s]) for s in source_ids},
+        sources=lambda x, s: s in target_sets,
         targets=lambda x, s, t: t in target_sets.get(s, no_targets),
         nbr_rel=rel,
         nbr0=lambda x, s, y: kb[npls_rank0_step(ctx, paths[s], paths[y])],

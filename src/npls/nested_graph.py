@@ -117,7 +117,11 @@ class NestedGraphFamily:
 
 
 def validate_family(fam: NestedGraphFamily) -> list[str]:
-    """Collect every structural defect of a family, depth first."""
+    """Collect every structural defect of a family, depth first.
+
+    Each problem's edges are put into sets once, so the check takes time
+    linear in the nodes, edges and solution tables of the family.
+    """
     issues: list[str] = []
 
     def visit(f: NestedGraphFamily, label: str) -> None:
@@ -126,9 +130,11 @@ def validate_family(fam: NestedGraphFamily) -> list[str]:
             check_cost_condition(g)
         except CostConditionViolated as exc:
             issues.append(f"{label}: {exc}")
-        loops = {s for (s, t) in g.edges if s == t}
+        edges = set(g.edges)
+        has_out = {s for (s, _) in edges}
+        loops = {s for (s, t) in edges if s == t}
         for s in range(g.n_nodes):
-            if not g.successors(s):
+            if s not in has_out:
                 issues.append(f"{label}: node {s} has no outgoing edge")
         if not loops:
             issues.append(f"{label}: no trivial cycle anywhere")
@@ -151,11 +157,11 @@ def validate_family(fam: NestedGraphFamily) -> list[str]:
                     key = (node, sol)
                     if key in f.solution_to_edge:
                         tgt = f.solution_to_edge[key]
-                        if (node, tgt) not in set(g.edges):
+                        if (node, tgt) not in edges:
                             issues.append(
                                 f"{label}: solution table ({node},{sol}) -> {tgt} is not an edge"
                             )
-                    elif (node, node) not in set(g.edges):
+                    elif node not in loops:
                         issues.append(
                             f"{label}: solution table misses ({node},{sol}) and node "
                             f"{node} has no self-loop to fall back on"
@@ -170,13 +176,11 @@ def validate_family(fam: NestedGraphFamily) -> list[str]:
 def _flatten(fam: NestedGraphFamily) -> list[NestedGraphFamily]:
     """All problems of a family in preorder; the top problem comes first."""
     out: list[NestedGraphFamily] = []
-
-    def visit(f: NestedGraphFamily) -> None:
+    stack = [fam]
+    while stack:
+        f = stack.pop()
         out.append(f)
-        for node in sorted(f.children):
-            visit(f.children[node])
-
-    visit(fam)
+        stack.extend(f.children[node] for node in sorted(f.children, reverse=True))
     return out
 
 
@@ -234,19 +238,24 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
     def unpack(t: int) -> tuple[int, int]:
         return t >> node_bits, t & node_mask
 
+    # Problem s owns the ids pack(s, 0) .. pack(s, sizes[s] - 1), so
+    # rows, sources and targets all read the one table ``sizes``.
+    def rows(x: int) -> dict[int, list[int]]:
+        return {s: [pack(s, v) for v in range(n)] for s, n in enumerate(sizes)}
+
     def src(x: int, s: int) -> bool:
         return 0 <= s < n_problems
 
     def tgt(x: int, s: int, t: int) -> bool:
-        if not src(x, s) or t < 0:
-            return False
-        pid, node = unpack(t)
-        return pid == s and node < sizes[s]
+        return 0 <= s < n_problems and 0 <= t - (s << node_bits) < sizes[s]
 
     def rel(x: int, s: int, y: int, z: int) -> bool:
-        if not (tgt(x, s, y) and tgt(x, s, z)) or s >= n_problems:
+        if not 0 <= s < n_problems:
             return False
-        a, b = y & node_mask, z & node_mask
+        base, n = s << node_bits, sizes[s]
+        a, b = y - base, z - base
+        if not (0 <= a < n and 0 <= b < n):
+            return False
         if ranks[s] == 0:
             return step_fn[s][a] == b
         return (a, b) in edge_sets[s]
@@ -272,6 +281,7 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
 
     return NplsInstance(
         d_bound=Polynomial.constant(pid_bits + node_bits),
+        rows=rows,
         sources=src,
         targets=tgt,
         nbr_rel=rel,

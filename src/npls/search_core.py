@@ -14,8 +14,9 @@ search is plain descent.  On a positive rank row a stuck target is
 handed to a freshly generated source of strictly smaller rank; the
 solution of that subproblem is translated back into a strictly cheaper
 target of the original row.  Nine checkable conditions make this
-recursion total, and ``verify_npls_conditions`` tests all of them by
-enumeration.
+recursion total.  Every producer also hands over its rows as a table,
+each source with its list of targets, and ``verify_npls_conditions``
+tests all nine conditions by enumerating those tables.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ class PlsInstance:
 class NplsInstance:
     """A nested local search family.
 
+    ``rows`` tabulates ``sources`` and ``targets``: at ``x`` it maps
+    every source row to its target ids in ascending order.  Producers
+    answer all three from the same tables, so they cannot disagree.
     ``nbr0`` is meaningful only on rank-zero rows, where the neighbor
     relation is required to be its graph.  ``gen_source`` and
     ``extract`` realize the descent into and the return from a
@@ -88,6 +92,7 @@ class NplsInstance:
     """
 
     d_bound: Polynomial
+    rows: Callable[[int], dict[PointId, list[PointId]]]
     sources: Callable[[int, PointId], bool]
     targets: Callable[[int, PointId, PointId], bool]
     nbr_rel: Callable[[int, PointId, PointId, PointId], bool]
@@ -302,7 +307,12 @@ def solve_npls(
     top = inst.initial_source(x)
     if not inst.sources(x, top):
         raise InvariantViolation("initial source is not a source")
-    solution = solve(top)
+    try:
+        solution = solve(top)
+    finally:
+        # solve reaches itself through its closure; unbinding it frees
+        # that cycle, and the instance with it, without the cycle collector.
+        del solve
     if not inst.nbr_rel(x, top, solution, solution):
         raise InvariantViolation("search ended on a non-solution")
     return solution, SearchTrace(tuple(steps))
@@ -420,13 +430,14 @@ def verify_npls_conditions(
 ) -> ConditionReport:
     """Test the nine nested-search conditions by enumeration.
 
-    Sources are scanned over the whole point space and targets over the
-    whole space per source.  Conditions quantifying over neighbor
-    triples are checked on every target pair of every row; the
-    membership condition on the neighbor relation is additionally
-    probed just outside each row's target set and beyond the bit bound,
-    since a full cubic scan is out of reach.  Each failing check
-    reports the first counterexample in scan order.
+    Sources and their targets are read from the instance's ``rows``
+    table, in ascending order of id, so the work grows with the rows and
+    their targets rather than with the point space.  Conditions
+    quantifying over neighbor triples are checked on every target pair
+    of every row; the membership condition on the neighbor relation is
+    additionally probed just outside each row's target set and beyond
+    the bit bound, since a full cubic scan is out of reach.  Each
+    failing check reports the first counterexample in scan order.
     """
     d = inst.d_bound(_bits(x))
     space = 1 << d
@@ -439,11 +450,9 @@ def verify_npls_conditions(
         except Exception as exc:  # noqa: BLE001 - verifier reports, never raises
             return None, f"{type(exc).__name__}: {exc}"
 
-    sources = [s for s in range(space) if inst.sources(x, s)]
+    targets = inst.rows(x)
+    sources = sorted(targets)
     source_set = set(sources)
-    targets: dict[PointId, list[PointId]] = {}
-    for s in sources:
-        targets[s] = [t for t in range(space) if inst.targets(x, s, t)]
 
     checks: list[ConditionCheck] = []
 

@@ -93,7 +93,16 @@ def term_to_json(t: Term) -> Any:
     return {"op": t.op, "args": [term_to_json(a) for a in t.args]}
 
 
+# Validation, evaluation and hashing all recurse on a term's nesting, so
+# a term whose operations nest deeper than this is malformed input.
+MAX_TERM_DEPTH = 256
+
+
 def term_from_json(obj: Any, where: str = "term") -> Term:
+    return _term_from_json(obj, where, where, 0)
+
+
+def _term_from_json(obj: Any, where: str, root: str, depth: int) -> Term:
     d = _need_dict(obj, where)
     if "num" in d:
         value = _need_int(d["num"], where + ".num")
@@ -102,12 +111,14 @@ def term_from_json(obj: Any, where: str = "term") -> Term:
         return num(value)
     if "var" in d:
         return var(_need_str(d["var"], where + ".var"))
+    if depth == MAX_TERM_DEPTH:
+        raise _fail(root, f"term nests more than {MAX_TERM_DEPTH} operations")
     op = _need_str(_get(d, "op", where), where + ".op")
     if op not in OPS:
         raise _fail(where, f"unknown operation {op!r}")
     args = _need_list(_get(d, "args", where), where + ".args")
     decoded = tuple(
-        term_from_json(a, f"{where}.args[{i}]") for i, a in enumerate(args)
+        _term_from_json(a, f"{where}.args[{i}]", root, depth + 1) for i, a in enumerate(args)
     )
     try:
         return Term(op, decoded)

@@ -5,7 +5,10 @@ totality on a generated corpus, witness extraction on fixed and random
 derivations in both modes, traversal-order correctness, the rank-zero
 collapse onto plain search, validator robustness under mutation, and
 condition conformance on instances extracted from random derivations.
-Timing assertions pin the desk-scale budgets.
+Timing assertions pin the desk-scale budgets.  The verifier enumerates
+each instance's ``rows`` table, so ``test_rows_tabulate_the_predicates``
+backs criteria 1 and 8 by checking that table against a scan of the
+point space.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from npls.corpus import (
     d1,
     d2,
     d3,
+    g1,
+    ng2,
     random_sigma1_derivation,
     random_sigma2_derivation,
     t_d2,
@@ -42,7 +47,7 @@ from npls.extraction import (
     extract_witness_npls,
     extract_witness_pls,
 )
-from npls.nested_graph import generate_family, npls_from_family
+from npls.nested_graph import NestedGraphFamily, generate_family, npls_from_family
 from npls.search_core import (
     brute_force_npls,
     rank0_pls,
@@ -84,6 +89,28 @@ def test_criterion_1_nine_conditions_hold_on_the_corpus():
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, elapsed
     print("criterion 1: pass")
+
+
+def _scanned_rows(inst, x):
+    space = 1 << inst.d_bound(x.bit_length())
+    return {
+        s: [t for t in range(space) if inst.targets(x, s, t)]
+        for s in range(space)
+        if inst.sources(x, s)
+    }
+
+
+def test_rows_tabulate_the_predicates():
+    cases = [(inst, 0) for _, inst in _corpus()]
+    cases.append((npls_from_family(ng2()), 0))
+    cases.append((npls_from_family(NestedGraphFamily(g1(), 0)), 0))
+    derivations = [d3()]
+    derivations += [substitute_numeral(t_d3(), x) for x in range(11)]
+    derivations += [random_sigma2_derivation(seed) for seed in range(30)]
+    for d in derivations:
+        cases.append((build_npls(ExtractionContext(d, MODE_NPLS)), d.end_x))
+    for i, (inst, x) in enumerate(cases):
+        assert inst.rows(x) == _scanned_rows(inst, x), i
 
 
 def test_criterion_2_nested_search_is_total_on_the_corpus():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -164,6 +165,60 @@ def test_solve_digraph_machine_output_is_pinned(capsys):
     )
 
 
+def test_parser_is_reused_without_carrying_option_values(capsys):
+    assert main(["solve", "G1", "--format", "machine"]) == 0
+    assert capsys.readouterr().out.endswith('{"solution":5,"steps":3}\n')
+    assert main(["solve", "G1"]) == 0
+    assert _lines(capsys)[-1] == "solution=5 steps=3"
+    assert npls.cli._build_parser() is npls.cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate", "G1"])
+    assert exc.value.code == 2
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, capsys):
+    # The parser is kept for the whole process, so the cycle collector
+    # runs less often; a command that left a cycle behind would keep its
+    # derivation or instance alive until it does.
+    from npls.corpus import ng2
+    from npls.serialization import family_to_json
+
+    path = tmp_path / "ng2.json"
+    path.write_text(dumps(family_to_json(ng2())), encoding="utf-8")
+    commands = (
+        ["validate", "T-D3", "--x", "20"],
+        ["extract", "T-D3", "--x", "20"],
+        ["solve", "D3"],
+        ["solve", str(path)],
+        ["verify", str(path)],
+    )
+    assert main(["validate", "D2"]) == 0  # builds the parser
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands:
+            assert main(argv) == 0, argv
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+
+
+def test_verify_family_machine_output_is_pinned(capsys):
+    assert main(["verify", "NG2", "--format", "machine"]) == 0
+    assert capsys.readouterr().out == (
+        '{"counterexample":null,"detail":"","name":"bit_bound","passed":true}\n'
+        '{"counterexample":null,"detail":"","name":"gen_source_closure","passed":true}\n'
+        '{"counterexample":null,"detail":"","name":"neighbor_domain","passed":true}\n'
+        '{"counterexample":null,"detail":"","name":"rank0_function","passed":true}\n'
+        '{"counterexample":null,"detail":"","name":"rank_descent","passed":true}\n'
+        '{"counterexample":null,"detail":"","name":"extract_lift","passed":true}\n'
+        '{"counterexample":null,"detail":"","name":"initial_source","passed":true}\n'
+        '{"counterexample":null,"detail":"","name":"initial_target","passed":true}\n'
+        '{"counterexample":null,"detail":"","name":"cost_decrease","passed":true}\n'
+        '{"ok":true}\n'
+    )
+
+
 def test_solve_rejects_a_digraph_edge_that_does_not_decrease_cost(tmp_path, capsys):
     path = tmp_path / "uphill.json"
     path.write_text('{"costs":[0,1],"edges":[[0,1]],"n":2}', encoding="utf-8")
@@ -191,6 +246,19 @@ def test_deeply_nested_witness_term_exits_two(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), command
         assert captured.out == "", command
+
+
+def test_witness_term_deeper_than_the_decoder_limit_exits_two(tmp_path, capsys):
+    # These lie below the JSON parser's recursion limit, so only the
+    # decoder's depth cap stops them before validation hashes the term
+    # recursively.
+    for depth in (300, 450, 490):
+        path = _deep_witness_file(tmp_path, depth)
+        for command in ("validate", "extract"):
+            assert main([command, str(path)]) == 2, (depth, command)
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: "), (depth, command)
+            assert captured.out == "", (depth, command)
 
 
 def test_solve_family_and_derivation(capsys):

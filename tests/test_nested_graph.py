@@ -170,6 +170,7 @@ def test_broken_costs_compile_and_fail_the_condition_check():
     report = verify_npls_conditions(npls_from_family(bad), 0)
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {"cost_decrease"}
+    assert report.check("cost_decrease").counterexample == (0, 0, 2)
 
 
 def test_top_problem_points_are_node_ids():

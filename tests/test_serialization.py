@@ -7,6 +7,7 @@ import pytest
 from npls.corpus import FIXTURES
 from npls.errors import FormatError
 from npls.serialization import (
+    MAX_TERM_DEPTH,
     Document,
     digraph_from_json,
     document_from_json,
@@ -78,6 +79,20 @@ def test_parse_errors_carry_locations():
     assert "arguments" in _error_location(term_from_json, {"op": "add", "args": [{"num": 1}]})
     assert ".neg" in _error_location(literal_from_json, {"neg": 1, "lhs": {"num": 0}, "rhs": {"num": 0}})
     assert "rule" in _error_location(rule_from_json, {"tag": "wat"})
+
+
+def _nested_div2(depth):
+    obj = {"var": "x"}
+    for _ in range(depth):
+        obj = {"op": "div2", "args": [obj]}
+    return obj
+
+
+def test_term_depth_is_capped_at_the_root_path():
+    assert MAX_TERM_DEPTH == 256
+    term_from_json(_nested_div2(MAX_TERM_DEPTH))
+    message = _error_location(term_from_json, _nested_div2(MAX_TERM_DEPTH + 1), "rule.witness")
+    assert message == "rule.witness: term nests more than 256 operations"
 
 
 def test_booleans_are_not_integers():

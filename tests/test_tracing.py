@@ -37,3 +37,16 @@ def test_tracer_installs_and_records_the_command_path(capsys):
     before = len(tracer.spans)
     assert main(["solve", "G1"]) == 0
     assert len(tracer.spans) == before
+
+
+def test_verify_reads_the_rows_table_instead_of_scanning_the_point_space(capsys):
+    # NG2's point space has 128 points and 18 source rows; scanning it
+    # row by row would ask ``targets`` 18 * 128 times.
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "NG2"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["search_core.calls.rows"] == 1
+    assert tracer.counts["search_core.calls.targets"] < 128
