@@ -36,6 +36,7 @@ cost nothing because they end the row.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -514,7 +515,10 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     target set of every source row is a frozenset of ids, and plain
     lists by id hold the exists-forall flag, the cost and the subtree
     bound ``ctx.low``, so ``targets``, ``nbr_rel`` and ``cost`` are int
-    lookups.  ``rows`` and ``sources`` read the same target-set table.
+    lookups.  ``rows`` and ``sources`` read the same target-set table,
+    and ``rows`` lists each target's neighbors from the same flags and
+    bounds as ``nbr_rel``.  ``gen_source`` and ``extract`` answer a
+    target that is not an exists-forall rule from its flag alone.
 
     The tables realize ``npls_sources``, ``npls_targets`` and
     ``npls_neighbor_rel`` without calling them per pair.  One pass from
@@ -582,10 +586,38 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
             return not is_ef[z] or low[y] <= z < y
         return y == z
 
+    def rows(x: int) -> dict[int, dict[int, list[int]]]:
+        # The exists-forall targets in low[y]..y-1 are y's descendants;
+        # sorting two ascending runs merges them in linear time.
+        table = {}
+        for s in source_ids:
+            ts = sorted(target_sets[s])
+            plain = [t for t in ts if not is_ef[t]]
+            ef = [t for t in ts if is_ef[t]]
+            table[s] = {
+                y: sorted(plain + ef[bisect_left(ef, low[y]) : bisect_left(ef, y)])
+                if is_ef[y]
+                else [y]
+                for y in ts
+            }
+        return table
+
+    # A target that is not an exists-forall rule is a solution of its
+    # row: it spawns no subproblem and lifts to itself.
+    def gen_source(x: int, s: int, y: int) -> int:
+        if not is_ef[y]:
+            return s
+        return kb[npls_gen_source(ctx, paths[s], paths[y])]
+
+    def extract(x: int, s: int, y: int, z: int) -> int:
+        if not is_ef[y]:
+            return y
+        return kb[npls_extract(ctx, paths[s], paths[y], paths[z])]
+
     d_bits = max((n - 1).bit_length(), 1)
     return NplsInstance(
         d_bound=Polynomial.constant(d_bits),
-        rows=lambda x: {s: sorted(target_sets[s]) for s in source_ids},
+        rows=rows,
         sources=lambda x, s: s in target_sets,
         targets=lambda x, s, t: t in target_sets.get(s, no_targets),
         nbr_rel=rel,
@@ -593,8 +625,8 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
         initial_source=lambda x: root,
         initial_target=lambda x, s: kb[rightmost_goal(ctx, paths[s])],
         cost=lambda x, t: cost_of[t],
-        gen_source=lambda x, s, y: kb[npls_gen_source(ctx, paths[s], paths[y])],
-        extract=lambda x, s, y, z: kb[npls_extract(ctx, paths[s], paths[y], paths[z])],
+        gen_source=gen_source,
+        extract=extract,
         rank=lambda x, s: s,
     )
 

@@ -192,7 +192,8 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
     rank-zero problems the neighbor relation is the graph of the step
     function, which follows the cheapest-by-id decreasing successor and
     rests on self-loops.  On positive ranks the relation is the edge
-    relation itself.
+    relation itself.  ``rows`` lists each target's neighbors from the
+    same step and edge tables.
 
     The only structural prerequisite enforced here is that every node
     has some outgoing edge, which keeps the step functions total.  Cost
@@ -239,9 +240,22 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
         return t >> node_bits, t & node_mask
 
     # Problem s owns the ids pack(s, 0) .. pack(s, sizes[s] - 1), so
-    # rows, sources and targets all read the one table ``sizes``.
-    def rows(x: int) -> dict[int, list[int]]:
-        return {s: [pack(s, v) for v in range(n)] for s, n in enumerate(sizes)}
+    # rows, sources and targets all read the one table ``sizes``; rows
+    # and rel read neighbors from ``step_fn`` and ``edge_sets``.  The
+    # neighbor lists are built here, not above, so solving never pays
+    # for them.
+    def rows(x: int) -> dict[int, dict[int, list[int]]]:
+        table = {}
+        for s, n in enumerate(sizes):
+            base = s << node_bits
+            if ranks[s] == 0:
+                out = [[base + t] for t in step_fn[s]]
+            else:
+                out = [[] for _ in range(n)]
+                for a, b in sorted(edge_sets[s]):
+                    out[a].append(base + b)
+            table[s] = {base + v: out[v] for v in range(n)}
+        return table
 
     def src(x: int, s: int) -> bool:
         return 0 <= s < n_problems

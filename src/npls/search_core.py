@@ -15,12 +15,14 @@ handed to a freshly generated source of strictly smaller rank; the
 solution of that subproblem is translated back into a strictly cheaper
 target of the original row.  Nine checkable conditions make this
 recursion total.  Every producer also hands over its rows as a table,
-each source with its list of targets, and ``verify_npls_conditions``
-tests all nine conditions by enumerating those tables.
+each source with its targets and each target with its neighbors, and
+``verify_npls_conditions`` tests all nine conditions by walking that
+table edge by edge.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,9 +84,12 @@ class PlsInstance:
 class NplsInstance:
     """A nested local search family.
 
-    ``rows`` tabulates ``sources`` and ``targets``: at ``x`` it maps
-    every source row to its target ids in ascending order.  Producers
-    answer all three from the same tables, so they cannot disagree.
+    ``rows`` tabulates ``sources``, ``targets`` and ``nbr_rel``: at
+    ``x`` it maps every source row to a dict whose keys are the row's
+    target ids in ascending order, each mapped to the ascending list of
+    its neighbors, the ``z`` with ``nbr_rel(x, s, y, z)``.  A target
+    that lists itself is a solution of its row.  Producers answer all
+    four from the same tables, so they cannot disagree.
     ``nbr0`` is meaningful only on rank-zero rows, where the neighbor
     relation is required to be its graph.  ``gen_source`` and
     ``extract`` realize the descent into and the return from a
@@ -92,7 +97,7 @@ class NplsInstance:
     """
 
     d_bound: Polynomial
-    rows: Callable[[int], dict[PointId, list[PointId]]]
+    rows: Callable[[int], dict[PointId, dict[PointId, list[PointId]]]]
     sources: Callable[[int, PointId], bool]
     targets: Callable[[int, PointId, PointId], bool]
     nbr_rel: Callable[[int, PointId, PointId, PointId], bool]
@@ -423,6 +428,16 @@ CONDITION_NAMES = (
 )
 
 
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _lists(ids: list[PointId], t: PointId) -> bool:
+    """Membership in an ascending id list."""
+    i = bisect_left(ids, t)
+    return i < len(ids) and ids[i] == t
+
+
 def verify_npls_conditions(
     inst: NplsInstance,
     x: int,
@@ -430,14 +445,16 @@ def verify_npls_conditions(
 ) -> ConditionReport:
     """Test the nine nested-search conditions by enumeration.
 
-    Sources and their targets are read from the instance's ``rows``
-    table, in ascending order of id, so the work grows with the rows and
-    their targets rather than with the point space.  Conditions
-    quantifying over neighbor triples are checked on every target pair
-    of every row; the membership condition on the neighbor relation is
-    additionally probed just outside each row's target set and beyond
-    the bit bound, since a full cubic scan is out of reach.  Each
-    failing check reports the first counterexample in scan order.
+    Sources, their targets and each target's neighbors are read from
+    the instance's ``rows`` table in ascending order of id, and every
+    (row, target, neighbor) edge of the table is checked, not a sample.
+    Each row's solutions, its self-loops, are collected once, so the
+    work is linear in the targets plus the edges rather than in the
+    point space; the lift check adds one ``extract`` call per target
+    and solution of the target's subproblem.  Only the bit bound also
+    probes the ``sources`` and ``targets`` callables, just beyond the
+    point space.  Each failing check reports the first counterexample
+    in scan order.
     """
     d = inst.d_bound(_bits(x))
     space = 1 << d
@@ -448,11 +465,12 @@ def verify_npls_conditions(
         try:
             return fn(x, *args), None
         except Exception as exc:  # noqa: BLE001 - verifier reports, never raises
-            return None, f"{type(exc).__name__}: {exc}"
+            return None, _failure(exc)
 
-    targets = inst.rows(x)
-    sources = sorted(targets)
+    table = inst.rows(x)
+    sources = sorted(table)
     source_set = set(sources)
+    solutions = {s: [y for y, zs in row.items() if _lists(zs, y)] for s, row in table.items()}
 
     checks: list[ConditionCheck] = []
 
@@ -482,12 +500,18 @@ def verify_npls_conditions(
             for t in out_probes:
                 if inst.targets(x, s, t):
                     return (s, t), "a target lies beyond the bit bound"
+        for s in sources:
+            if s >= space:
+                return (s,), "a source lies beyond the bit bound"
+            for t in table[s]:
+                if t >= space:
+                    return (s, t), "a target lies beyond the bit bound"
         return None
 
     @run("gen_source_closure")
     def _closure():
         for s in sources:
-            for y in targets[s]:
+            for y in table[s]:
                 got, err = guarded(inst.gen_source, s, y)
                 if err is not None:
                     return (s, y), f"gen_source failed: {err}"
@@ -495,26 +519,14 @@ def verify_npls_conditions(
                     return (s, y), f"gen_source returned non-source {got}"
         return None
 
-    def row_probes(s: PointId) -> list[PointId]:
-        near = {(t + 1) % space for t in targets[s]}
-        near.update((0, space - 1))
-        return sorted(near - set(targets[s]))
-
     @run("neighbor_domain")
     def _domain():
         for s in sources:
-            tset = set(targets[s])
-            pool = targets[s] + row_probes(s)
-            for y in pool:
-                for z in pool:
-                    if inst.nbr_rel(x, s, y, z) and not (y in tset and z in tset):
+            row = table[s]
+            for y, zs in row.items():
+                for z in zs:
+                    if z not in row:
                         return (s, y, z), "neighbor relation leaves the target set"
-        non_sources = [s for s in range(min(space, 16)) if s not in source_set]
-        for s in non_sources:
-            for y in (0, space - 1):
-                for z in (0, space - 1):
-                    if inst.nbr_rel(x, s, y, z):
-                        return (s, y, z), "neighbor relation holds on a non-source row"
         return None
 
     @run("rank0_function")
@@ -522,22 +534,18 @@ def verify_npls_conditions(
         for s in sources:
             if inst.rank(x, s) != 0:
                 continue
-            tset = set(targets[s])
-            for y in targets[s]:
+            row = table[s]
+            steps = []
+            for y, zs in row.items():
                 got, err = guarded(inst.nbr0, s, y)
                 if err is not None:
                     return (s, y), f"step function failed: {err}"
-                if not inst.nbr_rel(x, s, y, got):
+                if not _lists(zs, got):
                     return (s, y, got), "step function leaves the neighbor relation"
-            pool = targets[s] + row_probes(s)
-            for y in pool:
-                for z in pool:
-                    if not inst.nbr_rel(x, s, y, z):
-                        continue
-                    if y not in tset:
-                        return (s, y, z), "relation holds on a non-target"
-                    got, err = guarded(inst.nbr0, s, y)
-                    if err is not None or got != z:
+                steps.append(got)
+            for (y, zs), got in zip(row.items(), steps):
+                for z in zs:
+                    if z != got:
                         return (s, y, z), "relation is not the graph of the step function"
         return None
 
@@ -547,8 +555,8 @@ def verify_npls_conditions(
             r = inst.rank(x, s)
             if r == 0:
                 continue
-            for y in targets[s]:
-                if inst.nbr_rel(x, s, y, y):
+            for y, zs in table[s].items():
+                if _lists(zs, y):
                     continue
                 got, err = guarded(inst.gen_source, s, y)
                 if err is not None:
@@ -559,20 +567,23 @@ def verify_npls_conditions(
 
     @run("extract_lift")
     def _lift():
+        # The busiest loop of the verifier, one call per target and
+        # solution of its subproblem, so it calls ``extract`` unwrapped.
+        extract = inst.extract
         for s in sources:
             if inst.rank(x, s) == 0:
                 continue
-            for y in targets[s]:
+            for y, zs in table[s].items():
                 child, err = guarded(inst.gen_source, s, y)
-                if err is not None or child not in source_set:
-                    continue  # reported by gen_source_closure
-                for z in targets.get(child, []):
-                    if not inst.nbr_rel(x, child, z, z):
-                        continue
-                    got, err = guarded(inst.extract, s, y, z)
-                    if err is not None:
-                        return (s, y, z), f"extract failed: {err}"
-                    if not inst.nbr_rel(x, s, y, got):
+                if err is not None or child not in source_set or not solutions[child]:
+                    continue  # a failing gen_source is reported by gen_source_closure
+                neighbors = set(zs)
+                for z in solutions[child]:
+                    try:
+                        got = extract(x, s, y, z)
+                    except Exception as exc:  # noqa: BLE001
+                        return (s, y, z), f"extract failed: {_failure(exc)}"
+                    if got not in neighbors:
                         return (s, y, z), f"extracted point {got} is not a neighbor of {y}"
         return None
 
@@ -591,18 +602,22 @@ def verify_npls_conditions(
             got, err = guarded(inst.initial_target, s)
             if err is not None:
                 return (s,), f"initial_target failed: {err}"
-            if got not in set(targets[s]):
+            if got not in table[s]:
                 return (s, got), "initial target is not a target of its row"
         return None
 
     @run("cost_decrease")
     def _cost():
         for s in sources:
-            for y in targets[s]:
-                for z in targets[s]:
-                    if inst.nbr_rel(x, s, y, z) and y != z:
-                        if inst.cost(x, y) <= inst.cost(x, z):
-                            return (s, y, z), "neighbor step does not decrease cost"
+            row = table[s]
+            for y, zs in row.items():
+                moves = [z for z in zs if z != y and z in row]
+                if not moves:
+                    continue
+                cost_y = inst.cost(x, y)
+                for z in moves:
+                    if cost_y <= inst.cost(x, z):
+                        return (s, y, z), "neighbor step does not decrease cost"
         return None
 
     by_name = {c.name: c for c in checks}

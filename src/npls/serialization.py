@@ -64,8 +64,12 @@ def _need_list(obj: Any, where: str) -> list:
     return obj
 
 
+def _is_int(obj: Any) -> bool:
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _need_int(obj: Any, where: str) -> int:
-    if not isinstance(obj, int) or isinstance(obj, bool):
+    if not _is_int(obj):
         raise _fail(where, f"expected an integer, got {type(obj).__name__}")
     return obj
 
@@ -343,6 +347,17 @@ def digraph_to_json(g: CostedDigraph) -> Any:
     }
 
 
+# Graphs carry thousands of edges and costs, so each is checked first
+# and a location string is formatted only for one that fails.
+
+
+def _need_edge(obj: Any, where: str) -> tuple[int, int]:
+    pair = _need_list(obj, where)
+    if len(pair) != 2:
+        raise _fail(where, "an edge is a pair")
+    return _need_int(pair[0], where + "[0]"), _need_int(pair[1], where + "[1]")
+
+
 def digraph_from_json(obj: Any, where: str = "digraph") -> CostedDigraph:
     d = _need_dict(obj, where)
     n = _need_int(_get(d, "n", where), where + ".n")
@@ -350,19 +365,14 @@ def digraph_from_json(obj: Any, where: str = "digraph") -> CostedDigraph:
         raise _fail(where + ".n", "a graph needs at least one node")
     edges = []
     for i, raw in enumerate(_need_list(_get(d, "edges", where), where + ".edges")):
-        pair = _need_list(raw, f"{where}.edges[{i}]")
-        if len(pair) != 2:
-            raise _fail(f"{where}.edges[{i}]", "an edge is a pair")
-        edges.append(
-            (
-                _need_int(pair[0], f"{where}.edges[{i}][0]"),
-                _need_int(pair[1], f"{where}.edges[{i}][1]"),
-            )
-        )
-    costs = tuple(
-        _need_int(c, f"{where}.costs[{i}]")
-        for i, c in enumerate(_need_list(_get(d, "costs", where), where + ".costs"))
-    )
+        if isinstance(raw, list) and len(raw) == 2 and _is_int(raw[0]) and _is_int(raw[1]):
+            edges.append((raw[0], raw[1]))
+        else:
+            edges.append(_need_edge(raw, f"{where}.edges[{i}]"))
+    costs = tuple(_need_list(_get(d, "costs", where), where + ".costs"))
+    for i, c in enumerate(costs):
+        if not _is_int(c):
+            _need_int(c, f"{where}.costs[{i}]")
     try:
         return CostedDigraph(n, tuple(sorted(edges)), costs)
     except ValueError as exc:

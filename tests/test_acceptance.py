@@ -5,10 +5,10 @@ totality on a generated corpus, witness extraction on fixed and random
 derivations in both modes, traversal-order correctness, the rank-zero
 collapse onto plain search, validator robustness under mutation, and
 condition conformance on instances extracted from random derivations.
-Timing assertions pin the desk-scale budgets.  The verifier enumerates
+Timing assertions pin the desk-scale budgets.  The verifier walks
 each instance's ``rows`` table, so ``test_rows_tabulate_the_predicates``
-backs criteria 1 and 8 by checking that table against a scan of the
-point space.
+backs criteria 1 and 8 by checking that table, targets and neighbors,
+against a scan of the point space.
 """
 
 from __future__ import annotations
@@ -93,11 +93,12 @@ def test_criterion_1_nine_conditions_hold_on_the_corpus():
 
 def _scanned_rows(inst, x):
     space = 1 << inst.d_bound(x.bit_length())
-    return {
-        s: [t for t in range(space) if inst.targets(x, s, t)]
-        for s in range(space)
-        if inst.sources(x, s)
-    }
+    rows = {}
+    for s in range(space):
+        if inst.sources(x, s):
+            targets = [t for t in range(space) if inst.targets(x, s, t)]
+            rows[s] = {y: [z for z in targets if inst.nbr_rel(x, s, y, z)] for y in targets}
+    return rows
 
 
 def test_rows_tabulate_the_predicates():
@@ -110,7 +111,16 @@ def test_rows_tabulate_the_predicates():
     for d in derivations:
         cases.append((build_npls(ExtractionContext(d, MODE_NPLS)), d.end_x))
     for i, (inst, x) in enumerate(cases):
-        assert inst.rows(x) == _scanned_rows(inst, x), i
+        table = inst.rows(x)
+        assert table == _scanned_rows(inst, x), i
+        space = 1 << inst.d_bound(x.bit_length())
+        for s, row in table.items():
+            assert list(row) == sorted(row), (i, s)
+            # The relation ends inside the row: the verifier's walk of
+            # the table sees every edge the solver can take.
+            for t in row:
+                for z in {(t + 1) % space, 0, space - 1} - row.keys():
+                    assert not inst.nbr_rel(x, s, t, z), (i, s, t, z)
 
 
 def test_criterion_2_nested_search_is_total_on_the_corpus():

@@ -26,6 +26,7 @@ from npls.search_core import (
     INIT_TARGET,
     RANK0_STEP,
     SOLVED,
+    NplsInstance,
     PlsInstance,
     Polynomial,
     SearchTrace,
@@ -240,6 +241,37 @@ def test_verify_pinpoints_a_bad_initial_source():
     inst = dataclasses.replace(npls_from_family(ng2()), initial_source=lambda x: 1 << 30)
     report = verify_npls_conditions(inst, 0)
     assert not report.check("initial_source").passed
+
+
+def _tabled_instance(table):
+    """A rank-zero instance on 16 points that answers everything from ``table``."""
+    return NplsInstance(
+        d_bound=Polynomial.constant(4),
+        rows=lambda x: table,
+        sources=lambda x, s: s in table,
+        targets=lambda x, s, t: t in table.get(s, {}),
+        nbr_rel=lambda x, s, y, z: z in table.get(s, {}).get(y, ()),
+        nbr0=lambda x, s, y: table[s][y][0],
+        initial_source=lambda x: 0,
+        initial_target=lambda x, s: min(table[s]),
+        cost=lambda x, t: t,
+        gen_source=lambda x, s, y: s,
+        extract=lambda x, s, y, z: y,
+        rank=lambda x, s: 0,
+    )
+
+
+def test_verify_walks_every_edge_of_the_rows_table():
+    # Target 3 lists 9, which is no target.  Nothing next to 9 is a
+    # target, 0 or 15, so only a walk of the neighbor lists finds it.
+    report = verify_npls_conditions(_tabled_instance({0: {2: [2], 3: [2, 9]}}), 0)
+    domain = report.check("neighbor_domain")
+    assert not domain.passed
+    assert domain.counterexample == (0, 3, 9)
+    assert domain.detail == "neighbor relation leaves the target set"
+    assert report.check("rank0_function").counterexample == (0, 3, 9)
+    assert {c.name for c in report.checks if not c.passed} == {"neighbor_domain", "rank0_function"}
+    assert verify_npls_conditions(_tabled_instance({0: {2: [2], 3: [2]}}), 0).all_passed
 
 
 def test_rank0_adapter_matches_the_nested_solver():

@@ -132,6 +132,54 @@ def test_digraph_parse_errors():
     )
 
 
+_LOOP = {"n": 1, "edges": [[0, 0]], "costs": [0]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"n": 2, "edges": [[0, 1], [1, 1, 0]], "costs": [1, 0]},
+            "digraph.edges[1]: an edge is a pair",
+        ),
+        (
+            {"n": 2, "edges": [[0, 1], 1], "costs": [1, 0]},
+            "digraph.edges[1]: expected an array, got int",
+        ),
+        (
+            {"n": 2, "edges": [[0, "1"]], "costs": [1, 0]},
+            "digraph.edges[0][1]: expected an integer, got str",
+        ),
+        (
+            {"n": 2, "edges": [[True, 1]], "costs": [1, 0]},
+            "digraph.edges[0][0]: expected an integer, got bool",
+        ),
+        (
+            {"n": 2, "edges": [[0, 1]], "costs": [1, "0"]},
+            "digraph.costs[1]: expected an integer, got str",
+        ),
+        (
+            {"rank": 0, "graph": {"n": 3, "edges": [[0, 0], [1, 0], [2, 0]], "costs": [0, 1, "2"]}},
+            "family.graph.costs[2]: expected an integer, got str",
+        ),
+        (
+            {"rank": 0, "graph": {"n": 2, "edges": [[0, 0], [1, 0], [1, 1], [1, "0"]], "costs": [0, 1]}},
+            "family.graph.edges[3][1]: expected an integer, got str",
+        ),
+        (
+            {
+                "rank": 1,
+                "graph": _LOOP,
+                "children": [{"node": 0, "problem": {"rank": 0, "graph": {**_LOOP, "edges": [[0]]}}}],
+            },
+            "family.children[0].problem.graph.edges[0]: an edge is a pair",
+        ),
+    ],
+)
+def test_graph_item_errors_name_the_item(doc, message):
+    assert _error_location(loads_document, dumps(doc)) == message
+
+
 def test_family_parse_errors():
     graph = {"n": 1, "edges": [[0, 0]], "costs": [0]}
     assert "duplicate child node" in _error_location(

@@ -11,6 +11,8 @@ import importlib.util
 from pathlib import Path
 
 from npls.cli import main
+from npls.corpus import random_sigma2_derivation
+from npls.serialization import derivation_to_json, dumps
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -50,3 +52,18 @@ def test_verify_reads_the_rows_table_instead_of_scanning_the_point_space(capsys)
         tracer.uninstall()
     assert tracer.counts["search_core.calls.rows"] == 1
     assert tracer.counts["search_core.calls.targets"] < 128
+
+
+def test_verify_walks_the_neighbor_lists_instead_of_asking_the_relation(tmp_path, capsys):
+    # The verifier reads every edge from the rows table; asking nbr_rel
+    # for each pair of targets took 869,287 calls on this derivation.
+    path = tmp_path / "sigma2.json"
+    path.write_text(dumps(derivation_to_json(random_sigma2_derivation(20))), encoding="utf-8")
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["search_core.calls.rows"] == 1
+    assert tracer.counts["search_core.calls.nbr_rel"] == 0
