@@ -1,4 +1,4 @@
-"""Batch front-end: validate, extract, solve, verify, generate, bench.
+"""Batch front-end: validate, extract, solve, verify, generate.
 
 Inputs name either a file on disk, a file ``<name>.json`` inside the
 directory given by the ``NPLS_FIXTURES`` environment variable, or one
@@ -16,7 +16,6 @@ import argparse
 import functools
 import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +37,8 @@ from .extraction import (
     extract_witness_pls,
 )
 from .nested_graph import (
+    MAX_RANK,
+    MAX_WIDTH,
     CostedDigraph,
     NestedGraphFamily,
     generate_family,
@@ -75,15 +76,22 @@ class RunConfig:
     out_path: str | None
 
 
+def _read(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_input(name: str):
     path = Path(name)
     if path.exists():
-        return loads_document(path.read_text(encoding="utf-8"))
+        return loads_document(_read(path))
     fixture_dir = os.environ.get("NPLS_FIXTURES")
     if fixture_dir:
         candidate = Path(fixture_dir) / f"{name}.json"
         if candidate.exists():
-            return loads_document(candidate.read_text(encoding="utf-8"))
+            return loads_document(_read(candidate))
     if name in FIXTURES:
         return FIXTURES[name]()
     raise OSError(f"no file or fixture named {name!r}")
@@ -236,41 +244,12 @@ def cmd_gen_graph(cfg: RunConfig) -> tuple[int, list[str]]:
     return 0, [dumps(obj)]
 
 
-def cmd_bench(cfg: RunConfig) -> tuple[int, list[str]]:
-    """Solve and verify one generated family per seed in 1..seed."""
-    lines: list[str] = []
-    failures = 0
-    for seed in range(1, cfg.seed + 1):
-        family = generate_family(seed, cfg.max_rank, cfg.max_width)
-        inst = npls_from_family(family)
-        started = time.perf_counter()
-        try:
-            _, trace = solve_npls(inst, cfg.x_value, cfg.max_steps)
-            ok = verify_npls_conditions(inst, cfg.x_value).all_passed
-            steps = trace.step_count
-        except NplsError as exc:
-            ok, steps = False, 0
-            lines.append(f"seed={seed} error={exc}")
-        elapsed = (time.perf_counter() - started) * 1000.0
-        if not ok:
-            failures += 1
-        if cfg.output == "machine":
-            lines.append(
-                dumps({"seed": seed, "ok": ok, "steps": steps, "ms": round(elapsed, 3)})
-            )
-        else:
-            status = "ok" if ok else "FAIL"
-            lines.append(f"seed={seed} {status} steps={steps} ms={elapsed:.1f}")
-    return (0 if failures == 0 else 1), lines
-
-
 _COMMANDS = {
     "validate": cmd_validate,
     "extract": cmd_extract,
     "solve": cmd_solve,
     "verify": cmd_verify,
     "gen-graph": cmd_gen_graph,
-    "bench": cmd_bench,
 }
 
 _NEEDS_INPUT = {"validate", "extract", "solve", "verify"}
@@ -287,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="derivation mode; auto picks by quantifier class",
     )
     shared.add_argument("--x", type=int, default=0, help="parameter value for templates")
-    shared.add_argument("--seed", type=int, default=1, help="generator seed (bench: seed count)")
+    shared.add_argument("--seed", type=int, default=1, help="generator seed")
     shared.add_argument("--max-steps", type=int, default=None, help="solver step budget")
     shared.add_argument("--max-rank", type=int, default=2, help="family nesting depth")
     shared.add_argument("--max-width", type=int, default=4, help="family problem size")
@@ -315,6 +294,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config(args: argparse.Namespace) -> RunConfig:
     if args.x < 0 or args.seed < 0:
         raise NplsError("--x and --seed must be non-negative")
+    if args.max_steps is not None and args.max_steps < 0:
+        raise NplsError("--max-steps must be non-negative")
+    if not (0 <= args.max_rank <= MAX_RANK and 1 <= args.max_width <= MAX_WIDTH):
+        raise NplsError(f"--max-rank must lie in 0..{MAX_RANK} and --max-width in 1..{MAX_WIDTH}")
     return RunConfig(
         command=args.command,
         input_path=getattr(args, "input", None),
@@ -334,16 +317,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config(args)
         code, lines = _COMMANDS[cfg.command](cfg)
+        text = "".join(line + "\n" for line in lines)
+        if cfg.out_path is not None:
+            Path(cfg.out_path).write_text(text, encoding="utf-8")
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NplsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    text = "".join(line + "\n" for line in lines)
-    if cfg.out_path is not None:
-        Path(cfg.out_path).write_text(text, encoding="utf-8")
-    else:
+    if cfg.out_path is None:
         sys.stdout.write(text)
     return code
 

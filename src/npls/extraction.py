@@ -491,36 +491,18 @@ def npls_extract(
     return rightmost_goal(ctx, branch)
 
 
-def npls_rank0_step(ctx: ExtractionContext, sigma: NodePath, tau: NodePath) -> NodePath:
-    """Step function for rank-zero rows.
-
-    A rank-zero row is a leaf of the tree, so its targets are all
-    witnessing existential rules and every target is already a fixed
-    point.  An exists-forall target here would mean the input violates
-    its invariants.
-    """
-    if ctx.is_exists_forall(tau):
-        raise UnreachableCase(
-            f"exists-forall target {format_path(tau)} on the rank-zero row "
-            f"{format_path(sigma)}"
-        )
-    return tau
-
-
 def build_npls(ctx: ExtractionContext) -> NplsInstance:
     """The nested search instance of an npls-mode derivation.
 
     Point ids are post-order indices for rows and targets alike; the
-    rank of a row is its own id.  The instance is tabulated once: the
-    target set of every source row is a frozenset of ids, and plain
-    lists by id hold the exists-forall flag, the cost and the subtree
-    bound ``ctx.low``, so ``targets``, ``nbr_rel`` and ``cost`` are int
-    lookups.  ``rows`` and ``sources`` read the same target-set table,
-    and ``rows`` lists each target's neighbors from the same flags and
-    bounds as ``nbr_rel``.  ``gen_source`` and ``extract`` answer a
-    target that is not an exists-forall rule from its flag alone.
+    rank of a row is its own id.  Plain lists by id hold the
+    exists-forall flag, the cost and the subtree bound ``ctx.low``, and
+    ``row`` builds one row's table from them when it is asked for, so
+    a search pays only for the rows it opens.  ``gen_source`` and
+    ``extract`` answer a target that is not an exists-forall rule from
+    its flag alone.
 
-    The tables realize ``npls_sources``, ``npls_targets`` and
+    The rows realize ``npls_sources``, ``npls_targets`` and
     ``npls_neighbor_rel`` without calling them per pair.  One pass from
     the root down gives each node its owner, the deepest value-indexed
     cut upper at or below it (the root when there is none), and whether
@@ -528,8 +510,8 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     exists-forall target belongs to exactly one row, its owner; an
     existential target belongs to every row whose sequent holds its
     principal, found through one map from principal to rules.  Building
-    takes time linear in the nodes, the (row, target) pairs and the
-    sizes of the source rows' sequents.
+    takes time linear in the nodes and the sizes of the sequents; a row
+    then costs time linear in its targets and edges.
     """
     if ctx.mode != MODE_NPLS:
         raise ModeError("build_npls needs an npls-mode context")
@@ -546,7 +528,7 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     # scan sees every parent first.
     owner = [root] * n
     below_goal = [False] * n
-    source_ids = [root]
+    source_ids = {root}
     for i in range(n - 2, -1, -1):
         path = paths[i]
         parent = kb[path[:-1]]
@@ -554,9 +536,10 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
         if ctx.is_left_upper(path):
             owner[i] = i
             if no_true_lit[i] and not below_goal[i]:
-                source_ids.append(i)
+                source_ids.add(i)
         else:
             owner[i] = owner[parent]
+    sources = sorted(source_ids)
 
     owned: dict[int, list[int]] = {}
     goals_of: dict[Formula, list[int]] = {}
@@ -567,40 +550,24 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
             owned.setdefault(owner[i], []).append(i)
         elif ctx.has_true_goal(path):
             goals_of.setdefault(ctx.principal(path), []).append(i)
-    target_sets = {
-        s: frozenset(
-            chain(
-                owned.get(s, ()),
-                *(goals_of.get(f, ()) for f in ctx._seq_counter[paths[s]]),
-            )
+
+    def row(x: int, s: int) -> dict[int, list[int]] | None:
+        if s not in source_ids:
+            return None
+        # Each rule is listed once: under its owner, or under its principal.
+        ts = sorted(
+            chain(owned.get(s, ()), *(goals_of.get(f, ()) for f in ctx._seq_counter[paths[s]]))
         )
-        for s in source_ids
-    }
-    no_targets: frozenset[int] = frozenset()
-
-    def rel(x: int, s: int, y: int, z: int) -> bool:
-        row = target_sets.get(s, no_targets)
-        if y not in row or z not in row:
-            return False
-        if is_ef[y]:
-            return not is_ef[z] or low[y] <= z < y
-        return y == z
-
-    def rows(x: int) -> dict[int, dict[int, list[int]]]:
         # The exists-forall targets in low[y]..y-1 are y's descendants;
         # sorting two ascending runs merges them in linear time.
-        table = {}
-        for s in source_ids:
-            ts = sorted(target_sets[s])
-            plain = [t for t in ts if not is_ef[t]]
-            ef = [t for t in ts if is_ef[t]]
-            table[s] = {
-                y: sorted(plain + ef[bisect_left(ef, low[y]) : bisect_left(ef, y)])
-                if is_ef[y]
-                else [y]
-                for y in ts
-            }
-        return table
+        plain = [t for t in ts if not is_ef[t]]
+        ef = [t for t in ts if is_ef[t]]
+        return {
+            y: sorted(plain + ef[bisect_left(ef, low[y]) : bisect_left(ef, y)])
+            if is_ef[y]
+            else [y]
+            for y in ts
+        }
 
     # A target that is not an exists-forall rule is a solution of its
     # row: it spawns no subproblem and lifts to itself.
@@ -617,11 +584,8 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     d_bits = max((n - 1).bit_length(), 1)
     return NplsInstance(
         d_bound=Polynomial.constant(d_bits),
-        rows=rows,
-        sources=lambda x, s: s in target_sets,
-        targets=lambda x, s, t: t in target_sets.get(s, no_targets),
-        nbr_rel=rel,
-        nbr0=lambda x, s, y: kb[npls_rank0_step(ctx, paths[s], paths[y])],
+        sources=lambda x: list(sources),
+        row=row,
         initial_source=lambda x: root,
         initial_target=lambda x, s: kb[rightmost_goal(ctx, paths[s])],
         cost=lambda x, t: cost_of[t],

@@ -188,12 +188,11 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
     """Compile a family into a nested search instance.
 
     Point ids pack a problem id and a node id into fixed bit fields; a
-    source is a bare problem id and a target is a packed pair.  On
-    rank-zero problems the neighbor relation is the graph of the step
-    function, which follows the cheapest-by-id decreasing successor and
-    rests on self-loops.  On positive ranks the relation is the edge
-    relation itself.  ``rows`` lists each target's neighbors from the
-    same step and edge tables.
+    source is a bare problem id and a target is a packed pair.  The row
+    of a problem is built from its graph when it is asked for: on rank
+    zero each node lists the one node its descent step function picks,
+    the cheapest-by-id decreasing successor or itself, and on positive
+    ranks each node lists its edges.
 
     The only structural prerequisite enforced here is that every node
     has some outgoing edge, which keeps the step functions total.  Cost
@@ -210,24 +209,19 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
     node_mask = (1 << node_bits) - 1
 
     ranks: list[int] = []
-    sizes: list[int] = []
     costs: list[tuple[int, ...]] = []
-    edge_sets: list[frozenset[tuple[int, int]]] = []
-    step_fn: list[list[int]] = []
+    loops: list[set[int]] = []
     child_pid: dict[tuple[int, int], int] = {}
     sol_edge: dict[tuple[int, int, int], int] = {}
 
     for i, p in enumerate(problems):
         ranks.append(p.rank)
-        sizes.append(p.graph.n_nodes)
         costs.append(p.graph.costs)
-        edges = frozenset(p.graph.edges)
-        edge_sets.append(edges)
+        loops.append({a for a, b in p.graph.edges if a == b})
         has_out = {s for s, _ in p.graph.edges}
         for s in range(p.graph.n_nodes):
             if s not in has_out:
                 raise TotalityViolated(f"problem {i}: node {s} has no outgoing edge")
-        step_fn.append(descent_steps(p.graph))
         for node, child in p.children.items():
             child_pid[(i, node)] = pid_of[id(child)]
         for (node, sol), tgt in p.solution_to_edge.items():
@@ -239,45 +233,18 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
     def unpack(t: int) -> tuple[int, int]:
         return t >> node_bits, t & node_mask
 
-    # Problem s owns the ids pack(s, 0) .. pack(s, sizes[s] - 1), so
-    # rows, sources and targets all read the one table ``sizes``; rows
-    # and rel read neighbors from ``step_fn`` and ``edge_sets``.  The
-    # neighbor lists are built here, not above, so solving never pays
-    # for them.
-    def rows(x: int) -> dict[int, dict[int, list[int]]]:
-        table = {}
-        for s, n in enumerate(sizes):
-            base = s << node_bits
-            if ranks[s] == 0:
-                out = [[base + t] for t in step_fn[s]]
-            else:
-                out = [[] for _ in range(n)]
-                for a, b in sorted(edge_sets[s]):
-                    out[a].append(base + b)
-            table[s] = {base + v: out[v] for v in range(n)}
-        return table
-
-    def src(x: int, s: int) -> bool:
-        return 0 <= s < n_problems
-
-    def tgt(x: int, s: int, t: int) -> bool:
-        return 0 <= s < n_problems and 0 <= t - (s << node_bits) < sizes[s]
-
-    def rel(x: int, s: int, y: int, z: int) -> bool:
+    # Problem s owns the ids pack(s, 0) .. pack(s, n_nodes - 1).
+    def row(x: int, s: int) -> dict[int, list[int]] | None:
         if not 0 <= s < n_problems:
-            return False
-        base, n = s << node_bits, sizes[s]
-        a, b = y - base, z - base
-        if not (0 <= a < n and 0 <= b < n):
-            return False
+            return None
+        g = problems[s].graph
+        base = s << node_bits
         if ranks[s] == 0:
-            return step_fn[s][a] == b
-        return (a, b) in edge_sets[s]
-
-    def nbr0(x: int, s: int, y: int) -> int:
-        if not src(x, s) or ranks[s] != 0:
-            raise InvariantViolation(f"step function called on a rank>0 row {s}")
-        return pack(s, step_fn[s][y & node_mask])
+            return {base + v: [base + t] for v, t in enumerate(descent_steps(g))}
+        out: list[list[int]] = [[] for _ in range(g.n_nodes)]
+        for a, b in sorted(set(g.edges)):
+            out[a].append(base + b)
+        return {base + v: zs for v, zs in enumerate(out)}
 
     def gen_source(x: int, s: int, y: int) -> int:
         node = y & node_mask
@@ -289,17 +256,14 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
         key = (s, node, sol)
         if key in sol_edge:
             return pack(s, sol_edge[key])
-        if (node, node) in edge_sets[s]:
+        if node in loops[s]:
             return y
         raise InvariantViolation(f"no translation for solution {sol} at node {node} of {s}")
 
     return NplsInstance(
         d_bound=Polynomial.constant(pid_bits + node_bits),
-        rows=rows,
-        sources=src,
-        targets=tgt,
-        nbr_rel=rel,
-        nbr0=nbr0,
+        sources=lambda x: list(range(n_problems)),
+        row=row,
         initial_source=lambda x: 0,
         initial_target=lambda x, s: pack(s, 0),
         cost=lambda x, t: costs[t >> node_bits][t & node_mask],
@@ -307,6 +271,11 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
         extract=extract,
         rank=lambda x, s: ranks[s] if 0 <= s < n_problems else 0,
     )
+
+
+# The generator's supported range of nesting depth and problem size.
+MAX_RANK = 4
+MAX_WIDTH = 16
 
 
 def generate_family(seed: int, max_rank: int, max_width: int) -> NestedGraphFamily:
@@ -319,10 +288,10 @@ def generate_family(seed: int, max_rank: int, max_width: int) -> NestedGraphFami
     minimum gets its trivial cycle, and rank-zero problems keep at most
     one outgoing edge per node so their descent is a chain.
     """
-    if not 0 <= max_rank <= 4:
-        raise ValueError("max_rank must lie in 0..4")
-    if not 1 <= max_width <= 16:
-        raise ValueError("max_width must lie in 1..16")
+    if not 0 <= max_rank <= MAX_RANK:
+        raise ValueError(f"max_rank must lie in 0..{MAX_RANK}")
+    if not 1 <= max_width <= MAX_WIDTH:
+        raise ValueError(f"max_width must lie in 1..{MAX_WIDTH}")
     rng = random.Random(seed)
 
     def build(rank: int, width: int) -> NestedGraphFamily:

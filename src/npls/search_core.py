@@ -14,10 +14,10 @@ search is plain descent.  On a positive rank row a stuck target is
 handed to a freshly generated source of strictly smaller rank; the
 solution of that subproblem is translated back into a strictly cheaper
 target of the original row.  Nine checkable conditions make this
-recursion total.  Every producer also hands over its rows as a table,
-each source with its targets and each target with its neighbors, and
-``verify_npls_conditions`` tests all nine conditions by walking that
-table edge by edge.
+recursion total.  An instance states its relation once, as one table
+per source row that maps each target to its neighbors; the solver reads
+the rows it opens, and ``verify_npls_conditions`` tests all nine
+conditions by walking every row edge by edge.
 """
 
 from __future__ import annotations
@@ -69,6 +69,12 @@ def _bits(x: int) -> int:
     return x.bit_length()
 
 
+def _lists(ids: list[PointId], t: PointId) -> bool:
+    """Membership in an ascending id list."""
+    i = bisect_left(ids, t)
+    return i < len(ids) and ids[i] == t
+
+
 @dataclass(frozen=True)
 class PlsInstance:
     """A local search family with a functional neighbor."""
@@ -84,24 +90,19 @@ class PlsInstance:
 class NplsInstance:
     """A nested local search family.
 
-    ``rows`` tabulates ``sources``, ``targets`` and ``nbr_rel``: at
-    ``x`` it maps every source row to a dict whose keys are the row's
+    ``sources(x)`` lists the source rows in ascending order of id, and
+    ``row(x, s)`` tabulates one of them: a dict whose keys are the row's
     target ids in ascending order, each mapped to the ascending list of
-    its neighbors, the ``z`` with ``nbr_rel(x, s, y, z)``.  A target
-    that lists itself is a solution of its row.  Producers answer all
-    four from the same tables, so they cannot disagree.
-    ``nbr0`` is meaningful only on rank-zero rows, where the neighbor
-    relation is required to be its graph.  ``gen_source`` and
-    ``extract`` realize the descent into and the return from a
-    subproblem.
+    its neighbors.  It returns None when ``s`` is not a source.  A
+    target that lists itself is a solution of its row; on a rank-zero
+    row every target lists exactly one neighbor, its step.
+    ``gen_source`` and ``extract`` realize the descent into and the
+    return from a subproblem.
     """
 
     d_bound: Polynomial
-    rows: Callable[[int], dict[PointId, dict[PointId, list[PointId]]]]
-    sources: Callable[[int, PointId], bool]
-    targets: Callable[[int, PointId, PointId], bool]
-    nbr_rel: Callable[[int, PointId, PointId, PointId], bool]
-    nbr0: Callable[[int, PointId, PointId], PointId]
+    sources: Callable[[int], list[PointId]]
+    row: Callable[[int, PointId], dict[PointId, list[PointId]] | None]
     initial_source: Callable[[int], PointId]
     initial_target: Callable[[int, PointId], PointId]
     cost: Callable[[int, PointId], int]
@@ -237,11 +238,12 @@ def solve_npls(
 ) -> tuple[PointId, SearchTrace]:
     """Run the nested search from the initial source row.
 
-    Rank-zero rows iterate the step function to a fixed point.  On a
-    positive-rank row a target that is not yet a self-loop of the
-    neighbor relation spawns a subproblem via ``gen_source``; its
-    solution is pushed back through ``extract``.  Returns the solving
-    target of the initial row together with the full trace.
+    Each row is fetched once, when the search opens it.  Rank-zero rows
+    iterate the step function to a fixed point.  On a positive-rank row
+    a target that does not list itself spawns a subproblem via
+    ``gen_source``; its solution is pushed back through ``extract``.
+    Returns the solving target of the initial row together with the
+    full trace.
     """
     budget = _default_budget(inst, x) if max_steps is None else max_steps
     steps: list[TraceStep] = []
@@ -250,10 +252,10 @@ def solve_npls(
         if len(steps) >= budget:
             raise StepBudgetExceeded(f"search exceeded {budget} steps")
 
-    def solve(s: PointId) -> PointId:
+    def solve(s: PointId, row: dict[PointId, list[PointId]]) -> PointId:
         rank = inst.rank(x, s)
         y = inst.initial_target(x, s)
-        if not inst.targets(x, s, y):
+        if y not in row:
             raise InvariantViolation(f"initial target {y} is not a target of row {s}")
         if rank == 0:
             # Recorded exactly like solve_pls so a rank-zero row and the
@@ -262,11 +264,16 @@ def solve_npls(
             action = INIT_TARGET
             while True:
                 spend()
-                z = inst.nbr0(x, s, y)
+                zs = row[y]
+                if len(zs) != 1:
+                    raise InvariantViolation(
+                        f"rank-0 target {y} of row {s} lists {len(zs)} neighbors, not one"
+                    )
+                z = zs[0]
                 if z == y:
                     steps.append(TraceStep(s, y, rank, inst.cost(x, y), SOLVED))
                     return y
-                if not inst.targets(x, s, z):
+                if z not in row:
                     raise InvariantViolation(f"rank-0 step left the targets of row {s}")
                 if inst.cost(x, z) >= inst.cost(x, y):
                     raise CostViolation(f"rank-0 step {y} -> {z} did not decrease cost")
@@ -280,9 +287,10 @@ def solve_npls(
                     )
         spend()
         steps.append(TraceStep(s, y, rank, inst.cost(x, y), INIT_TARGET))
-        while not inst.nbr_rel(x, s, y, y):
+        while not _lists(row[y], y):
             child = inst.gen_source(x, s, y)
-            if not inst.sources(x, child):
+            child_row = inst.row(x, child)
+            if child_row is None:
                 raise InvariantViolation(f"generated source {child} is not a source")
             child_rank = inst.rank(x, child)
             if child_rank >= rank:
@@ -291,14 +299,14 @@ def solve_npls(
                 )
             spend()
             steps.append(TraceStep(child, y, child_rank, inst.cost(x, y), DESCEND))
-            z = solve(child)
+            z = solve(child, child_row)
             y2 = inst.extract(x, s, y, z)
-            if not inst.targets(x, s, y2):
+            if y2 not in row:
                 raise InvariantViolation(f"extracted point {y2} left the targets of row {s}")
             if y2 != y:
                 if inst.cost(x, y2) >= inst.cost(x, y):
                     raise CostViolation(f"extract {y} -> {y2} did not decrease cost")
-                if not inst.nbr_rel(x, s, y, y2):
+                if not _lists(row[y], y2):
                     raise InvariantViolation(
                         f"extracted point {y2} is not a neighbor of {y} in row {s}"
                     )
@@ -310,15 +318,16 @@ def solve_npls(
         return y
 
     top = inst.initial_source(x)
-    if not inst.sources(x, top):
+    top_row = inst.row(x, top)
+    if top_row is None:
         raise InvariantViolation("initial source is not a source")
     try:
-        solution = solve(top)
+        solution = solve(top, top_row)
     finally:
         # solve reaches itself through its closure; unbinding it frees
         # that cycle, and the instance with it, without the cycle collector.
         del solve
-    if not inst.nbr_rel(x, top, solution, solution):
+    if not _lists(top_row[solution], solution):
         raise InvariantViolation("search ended on a non-solution")
     return solution, SearchTrace(tuple(steps))
 
@@ -332,16 +341,18 @@ def brute_force_npls(
     """The minimum-cost target of a source row, by full enumeration.
 
     This is the totality oracle: a minimum-cost target is always a
-    solution of its row when the nine conditions hold.  Ties break
-    toward the smallest id.
+    solution of its row when the nine conditions hold.  It tests every
+    point of the space against the row, so ``domain_limit`` bounds its
+    work.  Ties break toward the smallest id.
     """
     space = 1 << inst.d_bound(_bits(x))
     if space > domain_limit:
         raise DomainTooLarge(f"point space 2^{inst.d_bound(_bits(x))} exceeds the limit")
+    row = inst.row(x, s) or {}
     best: PointId | None = None
     best_cost = -1
     for t in range(space):
-        if inst.targets(x, s, t):
+        if t in row:
             c = inst.cost(x, t)
             if best is None or c < best_cost:
                 best, best_cost = t, c
@@ -351,28 +362,19 @@ def brute_force_npls(
 
 
 def rank0_pls(inst: NplsInstance, x: int) -> PlsInstance:
-    """The plain instance induced on the initial row by the step function.
+    """The plain instance induced at ``x`` on the initial row by its steps.
 
     Meaningful when the initial source has rank zero; then the nested
     search on that row and plain descent on this instance take the same
     steps through the same points.
     """
-    row = inst.initial_source(x)
-
-    def feasible(xx: int, t: PointId) -> bool:
-        return inst.targets(xx, row, t)
-
-    def initial(xx: int) -> PointId:
-        return inst.initial_target(xx, row)
-
-    def neighbor(xx: int, t: PointId) -> PointId:
-        return inst.nbr0(xx, row, t)
-
+    top = inst.initial_source(x)
+    row = inst.row(x, top) or {}
     return PlsInstance(
         d_bound=inst.d_bound,
-        feasible=feasible,
-        initial=initial,
-        neighbor=neighbor,
+        feasible=lambda xx, t: t in row,
+        initial=lambda xx: inst.initial_target(xx, top),
+        neighbor=lambda xx, t: row[t][0],
         cost=inst.cost,
     )
 
@@ -432,12 +434,6 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _lists(ids: list[PointId], t: PointId) -> bool:
-    """Membership in an ascending id list."""
-    i = bisect_left(ids, t)
-    return i < len(ids) and ids[i] == t
-
-
 def verify_npls_conditions(
     inst: NplsInstance,
     x: int,
@@ -445,16 +441,15 @@ def verify_npls_conditions(
 ) -> ConditionReport:
     """Test the nine nested-search conditions by enumeration.
 
-    Sources, their targets and each target's neighbors are read from
-    the instance's ``rows`` table in ascending order of id, and every
+    Every listed source row is fetched once, and its targets and each
+    target's neighbors are read in ascending order of id; every
     (row, target, neighbor) edge of the table is checked, not a sample.
     Each row's solutions, its self-loops, are collected once, so the
     work is linear in the targets plus the edges rather than in the
     point space; the lift check adds one ``extract`` call per target
-    and solution of the target's subproblem.  Only the bit bound also
-    probes the ``sources`` and ``targets`` callables, just beyond the
-    point space.  Each failing check reports the first counterexample
-    in scan order.
+    and solution of the target's subproblem.  The relation lives only
+    in the rows, so the bit bound checks the ids the table holds.  Each
+    failing check reports the first counterexample in scan order.
     """
     d = inst.d_bound(_bits(x))
     space = 1 << d
@@ -467,8 +462,8 @@ def verify_npls_conditions(
         except Exception as exc:  # noqa: BLE001 - verifier reports, never raises
             return None, _failure(exc)
 
-    table = inst.rows(x)
-    sources = sorted(table)
+    sources = inst.sources(x)
+    table = {s: inst.row(x, s) for s in sources}
     source_set = set(sources)
     solutions = {s: [y for y, zs in row.items() if _lists(zs, y)] for s, row in table.items()}
 
@@ -489,17 +484,8 @@ def verify_npls_conditions(
 
         return wrap
 
-    out_probes = [space, space + 1, 2 * space + 3]
-
     @run("bit_bound")
     def _bit_bound():
-        for s in out_probes:
-            if inst.sources(x, s):
-                return (s,), "a source lies beyond the bit bound"
-        for s in sources[: min(len(sources), 8)] or []:
-            for t in out_probes:
-                if inst.targets(x, s, t):
-                    return (s, t), "a target lies beyond the bit bound"
         for s in sources:
             if s >= space:
                 return (s,), "a source lies beyond the bit bound"
@@ -534,19 +520,9 @@ def verify_npls_conditions(
         for s in sources:
             if inst.rank(x, s) != 0:
                 continue
-            row = table[s]
-            steps = []
-            for y, zs in row.items():
-                got, err = guarded(inst.nbr0, s, y)
-                if err is not None:
-                    return (s, y), f"step function failed: {err}"
-                if not _lists(zs, got):
-                    return (s, y, got), "step function leaves the neighbor relation"
-                steps.append(got)
-            for (y, zs), got in zip(row.items(), steps):
-                for z in zs:
-                    if z != got:
-                        return (s, y, z), "relation is not the graph of the step function"
+            for y, zs in table[s].items():
+                if len(zs) != 1:
+                    return (s, y), f"target lists {len(zs)} neighbors, not exactly one"
         return None
 
     @run("rank_descent")

@@ -6,9 +6,11 @@ derivations in both modes, traversal-order correctness, the rank-zero
 collapse onto plain search, validator robustness under mutation, and
 condition conformance on instances extracted from random derivations.
 Timing assertions pin the desk-scale budgets.  The verifier walks
-each instance's ``rows`` table, so ``test_rows_tabulate_the_predicates``
-backs criteria 1 and 8 by checking that table, targets and neighbors,
-against a scan of the point space.
+each instance's rows, so ``test_rows_tabulate_the_predicates`` backs
+criteria 1 and 8 by checking every family row against the family's own
+edges and the shape of every row against a scan of the point space;
+``test_extraction`` checks the rows of derivations against the
+path-level definitions.
 """
 
 from __future__ import annotations
@@ -47,7 +49,12 @@ from npls.extraction import (
     extract_witness_npls,
     extract_witness_pls,
 )
-from npls.nested_graph import NestedGraphFamily, generate_family, npls_from_family
+from npls.nested_graph import (
+    NestedGraphFamily,
+    descent_steps,
+    generate_family,
+    npls_from_family,
+)
 from npls.search_core import (
     brute_force_npls,
     rank0_pls,
@@ -72,10 +79,15 @@ from npls.terms import (
 _CONFIGS = ((1, 4), (2, 3), (2, 4), (3, 2), (3, 3))
 
 
-def _corpus():
+def _families():
     for seed in range(1, 21):
         rank, width = _CONFIGS[(seed - 1) % len(_CONFIGS)]
-        yield seed, npls_from_family(generate_family(seed, rank, width))
+        yield seed, generate_family(seed, rank, width)
+
+
+def _corpus():
+    for seed, fam in _families():
+        yield seed, npls_from_family(fam)
 
 
 def test_criterion_1_nine_conditions_hold_on_the_corpus():
@@ -91,43 +103,59 @@ def test_criterion_1_nine_conditions_hold_on_the_corpus():
     print("criterion 1: pass")
 
 
-def _scanned_rows(inst, x):
-    space = 1 << inst.d_bound(x.bit_length())
+def _family_rows(fam):
+    # The family's problems in preorder, children by node id, with
+    # problem and node packed into fixed bit fields: the reference the
+    # compiled rows must match.
+    problems, stack = [], [fam]
+    while stack:
+        f = stack.pop()
+        problems.append(f)
+        stack.extend(f.children[node] for node in sorted(f.children, reverse=True))
+    node_bits = max((max(p.graph.n_nodes for p in problems) - 1).bit_length(), 1)
     rows = {}
-    for s in range(space):
-        if inst.sources(x, s):
-            targets = [t for t in range(space) if inst.targets(x, s, t)]
-            rows[s] = {y: [z for z in targets if inst.nbr_rel(x, s, y, z)] for y in targets}
+    for s, p in enumerate(problems):
+        g, base = p.graph, s << node_bits
+        if p.rank == 0:
+            out = [[t] for t in descent_steps(g)]
+        else:
+            out = [sorted({b for a, b in g.edges if a == v}) for v in range(g.n_nodes)]
+        rows[s] = {base + v: [base + z for z in zs] for v, zs in enumerate(out)}
     return rows
 
 
 def test_rows_tabulate_the_predicates():
-    cases = [(inst, 0) for _, inst in _corpus()]
-    cases.append((npls_from_family(ng2()), 0))
-    cases.append((npls_from_family(NestedGraphFamily(g1(), 0)), 0))
+    families = [fam for _, fam in _families()]
+    families += [ng2(), NestedGraphFamily(g1(), 0)]
+    cases = []
+    for fam in families:
+        inst = npls_from_family(fam)
+        sources = inst.sources(0)
+        assert {s: inst.row(0, s) for s in sources} == _family_rows(fam)
+        cases.append((inst, 0))
     derivations = [d3()]
     derivations += [substitute_numeral(t_d3(), x) for x in range(11)]
     derivations += [random_sigma2_derivation(seed) for seed in range(30)]
     for d in derivations:
         cases.append((build_npls(ExtractionContext(d, MODE_NPLS)), d.end_x))
     for i, (inst, x) in enumerate(cases):
-        table = inst.rows(x)
-        assert table == _scanned_rows(inst, x), i
+        sources = inst.sources(x)
+        assert sources == sorted(set(sources)), i
         space = 1 << inst.d_bound(x.bit_length())
-        for s, row in table.items():
+        # Every point of the space that is not a listed source has no row.
+        assert [p for p in range(space) if inst.row(x, p) is not None] == sources, i
+        for s in sources:
+            row = inst.row(x, s)
             assert list(row) == sorted(row), (i, s)
-            # The relation ends inside the row: the verifier's walk of
-            # the table sees every edge the solver can take.
-            for t in row:
-                for z in {(t + 1) % space, 0, space - 1} - row.keys():
-                    assert not inst.nbr_rel(x, s, t, z), (i, s, t, z)
+            for zs in row.values():
+                assert zs == sorted(set(zs)), (i, s)
 
 
 def test_criterion_2_nested_search_is_total_on_the_corpus():
     start = time.perf_counter()
     for seed, inst in _corpus():
         y, trace = solve_npls(inst, 0)
-        assert inst.nbr_rel(0, inst.initial_source(0), y, y), seed
+        assert y in inst.row(0, inst.initial_source(0))[y], seed
         for s in {step.source for step in trace.steps}:
             brute_force_npls(inst, 0, s)
     elapsed = time.perf_counter() - start

@@ -68,6 +68,14 @@ def test_parse_failure_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_input_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "edges": [], "costs": [0], "note": "caf\xe9"}')
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not UTF-8" in err[0]
+
+
 def test_missing_input_exits_two(capsys):
     assert main(["validate", "no-such-fixture"]) == 2
     assert "no file or fixture" in capsys.readouterr().err
@@ -326,6 +334,16 @@ def test_gen_graph_out_file(tmp_path, capsys):
     assert json.loads(text)["rank"] == 2
 
 
+def test_unwritable_out_file_exits_two(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "family.json"
+    assert main(["gen-graph", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_generated_file_round_trips_through_solve(tmp_path, capsys):
     out = tmp_path / "family.json"
     assert main(["gen-graph", "--seed", "5", "--out", str(out)]) == 0
@@ -333,13 +351,23 @@ def test_generated_file_round_trips_through_solve(tmp_path, capsys):
     assert main(["verify", str(out)]) == 0
 
 
-def test_bench(capsys):
-    assert main(["bench", "--seed", "3", "--max-rank", "1", "--max-width", "3"]) == 0
-    lines = _lines(capsys)
-    assert len(lines) == 3
-    assert all(" ok " in line for line in lines)
-
-
 def test_negative_arguments_are_rejected(capsys):
     assert main(["validate", "D2", "--x", "-1"]) == 1
     assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-graph", "--max-rank", "9"],
+        ["gen-graph", "--max-rank", "-1"],
+        ["gen-graph", "--max-width", "0"],
+        ["gen-graph", "--max-width", "17"],
+        ["solve", "G1", "--max-steps", "-1"],
+    ],
+)
+def test_out_of_range_arguments_are_rejected(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NplsError: --max-")

@@ -22,7 +22,6 @@ from npls.extraction import (
     npls_extract,
     npls_gen_source,
     npls_neighbor_rel,
-    npls_rank0_step,
     npls_sources,
     npls_targets,
     pls_neighbor,
@@ -232,13 +231,6 @@ def test_npls_extract_cases():
         npls_extract(ctx, (), (2,), (0, 0))
 
 
-def test_npls_rank0_step():
-    ctx = _npls_ctx()
-    assert npls_rank0_step(ctx, (0,), (1,)) == (1,)
-    with pytest.raises(UnreachableCase):
-        npls_rank0_step(ctx, (0,), (2,))
-
-
 def test_d3_solve_trace_is_frozen():
     inst = build_npls(_npls_ctx())
     solution, trace = solve_npls(inst, 0)
@@ -301,14 +293,16 @@ def test_build_npls_tables_match_the_path_level_definitions():
         inst = build_npls(ctx)
         paths = ctx.path_of
         ids = range(ctx.n_nodes)
+        assert inst.sources(0) == [s for s in ids if npls_sources(ctx, paths[s])], name
         for s in ids:
             row = paths[s]
-            assert inst.sources(0, s) == npls_sources(ctx, row), (name, row)
-            if not inst.sources(0, s):
+            tabulated = inst.row(0, s)
+            assert (tabulated is not None) == npls_sources(ctx, row), (name, row)
+            if tabulated is None:
                 continue
-            tabulated = {t for t in ids if inst.targets(0, s, t)}
-            assert tabulated == {t for t in ids if npls_targets(ctx, row, paths[t])}, (name, row)
-            for y in tabulated:
-                for z in tabulated:
-                    want = npls_neighbor_rel(ctx, row, paths[y], paths[z])
-                    assert inst.nbr_rel(0, s, y, z) == want, (name, row, paths[y], paths[z])
+            targets = [t for t in ids if npls_targets(ctx, row, paths[t])]
+            want = [
+                (y, [z for z in targets if npls_neighbor_rel(ctx, row, paths[y], paths[z])])
+                for y in targets
+            ]
+            assert list(tabulated.items()) == want, (name, row)

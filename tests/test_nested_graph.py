@@ -152,8 +152,7 @@ def test_rank0_step_needs_a_strictly_cheaper_successor():
     # costs is not a descent step, so node 0 rests on itself.
     fam = NestedGraphFamily(CostedDigraph(2, ((0, 1), (1, 1)), (1, 1)), 0)
     inst = npls_from_family(fam)
-    assert inst.nbr0(0, 0, 0) == 0
-    assert inst.nbr_rel(0, 0, 0, 0)
+    assert inst.row(0, 0) == {0: [0], 1: [1]}
 
 
 def test_broken_costs_compile_and_fail_the_condition_check():
@@ -178,7 +177,7 @@ def test_top_problem_points_are_node_ids():
     inst = npls_from_family(fam)
     solution, _ = solve_npls(inst, 0)
     assert inst.initial_source(0) == 0
-    assert inst.targets(0, 0, solution)
+    assert solution in inst.row(0, 0)
     assert 0 <= solution < fam.graph.n_nodes
 
 

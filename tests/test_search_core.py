@@ -118,7 +118,7 @@ def test_self_loop_predicate_marks_exactly_the_local_minima():
     for g in graphs:
         nested = npls_from_family(NestedGraphFamily(g, 0))
         # The top problem has problem id 0, so its packed points are node ids.
-        loops = {y for y in range(g.n_nodes) if nested.nbr_rel(0, 0, y, y)}
+        loops = {y for y, zs in nested.row(0, 0).items() if y in zs}
         assert _fixed_points(pls_from_digraph(g), g.n_nodes) == loops
 
 
@@ -174,7 +174,7 @@ def test_solve_npls_on_the_family_fixture():
     solution, trace = solve_npls(inst, 0)
     trace.check()
     top = inst.initial_source(0)
-    assert inst.nbr_rel(0, top, solution, solution)
+    assert solution in inst.row(0, top)[solution]
     # The top problem has problem id 0, so its packed points are node ids.
     assert top == 0 and 0 <= solution < fam.graph.n_nodes
     assert (solution, solution) in set(fam.graph.edges)
@@ -211,7 +211,7 @@ def test_brute_force_finds_the_cheapest_target():
 def test_brute_force_error_cases():
     inst = npls_from_family(ng2())
     with pytest.raises(EmptyTargetSpace):
-        brute_force_npls(dataclasses.replace(inst, targets=lambda x, s, t: False), 0, 0)
+        brute_force_npls(dataclasses.replace(inst, row=lambda x, s: {}), 0, 0)
     with pytest.raises(DomainTooLarge):
         brute_force_npls(dataclasses.replace(inst, d_bound=Polynomial.constant(40)), 0, 0)
 
@@ -247,11 +247,8 @@ def _tabled_instance(table):
     """A rank-zero instance on 16 points that answers everything from ``table``."""
     return NplsInstance(
         d_bound=Polynomial.constant(4),
-        rows=lambda x: table,
-        sources=lambda x, s: s in table,
-        targets=lambda x, s, t: t in table.get(s, {}),
-        nbr_rel=lambda x, s, y, z: z in table.get(s, {}).get(y, ()),
-        nbr0=lambda x, s, y: table[s][y][0],
+        sources=lambda x: sorted(table),
+        row=lambda x, s: table.get(s),
         initial_source=lambda x: 0,
         initial_target=lambda x, s: min(table[s]),
         cost=lambda x, t: t,
@@ -269,9 +266,19 @@ def test_verify_walks_every_edge_of_the_rows_table():
     assert not domain.passed
     assert domain.counterexample == (0, 3, 9)
     assert domain.detail == "neighbor relation leaves the target set"
-    assert report.check("rank0_function").counterexample == (0, 3, 9)
+    assert report.check("rank0_function").counterexample == (0, 3)
     assert {c.name for c in report.checks if not c.passed} == {"neighbor_domain", "rank0_function"}
     assert verify_npls_conditions(_tabled_instance({0: {2: [2], 3: [2]}}), 0).all_passed
+
+
+@pytest.mark.parametrize("neighbors", [[], [2, 3]])
+def test_solve_npls_needs_one_step_per_rank0_target(neighbors):
+    # Target 3 opens the row; a step function gives it exactly one neighbor.
+    inst = _tabled_instance({0: {2: [2], 3: neighbors}})
+    inst = dataclasses.replace(inst, initial_target=lambda x, s: 3)
+    with pytest.raises(InvariantViolation, match=f"lists {len(neighbors)} neighbors"):
+        solve_npls(inst, 0)
+    assert not verify_npls_conditions(inst, 0).check("rank0_function").passed
 
 
 def test_rank0_adapter_matches_the_nested_solver():

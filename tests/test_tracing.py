@@ -12,6 +12,8 @@ from pathlib import Path
 
 from npls.cli import main
 from npls.corpus import random_sigma2_derivation
+from npls.derivation import MODE_NPLS
+from npls.extraction import ExtractionContext, build_npls
 from npls.serialization import derivation_to_json, dumps
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -42,28 +44,30 @@ def test_tracer_installs_and_records_the_command_path(capsys):
 
 
 def test_verify_reads_the_rows_table_instead_of_scanning_the_point_space(capsys):
-    # NG2's point space has 128 points and 18 source rows; scanning it
-    # row by row would ask ``targets`` 18 * 128 times.
+    # NG2's point space has 128 points and 18 source rows; the verifier
+    # fetches each listed row once and asks about no other point.
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
         assert main(["verify", "NG2"]) == 0
     finally:
         tracer.uninstall()
-    assert tracer.counts["search_core.calls.rows"] == 1
-    assert tracer.counts["search_core.calls.targets"] < 128
+    assert tracer.counts["search_core.calls.sources"] == 1
+    assert tracer.counts["search_core.calls.row"] == 18
 
 
 def test_verify_walks_the_neighbor_lists_instead_of_asking_the_relation(tmp_path, capsys):
-    # The verifier reads every edge from the rows table; asking nbr_rel
-    # for each pair of targets took 869,287 calls on this derivation.
+    # The verifier reads every edge from the rows it fetches, one fetch
+    # per source row; asking a relation for each pair of targets took
+    # 869,287 calls on this derivation.
+    derivation = random_sigma2_derivation(20)
+    sources = build_npls(ExtractionContext(derivation, MODE_NPLS)).sources(derivation.end_x)
     path = tmp_path / "sigma2.json"
-    path.write_text(dumps(derivation_to_json(random_sigma2_derivation(20))), encoding="utf-8")
+    path.write_text(dumps(derivation_to_json(derivation)), encoding="utf-8")
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
         assert main(["verify", str(path)]) == 0
     finally:
         tracer.uninstall()
-    assert tracer.counts["search_core.calls.rows"] == 1
-    assert tracer.counts["search_core.calls.nbr_rel"] == 0
+    assert tracer.counts["search_core.calls.row"] == len(sources) > 1
