@@ -1,8 +1,9 @@
 """Nested polynomial local search over proof trees and graph families.
 
-The package has three layers.  ``search_core`` defines plain and
-nested local search instances, solvers for both, and an enumerating
-checker for the nine conditions a nested instance must satisfy.
+The package has three layers.  ``search_core`` defines nested local
+search instances, of which a plain instance is the one-row rank-zero
+case, solvers for both, and an enumerating checker for the nine
+conditions every instance must satisfy.
 ``derivation`` and ``terms`` form a small sequent calculus for bounded
 arithmetic; ``extraction`` compiles its derivations into search
 instances whose solutions carry verified witnesses of the end-formula.
@@ -77,12 +78,11 @@ from .search_core import (
     ConditionCheck,
     ConditionReport,
     NplsInstance,
-    PlsInstance,
     Polynomial,
     SearchTrace,
     TraceStep,
     brute_force_npls,
-    rank0_pls,
+    plain_instance,
     solve_npls,
     solve_pls,
     verify_npls_conditions,
@@ -102,7 +102,7 @@ from .serialization import (
     template_to_json,
 )
 from .terms import (
-    DEFAULT_BIT_CAP,
+    BIT_CAP,
     ExistsForall,
     ExistsLit,
     Formula,

@@ -210,15 +210,15 @@ def cmd_solve(cfg: RunConfig) -> tuple[int, list[str]]:
 def cmd_verify(cfg: RunConfig) -> tuple[int, list[str]]:
     doc = _load_input(cfg.input_path)
     if isinstance(doc, CostedDigraph):
-        inst, x = npls_from_family(NestedGraphFamily(doc, 0)), 0
+        inst, x = pls_from_digraph(doc), 0
     elif isinstance(doc, NestedGraphFamily):
         inst, x = npls_from_family(doc), 0
     else:
         derivation = _as_derivation(doc, cfg)
         mode = _resolve_mode(cfg, derivation)
-        if mode != "npls":
-            raise NplsError("condition verification applies to nested instances only")
-        inst, x = build_npls(ExtractionContext(derivation, mode)), derivation.end_x
+        ctx = ExtractionContext(derivation, mode)
+        inst = build_pls(ctx) if mode == "pls" else build_npls(ctx)
+        x = derivation.end_x
     report = verify_npls_conditions(inst, x)
     if cfg.output == "machine":
         lines = [

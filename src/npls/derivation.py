@@ -36,7 +36,6 @@ from .errors import (
     ValidationFailed,
 )
 from .terms import (
-    DEFAULT_BIT_CAP,
     ExistsForall,
     ExistsLit,
     Formula,
@@ -201,7 +200,7 @@ def _norm_counter(sequent: tuple[Formula, ...]) -> Counter:
     return Counter(normalize(f) for f in sequent)
 
 
-def validate(d: Derivation, mode: str = MODE_NPLS, bit_cap: int = DEFAULT_BIT_CAP) -> ValidationReport:
+def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     """Check a derivation against the rule shapes of the given mode.
 
     ``pls`` mode admits literals and bounded existentials, with cuts on
@@ -236,7 +235,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS, bit_cap: int = DEFAULT_BIT_CA
 
     def value(t: Term) -> int | None:
         try:
-            return eval_term(t, d.end_x, bit_cap)
+            return eval_term(t, d.end_x)
         except NplsError:
             return None
 
@@ -266,7 +265,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS, bit_cap: int = DEFAULT_BIT_CA
                 flag(path, f"initial index {rule.index} does not point at a literal")
                 continue
             try:
-                if not eval_literal(f.lit, d.end_x, bit_cap):
+                if not eval_literal(f.lit, d.end_x):
                     flag(path, f"initial literal at index {rule.index} is false")
             except NplsError as exc:
                 flag(path, f"initial literal does not evaluate: {exc}")
@@ -409,9 +408,7 @@ def _subst_rule(rule: Rule, env: Mapping[str, Term]) -> Rule:
     return rule
 
 
-def expand_template(
-    template: DerivationTemplate, x: int, bit_cap: int = DEFAULT_BIT_CAP
-) -> Derivation:
+def expand_template(template: DerivationTemplate, x: int) -> Derivation:
     """Expand a template at a value of x, without validating the result.
 
     Raises ValidationFailed, with no report, when a family bound is
@@ -432,7 +429,7 @@ def expand_template(
                 raise ValidationFailed(
                     f"family bound at {format_path(path)} is open after substitution"
                 )
-            width = eval_term(bound, x, bit_cap)
+            width = eval_term(bound, x)
             for n in range(width):
                 child_env = dict(env)
                 child_env[tnode.family.index] = Term("num", value=n)
@@ -451,21 +448,15 @@ def expand_template(
     return Derivation(x, nodes)
 
 
-def substitute_numeral(
-    template: DerivationTemplate,
-    x: int,
-    mode: str | None = None,
-    bit_cap: int = DEFAULT_BIT_CAP,
-) -> Derivation:
+def substitute_numeral(template: DerivationTemplate, x: int) -> Derivation:
     """Expand a template at a value of x into a validated derivation.
 
-    Raises ValidationFailed when the expansion is not sound at x; the
-    attached report names the offending nodes.
+    The expansion is validated in the smallest mode that could accept
+    it.  Raises ValidationFailed when it is not sound at x; the attached
+    report names the offending nodes.
     """
-    derivation = expand_template(template, x, bit_cap)
-    if mode is None:
-        mode = MODE_NPLS if _mentions_exists_forall(derivation) else MODE_PLS
-    report = validate(derivation, mode, bit_cap)
+    derivation = expand_template(template, x)
+    report = validate(derivation, detect_mode(derivation))
     if not report.ok:
         raise ValidationFailed(
             f"template expansion at x={x} is invalid: " + "; ".join(report.lines()[:3]),
@@ -474,17 +465,13 @@ def substitute_numeral(
     return derivation
 
 
-def _mentions_exists_forall(d: Derivation) -> bool:
-    for node in d.nodes.values():
-        if isinstance(node.rule, ExistsForallRule):
-            return True
-        if isinstance(node.rule, CutRule) and isinstance(node.rule.formula, ExistsForall):
-            return True
-        if any(isinstance(f, ExistsForall) for f in node.sequent):
-            return True
-    return False
-
-
 def detect_mode(d: Derivation) -> str:
     """The smallest mode that could accept this derivation."""
-    return MODE_NPLS if _mentions_exists_forall(d) else MODE_PLS
+    for node in d.nodes.values():
+        if isinstance(node.rule, ExistsForallRule):
+            return MODE_NPLS
+        if isinstance(node.rule, CutRule) and isinstance(node.rule.formula, ExistsForall):
+            return MODE_NPLS
+        if any(isinstance(f, ExistsForall) for f in node.sequent):
+            return MODE_NPLS
+    return MODE_PLS

@@ -66,10 +66,6 @@ class CostViolation(NplsError):
     """A search step failed to strictly decrease the cost."""
 
 
-class Rank0SelfLoopMissing(NplsError):
-    """A rank-zero row never reached a fixed point within its cost range."""
-
-
 class EmptyTargetSpace(NplsError):
     """A source row has no target at all; such instances have no solutions."""
 

@@ -66,14 +66,13 @@ from .errors import (
 )
 from .search_core import (
     NplsInstance,
-    PlsInstance,
     Polynomial,
     SearchTrace,
+    plain_instance,
     solve_npls,
     solve_pls,
 )
 from .terms import (
-    DEFAULT_BIT_CAP,
     ExistsForall,
     ExistsLit,
     Formula,
@@ -121,18 +120,17 @@ class ExtractionContext:
     sequents, plus sorting the post-order index.
     """
 
-    def __init__(self, derivation: Derivation, mode: str, bit_cap: int = DEFAULT_BIT_CAP):
+    def __init__(self, derivation: Derivation, mode: str):
         if mode not in (MODE_PLS, MODE_NPLS):
             raise ValueError(f"unknown mode {mode!r}")
         self._check_mode(derivation, mode)
-        report = validate(derivation, mode, bit_cap)
+        report = validate(derivation, mode)
         if not report.ok:
             raise ValidationFailed(
                 "derivation is invalid: " + "; ".join(report.lines()[:3]), report
             )
         self.derivation = derivation
         self.mode = mode
-        self.bit_cap = bit_cap
         self.x = derivation.end_x
 
         root = derivation.sequent(())
@@ -167,17 +165,17 @@ class ExtractionContext:
         for path, node in derivation.nodes.items():
             self._seq_counter[path] = Counter(normalize(f) for f in node.sequent)
             self._has_true_literal[path] = any(
-                isinstance(f, LitFormula) and eval_literal(f.lit, self.x, bit_cap)
+                isinstance(f, LitFormula) and eval_literal(f.lit, self.x)
                 for f in node.sequent
             )
             rule = node.rule
             if isinstance(rule, (ExistsRule, ExistsForallRule)):
                 principal = node.sequent[rule.principal]
                 self._principal[path] = normalize(principal)
-                self._witness_value[path] = eval_term(rule.witness, self.x, bit_cap)
+                self._witness_value[path] = eval_term(rule.witness, self.x)
                 if isinstance(rule, ExistsRule):
                     aux = exists_instance(principal, rule.witness)
-                    self._true_goal[path] = eval_literal(aux, self.x, bit_cap)
+                    self._true_goal[path] = eval_literal(aux, self.x)
             self._left_upper[path] = bool(path) and (
                 isinstance(derivation.rule(path[:-1]), CutRule)
                 and path[-1] < self._child_count[path[:-1]] - 1
@@ -291,31 +289,26 @@ def pls_neighbor(ctx: ExtractionContext, sigma: NodePath) -> NodePath:
     return kappa
 
 
-def build_pls(ctx: ExtractionContext) -> PlsInstance:
+def build_pls(ctx: ExtractionContext) -> NplsInstance:
     """The plain search instance of a pls-mode derivation.
 
     Point ids are post-order indices, so the cost function is the
-    identity.  Feasible points are the root and the value-indexed cut
-    uppers whose sequents contain no true literal.
+    identity.  The instance has one rank-zero source row, the root,
+    whose targets are the feasible points: the root and the
+    value-indexed cut uppers whose sequents contain no true literal.
+    Each target lists its ``pls_neighbor``, which is itself exactly on
+    the solutions.
     """
     if ctx.mode != MODE_PLS:
         raise ModeError("build_pls needs a pls-mode context")
-    feasible_ids = {ctx.kb[()]}
-    for path in ctx.kb:
-        if ctx.is_left_upper(path) and target_condition(ctx, path):
-            feasible_ids.add(ctx.kb[path])
-
-    def neighbor(x: int, s: int) -> int:
-        return ctx.kb[pls_neighbor(ctx, ctx.path_of[s])]
+    paths = ctx.path_of
+    root = ctx.n_nodes - 1
+    # The root comes last in post-order and is no cut upper.
+    feasible = [i for i, p in enumerate(paths) if ctx.is_left_upper(p) and target_condition(ctx, p)]
+    table = {s: [ctx.kb[pls_neighbor(ctx, paths[s])]] for s in feasible + [root]}
 
     d_bits = max((ctx.n_nodes - 1).bit_length(), 1)
-    return PlsInstance(
-        d_bound=Polynomial.constant(d_bits),
-        feasible=lambda x, s: s in feasible_ids,
-        initial=lambda x: ctx.kb[()],
-        neighbor=neighbor,
-        cost=lambda x, s: s,
-    )
+    return plain_instance(Polynomial.constant(d_bits), root, table, root, lambda x, t: t)
 
 
 def _report(ctx: ExtractionContext, tau: NodePath, trace: SearchTrace) -> WitnessReport:
@@ -325,8 +318,8 @@ def _report(ctx: ExtractionContext, tau: NodePath, trace: SearchTrace) -> Witnes
     instance = exists_instance(ctx.end_formula, ctx.derivation.rule(tau).witness)
     verified = (
         normalize(ctx.principal(tau)) == normalize(ctx.end_formula)
-        and witness < eval_term(ctx.end_formula.bound, ctx.x, ctx.bit_cap)
-        and eval_literal(instance, ctx.x, ctx.bit_cap)
+        and witness < eval_term(ctx.end_formula.bound, ctx.x)
+        and eval_literal(instance, ctx.x)
     )
     return WitnessReport(witness, tau, verified, trace)
 

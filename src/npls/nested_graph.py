@@ -27,8 +27,8 @@ from .errors import (
 )
 from .search_core import (
     NplsInstance,
-    PlsInstance,
     Polynomial,
+    plain_instance,
 )
 
 
@@ -75,29 +75,23 @@ def descent_steps(g: CostedDigraph) -> list[int]:
     return step
 
 
-def pls_from_digraph(g: CostedDigraph, start: int = 0) -> PlsInstance:
+def pls_from_digraph(g: CostedDigraph, start: int = 0) -> NplsInstance:
     """View a costed digraph as a plain local search instance.
 
-    Points are node ids and the neighbor function is the tabulated
-    descent step function, so solving follows the smallest-id
-    cost-decreasing edge until it reaches a node with no cheaper
-    successor.  Conformance of the edge costs is checked first; it is
-    what makes every walk terminate.
+    The instance has one rank-zero source row, 0, whose targets are the
+    node ids, each listing its entry of the descent step function; its
+    costs are the node costs.  Solving follows the smallest-id
+    cost-decreasing edge from ``start`` until it reaches a node with no
+    cheaper successor.  Conformance of the edge costs is checked first;
+    it is what makes every walk terminate.
     """
     check_cost_condition(g)
     if not 0 <= start < g.n_nodes:
         raise ValueError(f"start node {start} out of range")
-    step = descent_steps(g)
+    table = {v: [t] for v, t in enumerate(descent_steps(g))}
     costs = g.costs
     d_bits = max((g.n_nodes - 1).bit_length(), 1)
-
-    return PlsInstance(
-        d_bound=Polynomial.constant(d_bits),
-        feasible=lambda x, s: 0 <= s < g.n_nodes,
-        initial=lambda x: start,
-        neighbor=lambda x, s: step[s],
-        cost=lambda x, s: costs[s],
-    )
+    return plain_instance(Polynomial.constant(d_bits), 0, table, start, lambda x, t: costs[t])
 
 
 @dataclass(frozen=True)

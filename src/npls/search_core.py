@@ -1,23 +1,26 @@
 """Local search instances, solvers and the condition checker.
 
-A plain local search instance is a family, indexed by a natural number
-parameter x, of feasible point sets with an initial point, a neighbor
-function and a cost function.  All points are naturals whose bit
-length is bounded by a polynomial in the bit length of x, so the whole
-point space is enumerable at desk scale.  A solution is a fixed point
-of the neighbor function.
+A nested local search instance is a family, indexed by a natural number
+parameter x, of source rows, each with its own target set, a neighbor
+relation on those targets, an initial row and target, and a cost
+function.  All points are naturals whose bit length is bounded by a
+polynomial in the bit length of x, so the whole point space is
+enumerable at desk scale.  A target that is its own neighbor is a
+solution of its row.
 
-The nested form replaces the single feasible set by a set of source
-rows, each with its own target set.  Rows carry a rank.  On a rank
-zero row the neighbor relation is the graph of a step function and the
-search is plain descent.  On a positive rank row a stuck target is
-handed to a freshly generated source of strictly smaller rank; the
-solution of that subproblem is translated back into a strictly cheaper
-target of the original row.  Nine checkable conditions make this
-recursion total.  An instance states its relation once, as one table
-per source row that maps each target to its neighbors; the solver reads
-the rows it opens, and ``verify_npls_conditions`` tests all nine
-conditions by walking every row edge by edge.
+Rows carry a rank.  On a rank zero row the neighbor relation is the
+graph of a step function and the search is plain descent.  On a
+positive rank row a stuck target is handed to a freshly generated
+source of strictly smaller rank; the solution of that subproblem is
+translated back into a strictly cheaper target of the original row.
+Nine checkable conditions make this recursion total.  A plain local
+search problem is the rank zero case with one row: its targets are the
+feasible points and each lists its step, so ``solve_pls`` and
+``solve_npls`` run the same descent.  An instance states its relation
+once, as one table per source row that maps each target to its
+neighbors; the solvers read the rows they open, and
+``verify_npls_conditions`` tests all nine conditions by walking every
+row edge by edge.
 """
 
 from __future__ import annotations
@@ -31,12 +34,14 @@ from .errors import (
     DomainTooLarge,
     EmptyTargetSpace,
     InvariantViolation,
-    Rank0SelfLoopMissing,
     RankViolation,
     StepBudgetExceeded,
 )
 
 PointId = int
+
+# The largest point space that the oracle and the verifier will enumerate.
+DOMAIN_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,17 +81,6 @@ def _lists(ids: list[PointId], t: PointId) -> bool:
 
 
 @dataclass(frozen=True)
-class PlsInstance:
-    """A local search family with a functional neighbor."""
-
-    d_bound: Polynomial
-    feasible: Callable[[int, PointId], bool]
-    initial: Callable[[int], PointId]
-    neighbor: Callable[[int, PointId], PointId]
-    cost: Callable[[int, PointId], int]
-
-
-@dataclass(frozen=True)
 class NplsInstance:
     """A nested local search family.
 
@@ -97,7 +91,8 @@ class NplsInstance:
     target that lists itself is a solution of its row; on a rank-zero
     row every target lists exactly one neighbor, its step.
     ``gen_source`` and ``extract`` realize the descent into and the
-    return from a subproblem.
+    return from a subproblem.  ``plain_instance`` builds the one-row,
+    rank-zero case.
     """
 
     d_bound: Polynomial
@@ -109,6 +104,33 @@ class NplsInstance:
     gen_source: Callable[[int, PointId, PointId], PointId]
     extract: Callable[[int, PointId, PointId, PointId], PointId]
     rank: Callable[[int, PointId], int]
+
+
+def plain_instance(
+    d_bound: Polynomial,
+    source: PointId,
+    table: dict[PointId, list[PointId]],
+    initial: PointId,
+    cost: Callable[[int, PointId], int],
+) -> NplsInstance:
+    """A plain local search problem as a one-row, rank-zero instance.
+
+    ``table`` is the row ``source``: it maps each feasible point to the
+    one-element list of its step, and a point that steps to itself is a
+    solution.  The search starts at ``initial``; ``gen_source`` and
+    ``extract`` are the identity.
+    """
+    return NplsInstance(
+        d_bound=d_bound,
+        sources=lambda x: [source],
+        row=lambda x, s: table if s == source else None,
+        initial_source=lambda x: source,
+        initial_target=lambda x, s: initial,
+        cost=cost,
+        gen_source=lambda x, s, y: s,
+        extract=lambda x, s, y, z: y,
+        rank=lambda x, s: 0,
+    )
 
 
 # Traces
@@ -190,45 +212,91 @@ class SearchTrace:
             raise InvariantViolation("trace ends inside an open row")
 
 
-def _default_budget(inst, x: int) -> int:
+def _default_budget(inst: NplsInstance, x: int) -> int:
     # Generous but finite: the point space is 2^d, costs live below it.
     return 1 << (inst.d_bound(_bits(x)) + 2)
 
 
+def _spend(steps: list[TraceStep], budget: int) -> None:
+    if len(steps) >= budget:
+        raise StepBudgetExceeded(f"search exceeded {budget} steps")
+
+
+def _initial_target(
+    inst: NplsInstance, x: int, s: PointId, row: dict[PointId, list[PointId]]
+) -> PointId:
+    y = inst.initial_target(x, s)
+    if y not in row:
+        raise InvariantViolation(f"initial target {y} is not a target of row {s}")
+    return y
+
+
+def _descend(
+    inst: NplsInstance,
+    x: int,
+    s: PointId,
+    row: dict[PointId, list[PointId]],
+    steps: list[TraceStep],
+    budget: int,
+) -> PointId:
+    """Plain descent on a rank-zero row, from its initial target to a fixed point.
+
+    Every target lists exactly one neighbor, its step.  Each visited
+    target is one trace step and the fixed point is marked solved.  A
+    step that leaves the row or does not cost less raises at once, so
+    strict cost decrease alone bounds the walk.
+    """
+    y = _initial_target(inst, x, s, row)
+    cost_y = inst.cost(x, y)
+    action = INIT_TARGET
+    while True:
+        _spend(steps, budget)
+        zs = row[y]
+        if len(zs) != 1:
+            raise InvariantViolation(
+                f"rank-0 target {y} of row {s} lists {len(zs)} neighbors, not one"
+            )
+        z = zs[0]
+        if z == y:
+            steps.append(TraceStep(s, y, 0, cost_y, SOLVED))
+            return y
+        if z not in row:
+            raise InvariantViolation(f"rank-0 step left the targets of row {s}")
+        cost_z = inst.cost(x, z)
+        if cost_z >= cost_y:
+            raise CostViolation(f"rank-0 step {y} -> {z} did not decrease cost")
+        steps.append(TraceStep(s, y, 0, cost_y, action))
+        action = RANK0_STEP
+        y, cost_y = z, cost_z
+
+
+def _initial_row(inst: NplsInstance, x: int) -> tuple[PointId, dict[PointId, list[PointId]]]:
+    top = inst.initial_source(x)
+    row = inst.row(x, top)
+    if row is None:
+        raise InvariantViolation("initial source is not a source")
+    return top, row
+
+
 def solve_pls(
-    inst: PlsInstance,
+    inst: NplsInstance,
     x: int,
     max_steps: int | None = None,
 ) -> tuple[PointId, SearchTrace]:
-    """Follow the neighbor function from the initial point to a fixed point.
+    """Plain descent on the initial row, which must have rank zero.
 
-    Each visited point is one trace step; the final step is marked
-    solved.  Steps that leave the feasible set or fail to decrease the
-    cost raise InvariantViolation, and exceeding the budget raises
-    StepBudgetExceeded since a cost-decreasing walk cannot cycle.
+    A plain problem is the one-row, rank-zero case of a nested one, so
+    this runs the same descent that ``solve_npls`` runs on each
+    rank-zero row it opens, and records the same trace.
     """
     budget = _default_budget(inst, x) if max_steps is None else max_steps
-    point = inst.initial(x)
-    if not inst.feasible(x, point):
-        raise InvariantViolation("initial point is not feasible")
+    top, row = _initial_row(inst, x)
+    rank = inst.rank(x, top)
+    if rank != 0:
+        raise RankViolation(f"plain search needs a rank-0 initial row, not rank {rank}")
     steps: list[TraceStep] = []
-    row = point
-    action = INIT_TARGET
-    while True:
-        if len(steps) >= budget:
-            raise StepBudgetExceeded(f"no fixed point within {budget} steps")
-        cost = inst.cost(x, point)
-        nxt = inst.neighbor(x, point)
-        if nxt == point:
-            steps.append(TraceStep(row, point, 0, cost, SOLVED))
-            return point, SearchTrace(tuple(steps))
-        steps.append(TraceStep(row, point, 0, cost, action))
-        action = RANK0_STEP
-        if not inst.feasible(x, nxt):
-            raise InvariantViolation(f"neighbor {nxt} of {point} is not feasible")
-        if inst.cost(x, nxt) >= cost:
-            raise InvariantViolation(f"neighbor {nxt} of {point} does not cost less")
-        point = nxt
+    solution = _descend(inst, x, top, row, steps, budget)
+    return solution, SearchTrace(tuple(steps))
 
 
 def solve_npls(
@@ -239,53 +307,20 @@ def solve_npls(
     """Run the nested search from the initial source row.
 
     Each row is fetched once, when the search opens it.  Rank-zero rows
-    iterate the step function to a fixed point.  On a positive-rank row
-    a target that does not list itself spawns a subproblem via
-    ``gen_source``; its solution is pushed back through ``extract``.
-    Returns the solving target of the initial row together with the
-    full trace.
+    run plain descent.  On a positive-rank row a target that does not
+    list itself spawns a subproblem via ``gen_source``; its solution is
+    pushed back through ``extract``.  Returns the solving target of the
+    initial row together with the full trace.
     """
     budget = _default_budget(inst, x) if max_steps is None else max_steps
     steps: list[TraceStep] = []
 
-    def spend() -> None:
-        if len(steps) >= budget:
-            raise StepBudgetExceeded(f"search exceeded {budget} steps")
-
     def solve(s: PointId, row: dict[PointId, list[PointId]]) -> PointId:
         rank = inst.rank(x, s)
-        y = inst.initial_target(x, s)
-        if y not in row:
-            raise InvariantViolation(f"initial target {y} is not a target of row {s}")
         if rank == 0:
-            # Recorded exactly like solve_pls so a rank-zero row and the
-            # induced plain instance produce identical traces.
-            fuel = inst.cost(x, y) + 2
-            action = INIT_TARGET
-            while True:
-                spend()
-                zs = row[y]
-                if len(zs) != 1:
-                    raise InvariantViolation(
-                        f"rank-0 target {y} of row {s} lists {len(zs)} neighbors, not one"
-                    )
-                z = zs[0]
-                if z == y:
-                    steps.append(TraceStep(s, y, rank, inst.cost(x, y), SOLVED))
-                    return y
-                if z not in row:
-                    raise InvariantViolation(f"rank-0 step left the targets of row {s}")
-                if inst.cost(x, z) >= inst.cost(x, y):
-                    raise CostViolation(f"rank-0 step {y} -> {z} did not decrease cost")
-                steps.append(TraceStep(s, y, rank, inst.cost(x, y), action))
-                action = RANK0_STEP
-                y = z
-                fuel -= 1
-                if fuel < 0:
-                    raise Rank0SelfLoopMissing(
-                        f"row {s} found no fixed point within its cost range"
-                    )
-        spend()
+            return _descend(inst, x, s, row, steps, budget)
+        y = _initial_target(inst, x, s, row)
+        _spend(steps, budget)
         steps.append(TraceStep(s, y, rank, inst.cost(x, y), INIT_TARGET))
         while not _lists(row[y], y):
             child = inst.gen_source(x, s, y)
@@ -297,7 +332,7 @@ def solve_npls(
                 raise RankViolation(
                     f"subproblem rank {child_rank} does not drop below {rank}"
                 )
-            spend()
+            _spend(steps, budget)
             steps.append(TraceStep(child, y, child_rank, inst.cost(x, y), DESCEND))
             z = solve(child, child_row)
             y2 = inst.extract(x, s, y, z)
@@ -310,17 +345,14 @@ def solve_npls(
                     raise InvariantViolation(
                         f"extracted point {y2} is not a neighbor of {y} in row {s}"
                     )
-                spend()
+                _spend(steps, budget)
                 steps.append(TraceStep(s, y2, rank, inst.cost(x, y2), EXTRACT))
             y = y2
-        spend()
+        _spend(steps, budget)
         steps.append(TraceStep(s, y, rank, inst.cost(x, y), SOLVED))
         return y
 
-    top = inst.initial_source(x)
-    top_row = inst.row(x, top)
-    if top_row is None:
-        raise InvariantViolation("initial source is not a source")
+    top, top_row = _initial_row(inst, x)
     try:
         solution = solve(top, top_row)
     finally:
@@ -332,21 +364,16 @@ def solve_npls(
     return solution, SearchTrace(tuple(steps))
 
 
-def brute_force_npls(
-    inst: NplsInstance,
-    x: int,
-    s: PointId,
-    domain_limit: int = 1 << 20,
-) -> PointId:
+def brute_force_npls(inst: NplsInstance, x: int, s: PointId) -> PointId:
     """The minimum-cost target of a source row, by full enumeration.
 
     This is the totality oracle: a minimum-cost target is always a
     solution of its row when the nine conditions hold.  It tests every
-    point of the space against the row, so ``domain_limit`` bounds its
+    point of the space against the row, so ``DOMAIN_LIMIT`` bounds its
     work.  Ties break toward the smallest id.
     """
     space = 1 << inst.d_bound(_bits(x))
-    if space > domain_limit:
+    if space > DOMAIN_LIMIT:
         raise DomainTooLarge(f"point space 2^{inst.d_bound(_bits(x))} exceeds the limit")
     row = inst.row(x, s) or {}
     best: PointId | None = None
@@ -359,24 +386,6 @@ def brute_force_npls(
     if best is None:
         raise EmptyTargetSpace(f"source row {s} has no targets")
     return best
-
-
-def rank0_pls(inst: NplsInstance, x: int) -> PlsInstance:
-    """The plain instance induced at ``x`` on the initial row by its steps.
-
-    Meaningful when the initial source has rank zero; then the nested
-    search on that row and plain descent on this instance take the same
-    steps through the same points.
-    """
-    top = inst.initial_source(x)
-    row = inst.row(x, top) or {}
-    return PlsInstance(
-        d_bound=inst.d_bound,
-        feasible=lambda xx, t: t in row,
-        initial=lambda xx: inst.initial_target(xx, top),
-        neighbor=lambda xx, t: row[t][0],
-        cost=inst.cost,
-    )
 
 
 # Condition checking
@@ -434,11 +443,7 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def verify_npls_conditions(
-    inst: NplsInstance,
-    x: int,
-    domain_limit: int = 1 << 20,
-) -> ConditionReport:
+def verify_npls_conditions(inst: NplsInstance, x: int) -> ConditionReport:
     """Test the nine nested-search conditions by enumeration.
 
     Every listed source row is fetched once, and its targets and each
@@ -453,7 +458,7 @@ def verify_npls_conditions(
     """
     d = inst.d_bound(_bits(x))
     space = 1 << d
-    if space > domain_limit:
+    if space > DOMAIN_LIMIT:
         raise DomainTooLarge(f"point space 2^{d} exceeds the limit")
 
     def guarded(fn, *args):

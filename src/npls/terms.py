@@ -5,7 +5,7 @@ naturals: addition, multiplication, truncated subtraction, binary
 length, smash (2 to the product of lengths), floor halving and a
 conditional.  Every function is monotone in the size of its inputs, so
 closed terms evaluate in time polynomial in their bit length.  A
-configurable bit cap (64 by default) turns runaway values into errors
+fixed cap of ``BIT_CAP`` (64) bits turns runaway values into errors
 instead of silently huge integers.
 
 Formulas come in exactly three shapes: a literal (an equation or its
@@ -21,7 +21,7 @@ from typing import Mapping, Union
 
 from .errors import OpenTermError, ValueOverflow
 
-DEFAULT_BIT_CAP = 64
+BIT_CAP = 64
 
 _ARITY = {
     "num": 0,
@@ -112,7 +112,7 @@ def substitute_term(t: Term, env: Mapping[str, Term]) -> Term:
     return Term(t.op, tuple(substitute_term(a, env) for a in t.args))
 
 
-def _eval(t: Term, env: Mapping[str, int], bit_cap: int) -> int:
+def _eval(t: Term, env: Mapping[str, int]) -> int:
     if t.op == "num":
         out = t.value
     elif t.op == "var":
@@ -120,7 +120,7 @@ def _eval(t: Term, env: Mapping[str, int], bit_cap: int) -> int:
             raise OpenTermError(f"unbound variable {t.name!r}")
         out = env[t.name]
     else:
-        vals = [_eval(a, env, bit_cap) for a in t.args]
+        vals = [_eval(a, env) for a in t.args]
         if t.op == "add":
             out = vals[0] + vals[1]
         elif t.op == "mul":
@@ -131,21 +131,21 @@ def _eval(t: Term, env: Mapping[str, int], bit_cap: int) -> int:
             out = vals[0].bit_length()
         elif t.op == "smash":
             exponent = vals[0].bit_length() * vals[1].bit_length()
-            if exponent >= bit_cap:
-                raise ValueOverflow(f"smash exponent {exponent} exceeds {bit_cap} bits")
+            if exponent >= BIT_CAP:
+                raise ValueOverflow(f"smash exponent {exponent} exceeds {BIT_CAP} bits")
             out = 1 << exponent
         elif t.op == "div2":
             out = vals[0] // 2
         else:  # cond
             out = vals[1] if vals[0] > 0 else vals[2]
-    if out.bit_length() > bit_cap:
-        raise ValueOverflow(f"value of {t.op} needs {out.bit_length()} bits, cap is {bit_cap}")
+    if out.bit_length() > BIT_CAP:
+        raise ValueOverflow(f"value of {t.op} needs {out.bit_length()} bits, cap is {BIT_CAP}")
     return out
 
 
-def eval_term(t: Term, x: int = 0, bit_cap: int = DEFAULT_BIT_CAP) -> int:
+def eval_term(t: Term, x: int = 0) -> int:
     """Evaluate a term closed up to the parameter variable ``x``."""
-    return _eval(t, {"x": x}, bit_cap)
+    return _eval(t, {"x": x})
 
 
 @dataclass(frozen=True)
@@ -168,9 +168,9 @@ def substitute_literal(lit: Literal, env: Mapping[str, Term]) -> Literal:
     return Literal(lit.negated, substitute_term(lit.lhs, env), substitute_term(lit.rhs, env))
 
 
-def eval_literal(lit: Literal, x: int = 0, bit_cap: int = DEFAULT_BIT_CAP) -> bool:
+def eval_literal(lit: Literal, x: int = 0) -> bool:
     env = {"x": x}
-    holds = _eval(lit.lhs, env, bit_cap) == _eval(lit.rhs, env, bit_cap)
+    holds = _eval(lit.lhs, env) == _eval(lit.rhs, env)
     return holds != lit.negated
 
 

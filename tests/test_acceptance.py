@@ -4,7 +4,8 @@ Each test covers one end-to-end promise: condition conformance and
 totality on a generated corpus, witness extraction on fixed and random
 derivations in both modes, traversal-order correctness, the rank-zero
 collapse onto plain search, validator robustness under mutation, and
-condition conformance on instances extracted from random derivations.
+condition conformance on instances extracted from random derivations
+of both modes.
 Timing assertions pin the desk-scale budgets.  The verifier walks
 each instance's rows, so ``test_rows_tabulate_the_predicates`` backs
 criteria 1 and 8 by checking every family row against the family's own
@@ -46,6 +47,7 @@ from npls.derivation import (
 from npls.extraction import (
     ExtractionContext,
     build_npls,
+    build_pls,
     extract_witness_npls,
     extract_witness_pls,
 )
@@ -57,7 +59,6 @@ from npls.nested_graph import (
 )
 from npls.search_core import (
     brute_force_npls,
-    rank0_pls,
     solve_npls,
     solve_pls,
     verify_npls_conditions,
@@ -252,7 +253,7 @@ def test_criterion_6_rank_zero_rows_collapse_onto_plain_search():
         width = 1 + (seed - 1) % 8
         inst = npls_from_family(generate_family(seed, 0, width))
         y_nested, nested = solve_npls(inst, 0)
-        y_plain, plain = solve_pls(rank0_pls(inst, 0), 0)
+        y_plain, plain = solve_pls(inst, 0)
         assert y_nested == y_plain, seed
         assert nested.steps == plain.steps, seed
     print("criterion 6: pass")
@@ -321,3 +322,22 @@ def test_criterion_8_nine_conditions_hold_on_extracted_random_derivations():
         assert report.all_passed, (seed, report.lines())
         assert elapsed < 1.0, (seed, elapsed)
     print("criterion 8: pass")
+
+
+def test_criterion_9_nine_conditions_hold_on_plain_extracted_derivations():
+    # A plain instance is one rank-zero row whose targets are the
+    # feasible points; each of the 622 must step to a cheaper feasible
+    # point or be a fixed point.
+    start = time.perf_counter()
+    points = 0
+    for seed in range(300):
+        d = random_sigma1_derivation(seed)
+        inst = build_pls(ExtractionContext(d, MODE_PLS))
+        report = verify_npls_conditions(inst, d.end_x)
+        assert report.all_passed, (seed, report.lines())
+        (source,) = inst.sources(d.end_x)
+        points += len(inst.row(d.end_x, source))
+    elapsed = time.perf_counter() - start
+    assert points == 622
+    assert elapsed < 10.0, elapsed
+    print("criterion 9: pass")

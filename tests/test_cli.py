@@ -284,9 +284,53 @@ def test_verify_fixture_instances(capsys):
     assert main(["verify", "NG2"]) == 0
 
 
-def test_verify_rejects_plain_mode(capsys):
-    assert main(["verify", "D2"]) == 1
-    assert "nested" in capsys.readouterr().err
+def test_verify_checks_plain_derivations(capsys):
+    for name in ("D1", "D2"):
+        assert main(["verify", name]) == 0
+        lines = _lines(capsys)
+        assert len(lines) == 9
+        assert all(line.endswith(" pass") for line in lines)
+
+
+def _digraph_file(tmp_path, text):
+    path = tmp_path / "digraph.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_verify_rejects_a_digraph_that_solve_rejects(tmp_path, capsys):
+    # The edge 0 -> 1 does not decrease the cost; descent would ignore it.
+    path = _digraph_file(tmp_path, '{"costs":[1,1],"edges":[[0,1],[1,1]],"n":2}')
+    for command in ("solve", "verify"):
+        assert main([command, path]) == 1
+        assert "CostConditionViolated" in capsys.readouterr().err
+
+
+def test_verify_accepts_a_digraph_that_solve_accepts(tmp_path, capsys):
+    # Node 1 has no outgoing edge; as a sink it is a fixed point of descent.
+    path = _digraph_file(tmp_path, '{"costs":[1,0],"edges":[[0,1]],"n":2}')
+    assert main(["solve", path]) == 0
+    assert _lines(capsys)[-1] == "solution=1 steps=2"
+    assert main(["verify", path]) == 0
+    assert all(line.endswith(" pass") for line in _lines(capsys))
+
+
+def test_solve_descends_a_rank0_row_with_negative_costs(tmp_path, capsys):
+    from npls.nested_graph import CostedDigraph, NestedGraphFamily
+    from npls.serialization import family_to_json
+
+    # Node 0 of the top problem is backed by a rank-0 chain 0 -> 1 -> 2
+    # whose costs are all negative; strict decrease still ends the walk.
+    child = NestedGraphFamily(CostedDigraph(3, ((0, 1), (1, 2), (2, 2)), (-1, -2, -3)), 0)
+    top = NestedGraphFamily(CostedDigraph(2, ((0, 1), (1, 1)), (1, 0)), 1, {0: child}, {(0, 2): 1})
+    path = tmp_path / "negative.json"
+    path.write_text(dumps(family_to_json(top)), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    assert all(line.endswith(" pass") for line in _lines(capsys))
+    assert main(["solve", str(path)]) == 0
+    lines = _lines(capsys)
+    assert [line.split()[-1] for line in lines[2:5]] == ["cost=-1", "cost=-2", "cost=-3"]
+    assert lines[-1] == "solution=1 steps=7"
 
 
 def test_verify_reports_corrupted_costs(tmp_path, capsys):

@@ -128,12 +128,12 @@ def test_pls_neighbor_steps():
 def test_build_pls_frozen_shape():
     ctx = _pls_ctx()
     inst = build_pls(ctx)
-    feasible = {s for s in range(8) if inst.feasible(0, s)}
-    assert feasible == {2, 5}
-    assert inst.initial(0) == 5
+    assert inst.sources(0) == [5]
+    assert inst.row(0, 5) == {2: [2], 5: [2]}
+    assert inst.initial_source(0) == 5
+    assert inst.initial_target(0, 5) == 5
     assert inst.cost(0, 5) == 5
-    assert inst.neighbor(0, 5) == 2
-    assert inst.neighbor(0, 2) == 2
+    assert inst.rank(0, 5) == 0
 
 
 def test_build_pls_needs_pls_mode():

@@ -27,12 +27,11 @@ from npls.search_core import (
     RANK0_STEP,
     SOLVED,
     NplsInstance,
-    PlsInstance,
     Polynomial,
     SearchTrace,
     TraceStep,
     brute_force_npls,
-    rank0_pls,
+    plain_instance,
     solve_npls,
     solve_pls,
     verify_npls_conditions,
@@ -48,15 +47,11 @@ def test_polynomial():
         Polynomial((1, -1))
 
 
-def _chain(n):
+def _chain(n, initial=None, step=lambda s: max(s - 1, 0)):
     # Node ids are their own costs; everything walks down to 0.
-    return PlsInstance(
-        d_bound=Polynomial.constant(max((n - 1).bit_length(), 1)),
-        feasible=lambda x, s: 0 <= s < n,
-        initial=lambda x: n - 1,
-        neighbor=lambda x, s: max(s - 1, 0),
-        cost=lambda x, s: s,
-    )
+    table = {s: [step(s)] for s in range(n)}
+    d_bound = Polynomial.constant(max((n - 1).bit_length(), 1))
+    return plain_instance(d_bound, 0, table, n - 1 if initial is None else initial, lambda x, t: t)
 
 
 def test_solve_pls_walks_a_chain():
@@ -68,8 +63,7 @@ def test_solve_pls_walks_a_chain():
 
 
 def test_solve_pls_identity_case_is_one_step():
-    inst = dataclasses.replace(_chain(8), initial=lambda x: 0)
-    solution, trace = solve_pls(inst, 0)
+    solution, trace = solve_pls(_chain(8, initial=0), 0)
     assert solution == 0
     assert trace.step_count == 1
     assert trace.steps[0].action == SOLVED
@@ -82,21 +76,23 @@ def test_solve_pls_budget():
 
 
 def test_solve_pls_rejects_infeasible_initial():
-    inst = dataclasses.replace(_chain(8), initial=lambda x: 99)
     with pytest.raises(InvariantViolation):
-        solve_pls(inst, 0)
+        solve_pls(_chain(8, initial=99), 0)
 
 
 def test_solve_pls_rejects_cost_increase():
-    inst = dataclasses.replace(_chain(8), neighbor=lambda x, s: min(s + 1, 7))
-    inst = dataclasses.replace(inst, initial=lambda x: 0)
-    with pytest.raises(InvariantViolation):
-        solve_pls(inst, 0)
+    with pytest.raises(CostViolation):
+        solve_pls(_chain(8, initial=0, step=lambda s: min(s + 1, 7)), 0)
 
 
 def test_solve_pls_rejects_infeasible_neighbor():
-    inst = dataclasses.replace(_chain(8), neighbor=lambda x, s: -1)
     with pytest.raises(InvariantViolation):
+        solve_pls(_chain(8, step=lambda s: -1), 0)
+
+
+def test_solve_pls_rejects_a_positive_rank_initial_row():
+    inst = dataclasses.replace(_chain(8), rank=lambda x, s: 1)
+    with pytest.raises(RankViolation):
         solve_pls(inst, 0)
 
 
@@ -108,25 +104,25 @@ def test_digraph_instance_solves_to_the_sink():
     assert trace.targets() == [0, 1, 5]
 
 
-def _fixed_points(inst, n_nodes):
-    return {y for y in range(n_nodes) if inst.neighbor(0, y) == y}
+def _fixed_points(inst):
+    return {y for y, zs in inst.row(0, 0).items() if zs == [y]}
 
 
 def test_self_loop_predicate_marks_exactly_the_local_minima():
-    assert _fixed_points(pls_from_digraph(g1()), g1().n_nodes) == {5}
+    assert _fixed_points(pls_from_digraph(g1())) == {5}
     graphs = [g1()] + [generate_family(seed, 0, 8).graph for seed in range(1, 21)]
     for g in graphs:
         nested = npls_from_family(NestedGraphFamily(g, 0))
         # The top problem has problem id 0, so its packed points are node ids.
         loops = {y for y, zs in nested.row(0, 0).items() if y in zs}
-        assert _fixed_points(pls_from_digraph(g), g.n_nodes) == loops
+        assert _fixed_points(pls_from_digraph(g)) == loops
 
 
 def test_digraph_neighbor_prefers_the_smallest_id():
-    inst = pls_from_digraph(g1())
-    assert inst.neighbor(0, 0) == 1
-    assert inst.neighbor(0, 1) == 5
-    assert inst.neighbor(0, 5) == 5
+    row = pls_from_digraph(g1()).row(0, 0)
+    assert row[0] == [1]
+    assert row[1] == [5]
+    assert row[5] == [5]
 
 
 def test_trace_check_accepts_the_empty_trace():
@@ -284,6 +280,7 @@ def test_solve_npls_needs_one_step_per_rank0_target(neighbors):
 def test_rank0_adapter_matches_the_nested_solver():
     inst = npls_from_family(NestedGraphFamily(g1(), 0))
     y_nested, tr_nested = solve_npls(inst, 0)
-    y_plain, tr_plain = solve_pls(rank0_pls(inst, 0), 0)
+    y_plain, tr_plain = solve_pls(inst, 0)
     assert y_nested == y_plain == 5
     assert tr_nested.steps == tr_plain.steps
+    assert tr_plain.steps == solve_pls(pls_from_digraph(g1()), 0)[1].steps

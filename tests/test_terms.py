@@ -70,9 +70,12 @@ def test_bit_cap_rejects_large_values():
         eval_term(add(num(2**63), num(2**63)))
     with pytest.raises(ValueOverflow):
         eval_term(smash(num(2**40 - 1), num(2**40 - 1)))
+    assert eval_term(num(2**64 - 1)) == 2**64 - 1
     with pytest.raises(ValueOverflow):
-        eval_term(num(17), bit_cap=4)
-    assert eval_term(num(15), bit_cap=4) == 15
+        eval_term(add(num(2**64 - 1), num(1)))
+    assert eval_term(smash(num(2**8 - 1), num(2**7 - 1))) == 2**56
+    with pytest.raises(ValueOverflow):
+        eval_term(smash(num(2**8 - 1), num(2**8 - 1)))
 
 
 def test_term_constructor_validation():

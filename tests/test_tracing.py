@@ -10,6 +10,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from npls.cli import main
 from npls.corpus import random_sigma2_derivation
 from npls.derivation import MODE_NPLS
@@ -31,16 +33,34 @@ def test_tracer_installs_and_records_the_command_path(capsys):
     tracer.install()
     try:
         assert main(["solve", "G1"]) == 0
+        # Plain descent fetches its one row once.
+        assert tracer.counts["search_core.calls.row"] == 1
         assert main(["extract", "D3"]) == 0
     finally:
         tracer.uninstall()
-    assert tracer.counts["search_core.calls.neighbor"] > 0
+    assert tracer.counts["search_core.calls.row"] > 1
     names = {span[1] for span in tracer.spans}
     assert {"nested_graph.pls_from_digraph", "derivation.validate"} <= names
     # Uninstalling restores the package: nothing more is recorded.
     before = len(tracer.spans)
     assert main(["solve", "G1"]) == 0
     assert len(tracer.spans) == before
+
+
+@pytest.mark.parametrize(
+    "name, span", [("D2", "extraction.build_pls"), ("G1", "nested_graph.pls_from_digraph")]
+)
+def test_verify_reads_the_one_row_of_a_plain_instance(name, span, capsys):
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", name]) == 0
+    finally:
+        tracer.uninstall()
+    names = [s[1] for s in tracer.spans]
+    assert names.count(span) == 1
+    assert "search_core.verify_npls_conditions" in names
+    assert tracer.counts["search_core.calls.row"] == 1
 
 
 def test_verify_reads_the_rows_table_instead_of_scanning_the_point_space(capsys):
