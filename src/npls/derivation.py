@@ -27,7 +27,7 @@ properly extends the other or is smaller at the first differing entry.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -183,10 +183,53 @@ class ValidationIssue:
         return f"{format_path(self.path)}: {self.message}"
 
 
+class FormulaTable:
+    """One small int per distinct normalized formula of one derivation.
+
+    Ids are handed out in order of first sight, so two formulas get the
+    same id exactly when ``formulas_equal`` holds.  ``sequent`` maps a
+    node to its sequent as ids in sequent order and ``counter`` to the
+    multiset of those ids; ``added`` maps each child that validation
+    checked to the id of the formula it adds over its parent.  The ids
+    belong to this table alone and die with it.
+    """
+
+    def __init__(self) -> None:
+        self._ids: dict[Formula, int] = {}
+        self._seen: dict[Formula, int] = {}
+        self.sequent: dict[NodePath, tuple[int, ...]] = {}
+        self.counter: dict[NodePath, Counter] = {}
+        self.added: dict[NodePath, int] = {}
+
+    def intern(self, f: Formula) -> int:
+        # Equal formulas have equal normal forms, so a formula seen
+        # before skips normalization.
+        got = self._seen.get(f)
+        if got is None:
+            got = self._seen[f] = self._ids.setdefault(normalize(f), len(self._ids))
+        return got
+
+    def record(self, path: NodePath, sequent: tuple[Formula, ...]) -> Counter:
+        """Intern a node's sequent, once per node, and return its id multiset."""
+        got = self.counter.get(path)
+        if got is None:
+            ids = tuple([self.intern(f) for f in sequent])
+            self.sequent[path] = ids
+            got = self.counter[path] = Counter(ids)
+        return got
+
+
 @dataclass(frozen=True)
 class ValidationReport:
+    """Issues found by ``validate``, with the formula table it built.
+
+    On a report that is ``ok`` the table holds every node's sequent and
+    every child's added formula; it takes no part in comparison or repr.
+    """
+
     mode: str
     issues: tuple[ValidationIssue, ...]
+    table: FormulaTable | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -194,10 +237,6 @@ class ValidationReport:
 
     def lines(self) -> list[str]:
         return [issue.render() for issue in self.issues]
-
-
-def _norm_counter(sequent: tuple[Formula, ...]) -> Counter:
-    return Counter(normalize(f) for f in sequent)
 
 
 def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
@@ -208,11 +247,16 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     exists-forall formulas and restricts cuts to those.  The report
     lists one issue per offending node; an empty report means the
     derivation is sound at its substituted value.
+
+    One pass fills the report's ``FormulaTable``: each node's sequent is
+    interned once, each distinct formula normalized once, and upper
+    sequents are checked by comparing multisets of formula ids.
     """
     if mode not in _MODE_CLASS:
         raise ValueError(f"unknown mode {mode!r}")
     max_class = _MODE_CLASS[mode]
     issues: list[ValidationIssue] = []
+    table = FormulaTable()
 
     def flag(path: NodePath, message: str) -> None:
         issues.append(ValidationIssue(path, message))
@@ -242,17 +286,19 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     for path in d.paths():
         node = d.nodes[path]
         sequent = node.sequent
+        is_open = False
         for i, f in enumerate(sequent):
             if classify(f) > max_class:
                 flag(path, f"formula {i} exceeds the {mode} quantifier class")
             extra = formula_vars(f) - {"x"}
             if extra:
                 flag(path, f"formula {i} has free variables {sorted(extra)}")
-        if any(formula_vars(f) - {"x"} for f in sequent):
+                is_open = True
+        if is_open:
             continue
         count = len(order[path])
         rule = node.rule
-        base = _norm_counter(sequent) if count else None
+        base = table.record(path, sequent)
 
         if isinstance(rule, InitialRule):
             if count != 0:
@@ -296,7 +342,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
                     flag(path, f"existential rule has {count} children, expected 1")
                     continue
                 added = LitFormula(exists_instance(principal, rule.witness))
-                _check_child(d, path, base, 0, added, flag)
+                _check_child(d, table, path, base, 0, added, flag)
             else:
                 inner = value(principal.bound2)
                 if inner is None:
@@ -307,7 +353,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
                     continue
                 for n in range(inner):
                     added = LitFormula(exists_forall_instance(principal, rule.witness, n))
-                    _check_child(d, path, base, n, added, flag)
+                    _check_child(d, table, path, base, n, added, flag)
             continue
 
         if isinstance(rule, CutRule):
@@ -330,17 +376,18 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
                 flag(path, f"cut has {count} children, expected {b + 1}")
                 continue
             for n in range(b):
-                _check_child(d, path, base, n, negated_instance(formula, n), flag)
-            _check_child(d, path, base, b, formula, flag)
+                _check_child(d, table, path, base, n, negated_instance(formula, n), flag)
+            _check_child(d, table, path, base, b, formula, flag)
             continue
 
         flag(path, f"unknown rule {type(rule).__name__}")
 
-    return ValidationReport(mode, tuple(issues))
+    return ValidationReport(mode, tuple(issues), table)
 
 
 def _check_child(
     d: Derivation,
+    table: FormulaTable,
     path: NodePath,
     base: Counter,
     index: int,
@@ -349,9 +396,10 @@ def _check_child(
 ) -> None:
     """The upper sequent must be the lower sequent (``base``) plus the added formula."""
     child = path + (index,)
+    added_id = table.added[child] = table.intern(added)
     want = base.copy()
-    want[normalize(added)] += 1
-    got = _norm_counter(d.sequent(child))
+    want[added_id] += 1
+    got = table.record(child, d.sequent(child))
     if got != want:
         missing = want - got
         surplus = got - want

@@ -75,14 +75,11 @@ from .search_core import (
 from .terms import (
     ExistsForall,
     ExistsLit,
-    Formula,
     LitFormula,
     classify,
     eval_literal,
     eval_term,
     exists_instance,
-    negated_instance,
-    normalize,
 )
 
 
@@ -112,6 +109,14 @@ class ExtractionContext:
     ``d_max`` exceeds the deepest node by one, so exists-forall targets
     always cost at least one.
 
+    Formulas are the int ids of the ``FormulaTable`` that validation
+    built, read off the report of the one ``validate`` call:
+    ``_seq_ids`` holds each node's sequent as ids in sequent order,
+    ``_seq_counter`` their multiset, ``_added`` the id of the formula
+    each child adds, ``_principal`` the id of each rule's principal and
+    ``end_id`` that of the end-formula.  Nothing is normalized past
+    validation.
+
     ``low[i]`` is the smallest post-order id in the subtree of node
     ``i``, so that subtree is exactly the ids ``low[i]..i``.  Each table
     is filled in one pass over the nodes; child counts in particular are
@@ -139,6 +144,11 @@ class ExtractionContext:
                 "the end-sequent must consist of one bounded existential formula"
             )
         self.end_formula: ExistsLit = root[0]
+        table = report.table
+        self._seq_ids = table.sequent
+        self._seq_counter = table.counter
+        self._added = table.added
+        self.end_id = table.sequent[()][0]
 
         self.kb = postorder_index(derivation.nodes.keys())
         self.path_of = [p for p, _ in sorted(self.kb.items(), key=lambda kv: kv[1])]
@@ -156,25 +166,22 @@ class ExtractionContext:
                 parent = self.kb[path[:-1]]
                 self.low[parent] = min(self.low[parent], self.low[i])
 
-        self._seq_counter: dict[NodePath, Counter] = {}
         self._has_true_literal: dict[NodePath, bool] = {}
-        self._principal: dict[NodePath, Formula] = {}
+        self._principal: dict[NodePath, int] = {}
         self._witness_value: dict[NodePath, int] = {}
         self._true_goal: dict[NodePath, bool] = {}
         self._left_upper: dict[NodePath, bool] = {}
         for path, node in derivation.nodes.items():
-            self._seq_counter[path] = Counter(normalize(f) for f in node.sequent)
             self._has_true_literal[path] = any(
                 isinstance(f, LitFormula) and eval_literal(f.lit, self.x)
                 for f in node.sequent
             )
             rule = node.rule
             if isinstance(rule, (ExistsRule, ExistsForallRule)):
-                principal = node.sequent[rule.principal]
-                self._principal[path] = normalize(principal)
+                self._principal[path] = self._seq_ids[path][rule.principal]
                 self._witness_value[path] = eval_term(rule.witness, self.x)
                 if isinstance(rule, ExistsRule):
-                    aux = exists_instance(principal, rule.witness)
+                    aux = exists_instance(node.sequent[rule.principal], rule.witness)
                     self._true_goal[path] = eval_literal(aux, self.x)
             self._left_upper[path] = bool(path) and (
                 isinstance(derivation.rule(path[:-1]), CutRule)
@@ -212,7 +219,8 @@ class ExtractionContext:
         """True on existential rules whose witnessing instance holds."""
         return self._true_goal.get(path, False)
 
-    def principal(self, path: NodePath) -> Formula:
+    def principal(self, path: NodePath) -> int:
+        """The formula id of an existential or exists-forall rule's principal."""
         return self._principal[path]
 
     def witness_value(self, path: NodePath) -> int:
@@ -254,11 +262,14 @@ def rightmost_goal(ctx: ExtractionContext, path: NodePath) -> NodePath:
         current = current + (count - 1,)
 
 
-def _entry_point(ctx: ExtractionContext, path: NodePath, formula: Formula) -> NodePath:
-    """Shortest prefix of ``path`` whose sequent contains the formula."""
-    target = normalize(formula)
+def _entry_point(ctx: ExtractionContext, path: NodePath, formula: int) -> NodePath:
+    """Shortest prefix of ``path`` whose sequent contains the formula.
+
+    ``formula`` is an id of the context's formula table, and each prefix
+    is probed in its id multiset ``ctx._seq_counter``.
+    """
     for k in range(len(path) + 1):
-        if target in ctx._seq_counter[path[:k]]:
+        if formula in ctx._seq_counter[path[:k]]:
             return path[:k]
     raise UnreachableCase("formula missing below its own node")
 
@@ -317,7 +328,7 @@ def _report(ctx: ExtractionContext, tau: NodePath, trace: SearchTrace) -> Witnes
     witness = ctx.witness_value(tau)
     instance = exists_instance(ctx.end_formula, ctx.derivation.rule(tau).witness)
     verified = (
-        normalize(ctx.principal(tau)) == normalize(ctx.end_formula)
+        ctx.principal(tau) == ctx.end_id
         and witness < eval_term(ctx.end_formula.bound, ctx.x)
         and eval_literal(instance, ctx.x)
     )
@@ -473,9 +484,9 @@ def npls_extract(
     rho_principal = ctx.principal(rho)
     if rho_principal in ctx._seq_counter[cut]:
         return rho
-    kappa_index = ctx.witness_value(tau)
-    introduced = negated_instance(ctx.derivation.rule(cut).formula, kappa_index)
-    if normalize(rho_principal) != normalize(introduced):
+    # kappa, the row's cut upper, adds the negated cut instance.
+    kappa = cut + (ctx.witness_value(tau),)
+    if rho_principal != ctx._added[kappa]:
         raise NotASolution(
             f"solution at {format_path(rho)} witnesses neither the row's cut "
             "instance nor an inherited formula"
@@ -535,7 +546,7 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     sources = sorted(source_ids)
 
     owned: dict[int, list[int]] = {}
-    goals_of: dict[Formula, list[int]] = {}
+    goals_of: dict[int, list[int]] = {}
     for i, path in enumerate(paths):
         if not no_true_lit[i]:
             continue

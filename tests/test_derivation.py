@@ -16,6 +16,7 @@ from npls.derivation import (
     DerivationTemplate,
     ExistsRule,
     FamilySpec,
+    FormulaTable,
     InitialRule,
     ProofNode,
     TemplateNode,
@@ -26,7 +27,16 @@ from npls.derivation import (
     validate,
 )
 from npls.errors import NoSuchNode, ValidationFailed
-from npls.terms import ExistsLit, LitFormula, Literal, add, num, var
+from npls.terms import (
+    ExistsForall,
+    ExistsLit,
+    LitFormula,
+    Literal,
+    add,
+    formulas_equal,
+    num,
+    var,
+)
 
 
 def kb_less(a, b):
@@ -245,3 +255,58 @@ def test_template_family_bound_can_depend_on_x():
     spec = t.root.family
     assert isinstance(spec, FamilySpec)
     assert spec.bound == add(var("x"), num(2))
+
+
+# A formula skeleton: shape (0 literal, 1 existential, 2 exists-forall),
+# two bound values and a body whose terms name the first and second
+# bound variable as "b0" and "b1".
+_TOKENS = ("b0", "b1", "x", "0", "1", "b0+b1")
+_skeletons = st.tuples(
+    st.integers(0, 2),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    st.tuples(st.booleans(), st.sampled_from(_TOKENS), st.sampled_from(_TOKENS)),
+)
+_names = st.tuples(st.sampled_from("yzw"), st.sampled_from("yzw"))
+
+
+def _formula(skeleton, names):
+    shape, (b1, b2), (negated, lhs, rhs) = skeleton
+    terms = {"b0": var(names[0]), "b1": var(names[1]), "x": var("x"), "0": num(0), "1": num(1)}
+    terms["b0+b1"] = add(terms["b0"], terms["b1"])
+    body = Literal(negated, terms[lhs], terms[rhs])
+    if shape == 0:
+        return LitFormula(body)
+    if shape == 1:
+        return ExistsLit(names[0], num(b1), body)
+    return ExistsForall(names[0], num(b1), names[1], num(b2), body)
+
+
+@st.composite
+def _formula_pairs(draw):
+    skeleton, names = draw(_skeletons), draw(_names)
+    kind = draw(st.sampled_from(["rename", "bound", "body", "fresh"]))
+    other = skeleton
+    if kind == "bound":
+        shape, (b1, b2), body = skeleton
+        other = (shape, (b1 + 1, b2 + 1), body)
+    elif kind in ("body", "fresh"):
+        other = draw(_skeletons)
+        if kind == "body":
+            other = (skeleton[0], skeleton[1], other[2])
+    other_names = draw(_names)
+    return kind, skeleton, _formula(skeleton, names), names, _formula(other, other_names), other_names
+
+
+@given(_formula_pairs())
+def test_formula_ids_are_equal_exactly_when_the_formulas_are(pair):
+    kind, skeleton, a, names_a, b, names_b = pair
+    table = FormulaTable()
+    ia, ib = table.intern(a), table.intern(b)
+    assert (ia == ib) == formulas_equal(a, b)
+    assert (table.intern(a), table.intern(b)) == (ia, ib)
+    shape = skeleton[0]
+    if kind == "rename" and shape == 2 and len(set(names_a)) == len(set(names_b)) == 2:
+        # Renaming both bound variables apart changes nothing.
+        assert ia == ib
+    if kind == "bound" and shape > 0:
+        assert ia != ib

@@ -111,7 +111,9 @@ def test_rightmost_goal():
 
 def test_entry_point_is_where_a_formula_enters_the_branch():
     ctx = _npls_ctx()
-    end, cut, b00 = ctx.derivation.sequent((2, 0))
+    # Formulas are ids of the context's table, in sequent order.
+    end, cut, b00 = ctx._seq_ids[(2, 0)]
+    assert end == ctx.end_id
     assert _entry_point(ctx, (2, 0), b00) == (2, 0)
     assert _entry_point(ctx, (2, 0), cut) == (2,)
     assert _entry_point(ctx, (2, 0), end) == ()

@@ -91,3 +91,17 @@ def test_verify_walks_the_neighbor_lists_instead_of_asking_the_relation(tmp_path
     finally:
         tracer.uninstall()
     assert tracer.counts["search_core.calls.row"] == len(sources) > 1
+
+
+def test_extract_normalizes_each_formula_once(capsys):
+    # The expansion of T-D3 at x=50 has 110 nodes and 277 formula
+    # occurrences.  Validation normalizes each occurrence and each
+    # child's added formula at most once; extraction compares the ids.
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["extract", "T-D3", "--x", "50"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["terms.normalize.calls"] <= 277 + 110
+    assert [s[1] for s in tracer.spans].count("derivation.validate") == 1
