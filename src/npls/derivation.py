@@ -209,6 +209,10 @@ class FormulaTable:
             got = self._seen[f] = self._ids.setdefault(normalize(f), len(self._ids))
         return got
 
+    def formulas(self) -> list[Formula]:
+        """The normal form of every formula, indexed by id."""
+        return list(self._ids)
+
     def record(self, path: NodePath, sequent: tuple[Formula, ...]) -> Counter:
         """Intern a node's sequent, once per node, and return its id multiset."""
         got = self.counter.get(path)

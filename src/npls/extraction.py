@@ -166,23 +166,32 @@ class ExtractionContext:
                 parent = self.kb[path[:-1]]
                 self.low[parent] = min(self.low[parent], self.low[i])
 
+        # Truth of each distinct formula id, evaluated on first need; a
+        # quantified formula is never a true literal.  The goal of an
+        # existential rule is the literal its child adds.
+        normal = table.formulas()
+        true_lit: dict[int, bool] = {}
+
+        def holds(fid: int) -> bool:
+            got = true_lit.get(fid)
+            if got is None:
+                f = normal[fid]
+                got = true_lit[fid] = isinstance(f, LitFormula) and eval_literal(f.lit, self.x)
+            return got
+
         self._has_true_literal: dict[NodePath, bool] = {}
         self._principal: dict[NodePath, int] = {}
         self._witness_value: dict[NodePath, int] = {}
         self._true_goal: dict[NodePath, bool] = {}
         self._left_upper: dict[NodePath, bool] = {}
         for path, node in derivation.nodes.items():
-            self._has_true_literal[path] = any(
-                isinstance(f, LitFormula) and eval_literal(f.lit, self.x)
-                for f in node.sequent
-            )
+            self._has_true_literal[path] = any(map(holds, self._seq_ids[path]))
             rule = node.rule
             if isinstance(rule, (ExistsRule, ExistsForallRule)):
                 self._principal[path] = self._seq_ids[path][rule.principal]
                 self._witness_value[path] = eval_term(rule.witness, self.x)
                 if isinstance(rule, ExistsRule):
-                    aux = exists_instance(node.sequent[rule.principal], rule.witness)
-                    self._true_goal[path] = eval_literal(aux, self.x)
+                    self._true_goal[path] = holds(self._added[path + (0,)])
             self._left_upper[path] = bool(path) and (
                 isinstance(derivation.rule(path[:-1]), CutRule)
                 and path[-1] < self._child_count[path[:-1]] - 1

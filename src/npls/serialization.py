@@ -6,6 +6,15 @@ equal values always serialize to identical bytes.  Every ``*_from_json``
 function validates shape as it decodes and raises FormatError with the
 offending location on any mismatch.
 
+Each node of a derivation repeats its parent's side formulas, so one
+document holds far more formula occurrences than distinct formulas.
+The derivation and template decoders keep a per-document memo keyed by
+the ``repr`` of each raw sequent formula, which tells ``true`` from
+``1`` and ``1.0`` from ``1``: each distinct formula is decoded once,
+and equal formulas in one document decode to one shared object.
+Locations are passed down as a parent location plus a key or index,
+and one is formatted only for a value that fails its check.
+
 Documents are distinguished by their top-level keys: a derivation has
 ``end_x`` and ``nodes``, a template has ``root``, a family has ``rank``
 and ``graph``, and a bare digraph has ``n`` and ``edges``.
@@ -14,6 +23,7 @@ and ``graph``, and a bare digraph has ``n`` and ``edges``.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 from .derivation import (
@@ -48,17 +58,31 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _fail(where: str, message: str) -> FormatError:
-    return FormatError(f"{where}: {message}")
+# A location is a string, or a pair of a parent location and a key: a
+# string appended as it is, or an int index rendered as ``[i]``.
+Where = str | tuple
 
 
-def _need_dict(obj: Any, where: str) -> dict:
+def _render(where: Where) -> str:
+    parts = []
+    while isinstance(where, tuple):
+        where, key = where
+        parts.append(f"[{key}]" if isinstance(key, int) else key)
+    parts.append(where)
+    return "".join(reversed(parts))
+
+
+def _fail(where: Where, message: str) -> FormatError:
+    return FormatError(f"{_render(where)}: {message}")
+
+
+def _need_dict(obj: Any, where: Where) -> dict:
     if not isinstance(obj, dict):
         raise _fail(where, f"expected an object, got {type(obj).__name__}")
     return obj
 
 
-def _need_list(obj: Any, where: str) -> list:
+def _need_list(obj: Any, where: Where) -> list:
     if not isinstance(obj, list):
         raise _fail(where, f"expected an array, got {type(obj).__name__}")
     return obj
@@ -68,22 +92,29 @@ def _is_int(obj: Any) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
-def _need_int(obj: Any, where: str) -> int:
+def _need_int(obj: Any, where: Where) -> int:
     if not _is_int(obj):
         raise _fail(where, f"expected an integer, got {type(obj).__name__}")
     return obj
 
 
-def _need_str(obj: Any, where: str) -> str:
+def _need_str(obj: Any, where: Where) -> str:
     if not isinstance(obj, str):
         raise _fail(where, f"expected a string, got {type(obj).__name__}")
     return obj
 
 
-def _get(obj: dict, key: str, where: str) -> Any:
+def _get(obj: dict, key: str, where: Where) -> Any:
     if key not in obj:
         raise _fail(where, f"missing key {key!r}")
     return obj[key]
+
+
+# The type sets of values that pass the C-level checks below; anything
+# else, bools and int subclasses included, takes the per-item path.
+_INT = {int}
+_LIST = {list}
+_PAIR = {2}
 
 
 # Terms and formulas
@@ -102,28 +133,30 @@ def term_to_json(t: Term) -> Any:
 MAX_TERM_DEPTH = 256
 
 
-def term_from_json(obj: Any, where: str = "term") -> Term:
+def term_from_json(obj: Any, where: Where = "term") -> Term:
     return _term_from_json(obj, where, where, 0)
 
 
-def _term_from_json(obj: Any, where: str, root: str, depth: int) -> Term:
+def _term_from_json(obj: Any, where: Where, root: Where, depth: int) -> Term:
     d = _need_dict(obj, where)
     if "num" in d:
-        value = _need_int(d["num"], where + ".num")
+        value = _need_int(d["num"], (where, ".num"))
         if value < 0:
             raise _fail(where, "numerals are non-negative")
         return num(value)
     if "var" in d:
-        return var(_need_str(d["var"], where + ".var"))
+        name = _need_str(d["var"], (where, ".var"))
+        if not name:
+            raise _fail(where, "variables carry a name")
+        return var(name)
     if depth == MAX_TERM_DEPTH:
         raise _fail(root, f"term nests more than {MAX_TERM_DEPTH} operations")
-    op = _need_str(_get(d, "op", where), where + ".op")
+    op = _need_str(_get(d, "op", where), (where, ".op"))
     if op not in OPS:
         raise _fail(where, f"unknown operation {op!r}")
-    args = _need_list(_get(d, "args", where), where + ".args")
-    decoded = tuple(
-        _term_from_json(a, f"{where}.args[{i}]", root, depth + 1) for i, a in enumerate(args)
-    )
+    at = (where, ".args")
+    args = _need_list(_get(d, "args", where), at)
+    decoded = tuple(_term_from_json(a, (at, i), root, depth + 1) for i, a in enumerate(args))
     try:
         return Term(op, decoded)
     except ValueError as exc:
@@ -138,15 +171,15 @@ def literal_to_json(lit: Literal) -> Any:
     }
 
 
-def literal_from_json(obj: Any, where: str = "literal") -> Literal:
+def literal_from_json(obj: Any, where: Where = "literal") -> Literal:
     d = _need_dict(obj, where)
     negated = _get(d, "neg", where)
     if not isinstance(negated, bool):
-        raise _fail(where + ".neg", "expected a boolean")
+        raise _fail((where, ".neg"), "expected a boolean")
     return Literal(
         negated,
-        term_from_json(_get(d, "lhs", where), where + ".lhs"),
-        term_from_json(_get(d, "rhs", where), where + ".rhs"),
+        term_from_json(_get(d, "lhs", where), (where, ".lhs")),
+        term_from_json(_get(d, "rhs", where), (where, ".rhs")),
     )
 
 
@@ -176,25 +209,49 @@ def formula_to_json(f: Formula) -> Any:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def formula_from_json(obj: Any, where: str = "formula") -> Formula:
+def formula_from_json(obj: Any, where: Where = "formula") -> Formula:
     d = _need_dict(obj, where)
     if "ex" not in d:
         return LitFormula(literal_from_json(d, where))
-    ex = _need_dict(d["ex"], where + ".ex")
-    v = _need_str(_get(ex, "v", where + ".ex"), where + ".ex.v")
-    bound = term_from_json(_get(ex, "bound", where + ".ex"), where + ".ex.bound")
+    at = (where, ".ex")
+    ex = _need_dict(d["ex"], at)
+    v = _need_str(_get(ex, "v", at), (at, ".v"))
+    bound = term_from_json(_get(ex, "bound", at), (at, ".bound"))
     if "all" in ex:
-        al = _need_dict(ex["all"], where + ".ex.all")
+        at = (at, ".all")
+        al = _need_dict(ex["all"], at)
         return ExistsForall(
             v,
             bound,
-            _need_str(_get(al, "v", where + ".ex.all"), where + ".ex.all.v"),
-            term_from_json(_get(al, "bound", where + ".ex.all"), where + ".ex.all.bound"),
-            literal_from_json(_get(al, "body", where + ".ex.all"), where + ".ex.all.body"),
+            _need_str(_get(al, "v", at), (at, ".v")),
+            term_from_json(_get(al, "bound", at), (at, ".bound")),
+            literal_from_json(_get(al, "body", at), (at, ".body")),
         )
-    return ExistsLit(
-        v, bound, literal_from_json(_get(ex, "body", where + ".ex"), where + ".ex.body")
-    )
+    return ExistsLit(v, bound, literal_from_json(_get(ex, "body", at), (at, ".body")))
+
+
+def _shared_formula(raw: Any, where: Where, memo: dict[str, Formula]) -> Formula:
+    """Decode a raw formula once per document.
+
+    ``memo`` maps the ``repr`` of each raw formula that decoded to its
+    value.  Equal reprs mean equal JSON values, down to the types of
+    their leaves, so a hit returns exactly what decoding would.
+    """
+    key = repr(raw)
+    f = memo.get(key)
+    if f is None:
+        f = memo[key] = formula_from_json(raw, where)
+    return f
+
+
+def _sequent_from_json(
+    node: dict, where: Where, memo: dict[str, Formula]
+) -> tuple[Formula, ...]:
+    at = (where, ".sequent")
+    sequent = []
+    for j, raw in enumerate(_need_list(_get(node, "sequent", where), at)):
+        sequent.append(_shared_formula(raw, (at, j), memo))
+    return tuple(sequent)
 
 
 # Rules
@@ -220,18 +277,20 @@ def rule_to_json(rule: Rule) -> Any:
     raise TypeError(f"not a rule: {rule!r}")
 
 
-def rule_from_json(obj: Any, where: str = "rule") -> Rule:
+def rule_from_json(obj: Any, where: Where = "rule", memo: dict | None = None) -> Rule:
+    """Decode a rule; a cut formula is shared through ``memo`` when given."""
     d = _need_dict(obj, where)
-    tag = _need_str(_get(d, "tag", where), where + ".tag")
+    tag = _need_str(_get(d, "tag", where), (where, ".tag"))
     if tag == "initial":
-        return InitialRule(_need_int(_get(d, "index", where), where + ".index"))
+        return InitialRule(_need_int(_get(d, "index", where), (where, ".index")))
     if tag in ("exists", "exists-forall"):
-        principal = _need_int(_get(d, "principal", where), where + ".principal")
-        witness = term_from_json(_get(d, "witness", where), where + ".witness")
+        principal = _need_int(_get(d, "principal", where), (where, ".principal"))
+        witness = term_from_json(_get(d, "witness", where), (where, ".witness"))
         cls = ExistsRule if tag == "exists" else ExistsForallRule
         return cls(principal, witness)
     if tag == "cut":
-        return CutRule(formula_from_json(_get(d, "formula", where), where + ".formula"))
+        memo = {} if memo is None else memo
+        return CutRule(_shared_formula(_get(d, "formula", where), (where, ".formula"), memo))
     raise _fail(where, f"unknown rule tag {tag!r}")
 
 
@@ -252,13 +311,16 @@ def derivation_to_json(d: Derivation) -> Any:
     return {"end_x": d.end_x, "nodes": nodes}
 
 
-def _path_from_json(obj: Any, where: str) -> tuple[int, ...]:
+def _path_from_json(obj: Any, where: Where) -> tuple[int, ...]:
     entries = _need_list(obj, where)
+    # Checked in C first; the loop runs only to name the first bad entry.
+    if set(map(type, entries)) <= _INT and min(entries, default=0) >= 0:
+        return tuple(entries)
     path = []
     for i, e in enumerate(entries):
-        n = _need_int(e, f"{where}[{i}]")
+        n = _need_int(e, (where, i))
         if n < 0:
-            raise _fail(f"{where}[{i}]", "path entries are non-negative")
+            raise _fail((where, i), "path entries are non-negative")
         path.append(n)
     return tuple(path)
 
@@ -268,19 +330,16 @@ def derivation_from_json(obj: Any) -> Derivation:
     end_x = _need_int(_get(d, "end_x", "derivation"), "derivation.end_x")
     if end_x < 0:
         raise _fail("derivation.end_x", "the parameter is non-negative")
+    memo: dict[str, Formula] = {}
     nodes: dict[tuple[int, ...], ProofNode] = {}
     for i, raw in enumerate(_need_list(_get(d, "nodes", "derivation"), "derivation.nodes")):
-        where = f"derivation.nodes[{i}]"
+        where = ("derivation.nodes", i)
         node = _need_dict(raw, where)
-        path = _path_from_json(_get(node, "path", where), where + ".path")
+        path = _path_from_json(_get(node, "path", where), (where, ".path"))
         if path in nodes:
-            raise _fail(where + ".path", "duplicate node path")
-        rule = rule_from_json(_get(node, "rule", where), where + ".rule")
-        sequent = tuple(
-            formula_from_json(f, f"{where}.sequent[{j}]")
-            for j, f in enumerate(_need_list(_get(node, "sequent", where), where + ".sequent"))
-        )
-        nodes[path] = ProofNode(sequent, rule)
+            raise _fail((where, ".path"), "duplicate node path")
+        rule = rule_from_json(_get(node, "rule", where), (where, ".rule"), memo)
+        nodes[path] = ProofNode(_sequent_from_json(node, where, memo), rule)
     if not nodes:
         raise _fail("derivation.nodes", "a derivation needs at least one node")
     return Derivation(end_x, nodes)
@@ -309,31 +368,32 @@ def template_to_json(t: DerivationTemplate) -> Any:
     return {"root": _template_node_to_json(t.root)}
 
 
-def _template_node_from_json(obj: Any, where: str) -> TemplateNode:
+def _template_node_from_json(obj: Any, where: Where, memo: dict[str, Formula]) -> TemplateNode:
     d = _need_dict(obj, where)
-    rule = rule_from_json(_get(d, "rule", where), where + ".rule")
-    sequent = tuple(
-        formula_from_json(f, f"{where}.sequent[{j}]")
-        for j, f in enumerate(_need_list(_get(d, "sequent", where), where + ".sequent"))
-    )
+    rule = rule_from_json(_get(d, "rule", where), (where, ".rule"), memo)
+    sequent = _sequent_from_json(d, where, memo)
+    at = (where, ".children")
     children = tuple(
-        _template_node_from_json(c, f"{where}.children[{j}]")
-        for j, c in enumerate(_need_list(d.get("children", []), where + ".children"))
+        _template_node_from_json(c, (at, j), memo)
+        for j, c in enumerate(_need_list(d.get("children", []), at))
     )
     family = None
     if "family" in d:
-        fam = _need_dict(d["family"], where + ".family")
+        at = (where, ".family")
+        fam = _need_dict(d["family"], at)
         family = FamilySpec(
-            _need_str(_get(fam, "index", where + ".family"), where + ".family.index"),
-            term_from_json(_get(fam, "bound", where + ".family"), where + ".family.bound"),
-            _template_node_from_json(_get(fam, "body", where + ".family"), where + ".family.body"),
+            _need_str(_get(fam, "index", at), (at, ".index")),
+            term_from_json(_get(fam, "bound", at), (at, ".bound")),
+            _template_node_from_json(_get(fam, "body", at), (at, ".body"), memo),
         )
     return TemplateNode(sequent, rule, children, family)
 
 
 def template_from_json(obj: Any) -> DerivationTemplate:
     d = _need_dict(obj, "template")
-    return DerivationTemplate(_template_node_from_json(_get(d, "root", "template"), "template.root"))
+    return DerivationTemplate(
+        _template_node_from_json(_get(d, "root", "template"), "template.root", {})
+    )
 
 
 # Graphs and families
@@ -347,32 +407,36 @@ def digraph_to_json(g: CostedDigraph) -> Any:
     }
 
 
-# Graphs carry thousands of edges and costs, so each is checked first
-# and a location string is formatted only for one that fails.
-
-
-def _need_edge(obj: Any, where: str) -> tuple[int, int]:
+def _need_edge(obj: Any, where: Where) -> tuple[int, int]:
     pair = _need_list(obj, where)
     if len(pair) != 2:
         raise _fail(where, "an edge is a pair")
-    return _need_int(pair[0], where + "[0]"), _need_int(pair[1], where + "[1]")
+    return _need_int(pair[0], (where, 0)), _need_int(pair[1], (where, 1))
 
 
-def digraph_from_json(obj: Any, where: str = "digraph") -> CostedDigraph:
+def digraph_from_json(obj: Any, where: Where = "digraph") -> CostedDigraph:
     d = _need_dict(obj, where)
-    n = _need_int(_get(d, "n", where), where + ".n")
+    n = _need_int(_get(d, "n", where), (where, ".n"))
     if n <= 0:
-        raise _fail(where + ".n", "a graph needs at least one node")
-    edges = []
-    for i, raw in enumerate(_need_list(_get(d, "edges", where), where + ".edges")):
-        if isinstance(raw, list) and len(raw) == 2 and _is_int(raw[0]) and _is_int(raw[1]):
-            edges.append((raw[0], raw[1]))
-        else:
-            edges.append(_need_edge(raw, f"{where}.edges[{i}]"))
-    costs = tuple(_need_list(_get(d, "costs", where), where + ".costs"))
-    for i, c in enumerate(costs):
-        if not _is_int(c):
-            _need_int(c, f"{where}.costs[{i}]")
+        raise _fail((where, ".n"), "a graph needs at least one node")
+    # Graphs carry thousands of edges and costs, so they are checked in
+    # C-level passes over their types, and walked item by item only to
+    # name the first that fails.
+    at = (where, ".edges")
+    raw = _need_list(_get(d, "edges", where), at)
+    if (
+        set(map(type, raw)) <= _LIST
+        and set(map(len, raw)) <= _PAIR
+        and set(map(type, chain.from_iterable(raw))) <= _INT
+    ):
+        edges = list(map(tuple, raw))
+    else:
+        edges = [_need_edge(e, (at, i)) for i, e in enumerate(raw)]
+    at = (where, ".costs")
+    costs = tuple(_need_list(_get(d, "costs", where), at))
+    if not set(map(type, costs)) <= _INT:
+        for i, c in enumerate(costs):
+            _need_int(c, (at, i))
     try:
         return CostedDigraph(n, tuple(sorted(edges)), costs)
     except ValueError as exc:
@@ -396,31 +460,33 @@ def family_to_json(fam: NestedGraphFamily) -> Any:
     return out
 
 
-def family_from_json(obj: Any, where: str = "family") -> NestedGraphFamily:
+def family_from_json(obj: Any, where: Where = "family") -> NestedGraphFamily:
     d = _need_dict(obj, where)
-    rank = _need_int(_get(d, "rank", where), where + ".rank")
+    rank = _need_int(_get(d, "rank", where), (where, ".rank"))
     if rank < 0:
-        raise _fail(where + ".rank", "ranks are non-negative")
-    graph = digraph_from_json(_get(d, "graph", where), where + ".graph")
+        raise _fail((where, ".rank"), "ranks are non-negative")
+    graph = digraph_from_json(_get(d, "graph", where), (where, ".graph"))
     children: dict[int, NestedGraphFamily] = {}
-    for i, raw in enumerate(_need_list(d.get("children", []), where + ".children")):
-        cw = f"{where}.children[{i}]"
+    at = (where, ".children")
+    for i, raw in enumerate(_need_list(d.get("children", []), at)):
+        cw = (at, i)
         c = _need_dict(raw, cw)
-        node = _need_int(_get(c, "node", cw), cw + ".node")
+        node = _need_int(_get(c, "node", cw), (cw, ".node"))
         if node in children:
-            raise _fail(cw + ".node", "duplicate child node")
-        children[node] = family_from_json(_get(c, "problem", cw), cw + ".problem")
+            raise _fail((cw, ".node"), "duplicate child node")
+        children[node] = family_from_json(_get(c, "problem", cw), (cw, ".problem"))
     table: dict[tuple[int, int], int] = {}
-    for i, raw in enumerate(_need_list(d.get("solutions", []), where + ".solutions")):
-        sw = f"{where}.solutions[{i}]"
+    at = (where, ".solutions")
+    for i, raw in enumerate(_need_list(d.get("solutions", []), at)):
+        sw = (at, i)
         s = _need_dict(raw, sw)
         key = (
-            _need_int(_get(s, "node", sw), sw + ".node"),
-            _need_int(_get(s, "solution", sw), sw + ".solution"),
+            _need_int(_get(s, "node", sw), (sw, ".node")),
+            _need_int(_get(s, "solution", sw), (sw, ".solution")),
         )
         if key in table:
             raise _fail(sw, "duplicate solution entry")
-        table[key] = _need_int(_get(s, "edge_to", sw), sw + ".edge_to")
+        table[key] = _need_int(_get(s, "edge_to", sw), (sw, ".edge_to"))
     return NestedGraphFamily(graph, rank, children, table)
 
 

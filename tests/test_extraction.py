@@ -87,6 +87,25 @@ def test_context_caches():
     assert not ctx.has_true_goal((2,))
 
 
+def test_context_evaluates_each_distinct_literal_once(monkeypatch):
+    from npls import extraction
+
+    evaluated = []
+    real = extraction.eval_literal
+
+    def counted(lit, x):
+        evaluated.append(lit)
+        return real(lit, x)
+
+    monkeypatch.setattr(extraction, "eval_literal", counted)
+    d = random_sigma2_derivation(20)
+    ctx = ExtractionContext(d, "npls")
+    assert len(evaluated) == len(set(evaluated))
+    for path, node in d.nodes.items():
+        lits = [f.lit for f in node.sequent if isinstance(f, LitFormula)]
+        assert target_condition(ctx, path) == (not any(real(lit, d.end_x) for lit in lits))
+
+
 def test_target_condition():
     ctx = _pls_ctx()
     assert target_condition(ctx, ())

@@ -28,6 +28,20 @@ def test_digraph_constructor_validation():
         CostedDigraph(2, ((0, 5),), (1, 0))
 
 
+@pytest.mark.parametrize(
+    "edges, bad",
+    [
+        (((0, 1), (2, 0), (0, -1)), "(2,0)"),
+        (((0, -1), (5, 0)), "(0,-1)"),
+        (((1, 0), (1, 1), (0, 2)), "(0,2)"),
+    ],
+)
+def test_digraph_names_the_first_edge_out_of_range(edges, bad):
+    with pytest.raises(ValueError) as info:
+        CostedDigraph(2, edges, (1, 0))
+    assert str(info.value) == f"edge {bad} leaves the node range"
+
+
 def test_successors_are_sorted():
     g = CostedDigraph(3, ((0, 2), (0, 1), (2, 2)), (2, 1, 0))
     assert g.successors(0) == [1, 2]

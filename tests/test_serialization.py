@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from npls.corpus import FIXTURES
+from npls import serialization
+from npls.corpus import FIXTURES, random_sigma1_derivation, random_sigma2_derivation
+from npls.derivation import CutRule
 from npls.errors import FormatError
 from npls.serialization import (
     MAX_TERM_DEPTH,
     Document,
+    derivation_to_json,
     digraph_from_json,
     document_from_json,
     document_to_json,
@@ -178,6 +184,146 @@ _LOOP = {"n": 1, "edges": [[0, 0]], "costs": [0]}
 )
 def test_graph_item_errors_name_the_item(doc, message):
     assert _error_location(loads_document, dumps(doc)) == message
+
+
+def _node(path, sequent, rule=None):
+    return {"path": path, "rule": rule or {"tag": "initial", "index": 0}, "sequent": sequent}
+
+
+def _eq(lhs, rhs):
+    return {"neg": False, "lhs": lhs, "rhs": rhs}
+
+
+_ONE = _eq({"num": 1}, {"num": 1})
+
+
+def _derivation(*nodes):
+    return {"end_x": 0, "nodes": list(nodes)}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            _derivation(_node([], [_ONE]), _node([True], [_ONE])),
+            "derivation.nodes[1].path[0]: expected an integer, got bool",
+        ),
+        (
+            _derivation(_node([], [_ONE]), _node([0, -1], [_ONE])),
+            "derivation.nodes[1].path[1]: path entries are non-negative",
+        ),
+        (
+            _derivation(_node([], [_ONE]), _node([0], [_ONE]), _node([0], [_ONE])),
+            "derivation.nodes[2].path: duplicate node path",
+        ),
+        (
+            _derivation(_node([], [_ONE]), _node([0], [_ONE], {"tag": "wat"})),
+            "derivation.nodes[1].rule: unknown rule tag 'wat'",
+        ),
+        (
+            _derivation(_node([], [_ONE]), _node([0], [_ONE, _eq({"num": True}, {"num": 1})])),
+            "derivation.nodes[1].sequent[1].lhs.num: expected an integer, got bool",
+        ),
+        (
+            _derivation(
+                _node([], [_ONE]),
+                _node([0], [_ONE, _ONE, _eq(_nested_div2(MAX_TERM_DEPTH + 1), {"num": 0})]),
+            ),
+            "derivation.nodes[1].sequent[2].lhs: term nests more than 256 operations",
+        ),
+        (
+            _derivation(
+                _node([], [{"ex": {"v": "z", "bound": {"num": 2}, "all": {"v": 3}}}])
+            ),
+            "derivation.nodes[0].sequent[0].ex.all.v: expected a string, got int",
+        ),
+        (
+            _derivation(
+                _node([], [_eq({"num": 0}, {"op": "add", "args": [{"num": 0}, {"var": ""}]})])
+            ),
+            "derivation.nodes[0].sequent[0].rhs.args[1]: variables carry a name",
+        ),
+    ],
+)
+def test_derivation_item_errors_name_the_item(doc, message):
+    assert _error_location(loads_document, dumps(doc)) == message
+
+
+def test_equal_formulas_in_one_derivation_decode_to_one_object(monkeypatch):
+    doc = derivation_to_json(random_sigma2_derivation(20))
+    decode = serialization.formula_from_json
+    decoded = []
+
+    def counted(obj, where):
+        decoded.append(obj)
+        return decode(obj, where)
+
+    monkeypatch.setattr(serialization, "formula_from_json", counted)
+    d = loads_document(dumps(doc))
+    raw = [dumps(f) for node in doc["nodes"] for f in node["sequent"]]
+    raw += [dumps(node["rule"]["formula"]) for node in doc["nodes"] if node["rule"]["tag"] == "cut"]
+    assert len(decoded) == len(set(raw)) < len(raw)
+    shared: dict = {}
+    for node in d.nodes.values():
+        cut = (node.rule.formula,) if isinstance(node.rule, CutRule) else ()
+        for f in node.sequent + cut:
+            assert shared.setdefault(f, f) is f
+
+
+@lru_cache(maxsize=None)
+def _generated(sigma, seed):
+    make = random_sigma1_derivation if sigma == 1 else random_sigma2_derivation
+    return make(seed)
+
+
+def _leaf_paths(obj, at=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaf_paths(value, at + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaf_paths(value, at + (i,))
+    else:
+        yield at
+
+
+def _replaced(obj, at, leaf):
+    if not at:
+        return leaf
+    head, rest = at[0], at[1:]
+    if isinstance(obj, dict):
+        return {**obj, head: _replaced(obj[head], rest, leaf)}
+    return [*obj[:head], _replaced(obj[head], rest, leaf), *obj[head + 1 :]]
+
+
+_LEAVES = st.one_of(
+    st.integers(min_value=-2, max_value=4),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.sampled_from(["", "x", "z", "add", "div2", "initial", "exists", "exists-forall", "cut"]),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(min_value=0, max_value=299),
+    st.integers(min_value=0),
+    _LEAVES,
+)
+def test_a_mutated_leaf_decodes_exactly_or_fails(sigma, seed, pick, leaf):
+    d = _generated(sigma, seed)
+    doc = derivation_to_json(d)
+    assert loads_document(dumps(doc)) == d
+    paths = list(_leaf_paths(doc))
+    mutated = _replaced(doc, paths[pick % len(paths)], leaf)
+    try:
+        value = loads_document(dumps(mutated))
+    except FormatError:
+        return
+    canonical = {**mutated, "nodes": sorted(mutated["nodes"], key=lambda n: n["path"])}
+    assert dumps(derivation_to_json(value)) == dumps(canonical)
 
 
 def test_family_parse_errors():
