@@ -192,21 +192,33 @@ class FormulaTable:
     multiset of those ids; ``added`` maps each child that validation
     checked to the id of the formula it adds over its parent.  The ids
     belong to this table alone and die with it.
+
+    Decoded and expanded derivations share one object per distinct
+    formula, so ``intern`` looks a formula up by identity first: each
+    distinct object is hashed and normalized once, however often it
+    occurs.
     """
 
     def __init__(self) -> None:
         self._ids: dict[Formula, int] = {}
         self._seen: dict[Formula, int] = {}
+        # id(f) -> (f, formula id); holding f keeps its id(f) from being
+        # reused by another object while the table lives.
+        self._by_object: dict[int, tuple[Formula, int]] = {}
         self.sequent: dict[NodePath, tuple[int, ...]] = {}
         self.counter: dict[NodePath, Counter] = {}
         self.added: dict[NodePath, int] = {}
 
     def intern(self, f: Formula) -> int:
+        known = self._by_object.get(id(f))
+        if known is not None:
+            return known[1]
         # Equal formulas have equal normal forms, so a formula seen
         # before skips normalization.
         got = self._seen.get(f)
         if got is None:
             got = self._seen[f] = self._ids.setdefault(normalize(f), len(self._ids))
+        self._by_object[id(f)] = (f, got)
         return got
 
     def formulas(self) -> list[Formula]:
@@ -254,7 +266,9 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
 
     One pass fills the report's ``FormulaTable``: each node's sequent is
     interned once, each distinct formula normalized once, and upper
-    sequents are checked by comparing multisets of formula ids.
+    sequents are checked by comparing multisets of formula ids.  The
+    class and free-variable checks also run once per distinct formula
+    object; their issues are still flagged at every occurrence.
     """
     if mode not in _MODE_CLASS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -287,16 +301,26 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
         except NplsError:
             return None
 
+    # id(f) -> (too high a class, sorted extra free variables); ``d``
+    # holds every f for the whole pass, so no id is reused meanwhile.
+    checked: dict[int, tuple[bool, list[str]]] = {}
+
     for path in d.paths():
         node = d.nodes[path]
         sequent = node.sequent
         is_open = False
         for i, f in enumerate(sequent):
-            if classify(f) > max_class:
+            check = checked.get(id(f))
+            if check is None:
+                check = checked[id(f)] = (
+                    classify(f) > max_class,
+                    sorted(formula_vars(f) - {"x"}),
+                )
+            too_high, extra = check
+            if too_high:
                 flag(path, f"formula {i} exceeds the {mode} quantifier class")
-            extra = formula_vars(f) - {"x"}
             if extra:
-                flag(path, f"formula {i} has free variables {sorted(extra)}")
+                flag(path, f"formula {i} has free variables {extra}")
                 is_open = True
         if is_open:
             continue
@@ -450,13 +474,13 @@ class DerivationTemplate:
     root: TemplateNode
 
 
-def _subst_rule(rule: Rule, env: Mapping[str, Term]) -> Rule:
+def _subst_rule(rule: Rule, env: Mapping[str, Term], subst) -> Rule:
     if isinstance(rule, ExistsRule):
-        return ExistsRule(rule.principal, substitute_term(rule.witness, env))
+        return ExistsRule(rule.principal, subst(rule.witness, env))
     if isinstance(rule, ExistsForallRule):
-        return ExistsForallRule(rule.principal, substitute_term(rule.witness, env))
+        return ExistsForallRule(rule.principal, subst(rule.witness, env))
     if isinstance(rule, CutRule):
-        return CutRule(substitute_formula(rule.formula, env))
+        return CutRule(subst(rule.formula, env))
     return rule
 
 
@@ -467,16 +491,37 @@ def expand_template(template: DerivationTemplate, x: int) -> Derivation:
     still open after substitution.  Callers that go on to validate in a
     mode of their own use this to validate once; ``substitute_numeral``
     is expansion plus validation.
+
+    Each template formula, witness and family bound is substituted once
+    per assignment of its own free variables, which bound variables
+    shadow: a formula that does not mention a family's index is built
+    once for the whole family.  The expansion shares one object per
+    distinct substituted formula, so validation interns each just once.
     """
     env0: dict[str, Term] = {"x": Term("num", value=x)}
     nodes: dict[NodePath, ProofNode] = {}
+    # The template holds every object keyed by its id() here for the
+    # whole expansion, so no id is reused meanwhile.
+    free: dict[int, tuple[str, ...]] = {}
+    memo: dict[tuple, Formula | Term] = {}
+
+    def subst(obj: Formula | Term, env: dict[str, Term]) -> Formula | Term:
+        is_term = isinstance(obj, Term)
+        names = free.get(id(obj))
+        if names is None:
+            names = free[id(obj)] = tuple(free_vars(obj) if is_term else formula_vars(obj))
+        key = (id(obj), *[env.get(name) for name in names])
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (substitute_term if is_term else substitute_formula)(obj, env)
+        return got
 
     def expand(tnode: TemplateNode, path: NodePath, env: dict[str, Term]) -> None:
-        sequent = tuple(substitute_formula(f, env) for f in tnode.sequent)
-        nodes[path] = ProofNode(sequent, _subst_rule(tnode.rule, env))
+        sequent = tuple([subst(f, env) for f in tnode.sequent])
+        nodes[path] = ProofNode(sequent, _subst_rule(tnode.rule, env, subst))
         index = 0
         if tnode.family is not None:
-            bound = substitute_term(tnode.family.bound, env)
+            bound = subst(tnode.family.bound, env)
             if free_vars(bound):
                 raise ValidationFailed(
                     f"family bound at {format_path(path)} is open after substitution"

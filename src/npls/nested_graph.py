@@ -47,9 +47,6 @@ class CostedDigraph:
             if not (0 <= s < self.n_nodes and 0 <= t < self.n_nodes):
                 raise ValueError(f"edge ({s},{t}) leaves the node range")
 
-    def successors(self, s: int) -> list[int]:
-        return sorted(t for (a, t) in self.edges if a == s)
-
 
 def check_cost_condition(g: CostedDigraph) -> None:
     """Raise unless every edge between distinct nodes decreases the cost."""

@@ -528,10 +528,15 @@ def loads_document(text: str) -> Document:
     Parsing and decoding both recurse on the nesting depth, so a
     document nested deeper than the interpreter's recursion limit is
     rejected as malformed rather than left to escape as RecursionError.
+    An integer literal longer than the interpreter's int-string limit
+    is malformed too.
     """
     try:
-        return document_from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            # JSONDecodeError, or the int-string limit on a long integer.
+            raise FormatError(f"not valid JSON: {exc}") from exc
+        return document_from_json(obj)
     except RecursionError as exc:
         raise FormatError("document is nested too deeply to decode") from exc

@@ -68,6 +68,19 @@ def test_parse_failure_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_integer_longer_than_the_int_string_limit_exits_two(tmp_path, capsys):
+    # Python refuses to convert integer literals over 4,300 digits; the
+    # ValueError json.loads raises for it is not a JSONDecodeError.
+    path = tmp_path / "long.json"
+    path.write_text('{"end_x": ' + "9" * 5000 + ', "nodes": []}', encoding="utf-8")
+    for command in ("validate", "extract", "verify"):
+        assert main([command, str(path)]) == 2, command
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: not valid JSON"), command
+        assert captured.out == "", command
+
+
 def test_input_that_is_not_utf8_exits_two(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"n": 1, "edges": [], "costs": [0], "note": "caf\xe9"}')

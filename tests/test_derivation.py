@@ -14,6 +14,7 @@ from npls.derivation import (
     CutRule,
     Derivation,
     DerivationTemplate,
+    ExistsForallRule,
     ExistsRule,
     FamilySpec,
     FormulaTable,
@@ -21,20 +22,26 @@ from npls.derivation import (
     ProofNode,
     TemplateNode,
     detect_mode,
+    expand_template,
     format_path,
     postorder_index,
     substitute_numeral,
     validate,
 )
 from npls.errors import NoSuchNode, ValidationFailed
+from npls.serialization import derivation_to_json
 from npls.terms import (
     ExistsForall,
     ExistsLit,
     LitFormula,
     Literal,
     add,
+    eval_term,
     formulas_equal,
+    mul,
     num,
+    substitute_formula,
+    substitute_term,
     var,
 )
 
@@ -257,6 +264,85 @@ def test_template_family_bound_can_depend_on_x():
     assert spec.bound == add(var("x"), num(2))
 
 
+def _expand_per_occurrence(template, x):
+    """Reference expansion: substitute every occurrence afresh."""
+    nodes = {}
+
+    def rule(r, env):
+        if isinstance(r, ExistsRule):
+            return ExistsRule(r.principal, substitute_term(r.witness, env))
+        if isinstance(r, ExistsForallRule):
+            return ExistsForallRule(r.principal, substitute_term(r.witness, env))
+        if isinstance(r, CutRule):
+            return CutRule(substitute_formula(r.formula, env))
+        return r
+
+    def expand(tnode, path, env):
+        sequent = tuple(substitute_formula(f, env) for f in tnode.sequent)
+        nodes[path] = ProofNode(sequent, rule(tnode.rule, env))
+        index = 0
+        if tnode.family is not None:
+            width = eval_term(substitute_term(tnode.family.bound, env), x)
+            for n in range(width):
+                expand(tnode.family.body, path + (index,), {**env, tnode.family.index: num(n)})
+                index += 1
+        for child in tnode.children:
+            expand(child, path + (index,), env)
+            index += 1
+
+    expand(template.root, (), {"x": num(x)})
+    return Derivation(x, nodes)
+
+
+def _mixed_family_template():
+    """A family whose body mixes formulas with and without its index i.
+
+    ``shadow`` binds a variable named i and ``half`` binds i in its
+    body only, so the index is free in ``half``'s outer bound alone; a
+    nested family over j mentions both indices.
+    """
+    closed = ExistsLit("y", num(3), Literal(False, var("y"), var("x")))
+    indexed = LitFormula(Literal(False, var("i"), add(var("i"), num(1))))
+    shadow = ExistsLit("i", add(var("x"), num(1)), Literal(False, var("i"), num(0)))
+    body_zi = Literal(True, mul(var("z"), var("i")), num(1))
+    half = ExistsForall("z", add(var("i"), num(1)), "i", num(2), body_zi)
+    both = LitFormula(Literal(True, var("i"), var("j")))
+    inner = TemplateNode((closed, both, shadow), ExistsRule(2, var("j")))
+    body = TemplateNode(
+        (closed, indexed, shadow, half),
+        CutRule(half),
+        (TemplateNode((closed, shadow), ExistsRule(1, num(0))),),
+        FamilySpec("j", add(var("i"), num(1)), inner),
+    )
+    family = FamilySpec("i", add(var("x"), num(1)), body)
+    root = TemplateNode((closed, shadow), CutRule(shadow), (), family)
+    return DerivationTemplate(root)
+
+
+@pytest.mark.parametrize(
+    "template, x",
+    [(t_d2(), 0), (t_d2(), 5)]
+    + [(t_d3(), x) for x in (0, 1, 2, 3, 7, 50)]
+    + [(_mixed_family_template(), x) for x in (0, 1, 3, 6)],
+)
+def test_memoised_expansion_matches_per_occurrence_substitution(template, x):
+    want = derivation_to_json(_expand_per_occurrence(template, x))
+    assert derivation_to_json(expand_template(template, x)) == want
+
+
+def test_expansion_builds_a_formula_without_the_family_index_once():
+    d = expand_template(_mixed_family_template(), 3)
+    members = [d.nodes[(n,)] for n in range(4)]
+    # closed and shadow do not mention i: one object for the family.
+    for position in (0, 2):
+        assert len({id(m.sequent[position]) for m in members}) == 1
+    # indexed and half do: one object per value of i.
+    for position in (1, 3):
+        assert len({id(m.sequent[position]) for m in members}) == 4
+    # The cut formula is the sequent's object at the same assignment.
+    assert all(m.rule.formula is m.sequent[3] for m in members)
+
+
 # A formula skeleton: shape (0 literal, 1 existential, 2 exists-forall),
 # two bound values and a body whose terms name the first and second
 # bound variable as "b0" and "b1".
@@ -310,3 +396,18 @@ def test_formula_ids_are_equal_exactly_when_the_formulas_are(pair):
         assert ia == ib
     if kind == "bound" and shape > 0:
         assert ia != ib
+
+
+def test_formula_ids_survive_formulas_that_are_dropped_at_once():
+    # Each formula is built fresh and dropped after interning, so its
+    # address is free for the next one; the table must not mistake the
+    # next formula for it.
+    def make(k):
+        return LitFormula(Literal(False, num(k % 7), var("x")))
+
+    table = FormulaTable()
+    ids = [table.intern(make(k)) for k in range(2000)]
+    for a in range(7):
+        for b in range(7):
+            assert (ids[a] == ids[b]) == formulas_equal(make(a), make(b))
+    assert ids == [ids[k % 7] for k in range(2000)]

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import npls.derivation
 from npls.cli import main
 from npls.corpus import random_sigma2_derivation
 from npls.derivation import MODE_NPLS
@@ -105,3 +106,20 @@ def test_extract_normalizes_each_formula_once(capsys):
         tracer.uninstall()
     assert tracer.counts["terms.normalize.calls"] <= 277 + 110
     assert [s[1] for s in tracer.spans].count("derivation.validate") == 1
+
+
+def test_extract_substitutes_each_distinct_formula_once(monkeypatch, capsys):
+    # Expanding T-D3 at x=50 meets 278 formula occurrences.  One of the
+    # template's eight formulas mentions the family index, which takes
+    # 52 values, so substituting per assignment of each formula's free
+    # variables takes 52 + 7 = 59 calls.
+    calls = []
+    substitute_formula = npls.derivation.substitute_formula
+
+    def counted(*args):
+        calls.append(1)
+        return substitute_formula(*args)
+
+    monkeypatch.setattr(npls.derivation, "substitute_formula", counted)
+    assert main(["extract", "T-D3", "--x", "50"]) == 0
+    assert len(calls) <= 60
