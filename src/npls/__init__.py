@@ -71,14 +71,12 @@ from .nested_graph import (
     generate_family,
     npls_from_family,
     pls_from_digraph,
-    validate_family,
 )
 from .search_core import (
     CONDITION_NAMES,
     ConditionCheck,
     ConditionReport,
     NplsInstance,
-    Polynomial,
     SearchTrace,
     TraceStep,
     brute_force_npls,

@@ -192,34 +192,32 @@ def _trace_lines(trace, solution, cfg: RunConfig) -> list[str]:
 def cmd_solve(cfg: RunConfig) -> tuple[int, list[str]]:
     doc = _load_input(cfg.input_path)
     if isinstance(doc, CostedDigraph):
-        solution, trace = solve_pls(pls_from_digraph(doc), cfg.x_value, cfg.max_steps)
+        solution, trace = solve_pls(pls_from_digraph(doc), cfg.max_steps)
     elif isinstance(doc, NestedGraphFamily):
-        inst = npls_from_family(doc)
-        solution, trace = solve_npls(inst, cfg.x_value, cfg.max_steps)
+        solution, trace = solve_npls(npls_from_family(doc), cfg.max_steps)
     else:
         derivation = _as_derivation(doc, cfg)
         mode = _resolve_mode(cfg, derivation)
         ctx = ExtractionContext(derivation, mode)
         if mode == "pls":
-            solution, trace = solve_pls(build_pls(ctx), ctx.x, cfg.max_steps)
+            solution, trace = solve_pls(build_pls(ctx), cfg.max_steps)
         else:
-            solution, trace = solve_npls(build_npls(ctx), ctx.x, cfg.max_steps)
+            solution, trace = solve_npls(build_npls(ctx), cfg.max_steps)
     return 0, _trace_lines(trace, solution, cfg)
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, list[str]]:
     doc = _load_input(cfg.input_path)
     if isinstance(doc, CostedDigraph):
-        inst, x = pls_from_digraph(doc), 0
+        inst = pls_from_digraph(doc)
     elif isinstance(doc, NestedGraphFamily):
-        inst, x = npls_from_family(doc), 0
+        inst = npls_from_family(doc)
     else:
         derivation = _as_derivation(doc, cfg)
         mode = _resolve_mode(cfg, derivation)
         ctx = ExtractionContext(derivation, mode)
         inst = build_pls(ctx) if mode == "pls" else build_npls(ctx)
-        x = derivation.end_x
-    report = verify_npls_conditions(inst, x)
+    report = verify_npls_conditions(inst)
     if cfg.output == "machine":
         lines = [
             dumps(

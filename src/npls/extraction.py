@@ -66,7 +66,6 @@ from .errors import (
 )
 from .search_core import (
     NplsInstance,
-    Polynomial,
     SearchTrace,
     plain_instance,
     solve_npls,
@@ -327,8 +326,8 @@ def build_pls(ctx: ExtractionContext) -> NplsInstance:
     feasible = [i for i, p in enumerate(paths) if ctx.is_left_upper(p) and target_condition(ctx, p)]
     table = {s: [ctx.kb[pls_neighbor(ctx, paths[s])]] for s in feasible + [root]}
 
-    d_bits = max((ctx.n_nodes - 1).bit_length(), 1)
-    return plain_instance(Polynomial.constant(d_bits), root, table, root, lambda x, t: t)
+    d = max((ctx.n_nodes - 1).bit_length(), 1)
+    return plain_instance(d, root, table, root, lambda t: t)
 
 
 def _report(ctx: ExtractionContext, tau: NodePath, trace: SearchTrace) -> WitnessReport:
@@ -347,7 +346,7 @@ def _report(ctx: ExtractionContext, tau: NodePath, trace: SearchTrace) -> Witnes
 def extract_witness_pls(ctx: ExtractionContext, max_steps: int | None = None) -> WitnessReport:
     """Run the plain search and read the witness off the solution's goal."""
     inst = build_pls(ctx)
-    solution, trace = solve_pls(inst, ctx.x, max_steps)
+    solution, trace = solve_pls(inst, max_steps)
     tau = rightmost_goal(ctx, ctx.path_of[solution])
     return _report(ctx, tau, trace)
 
@@ -564,7 +563,7 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
         elif ctx.has_true_goal(path):
             goals_of.setdefault(ctx.principal(path), []).append(i)
 
-    def row(x: int, s: int) -> dict[int, list[int]] | None:
+    def row(s: int) -> dict[int, list[int]] | None:
         if s not in source_ids:
             return None
         # Each rule is listed once: under its owner, or under its principal.
@@ -584,32 +583,31 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
 
     # A target that is not an exists-forall rule is a solution of its
     # row: it spawns no subproblem and lifts to itself.
-    def gen_source(x: int, s: int, y: int) -> int:
+    def gen_source(s: int, y: int) -> int:
         if not is_ef[y]:
             return s
         return kb[npls_gen_source(ctx, paths[s], paths[y])]
 
-    def extract(x: int, s: int, y: int, z: int) -> int:
+    def extract(s: int, y: int, z: int) -> int:
         if not is_ef[y]:
             return y
         return kb[npls_extract(ctx, paths[s], paths[y], paths[z])]
 
-    d_bits = max((n - 1).bit_length(), 1)
     return NplsInstance(
-        d_bound=Polynomial.constant(d_bits),
-        sources=lambda x: list(sources),
+        d=max((n - 1).bit_length(), 1),
+        sources=lambda: list(sources),
         row=row,
-        initial_source=lambda x: root,
-        initial_target=lambda x, s: kb[rightmost_goal(ctx, paths[s])],
-        cost=lambda x, t: cost_of[t],
+        initial_source=lambda: root,
+        initial_target=lambda s: kb[rightmost_goal(ctx, paths[s])],
+        cost=lambda t: cost_of[t],
         gen_source=gen_source,
         extract=extract,
-        rank=lambda x, s: s,
+        rank=lambda s: s,
     )
 
 
 def extract_witness_npls(ctx: ExtractionContext, max_steps: int | None = None) -> WitnessReport:
     """Run the nested search and read the witness off the solution."""
     inst = build_npls(ctx)
-    solution, trace = solve_npls(inst, ctx.x, max_steps)
+    solution, trace = solve_npls(inst, max_steps)
     return _report(ctx, ctx.path_of[solution], trace)

@@ -25,11 +25,7 @@ from .errors import (
     InvariantViolation,
     TotalityViolated,
 )
-from .search_core import (
-    NplsInstance,
-    Polynomial,
-    plain_instance,
-)
+from .search_core import NplsInstance, plain_instance
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,8 @@ def pls_from_digraph(g: CostedDigraph, start: int = 0) -> NplsInstance:
         raise ValueError(f"start node {start} out of range")
     table = {v: [t] for v, t in enumerate(descent_steps(g))}
     costs = g.costs
-    d_bits = max((g.n_nodes - 1).bit_length(), 1)
-    return plain_instance(Polynomial.constant(d_bits), 0, table, start, lambda x, t: costs[t])
+    d = max((g.n_nodes - 1).bit_length(), 1)
+    return plain_instance(d, 0, table, start, lambda t: costs[t])
 
 
 @dataclass(frozen=True)
@@ -97,71 +93,14 @@ class NestedGraphFamily:
 
     ``children`` maps a node id to the backing subproblem and
     ``solution_to_edge`` maps (node, solution node of its child) to the
-    successor the solution points at.  Rank-zero problems carry no
-    children.
+    successor the solution points at.  The search never reads the
+    children of a rank-zero problem.
     """
 
     graph: CostedDigraph
     rank: int
     children: Mapping[int, "NestedGraphFamily"] = field(default_factory=dict)
     solution_to_edge: Mapping[tuple[int, int], int] = field(default_factory=dict)
-
-
-def validate_family(fam: NestedGraphFamily) -> list[str]:
-    """Collect every structural defect of a family, depth first.
-
-    Each problem's edges are put into sets once, so the check takes time
-    linear in the nodes, edges and solution tables of the family.
-    """
-    issues: list[str] = []
-
-    def visit(f: NestedGraphFamily, label: str) -> None:
-        g = f.graph
-        try:
-            check_cost_condition(g)
-        except CostConditionViolated as exc:
-            issues.append(f"{label}: {exc}")
-        edges = set(g.edges)
-        has_out = {s for (s, _) in edges}
-        loops = {s for (s, t) in edges if s == t}
-        for s in range(g.n_nodes):
-            if s not in has_out:
-                issues.append(f"{label}: node {s} has no outgoing edge")
-        if not loops:
-            issues.append(f"{label}: no trivial cycle anywhere")
-        if f.rank == 0 and f.children:
-            issues.append(f"{label}: rank-0 problem has children")
-        for node, child in sorted(f.children.items()):
-            if child.rank >= f.rank:
-                issues.append(
-                    f"{label}: child at node {node} has rank {child.rank}, parent {f.rank}"
-                )
-        if f.rank > 0:
-            for s in range(g.n_nodes):
-                if s not in f.children and s not in loops:
-                    issues.append(
-                        f"{label}: node {s} has neither a child problem nor a self-loop"
-                    )
-            for node, child in sorted(f.children.items()):
-                child_solutions = {s for (s, t) in child.graph.edges if s == t}
-                for sol in sorted(child_solutions):
-                    key = (node, sol)
-                    if key in f.solution_to_edge:
-                        tgt = f.solution_to_edge[key]
-                        if (node, tgt) not in edges:
-                            issues.append(
-                                f"{label}: solution table ({node},{sol}) -> {tgt} is not an edge"
-                            )
-                    elif node not in loops:
-                        issues.append(
-                            f"{label}: solution table misses ({node},{sol}) and node "
-                            f"{node} has no self-loop to fall back on"
-                        )
-        for node, child in sorted(f.children.items()):
-            visit(child, f"{label}.{node}")
-
-    visit(fam, "top")
-    return issues
 
 
 def _flatten(fam: NestedGraphFamily) -> list[NestedGraphFamily]:
@@ -189,7 +128,10 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
     has some outgoing edge, which keeps the step functions total.  Cost
     conformance and rank relationships are not enforced, so a
     deliberately broken family still compiles and its defects surface
-    as failed conditions in the checker.
+    as failed conditions in ``verify_npls_conditions``, the one family
+    checker.  A rank-zero edge that does not decrease the cost is no
+    descent step, so no row holds it; ``check_cost_condition`` on the
+    graph is what sees it.
     """
     problems = _flatten(fam)
     pid_of = {id(p): i for i, p in enumerate(problems)}
@@ -225,7 +167,7 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
         return t >> node_bits, t & node_mask
 
     # Problem s owns the ids pack(s, 0) .. pack(s, n_nodes - 1).
-    def row(x: int, s: int) -> dict[int, list[int]] | None:
+    def row(s: int) -> dict[int, list[int]] | None:
         if not 0 <= s < n_problems:
             return None
         g = problems[s].graph
@@ -237,11 +179,11 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
             out[a].append(base + b)
         return {base + v: zs for v, zs in enumerate(out)}
 
-    def gen_source(x: int, s: int, y: int) -> int:
+    def gen_source(s: int, y: int) -> int:
         node = y & node_mask
         return child_pid.get((s, node), s)
 
-    def extract(x: int, s: int, y: int, z: int) -> int:
+    def extract(s: int, y: int, z: int) -> int:
         node = y & node_mask
         _, sol = unpack(z)
         key = (s, node, sol)
@@ -252,15 +194,15 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
         raise InvariantViolation(f"no translation for solution {sol} at node {node} of {s}")
 
     return NplsInstance(
-        d_bound=Polynomial.constant(pid_bits + node_bits),
-        sources=lambda x: list(range(n_problems)),
+        d=pid_bits + node_bits,
+        sources=lambda: list(range(n_problems)),
         row=row,
-        initial_source=lambda x: 0,
-        initial_target=lambda x, s: pack(s, 0),
-        cost=lambda x, t: costs[t >> node_bits][t & node_mask],
+        initial_source=lambda: 0,
+        initial_target=lambda s: pack(s, 0),
+        cost=lambda t: costs[t >> node_bits][t & node_mask],
         gen_source=gen_source,
         extract=extract,
-        rank=lambda x, s: ranks[s] if 0 <= s < n_problems else 0,
+        rank=lambda s: ranks[s] if 0 <= s < n_problems else 0,
     )
 
 

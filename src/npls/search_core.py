@@ -1,12 +1,14 @@
 """Local search instances, solvers and the condition checker.
 
-A nested local search instance is a family, indexed by a natural number
-parameter x, of source rows, each with its own target set, a neighbor
-relation on those targets, an initial row and target, and a cost
-function.  All points are naturals whose bit length is bounded by a
-polynomial in the bit length of x, so the whole point space is
-enumerable at desk scale.  A target that is its own neighbor is a
-solution of its row.
+The paper's nested local search problem is a family, uniform in a
+natural number parameter x.  Here that uniformity lives in
+``DerivationTemplate``: ``expand_template`` fixes x before any instance
+exists, so an instance is one member of the family, at one x.  It has
+source rows, each with its own target set, a neighbor relation on those
+targets, an initial row and target, and a cost function.  All points
+are naturals below ``2**d`` for the instance's bit bound ``d``, so the
+whole point space is enumerable at desk scale.  A target that is its
+own neighbor is a solution of its row.
 
 Rows carry a rank.  On a rank zero row the neighbor relation is the
 graph of a step function and the search is plain descent.  On a
@@ -44,36 +46,6 @@ PointId = int
 DOMAIN_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """A polynomial with non-negative integer coefficients.
-
-    ``coeffs[i]`` multiplies the i-th power of the argument.  Bounds in
-    this package are always of this shape, so evaluating one can never
-    go negative.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.coeffs):
-            raise ValueError("coefficients must be non-negative")
-
-    @classmethod
-    def constant(cls, c: int) -> "Polynomial":
-        return cls((c,))
-
-    def __call__(self, n: int) -> int:
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * n + c
-        return total
-
-
-def _bits(x: int) -> int:
-    return x.bit_length()
-
-
 def _lists(ids: list[PointId], t: PointId) -> bool:
     """Membership in an ascending id list."""
     i = bisect_left(ids, t)
@@ -82,36 +54,39 @@ def _lists(ids: list[PointId], t: PointId) -> bool:
 
 @dataclass(frozen=True)
 class NplsInstance:
-    """A nested local search family.
+    """One member, at one x, of a nested local search family.
 
-    ``sources(x)`` lists the source rows in ascending order of id, and
-    ``row(x, s)`` tabulates one of them: a dict whose keys are the row's
-    target ids in ascending order, each mapped to the ascending list of
-    its neighbors.  It returns None when ``s`` is not a source.  A
-    target that lists itself is a solution of its row; on a rank-zero
+    The paper's family is uniform in x; that uniformity lives in
+    ``DerivationTemplate``, which is expanded at x before an instance is
+    built, so no callable here takes x.  Every point id is below
+    ``2**d``.  ``sources()`` lists the source rows in ascending order of
+    id, and ``row(s)`` tabulates one of them: a dict whose keys are the
+    row's target ids in ascending order, each mapped to the ascending
+    list of its neighbors.  It returns None when ``s`` is not a source.
+    A target that lists itself is a solution of its row; on a rank-zero
     row every target lists exactly one neighbor, its step.
     ``gen_source`` and ``extract`` realize the descent into and the
     return from a subproblem.  ``plain_instance`` builds the one-row,
     rank-zero case.
     """
 
-    d_bound: Polynomial
-    sources: Callable[[int], list[PointId]]
-    row: Callable[[int, PointId], dict[PointId, list[PointId]] | None]
-    initial_source: Callable[[int], PointId]
-    initial_target: Callable[[int, PointId], PointId]
-    cost: Callable[[int, PointId], int]
-    gen_source: Callable[[int, PointId, PointId], PointId]
-    extract: Callable[[int, PointId, PointId, PointId], PointId]
-    rank: Callable[[int, PointId], int]
+    d: int
+    sources: Callable[[], list[PointId]]
+    row: Callable[[PointId], dict[PointId, list[PointId]] | None]
+    initial_source: Callable[[], PointId]
+    initial_target: Callable[[PointId], PointId]
+    cost: Callable[[PointId], int]
+    gen_source: Callable[[PointId, PointId], PointId]
+    extract: Callable[[PointId, PointId, PointId], PointId]
+    rank: Callable[[PointId], int]
 
 
 def plain_instance(
-    d_bound: Polynomial,
+    d: int,
     source: PointId,
     table: dict[PointId, list[PointId]],
     initial: PointId,
-    cost: Callable[[int, PointId], int],
+    cost: Callable[[PointId], int],
 ) -> NplsInstance:
     """A plain local search problem as a one-row, rank-zero instance.
 
@@ -121,15 +96,15 @@ def plain_instance(
     ``extract`` are the identity.
     """
     return NplsInstance(
-        d_bound=d_bound,
-        sources=lambda x: [source],
-        row=lambda x, s: table if s == source else None,
-        initial_source=lambda x: source,
-        initial_target=lambda x, s: initial,
+        d=d,
+        sources=lambda: [source],
+        row=lambda s: table if s == source else None,
+        initial_source=lambda: source,
+        initial_target=lambda s: initial,
         cost=cost,
-        gen_source=lambda x, s, y: s,
-        extract=lambda x, s, y, z: y,
-        rank=lambda x, s: 0,
+        gen_source=lambda s, y: s,
+        extract=lambda s, y, z: y,
+        rank=lambda s: 0,
     )
 
 
@@ -212,9 +187,9 @@ class SearchTrace:
             raise InvariantViolation("trace ends inside an open row")
 
 
-def _default_budget(inst: NplsInstance, x: int) -> int:
+def _default_budget(inst: NplsInstance) -> int:
     # Generous but finite: the point space is 2^d, costs live below it.
-    return 1 << (inst.d_bound(_bits(x)) + 2)
+    return 1 << (inst.d + 2)
 
 
 def _spend(steps: list[TraceStep], budget: int) -> None:
@@ -223,9 +198,9 @@ def _spend(steps: list[TraceStep], budget: int) -> None:
 
 
 def _initial_target(
-    inst: NplsInstance, x: int, s: PointId, row: dict[PointId, list[PointId]]
+    inst: NplsInstance, s: PointId, row: dict[PointId, list[PointId]]
 ) -> PointId:
-    y = inst.initial_target(x, s)
+    y = inst.initial_target(s)
     if y not in row:
         raise InvariantViolation(f"initial target {y} is not a target of row {s}")
     return y
@@ -233,7 +208,6 @@ def _initial_target(
 
 def _descend(
     inst: NplsInstance,
-    x: int,
     s: PointId,
     row: dict[PointId, list[PointId]],
     steps: list[TraceStep],
@@ -246,8 +220,8 @@ def _descend(
     step that leaves the row or does not cost less raises at once, so
     strict cost decrease alone bounds the walk.
     """
-    y = _initial_target(inst, x, s, row)
-    cost_y = inst.cost(x, y)
+    y = _initial_target(inst, s, row)
+    cost_y = inst.cost(y)
     action = INIT_TARGET
     while True:
         _spend(steps, budget)
@@ -262,7 +236,7 @@ def _descend(
             return y
         if z not in row:
             raise InvariantViolation(f"rank-0 step left the targets of row {s}")
-        cost_z = inst.cost(x, z)
+        cost_z = inst.cost(z)
         if cost_z >= cost_y:
             raise CostViolation(f"rank-0 step {y} -> {z} did not decrease cost")
         steps.append(TraceStep(s, y, 0, cost_y, action))
@@ -270,101 +244,105 @@ def _descend(
         y, cost_y = z, cost_z
 
 
-def _initial_row(inst: NplsInstance, x: int) -> tuple[PointId, dict[PointId, list[PointId]]]:
-    top = inst.initial_source(x)
-    row = inst.row(x, top)
+def _initial_row(inst: NplsInstance) -> tuple[PointId, dict[PointId, list[PointId]]]:
+    top = inst.initial_source()
+    row = inst.row(top)
     if row is None:
         raise InvariantViolation("initial source is not a source")
     return top, row
 
 
-def solve_pls(
-    inst: NplsInstance,
-    x: int,
-    max_steps: int | None = None,
-) -> tuple[PointId, SearchTrace]:
+def solve_pls(inst: NplsInstance, max_steps: int | None = None) -> tuple[PointId, SearchTrace]:
     """Plain descent on the initial row, which must have rank zero.
 
     A plain problem is the one-row, rank-zero case of a nested one, so
     this runs the same descent that ``solve_npls`` runs on each
     rank-zero row it opens, and records the same trace.
     """
-    budget = _default_budget(inst, x) if max_steps is None else max_steps
-    top, row = _initial_row(inst, x)
-    rank = inst.rank(x, top)
+    budget = _default_budget(inst) if max_steps is None else max_steps
+    top, row = _initial_row(inst)
+    rank = inst.rank(top)
     if rank != 0:
         raise RankViolation(f"plain search needs a rank-0 initial row, not rank {rank}")
     steps: list[TraceStep] = []
-    solution = _descend(inst, x, top, row, steps, budget)
+    solution = _descend(inst, top, row, steps, budget)
     return solution, SearchTrace(tuple(steps))
 
 
-def solve_npls(
-    inst: NplsInstance,
-    x: int,
-    max_steps: int | None = None,
-) -> tuple[PointId, SearchTrace]:
+def solve_npls(inst: NplsInstance, max_steps: int | None = None) -> tuple[PointId, SearchTrace]:
     """Run the nested search from the initial source row.
 
     Each row is fetched once, when the search opens it.  Rank-zero rows
     run plain descent.  On a positive-rank row a target that does not
     list itself spawns a subproblem via ``gen_source``; its solution is
-    pushed back through ``extract``.  Returns the solving target of the
+    pushed back through ``extract``.  The open positive-rank rows form
+    an explicit stack, so nesting depth is bounded by the step budget,
+    not by Python's recursion limit.  Returns the solving target of the
     initial row together with the full trace.
     """
-    budget = _default_budget(inst, x) if max_steps is None else max_steps
+    budget = _default_budget(inst) if max_steps is None else max_steps
     steps: list[TraceStep] = []
-
-    def solve(s: PointId, row: dict[PointId, list[PointId]]) -> PointId:
-        rank = inst.rank(x, s)
+    # One [source, row, rank, current target] per open positive-rank row.
+    stack: list[list] = []
+    s, row = _initial_row(inst)
+    top_row = row
+    while True:
+        # Open row s: a rank-zero row is solved at once, into z; any
+        # other row is pushed with its initial target.
+        rank = inst.rank(s)
         if rank == 0:
-            return _descend(inst, x, s, row, steps, budget)
-        y = _initial_target(inst, x, s, row)
-        _spend(steps, budget)
-        steps.append(TraceStep(s, y, rank, inst.cost(x, y), INIT_TARGET))
-        while not _lists(row[y], y):
-            child = inst.gen_source(x, s, y)
-            child_row = inst.row(x, child)
-            if child_row is None:
-                raise InvariantViolation(f"generated source {child} is not a source")
-            child_rank = inst.rank(x, child)
-            if child_rank >= rank:
-                raise RankViolation(
-                    f"subproblem rank {child_rank} does not drop below {rank}"
-                )
+            z = _descend(inst, s, row, steps, budget)
+        else:
+            y = _initial_target(inst, s, row)
             _spend(steps, budget)
-            steps.append(TraceStep(child, y, child_rank, inst.cost(x, y), DESCEND))
-            z = solve(child, child_row)
-            y2 = inst.extract(x, s, y, z)
-            if y2 not in row:
-                raise InvariantViolation(f"extracted point {y2} left the targets of row {s}")
-            if y2 != y:
-                if inst.cost(x, y2) >= inst.cost(x, y):
-                    raise CostViolation(f"extract {y} -> {y2} did not decrease cost")
-                if not _lists(row[y], y2):
-                    raise InvariantViolation(
-                        f"extracted point {y2} is not a neighbor of {y} in row {s}"
-                    )
-                _spend(steps, budget)
-                steps.append(TraceStep(s, y2, rank, inst.cost(x, y2), EXTRACT))
-            y = y2
+            steps.append(TraceStep(s, y, rank, inst.cost(y), INIT_TARGET))
+            stack.append([s, row, rank, y])
+            z = None
+        # Lift z into the innermost open row, and close rows while their
+        # target is a solution; stop at the first one that needs a subproblem.
+        while stack:
+            frame = stack[-1]
+            s, row, rank, y = frame
+            if z is not None:
+                y2 = inst.extract(s, y, z)
+                if y2 not in row:
+                    raise InvariantViolation(f"extracted point {y2} left the targets of row {s}")
+                if y2 != y:
+                    if inst.cost(y2) >= inst.cost(y):
+                        raise CostViolation(f"extract {y} -> {y2} did not decrease cost")
+                    if not _lists(row[y], y2):
+                        raise InvariantViolation(
+                            f"extracted point {y2} is not a neighbor of {y} in row {s}"
+                        )
+                    _spend(steps, budget)
+                    steps.append(TraceStep(s, y2, rank, inst.cost(y2), EXTRACT))
+                y = frame[3] = y2
+            if not _lists(row[y], y):
+                break
+            _spend(steps, budget)
+            steps.append(TraceStep(s, y, rank, inst.cost(y), SOLVED))
+            stack.pop()
+            z = y
+        else:
+            # Every open row has closed, so z solves the initial row.
+            solution = z
+            break
+        child = inst.gen_source(s, y)
+        child_row = inst.row(child)
+        if child_row is None:
+            raise InvariantViolation(f"generated source {child} is not a source")
+        child_rank = inst.rank(child)
+        if child_rank >= rank:
+            raise RankViolation(f"subproblem rank {child_rank} does not drop below {rank}")
         _spend(steps, budget)
-        steps.append(TraceStep(s, y, rank, inst.cost(x, y), SOLVED))
-        return y
-
-    top, top_row = _initial_row(inst, x)
-    try:
-        solution = solve(top, top_row)
-    finally:
-        # solve reaches itself through its closure; unbinding it frees
-        # that cycle, and the instance with it, without the cycle collector.
-        del solve
+        steps.append(TraceStep(child, y, child_rank, inst.cost(y), DESCEND))
+        s, row = child, child_row
     if not _lists(top_row[solution], solution):
         raise InvariantViolation("search ended on a non-solution")
     return solution, SearchTrace(tuple(steps))
 
 
-def brute_force_npls(inst: NplsInstance, x: int, s: PointId) -> PointId:
+def brute_force_npls(inst: NplsInstance, s: PointId) -> PointId:
     """The minimum-cost target of a source row, by full enumeration.
 
     This is the totality oracle: a minimum-cost target is always a
@@ -372,15 +350,15 @@ def brute_force_npls(inst: NplsInstance, x: int, s: PointId) -> PointId:
     point of the space against the row, so ``DOMAIN_LIMIT`` bounds its
     work.  Ties break toward the smallest id.
     """
-    space = 1 << inst.d_bound(_bits(x))
+    space = 1 << inst.d
     if space > DOMAIN_LIMIT:
-        raise DomainTooLarge(f"point space 2^{inst.d_bound(_bits(x))} exceeds the limit")
-    row = inst.row(x, s) or {}
+        raise DomainTooLarge(f"point space 2^{inst.d} exceeds the limit")
+    row = inst.row(s) or {}
     best: PointId | None = None
     best_cost = -1
     for t in range(space):
         if t in row:
-            c = inst.cost(x, t)
+            c = inst.cost(t)
             if best is None or c < best_cost:
                 best, best_cost = t, c
     if best is None:
@@ -443,7 +421,7 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def verify_npls_conditions(inst: NplsInstance, x: int) -> ConditionReport:
+def verify_npls_conditions(inst: NplsInstance) -> ConditionReport:
     """Test the nine nested-search conditions by enumeration.
 
     Every listed source row is fetched once, and its targets and each
@@ -456,19 +434,18 @@ def verify_npls_conditions(inst: NplsInstance, x: int) -> ConditionReport:
     in the rows, so the bit bound checks the ids the table holds.  Each
     failing check reports the first counterexample in scan order.
     """
-    d = inst.d_bound(_bits(x))
-    space = 1 << d
+    space = 1 << inst.d
     if space > DOMAIN_LIMIT:
-        raise DomainTooLarge(f"point space 2^{d} exceeds the limit")
+        raise DomainTooLarge(f"point space 2^{inst.d} exceeds the limit")
 
     def guarded(fn, *args):
         try:
-            return fn(x, *args), None
+            return fn(*args), None
         except Exception as exc:  # noqa: BLE001 - verifier reports, never raises
             return None, _failure(exc)
 
-    sources = inst.sources(x)
-    table = {s: inst.row(x, s) for s in sources}
+    sources = inst.sources()
+    table = {s: inst.row(s) for s in sources}
     source_set = set(sources)
     solutions = {s: [y for y, zs in row.items() if _lists(zs, y)] for s, row in table.items()}
 
@@ -523,7 +500,7 @@ def verify_npls_conditions(inst: NplsInstance, x: int) -> ConditionReport:
     @run("rank0_function")
     def _rank0():
         for s in sources:
-            if inst.rank(x, s) != 0:
+            if inst.rank(s) != 0:
                 continue
             for y, zs in table[s].items():
                 if len(zs) != 1:
@@ -533,7 +510,7 @@ def verify_npls_conditions(inst: NplsInstance, x: int) -> ConditionReport:
     @run("rank_descent")
     def _descent():
         for s in sources:
-            r = inst.rank(x, s)
+            r = inst.rank(s)
             if r == 0:
                 continue
             for y, zs in table[s].items():
@@ -542,8 +519,8 @@ def verify_npls_conditions(inst: NplsInstance, x: int) -> ConditionReport:
                 got, err = guarded(inst.gen_source, s, y)
                 if err is not None:
                     return (s, y), f"gen_source failed: {err}"
-                if inst.rank(x, got) >= r:
-                    return (s, y), f"subproblem rank {inst.rank(x, got)} >= {r}"
+                if inst.rank(got) >= r:
+                    return (s, y), f"subproblem rank {inst.rank(got)} >= {r}"
         return None
 
     @run("extract_lift")
@@ -552,7 +529,7 @@ def verify_npls_conditions(inst: NplsInstance, x: int) -> ConditionReport:
         # solution of its subproblem, so it calls ``extract`` unwrapped.
         extract = inst.extract
         for s in sources:
-            if inst.rank(x, s) == 0:
+            if inst.rank(s) == 0:
                 continue
             for y, zs in table[s].items():
                 child, err = guarded(inst.gen_source, s, y)
@@ -561,7 +538,7 @@ def verify_npls_conditions(inst: NplsInstance, x: int) -> ConditionReport:
                 neighbors = set(zs)
                 for z in solutions[child]:
                     try:
-                        got = extract(x, s, y, z)
+                        got = extract(s, y, z)
                     except Exception as exc:  # noqa: BLE001
                         return (s, y, z), f"extract failed: {_failure(exc)}"
                     if got not in neighbors:
@@ -595,9 +572,9 @@ def verify_npls_conditions(inst: NplsInstance, x: int) -> ConditionReport:
                 moves = [z for z in zs if z != y and z in row]
                 if not moves:
                     continue
-                cost_y = inst.cost(x, y)
+                cost_y = inst.cost(y)
                 for z in moves:
-                    if cost_y <= inst.cost(x, z):
+                    if cost_y <= inst.cost(z):
                         return (s, y, z), "neighbor step does not decrease cost"
         return None
 

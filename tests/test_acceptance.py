@@ -94,10 +94,10 @@ def _corpus():
 def test_criterion_1_nine_conditions_hold_on_the_corpus():
     start = time.perf_counter()
     for seed, inst in _corpus():
-        report = verify_npls_conditions(inst, 0)
+        report = verify_npls_conditions(inst)
         assert report.all_passed, (seed, report.lines())
     d = d3()
-    report = verify_npls_conditions(build_npls(ExtractionContext(d, MODE_NPLS)), d.end_x)
+    report = verify_npls_conditions(build_npls(ExtractionContext(d, MODE_NPLS)))
     assert report.all_passed, report.lines()
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, elapsed
@@ -131,22 +131,20 @@ def test_rows_tabulate_the_predicates():
     cases = []
     for fam in families:
         inst = npls_from_family(fam)
-        sources = inst.sources(0)
-        assert {s: inst.row(0, s) for s in sources} == _family_rows(fam)
-        cases.append((inst, 0))
+        assert {s: inst.row(s) for s in inst.sources()} == _family_rows(fam)
+        cases.append(inst)
     derivations = [d3()]
     derivations += [substitute_numeral(t_d3(), x) for x in range(11)]
     derivations += [random_sigma2_derivation(seed) for seed in range(30)]
     for d in derivations:
-        cases.append((build_npls(ExtractionContext(d, MODE_NPLS)), d.end_x))
-    for i, (inst, x) in enumerate(cases):
-        sources = inst.sources(x)
+        cases.append(build_npls(ExtractionContext(d, MODE_NPLS)))
+    for i, inst in enumerate(cases):
+        sources = inst.sources()
         assert sources == sorted(set(sources)), i
-        space = 1 << inst.d_bound(x.bit_length())
         # Every point of the space that is not a listed source has no row.
-        assert [p for p in range(space) if inst.row(x, p) is not None] == sources, i
+        assert [p for p in range(1 << inst.d) if inst.row(p) is not None] == sources, i
         for s in sources:
-            row = inst.row(x, s)
+            row = inst.row(s)
             assert list(row) == sorted(row), (i, s)
             for zs in row.values():
                 assert zs == sorted(set(zs)), (i, s)
@@ -155,10 +153,10 @@ def test_rows_tabulate_the_predicates():
 def test_criterion_2_nested_search_is_total_on_the_corpus():
     start = time.perf_counter()
     for seed, inst in _corpus():
-        y, trace = solve_npls(inst, 0)
-        assert y in inst.row(0, inst.initial_source(0))[y], seed
+        y, trace = solve_npls(inst)
+        assert y in inst.row(inst.initial_source())[y], seed
         for s in {step.source for step in trace.steps}:
-            brute_force_npls(inst, 0, s)
+            brute_force_npls(inst, s)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, elapsed
     print("criterion 2: pass")
@@ -252,8 +250,8 @@ def test_criterion_6_rank_zero_rows_collapse_onto_plain_search():
     for seed in range(1, 21):
         width = 1 + (seed - 1) % 8
         inst = npls_from_family(generate_family(seed, 0, width))
-        y_nested, nested = solve_npls(inst, 0)
-        y_plain, plain = solve_pls(inst, 0)
+        y_nested, nested = solve_npls(inst)
+        y_plain, plain = solve_pls(inst)
         assert y_nested == y_plain, seed
         assert nested.steps == plain.steps, seed
     print("criterion 6: pass")
@@ -317,7 +315,7 @@ def test_criterion_8_nine_conditions_hold_on_extracted_random_derivations():
     for seed in (19, 22, 99, 119, 122, 164, 176, 196):
         d = random_sigma2_derivation(seed)
         start = time.perf_counter()
-        report = verify_npls_conditions(build_npls(ExtractionContext(d, MODE_NPLS)), d.end_x)
+        report = verify_npls_conditions(build_npls(ExtractionContext(d, MODE_NPLS)))
         elapsed = time.perf_counter() - start
         assert report.all_passed, (seed, report.lines())
         assert elapsed < 1.0, (seed, elapsed)
@@ -333,10 +331,10 @@ def test_criterion_9_nine_conditions_hold_on_plain_extracted_derivations():
     for seed in range(300):
         d = random_sigma1_derivation(seed)
         inst = build_pls(ExtractionContext(d, MODE_PLS))
-        report = verify_npls_conditions(inst, d.end_x)
+        report = verify_npls_conditions(inst)
         assert report.all_passed, (seed, report.lines())
-        (source,) = inst.sources(d.end_x)
-        points += len(inst.row(d.end_x, source))
+        (source,) = inst.sources()
+        points += len(inst.row(source))
     elapsed = time.perf_counter() - start
     assert points == 622
     assert elapsed < 10.0, elapsed

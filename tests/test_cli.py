@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,20 @@ def test_validate_fixture_by_name(capsys):
     assert _lines(capsys) == ["ok mode=pls"]
     assert main(["validate", "D3"]) == 0
     assert _lines(capsys) == ["ok mode=npls"]
+
+
+def test_package_runs_as_a_module():
+    # The same command line without an installed ``npls`` script.
+    src = str(Path(npls.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "npls", "validate", "D2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok mode=pls\n", "")
 
 
 def test_validate_expands_templates(capsys):

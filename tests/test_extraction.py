@@ -149,12 +149,12 @@ def test_pls_neighbor_steps():
 def test_build_pls_frozen_shape():
     ctx = _pls_ctx()
     inst = build_pls(ctx)
-    assert inst.sources(0) == [5]
-    assert inst.row(0, 5) == {2: [2], 5: [2]}
-    assert inst.initial_source(0) == 5
-    assert inst.initial_target(0, 5) == 5
-    assert inst.cost(0, 5) == 5
-    assert inst.rank(0, 5) == 0
+    assert inst.sources() == [5]
+    assert inst.row(5) == {2: [2], 5: [2]}
+    assert inst.initial_source() == 5
+    assert inst.initial_target(5) == 5
+    assert inst.cost(5) == 5
+    assert inst.rank(5) == 0
 
 
 def test_build_pls_needs_pls_mode():
@@ -166,7 +166,7 @@ def test_build_pls_needs_pls_mode():
 
 def test_d2_solve_and_report():
     ctx = _pls_ctx()
-    solution, trace = solve_pls(build_pls(ctx), 0)
+    solution, trace = solve_pls(build_pls(ctx))
     assert solution == 2
     assert [(s.action, s.target, s.cost) for s in trace.steps] == [
         ("init-target", 5, 5),
@@ -254,7 +254,7 @@ def test_npls_extract_cases():
 
 def test_d3_solve_trace_is_frozen():
     inst = build_npls(_npls_ctx())
-    solution, trace = solve_npls(inst, 0)
+    solution, trace = solve_npls(inst)
     trace.check()
     assert solution == 3
     assert [(s.action, s.source, s.target, s.rank, s.cost) for s in trace.steps] == [
@@ -314,10 +314,10 @@ def test_build_npls_tables_match_the_path_level_definitions():
         inst = build_npls(ctx)
         paths = ctx.path_of
         ids = range(ctx.n_nodes)
-        assert inst.sources(0) == [s for s in ids if npls_sources(ctx, paths[s])], name
+        assert inst.sources() == [s for s in ids if npls_sources(ctx, paths[s])], name
         for s in ids:
             row = paths[s]
-            tabulated = inst.row(0, s)
+            tabulated = inst.row(s)
             assert (tabulated is not None) == npls_sources(ctx, row), (name, row)
             if tabulated is None:
                 continue

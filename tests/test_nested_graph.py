@@ -13,7 +13,6 @@ from npls.nested_graph import (
     generate_family,
     npls_from_family,
     pls_from_digraph,
-    validate_family,
 )
 from npls.search_core import (
     solve_npls,
@@ -54,7 +53,7 @@ def test_cost_condition():
 
 def _sink_from(g, start):
     """The end of cost descent from ``start``: a node with no cheaper successor."""
-    solution, _ = solve_pls(pls_from_digraph(g, start), 0)
+    solution, _ = solve_pls(pls_from_digraph(g, start))
     return solution
 
 
@@ -92,68 +91,64 @@ def test_pls_from_digraph_keeps_only_decreasing_edges():
     # Node 0 steps to 1, not to the cheaper 2; a self-loop is never a step.
     g = CostedDigraph(3, ((0, 2), (0, 1), (1, 2), (2, 2)), (3, 1, 0))
     inst = pls_from_digraph(g)
-    assert inst.row(0, 0) == {0: [1], 1: [2], 2: [2]}
+    assert inst.row(0) == {0: [1], 1: [2], 2: [2]}
     with pytest.raises(ValueError):
         pls_from_digraph(g1(), start=17)
 
 
-def test_validate_family_accepts_the_fixtures():
-    assert validate_family(ng2()) == []
-    assert validate_family(NestedGraphFamily(g1(), 0)) == []
+def _failed(fam):
+    """The failing conditions of a compiled family, with their counterexamples."""
+    report = verify_npls_conditions(npls_from_family(fam))
+    return {c.name: c.counterexample for c in report.checks if not c.passed}
+
+
+def test_verify_accepts_the_fixture_families():
+    assert _failed(ng2()) == {}
+    assert _failed(NestedGraphFamily(g1(), 0)) == {}
 
 
 def _loop_graph():
     return CostedDigraph(2, ((0, 1), (1, 1)), (1, 0))
 
 
-def test_validate_family_flags_cost_violations():
-    fam = NestedGraphFamily(CostedDigraph(2, ((0, 1), (1, 1)), (0, 1)), 0)
-    issues = validate_family(fam)
-    assert any("costs" in i for i in issues)
+def test_verify_flags_a_cost_violation_on_a_positive_rank():
+    # Node 0 steps to the dearer node 1; its child's solution lifts along that edge.
+    g = CostedDigraph(2, ((0, 1), (1, 1)), (0, 1))
+    fam = NestedGraphFamily(g, 1, {0: NestedGraphFamily(_loop_graph(), 0)}, {(0, 1): 1})
+    assert _failed(fam) == {"cost_decrease": (0, 0, 1)}
 
 
-def test_validate_family_flags_dead_ends_and_missing_loops():
-    fam = NestedGraphFamily(CostedDigraph(2, ((0, 1),), (1, 0)), 0)
-    issues = validate_family(fam)
-    assert any("no outgoing edge" in i for i in issues)
-    assert any("no trivial cycle" in i for i in issues)
-
-
-def test_validate_family_flags_rank0_children():
-    child = NestedGraphFamily(_loop_graph(), 0)
-    fam = NestedGraphFamily(_loop_graph(), 0, {0: child})
-    assert any("rank-0 problem has children" in i for i in validate_family(fam))
-
-
-def test_validate_family_flags_rank_inversions():
-    child = NestedGraphFamily(_loop_graph(), 1, {0: NestedGraphFamily(_loop_graph(), 0), 1: NestedGraphFamily(_loop_graph(), 0)})
+def test_verify_flags_rank_inversions():
+    grandchildren = {0: NestedGraphFamily(_loop_graph(), 0), 1: NestedGraphFamily(_loop_graph(), 0)}
+    child = NestedGraphFamily(_loop_graph(), 1, grandchildren)
     fam = NestedGraphFamily(_loop_graph(), 1, {0: child, 1: NestedGraphFamily(_loop_graph(), 0)})
-    assert any("has rank 1, parent 1" in i for i in validate_family(fam))
+    assert _failed(fam)["rank_descent"] == (0, 0)
 
 
-def test_validate_family_flags_unbacked_nodes():
+def test_verify_flags_unbacked_nodes():
+    # Node 0 has neither a child problem nor a self-loop.
     fam = NestedGraphFamily(_loop_graph(), 1, {1: NestedGraphFamily(_loop_graph(), 0)})
-    assert any(
-        "neither a child problem nor a self-loop" in i for i in validate_family(fam)
-    )
+    assert _failed(fam)["rank_descent"] == (0, 0)
 
 
-def test_validate_family_flags_broken_solution_tables():
+def test_verify_flags_broken_solution_tables():
+    # The child is shared, so it is problem 2 and its solution 1 is point 5.
     child = NestedGraphFamily(_loop_graph(), 0)
-    fam = NestedGraphFamily(
-        _loop_graph(), 1, {0: child, 1: child}, {(0, 1): 0, (1, 1): 1}
-    )
-    issues = validate_family(fam)
-    assert any("is not an edge" in i for i in issues)
+    fam = NestedGraphFamily(_loop_graph(), 1, {0: child, 1: child}, {(0, 1): 0, (1, 1): 1})
+    report = verify_npls_conditions(npls_from_family(fam))
+    assert _failed(fam) == {"extract_lift": (0, 0, 5)}
+    assert report.check("extract_lift").detail == "extracted point 0 is not a neighbor of 0"
 
+    # Without a table entry, node 0 has no self-loop to fall back on.
     fam = NestedGraphFamily(_loop_graph(), 1, {0: child, 1: child}, {})
-    issues = validate_family(fam)
-    assert any("no self-loop to fall back on" in i for i in issues)
+    report = verify_npls_conditions(npls_from_family(fam))
+    assert _failed(fam) == {"extract_lift": (0, 0, 5)}
+    assert "no translation for solution 1 at node 0" in report.check("extract_lift").detail
 
 
 def test_npls_from_family_requires_outgoing_edges():
     fam = NestedGraphFamily(CostedDigraph(2, ((0, 1),), (1, 0)), 0)
-    with pytest.raises(TotalityViolated):
+    with pytest.raises(TotalityViolated, match="node 1 has no outgoing edge"):
         npls_from_family(fam)
 
 
@@ -162,7 +157,7 @@ def test_rank0_step_needs_a_strictly_cheaper_successor():
     # costs is not a descent step, so node 0 rests on itself.
     fam = NestedGraphFamily(CostedDigraph(2, ((0, 1), (1, 1)), (1, 1)), 0)
     inst = npls_from_family(fam)
-    assert inst.row(0, 0) == {0: [0], 1: [1]}
+    assert inst.row(0) == {0: [0], 1: [1]}
 
 
 def test_broken_costs_compile_and_fail_the_condition_check():
@@ -176,7 +171,7 @@ def test_broken_costs_compile_and_fail_the_condition_check():
         fam.children,
         fam.solution_to_edge,
     )
-    report = verify_npls_conditions(npls_from_family(bad), 0)
+    report = verify_npls_conditions(npls_from_family(bad))
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {"cost_decrease"}
     assert report.check("cost_decrease").counterexample == (0, 0, 2)
@@ -185,9 +180,9 @@ def test_broken_costs_compile_and_fail_the_condition_check():
 def test_top_problem_points_are_node_ids():
     fam = ng2()
     inst = npls_from_family(fam)
-    solution, _ = solve_npls(inst, 0)
-    assert inst.initial_source(0) == 0
-    assert solution in inst.row(0, 0)
+    solution, _ = solve_npls(inst)
+    assert inst.initial_source() == 0
+    assert solution in inst.row(0)
     assert 0 <= solution < fam.graph.n_nodes
 
 
@@ -219,6 +214,12 @@ def test_generate_family_bounds():
 def test_generated_families_conform():
     for seed in range(1, 11):
         fam = generate_family(seed, 2, 4)
-        assert validate_family(fam) == []
-        report = verify_npls_conditions(npls_from_family(fam), 0)
+        # Rank-zero edges are invisible to the verifier, which reads
+        # only descent steps there, so every graph is checked directly.
+        stack = [fam]
+        while stack:
+            f = stack.pop()
+            check_cost_condition(f.graph)
+            stack.extend(f.children.values())
+        report = verify_npls_conditions(npls_from_family(fam))
         assert report.all_passed, [c.name for c in report.checks if not c.passed]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -27,7 +28,6 @@ from npls.search_core import (
     RANK0_STEP,
     SOLVED,
     NplsInstance,
-    Polynomial,
     SearchTrace,
     TraceStep,
     brute_force_npls,
@@ -38,24 +38,15 @@ from npls.search_core import (
 )
 
 
-def test_polynomial():
-    p = Polynomial((2, 3))
-    assert p(0) == 2
-    assert p(4) == 14
-    assert Polynomial.constant(5)(100) == 5
-    with pytest.raises(ValueError):
-        Polynomial((1, -1))
-
-
 def _chain(n, initial=None, step=lambda s: max(s - 1, 0)):
     # Node ids are their own costs; everything walks down to 0.
     table = {s: [step(s)] for s in range(n)}
-    d_bound = Polynomial.constant(max((n - 1).bit_length(), 1))
-    return plain_instance(d_bound, 0, table, n - 1 if initial is None else initial, lambda x, t: t)
+    d = max((n - 1).bit_length(), 1)
+    return plain_instance(d, 0, table, n - 1 if initial is None else initial, lambda t: t)
 
 
 def test_solve_pls_walks_a_chain():
-    solution, trace = solve_pls(_chain(8), 0)
+    solution, trace = solve_pls(_chain(8))
     assert solution == 0
     assert trace.targets() == [7, 6, 5, 4, 3, 2, 1, 0]
     assert [s.action for s in trace.steps] == [INIT_TARGET] + [RANK0_STEP] * 6 + [SOLVED]
@@ -63,7 +54,7 @@ def test_solve_pls_walks_a_chain():
 
 
 def test_solve_pls_identity_case_is_one_step():
-    solution, trace = solve_pls(_chain(8, initial=0), 0)
+    solution, trace = solve_pls(_chain(8, initial=0))
     assert solution == 0
     assert trace.step_count == 1
     assert trace.steps[0].action == SOLVED
@@ -72,40 +63,40 @@ def test_solve_pls_identity_case_is_one_step():
 
 def test_solve_pls_budget():
     with pytest.raises(StepBudgetExceeded):
-        solve_pls(_chain(8), 0, max_steps=3)
+        solve_pls(_chain(8), max_steps=3)
 
 
 def test_solve_pls_rejects_infeasible_initial():
     with pytest.raises(InvariantViolation):
-        solve_pls(_chain(8, initial=99), 0)
+        solve_pls(_chain(8, initial=99))
 
 
 def test_solve_pls_rejects_cost_increase():
     with pytest.raises(CostViolation):
-        solve_pls(_chain(8, initial=0, step=lambda s: min(s + 1, 7)), 0)
+        solve_pls(_chain(8, initial=0, step=lambda s: min(s + 1, 7)))
 
 
 def test_solve_pls_rejects_infeasible_neighbor():
     with pytest.raises(InvariantViolation):
-        solve_pls(_chain(8, step=lambda s: -1), 0)
+        solve_pls(_chain(8, step=lambda s: -1))
 
 
 def test_solve_pls_rejects_a_positive_rank_initial_row():
-    inst = dataclasses.replace(_chain(8), rank=lambda x, s: 1)
+    inst = dataclasses.replace(_chain(8), rank=lambda s: 1)
     with pytest.raises(RankViolation):
-        solve_pls(inst, 0)
+        solve_pls(inst)
 
 
 def test_digraph_instance_solves_to_the_sink():
     inst = pls_from_digraph(g1())
-    solution, trace = solve_pls(inst, 0)
+    solution, trace = solve_pls(inst)
     assert solution == 5
     assert trace.step_count == 3
     assert trace.targets() == [0, 1, 5]
 
 
 def _fixed_points(inst):
-    return {y for y, zs in inst.row(0, 0).items() if zs == [y]}
+    return {y for y, zs in inst.row(0).items() if zs == [y]}
 
 
 def test_self_loop_predicate_marks_exactly_the_local_minima():
@@ -114,12 +105,12 @@ def test_self_loop_predicate_marks_exactly_the_local_minima():
     for g in graphs:
         nested = npls_from_family(NestedGraphFamily(g, 0))
         # The top problem has problem id 0, so its packed points are node ids.
-        loops = {y for y, zs in nested.row(0, 0).items() if y in zs}
+        loops = {y for y, zs in nested.row(0).items() if y in zs}
         assert _fixed_points(pls_from_digraph(g)) == loops
 
 
 def test_digraph_neighbor_prefers_the_smallest_id():
-    row = pls_from_digraph(g1()).row(0, 0)
+    row = pls_from_digraph(g1()).row(0)
     assert row[0] == [1]
     assert row[1] == [5]
     assert row[5] == [5]
@@ -167,10 +158,10 @@ def test_trace_check_rejects_shape_violations():
 def test_solve_npls_on_the_family_fixture():
     fam = ng2()
     inst = npls_from_family(fam)
-    solution, trace = solve_npls(inst, 0)
+    solution, trace = solve_npls(inst)
     trace.check()
-    top = inst.initial_source(0)
-    assert solution in inst.row(0, top)[solution]
+    top = inst.initial_source()
+    assert solution in inst.row(top)[solution]
     # The top problem has problem id 0, so its packed points are node ids.
     assert top == 0 and 0 <= solution < fam.graph.n_nodes
     assert (solution, solution) in set(fam.graph.edges)
@@ -180,107 +171,142 @@ def test_solve_npls_on_the_family_fixture():
 
 
 def test_solve_npls_rejects_constant_cost():
-    inst = dataclasses.replace(npls_from_family(ng2()), cost=lambda x, t: 7)
+    inst = dataclasses.replace(npls_from_family(ng2()), cost=lambda t: 7)
     with pytest.raises(CostViolation):
-        solve_npls(inst, 0)
+        solve_npls(inst)
 
 
 def test_solve_npls_rejects_rank_plateau():
-    inst = dataclasses.replace(npls_from_family(ng2()), rank=lambda x, s: 5)
+    inst = dataclasses.replace(npls_from_family(ng2()), rank=lambda s: 5)
     with pytest.raises(RankViolation):
-        solve_npls(inst, 0)
+        solve_npls(inst)
 
 
 def test_solve_npls_rejects_bad_initial_source():
-    inst = dataclasses.replace(npls_from_family(ng2()), initial_source=lambda x: 999)
+    inst = dataclasses.replace(npls_from_family(ng2()), initial_source=lambda: 999)
     with pytest.raises(InvariantViolation):
-        solve_npls(inst, 0)
+        solve_npls(inst)
 
 
 def test_brute_force_finds_the_cheapest_target():
     fam = ng2()
     inst = npls_from_family(fam)
-    best = brute_force_npls(inst, 0, 0)
+    best = brute_force_npls(inst, 0)
     assert fam.graph.costs[best] == min(fam.graph.costs)
 
 
 def test_brute_force_error_cases():
     inst = npls_from_family(ng2())
     with pytest.raises(EmptyTargetSpace):
-        brute_force_npls(dataclasses.replace(inst, row=lambda x, s: {}), 0, 0)
+        brute_force_npls(dataclasses.replace(inst, row=lambda s: {}), 0)
     with pytest.raises(DomainTooLarge):
-        brute_force_npls(dataclasses.replace(inst, d_bound=Polynomial.constant(40)), 0, 0)
+        brute_force_npls(dataclasses.replace(inst, d=40), 0)
 
 
 def test_verify_reports_all_nine_conditions_in_order():
-    report = verify_npls_conditions(npls_from_family(ng2()), 0)
+    report = verify_npls_conditions(npls_from_family(ng2()))
     assert [c.name for c in report.checks] == list(CONDITION_NAMES)
     assert report.all_passed
     assert all("pass" in line for line in report.lines())
 
 
 def test_verify_pinpoints_a_constant_cost():
-    inst = dataclasses.replace(npls_from_family(ng2()), cost=lambda x, t: 7)
-    report = verify_npls_conditions(inst, 0)
+    inst = dataclasses.replace(npls_from_family(ng2()), cost=lambda t: 7)
+    report = verify_npls_conditions(inst)
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {"cost_decrease"}
     assert report.check("cost_decrease").counterexample is not None
 
 
 def test_verify_pinpoints_a_rank_plateau():
-    inst = dataclasses.replace(npls_from_family(ng2()), rank=lambda x, s: 5)
-    report = verify_npls_conditions(inst, 0)
+    inst = dataclasses.replace(npls_from_family(ng2()), rank=lambda s: 5)
+    report = verify_npls_conditions(inst)
     assert not report.check("rank_descent").passed
 
 
 def test_verify_pinpoints_a_bad_initial_source():
-    inst = dataclasses.replace(npls_from_family(ng2()), initial_source=lambda x: 1 << 30)
-    report = verify_npls_conditions(inst, 0)
+    inst = dataclasses.replace(npls_from_family(ng2()), initial_source=lambda: 1 << 30)
+    report = verify_npls_conditions(inst)
     assert not report.check("initial_source").passed
 
 
 def _tabled_instance(table):
     """A rank-zero instance on 16 points that answers everything from ``table``."""
     return NplsInstance(
-        d_bound=Polynomial.constant(4),
-        sources=lambda x: sorted(table),
-        row=lambda x, s: table.get(s),
-        initial_source=lambda x: 0,
-        initial_target=lambda x, s: min(table[s]),
-        cost=lambda x, t: t,
-        gen_source=lambda x, s, y: s,
-        extract=lambda x, s, y, z: y,
-        rank=lambda x, s: 0,
+        d=4,
+        sources=lambda: sorted(table),
+        row=lambda s: table.get(s),
+        initial_source=lambda: 0,
+        initial_target=lambda s: min(table[s]),
+        cost=lambda t: t,
+        gen_source=lambda s, y: s,
+        extract=lambda s, y, z: y,
+        rank=lambda s: 0,
     )
 
 
 def test_verify_walks_every_edge_of_the_rows_table():
     # Target 3 lists 9, which is no target.  Nothing next to 9 is a
     # target, 0 or 15, so only a walk of the neighbor lists finds it.
-    report = verify_npls_conditions(_tabled_instance({0: {2: [2], 3: [2, 9]}}), 0)
+    report = verify_npls_conditions(_tabled_instance({0: {2: [2], 3: [2, 9]}}))
     domain = report.check("neighbor_domain")
     assert not domain.passed
     assert domain.counterexample == (0, 3, 9)
     assert domain.detail == "neighbor relation leaves the target set"
     assert report.check("rank0_function").counterexample == (0, 3)
     assert {c.name for c in report.checks if not c.passed} == {"neighbor_domain", "rank0_function"}
-    assert verify_npls_conditions(_tabled_instance({0: {2: [2], 3: [2]}}), 0).all_passed
+    assert verify_npls_conditions(_tabled_instance({0: {2: [2], 3: [2]}})).all_passed
 
 
 @pytest.mark.parametrize("neighbors", [[], [2, 3]])
 def test_solve_npls_needs_one_step_per_rank0_target(neighbors):
     # Target 3 opens the row; a step function gives it exactly one neighbor.
     inst = _tabled_instance({0: {2: [2], 3: neighbors}})
-    inst = dataclasses.replace(inst, initial_target=lambda x, s: 3)
+    inst = dataclasses.replace(inst, initial_target=lambda s: 3)
     with pytest.raises(InvariantViolation, match=f"lists {len(neighbors)} neighbors"):
-        solve_npls(inst, 0)
-    assert not verify_npls_conditions(inst, 0).check("rank0_function").passed
+        solve_npls(inst)
+    assert not verify_npls_conditions(inst).check("rank0_function").passed
 
 
 def test_rank0_adapter_matches_the_nested_solver():
     inst = npls_from_family(NestedGraphFamily(g1(), 0))
-    y_nested, tr_nested = solve_npls(inst, 0)
-    y_plain, tr_plain = solve_pls(inst, 0)
+    y_nested, tr_nested = solve_npls(inst)
+    y_plain, tr_plain = solve_pls(inst)
     assert y_nested == y_plain == 5
     assert tr_nested.steps == tr_plain.steps
-    assert tr_plain.steps == solve_pls(pls_from_digraph(g1()), 0)[1].steps
+    assert tr_plain.steps == solve_pls(pls_from_digraph(g1()))[1].steps
+
+
+def _rank_chain(k):
+    """Rows 0..k-1, each of rank equal to its id.
+
+    Row s holds a stalled target 2s, which spawns row s - 1 and lifts
+    to the row's one solution 2s + 1.
+    """
+
+    def row(s):
+        return {2 * s: [2 * s + 1], 2 * s + 1: [2 * s + 1]} if 0 <= s < k else None
+
+    return NplsInstance(
+        d=(2 * k).bit_length(),
+        sources=lambda: list(range(k)),
+        row=row,
+        initial_source=lambda: k - 1,
+        initial_target=lambda s: 2 * s,
+        cost=lambda t: 1 - t % 2,
+        gen_source=lambda s, y: s - 1 if y == 2 * s and s > 0 else s,
+        extract=lambda s, y, z: 2 * s + 1,
+        rank=lambda s: s,
+    )
+
+
+def test_solve_npls_nests_deeper_than_the_recursion_limit():
+    k = 1200
+    assert k > sys.getrecursionlimit()
+    inst = _rank_chain(k)
+    assert verify_npls_conditions(inst).all_passed
+    solution, trace = solve_npls(inst)
+    trace.check()
+    assert solution == 2 * k - 1
+    # Each positive-rank row opens, descends, lifts and closes; row 0 opens and closes.
+    assert trace.step_count == 4 * (k - 1) + 2

@@ -82,7 +82,7 @@ def test_verify_walks_the_neighbor_lists_instead_of_asking_the_relation(tmp_path
     # per source row; asking a relation for each pair of targets took
     # 869,287 calls on this derivation.
     derivation = random_sigma2_derivation(20)
-    sources = build_npls(ExtractionContext(derivation, MODE_NPLS)).sources(derivation.end_x)
+    sources = build_npls(ExtractionContext(derivation, MODE_NPLS)).sources()
     path = tmp_path / "sigma2.json"
     path.write_text(dumps(derivation_to_json(derivation)), encoding="utf-8")
     tracer = _load_tracing().Tracer()
