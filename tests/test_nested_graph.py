@@ -148,8 +148,21 @@ def test_verify_flags_broken_solution_tables():
 
 def test_npls_from_family_requires_outgoing_edges():
     fam = NestedGraphFamily(CostedDigraph(2, ((0, 1),), (1, 0)), 0)
-    with pytest.raises(TotalityViolated, match="node 1 has no outgoing edge"):
+    with pytest.raises(TotalityViolated):
         npls_from_family(fam)
+
+
+def test_dead_ends_are_rejected_and_missing_loops_are_implicit():
+    # A node without an outgoing edge stops compilation, naming the node.
+    dead_end = NestedGraphFamily(CostedDigraph(2, ((0, 1),), (1, 0)), 0)
+    with pytest.raises(TotalityViolated, match="problem 0: node 1 has no outgoing edge"):
+        npls_from_family(dead_end)
+    # A graph without self-loops is no fault: the cheapest node has no
+    # strictly cheaper successor and rests on itself.
+    loopless = NestedGraphFamily(CostedDigraph(2, ((0, 1), (1, 0)), (1, 0)), 0)
+    inst = npls_from_family(loopless)
+    assert inst.row(0) == {0: [1], 1: [1]}
+    assert verify_npls_conditions(inst).all_passed
 
 
 def test_rank0_step_needs_a_strictly_cheaper_successor():
