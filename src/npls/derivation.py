@@ -14,9 +14,11 @@ applied at that node.  Four rules occur:
   value, followed by a final upper sequent adding the formula itself.
 
 Upper sequents always contain their lower sequent, so walking up the
-tree only ever grows the multiset.  Node paths are tuples of child
-indices; children of a wide rule are numbered by instance value, with
-the extra cut upper last.
+tree only ever grows the multiset.  Validation compares these multisets
+as sorted lists of formula ids, and keeps each sequent's set of ids for
+membership probes.  Node paths are tuples of child indices; children of
+a wide rule are numbered by instance value, with the extra cut upper
+last.
 
 The traversal order used as both cost and rank downstream is the
 post-order index: children before their parent, in increasing index
@@ -26,6 +28,7 @@ properly extends the other or is smaller at the first differing entry.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
@@ -188,10 +191,11 @@ class FormulaTable:
 
     Ids are handed out in order of first sight, so two formulas get the
     same id exactly when ``formulas_equal`` holds.  ``sequent`` maps a
-    node to its sequent as ids in sequent order and ``counter`` to the
-    multiset of those ids; ``added`` maps each child that validation
-    checked to the id of the formula it adds over its parent.  The ids
-    belong to this table alone and die with it.
+    node to its sequent as ids in sequent order, ``multiset`` to those
+    ids sorted, which is the sequent read as a multiset, and ``members``
+    to the set of those ids, for membership probes; ``added`` maps each
+    child that validation checked to the id of the formula it adds over
+    its parent.  The ids belong to this table alone and die with it.
 
     Decoded and expanded derivations share one object per distinct
     formula, so ``intern`` looks a formula up by identity first: each
@@ -206,7 +210,8 @@ class FormulaTable:
         # reused by another object while the table lives.
         self._by_object: dict[int, tuple[Formula, int]] = {}
         self.sequent: dict[NodePath, tuple[int, ...]] = {}
-        self.counter: dict[NodePath, Counter] = {}
+        self.multiset: dict[NodePath, list[int]] = {}
+        self.members: dict[NodePath, frozenset[int]] = {}
         self.added: dict[NodePath, int] = {}
 
     def intern(self, f: Formula) -> int:
@@ -225,13 +230,14 @@ class FormulaTable:
         """The normal form of every formula, indexed by id."""
         return list(self._ids)
 
-    def record(self, path: NodePath, sequent: tuple[Formula, ...]) -> Counter:
-        """Intern a node's sequent, once per node, and return its id multiset."""
-        got = self.counter.get(path)
+    def record(self, path: NodePath, sequent: tuple[Formula, ...]) -> list[int]:
+        """Intern a node's sequent, once per node, and return its sorted ids."""
+        got = self.multiset.get(path)
         if got is None:
             ids = tuple([self.intern(f) for f in sequent])
             self.sequent[path] = ids
-            got = self.counter[path] = Counter(ids)
+            self.members[path] = frozenset(ids)
+            got = self.multiset[path] = sorted(ids)
         return got
 
 
@@ -266,7 +272,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
 
     One pass fills the report's ``FormulaTable``: each node's sequent is
     interned once, each distinct formula normalized once, and upper
-    sequents are checked by comparing multisets of formula ids.  The
+    sequents are checked by comparing sorted lists of formula ids.  The
     class and free-variable checks also run once per distinct formula
     object; their issues are still flagged at every occurrence.
     """
@@ -417,20 +423,29 @@ def _check_child(
     d: Derivation,
     table: FormulaTable,
     path: NodePath,
-    base: Counter,
+    base: list[int],
     index: int,
     added: Formula,
     flag,
 ) -> None:
-    """The upper sequent must be the lower sequent (``base``) plus the added formula."""
+    """The upper sequent must be the lower sequent (``base``) plus the added formula.
+
+    ``base`` is the lower sequent's sorted ids.  An upper sequent
+    usually lists the added formula last; interning that equal
+    occurrence instead of the freshly built ``added`` finds its id by
+    identity, and equal formulas have the same id.
+    """
     child = path + (index,)
+    sequent = d.sequent(child)
+    if sequent and sequent[-1] == added:
+        added = sequent[-1]
     added_id = table.added[child] = table.intern(added)
     want = base.copy()
-    want[added_id] += 1
-    got = table.record(child, d.sequent(child))
+    insort(want, added_id)
+    got = table.record(child, sequent)
     if got != want:
-        missing = want - got
-        surplus = got - want
+        missing = Counter(want) - Counter(got)
+        surplus = Counter(got) - Counter(want)
         parts = []
         if missing:
             parts.append(f"missing {sum(missing.values())} formula(s)")

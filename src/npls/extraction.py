@@ -37,7 +37,6 @@ cost nothing because they end the row.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -103,7 +102,7 @@ class ExtractionContext:
     Construction validates the derivation in the requested mode.  A
     derivation whose formulas or rules do not fit the mode at all
     raises ModeError; any other defect raises ValidationFailed.  The
-    cached tables cover sequent multisets, rule classification, the
+    cached tables cover sequent id sets, rule classification, the
     truth of witnessing instances, post-order indices and child counts.
     ``d_max`` exceeds the deepest node by one, so exists-forall targets
     always cost at least one.
@@ -111,7 +110,8 @@ class ExtractionContext:
     Formulas are the int ids of the ``FormulaTable`` that validation
     built, read off the report of the one ``validate`` call:
     ``_seq_ids`` holds each node's sequent as ids in sequent order,
-    ``_seq_counter`` their multiset, ``_added`` the id of the formula
+    ``_seq_members`` the set of those ids, which membership probes and
+    per-distinct-formula scans read, ``_added`` the id of the formula
     each child adds, ``_principal`` the id of each rule's principal and
     ``end_id`` that of the end-formula.  Nothing is normalized past
     validation.
@@ -145,7 +145,7 @@ class ExtractionContext:
         self.end_formula: ExistsLit = root[0]
         table = report.table
         self._seq_ids = table.sequent
-        self._seq_counter = table.counter
+        self._seq_members = table.members
         self._added = table.added
         self.end_id = table.sequent[()][0]
 
@@ -157,12 +157,13 @@ class ExtractionContext:
         # children gives each node's child count.  Children come before
         # their parent in post-order, so a child's ``low`` is final when
         # it reaches the parent.
-        self._child_count: Counter = Counter()
+        self._child_count: dict[NodePath, int] = {}
         self.low = list(range(self.n_nodes))
         for i, path in enumerate(self.path_of):
             if path:
-                self._child_count[path[:-1]] += 1
-                parent = self.kb[path[:-1]]
+                up = path[:-1]
+                self._child_count[up] = self._child_count.get(up, 0) + 1
+                parent = self.kb[up]
                 self.low[parent] = min(self.low[parent], self.low[i])
 
         # Truth of each distinct formula id, evaluated on first need; a
@@ -239,7 +240,7 @@ class ExtractionContext:
         return self._left_upper[path]
 
     def child_count(self, path: NodePath) -> int:
-        return self._child_count[path]
+        return self._child_count.get(path, 0)
 
 
 def target_condition(ctx: ExtractionContext, path: NodePath) -> bool:
@@ -274,10 +275,10 @@ def _entry_point(ctx: ExtractionContext, path: NodePath, formula: int) -> NodePa
     """Shortest prefix of ``path`` whose sequent contains the formula.
 
     ``formula`` is an id of the context's formula table, and each prefix
-    is probed in its id multiset ``ctx._seq_counter``.
+    is probed in its id set ``ctx._seq_members``.
     """
     for k in range(len(path) + 1):
-        if formula in ctx._seq_counter[path[:k]]:
+        if formula in ctx._seq_members[path[:k]]:
             return path[:k]
     raise UnreachableCase("formula missing below its own node")
 
@@ -412,7 +413,7 @@ def npls_targets(ctx: ExtractionContext, sigma: NodePath, tau: NodePath) -> bool
             and _no_left_upper_between(ctx, sigma, tau)
         )
     if ctx.has_true_goal(tau):
-        return ctx.principal(tau) in ctx._seq_counter[sigma]
+        return ctx.principal(tau) in ctx._seq_members[sigma]
     return False
 
 
@@ -490,7 +491,7 @@ def npls_extract(
         )
     cut = entry[:-1]
     rho_principal = ctx.principal(rho)
-    if rho_principal in ctx._seq_counter[cut]:
+    if rho_principal in ctx._seq_members[cut]:
         return rho
     # kappa, the row's cut upper, adds the negated cut instance.
     kappa = cut + (ctx.witness_value(tau),)
@@ -568,7 +569,7 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
             return None
         # Each rule is listed once: under its owner, or under its principal.
         ts = sorted(
-            chain(owned.get(s, ()), *(goals_of.get(f, ()) for f in ctx._seq_counter[paths[s]]))
+            chain(owned.get(s, ()), *(goals_of.get(f, ()) for f in ctx._seq_members[paths[s]]))
         )
         # The exists-forall targets in low[y]..y-1 are y's descendants;
         # sorting two ascending runs merges them in linear time.

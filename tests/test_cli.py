@@ -1,21 +1,26 @@
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import npls.cli
 import npls.derivation
 import npls.extraction
 from npls.cli import main
-from npls.corpus import d2, t_d3
+from npls.corpus import FIXTURES, d2, random_sigma1_derivation, random_sigma2_derivation, t_d3
 from npls.derivation import ProofNode
-from npls.serialization import derivation_to_json, dumps, template_to_json
+from npls.serialization import derivation_to_json, document_to_json, dumps, template_to_json
 from npls.terms import LitFormula
 
 
@@ -446,3 +451,69 @@ def test_out_of_range_arguments_are_rejected(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: NplsError: --max-")
+
+
+# Contract fuzz: one leaf replaced or one key deleted, four commands.
+
+
+@cache
+def _fuzz_documents():
+    names = ("D1", "D2", "D3", "T-D2", "T-D3", "G1", "NG2")
+    docs = [document_to_json(FIXTURES[name]()) for name in names]
+    docs.append(derivation_to_json(random_sigma1_derivation(3)))
+    docs.append(derivation_to_json(random_sigma2_derivation(12)))
+    return docs
+
+
+def _edit_points(obj, at=()):
+    """Paths to every leaf (scalars and empty containers) and to every dict key."""
+    leaves, keys = [], []
+    if isinstance(obj, dict) and obj:
+        for key, value in obj.items():
+            keys.append(at + (key,))
+            sub_leaves, sub_keys = _edit_points(value, at + (key,))
+            leaves += sub_leaves
+            keys += sub_keys
+    elif isinstance(obj, list) and obj:
+        for i, value in enumerate(obj):
+            sub_leaves, sub_keys = _edit_points(value, at + (i,))
+            leaves += sub_leaves
+            keys += sub_keys
+    else:
+        leaves.append(at)
+    return leaves, keys
+
+
+def _edited(obj, at, leaf=None, delete=False):
+    head, rest = at[0], at[1:]
+    if rest:
+        value = _edited(obj[head], rest, leaf, delete)
+    elif delete:
+        return {k: v for k, v in obj.items() if k != head}
+    else:
+        value = leaf
+    if isinstance(obj, dict):
+        return {**obj, head: value}
+    return [*obj[:head], value, *obj[head + 1 :]]
+
+
+# Ints stay small: expanding a template has no node budget.
+_FUZZ_LEAVES = st.sampled_from([True, False, None, *range(9), "", "x", 1.5, [], {}])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.booleans(), st.integers(0), _FUZZ_LEAVES)
+def test_mutated_documents_exit_with_a_documented_code(tmp_path_factory, which, delete, pick, leaf):
+    doc = _fuzz_documents()[which]
+    leaves, keys = _edit_points(doc)
+    if delete:
+        mutated = _edited(doc, keys[pick % len(keys)], delete=True)
+    else:
+        mutated = _edited(doc, leaves[pick % len(leaves)], leaf)
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(mutated), encoding="utf-8")
+    for command in ("validate", "extract", "solve", "verify"):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([command, str(path), "--format", "machine"])
+        assert code in (0, 1, 2), command
+        event(f"{command} exits {code}")

@@ -208,6 +208,47 @@ def test_upper_sequent_mismatch_is_flagged_at_the_child():
     assert any("upper sequent mismatch" in issue.message for issue in report.issues)
 
 
+_MISMATCH = "(1,0): upper sequent mismatch: "
+
+
+@pytest.mark.parametrize(
+    "edit, lines",
+    [
+        (lambda seq: seq + seq[:1], [_MISMATCH + "1 unexpected formula(s)"]),
+        (
+            lambda seq: seq[:-1],
+            [_MISMATCH + "missing 1 formula(s)", "(1,0): initial literal index 2 out of range"],
+        ),
+        (
+            lambda seq: seq[:-1] + seq[:1],
+            [
+                _MISMATCH + "missing 1 formula(s), 1 unexpected formula(s)",
+                "(1,0): initial index 2 does not point at a literal",
+            ],
+        ),
+    ],
+    ids=["repeats a formula", "drops the added formula", "both"],
+)
+def test_upper_sequent_mismatches_count_the_formulas_that_differ(edit, lines):
+    # (1,0) is a leaf whose initial rule points at the added formula,
+    # the last of three; without it the rule fails too.
+    d = d2()
+    bad = _mutate(d, (1, 0), sequent=edit(d.sequent((1, 0))))
+    assert validate(bad, MODE_PLS).lines() == lines
+
+
+def test_the_added_formula_need_not_come_last():
+    d = d2()
+    seq = d.sequent((1, 0))
+    moved = _mutate(d, (1, 0), sequent=seq[-1:] + seq[:-1], rule=InitialRule(0))
+    report = validate(moved, MODE_PLS)
+    assert report.ok
+    table = report.table
+    assert table.added[(1, 0)] == table.sequent[(1, 0)][0]
+    assert table.multiset[(1, 0)] == sorted(table.sequent[(1, 0)])
+    assert table.members[(1, 0)] == set(table.sequent[(1, 0)])
+
+
 def test_missing_root_and_orphans_are_flagged():
     d = d2()
     nodes = {p: n for p, n in d.nodes.items() if p != ()}

@@ -308,6 +308,16 @@ def _tabulation_cases():
         yield f"sigma2 seed={seed}", random_sigma2_derivation(seed)
 
 
+def test_context_id_sets_hold_each_sequent_formula():
+    cases = [("T-D3 x=7", substitute_numeral(t_d3(), 7))]
+    cases += [(f"sigma2 seed={seed}", random_sigma2_derivation(seed)) for seed in range(60)]
+    for name, d in cases:
+        ctx = ExtractionContext(d, "npls")
+        assert ctx._seq_members.keys() == d.nodes.keys(), name
+        for path, ids in ctx._seq_members.items():
+            assert ids == set(ctx._seq_ids[path]), (name, path)
+
+
 def test_build_npls_tables_match_the_path_level_definitions():
     for name, d in _tabulation_cases():
         ctx = ExtractionContext(d, "npls")
