@@ -4,7 +4,7 @@ import json
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npls import serialization
@@ -306,6 +306,7 @@ _LEAVES = st.one_of(
 )
 
 
+@settings(deadline=None)
 @given(
     st.sampled_from([1, 2]),
     st.integers(min_value=0, max_value=299),
