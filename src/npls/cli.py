@@ -6,6 +6,10 @@ of the built-in fixtures.  Exit codes are uniform across commands:
 0 for success, 1 for a semantic failure (invalid derivation, failed
 condition, unverified witness), 2 for an I/O or parse failure.
 
+Each input compiles once, in one helper, to the derivation or search
+instance its command runs on; ``solve`` runs ``solve_npls`` on every
+instance, plain ones being its one-row, rank-zero case.
+
 Text output is meant for people; ``--format machine`` switches every
 command to line-delimited JSON records with deterministic bytes.
 """
@@ -16,11 +20,11 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import FIXTURES
 from .derivation import (
+    MODE_PLS,
     Derivation,
     DerivationTemplate,
     detect_mode,
@@ -45,11 +49,7 @@ from .nested_graph import (
     npls_from_family,
     pls_from_digraph,
 )
-from .search_core import (
-    solve_npls,
-    solve_pls,
-    verify_npls_conditions,
-)
+from .search_core import NplsInstance, solve_npls, verify_npls_conditions
 from .serialization import (
     digraph_to_json,
     dumps,
@@ -58,22 +58,6 @@ from .serialization import (
 )
 
 MODE_AUTO = "auto"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved command invocation."""
-
-    command: str
-    input_path: str | None
-    mode: str
-    x_value: int
-    seed: int
-    max_steps: int | None
-    max_rank: int
-    max_width: int
-    output: str
-    out_path: str | None
 
 
 def _read(path: Path) -> str:
@@ -97,55 +81,58 @@ def _load_input(name: str):
     raise OSError(f"no file or fixture named {name!r}")
 
 
-def _as_derivation(doc, cfg: RunConfig) -> Derivation:
-    """The input as a derivation; templates expand at --x, unvalidated.
+def _derivation(doc, args: argparse.Namespace) -> tuple[Derivation, str]:
+    """The input as a derivation, unvalidated, and the mode it runs in.
 
-    Every command validates the result exactly once, in the mode it runs
-    in: ``validate`` directly, the others through ExtractionContext.
+    Templates expand at --x, and ``auto`` picks the mode by quantifier
+    class.  Every command validates the result exactly once, in that
+    mode: ``validate`` directly, the others through ExtractionContext.
     """
     if isinstance(doc, DerivationTemplate):
-        return expand_template(doc, cfg.x_value)
-    if isinstance(doc, Derivation):
-        return doc
-    raise NplsError("this command needs a derivation or template input")
+        doc = expand_template(doc, args.x)
+    elif not isinstance(doc, Derivation):
+        raise NplsError("this command needs a derivation or template input")
+    return doc, detect_mode(doc) if args.mode == MODE_AUTO else args.mode
 
 
-def _resolve_mode(cfg: RunConfig, derivation: Derivation) -> str:
-    return detect_mode(derivation) if cfg.mode == MODE_AUTO else cfg.mode
+def _instance(args: argparse.Namespace) -> NplsInstance:
+    """The search instance the input compiles to, for ``solve`` and ``verify``.
+
+    A digraph is a plain instance, a family a nested one; a derivation
+    or template compiles through ExtractionContext in its mode.
+    """
+    doc = _load_input(args.input)
+    if isinstance(doc, CostedDigraph):
+        return pls_from_digraph(doc)
+    if isinstance(doc, NestedGraphFamily):
+        return npls_from_family(doc)
+    ctx = ExtractionContext(*_derivation(doc, args))
+    return build_pls(ctx) if ctx.mode == MODE_PLS else build_npls(ctx)
 
 
-# Commands.  Each returns (exit_code, output lines).
+# Commands.  Each takes the parsed arguments and returns (exit_code, output lines).
 
 
-def cmd_validate(cfg: RunConfig) -> tuple[int, list[str]]:
-    derivation = _as_derivation(_load_input(cfg.input_path), cfg)
-    report = validate(derivation, _resolve_mode(cfg, derivation))
-    return (0 if report.ok else 1), _report_lines(report, cfg)
-
-
-def _report_lines(report, cfg: RunConfig) -> list[str]:
-    if cfg.output == "machine":
+def cmd_validate(args: argparse.Namespace) -> tuple[int, list[str]]:
+    report = validate(*_derivation(_load_input(args.input), args))
+    if args.output == "machine":
         lines = [
             dumps({"path": list(i.path), "message": i.message}) for i in report.issues
         ]
         lines.append(dumps({"ok": report.ok, "mode": report.mode}))
-        return lines
-    if report.ok:
-        return [f"ok mode={report.mode}"]
-    return report.lines()
-
-
-def cmd_extract(cfg: RunConfig) -> tuple[int, list[str]]:
-    doc = _load_input(cfg.input_path)
-    derivation = _as_derivation(doc, cfg)
-    mode = _resolve_mode(cfg, derivation)
-    ctx = ExtractionContext(derivation, mode)
-    if mode == "pls":
-        report = extract_witness_pls(ctx, cfg.max_steps)
+    elif report.ok:
+        lines = [f"ok mode={report.mode}"]
     else:
-        report = extract_witness_npls(ctx, cfg.max_steps)
+        lines = report.lines()
+    return (0 if report.ok else 1), lines
+
+
+def cmd_extract(args: argparse.Namespace) -> tuple[int, list[str]]:
+    ctx = ExtractionContext(*_derivation(_load_input(args.input), args))
+    extract = extract_witness_pls if ctx.mode == MODE_PLS else extract_witness_npls
+    report = extract(ctx, args.max_steps)
     flag = "true" if report.verified else "false"
-    if cfg.output == "machine":
+    if args.output == "machine":
         lines = [
             dumps(
                 {
@@ -165,8 +152,9 @@ def cmd_extract(cfg: RunConfig) -> tuple[int, list[str]]:
     return (0 if report.verified else 1), lines
 
 
-def _trace_lines(trace, solution, cfg: RunConfig) -> list[str]:
-    if cfg.output == "machine":
+def cmd_solve(args: argparse.Namespace) -> tuple[int, list[str]]:
+    solution, trace = solve_npls(_instance(args), args.max_steps)
+    if args.output == "machine":
         lines = [
             dumps(
                 {
@@ -180,45 +168,18 @@ def _trace_lines(trace, solution, cfg: RunConfig) -> list[str]:
             for s in trace.steps
         ]
         lines.append(dumps({"solution": solution, "steps": trace.step_count}))
-        return lines
-    lines = [
-        f"{s.action:<11} source={s.source} target={s.target} rank={s.rank} cost={s.cost}"
-        for s in trace.steps
-    ]
-    lines.append(f"solution={solution} steps={trace.step_count}")
-    return lines
-
-
-def cmd_solve(cfg: RunConfig) -> tuple[int, list[str]]:
-    doc = _load_input(cfg.input_path)
-    if isinstance(doc, CostedDigraph):
-        solution, trace = solve_pls(pls_from_digraph(doc), cfg.max_steps)
-    elif isinstance(doc, NestedGraphFamily):
-        solution, trace = solve_npls(npls_from_family(doc), cfg.max_steps)
     else:
-        derivation = _as_derivation(doc, cfg)
-        mode = _resolve_mode(cfg, derivation)
-        ctx = ExtractionContext(derivation, mode)
-        if mode == "pls":
-            solution, trace = solve_pls(build_pls(ctx), cfg.max_steps)
-        else:
-            solution, trace = solve_npls(build_npls(ctx), cfg.max_steps)
-    return 0, _trace_lines(trace, solution, cfg)
+        lines = [
+            f"{s.action:<11} source={s.source} target={s.target} rank={s.rank} cost={s.cost}"
+            for s in trace.steps
+        ]
+        lines.append(f"solution={solution} steps={trace.step_count}")
+    return 0, lines
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[int, list[str]]:
-    doc = _load_input(cfg.input_path)
-    if isinstance(doc, CostedDigraph):
-        inst = pls_from_digraph(doc)
-    elif isinstance(doc, NestedGraphFamily):
-        inst = npls_from_family(doc)
-    else:
-        derivation = _as_derivation(doc, cfg)
-        mode = _resolve_mode(cfg, derivation)
-        ctx = ExtractionContext(derivation, mode)
-        inst = build_pls(ctx) if mode == "pls" else build_npls(ctx)
-    report = verify_npls_conditions(inst)
-    if cfg.output == "machine":
+def cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
+    report = verify_npls_conditions(_instance(args))
+    if args.output == "machine":
         lines = [
             dumps(
                 {
@@ -236,9 +197,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, list[str]]:
     return (0 if report.all_passed else 1), lines
 
 
-def cmd_gen_graph(cfg: RunConfig) -> tuple[int, list[str]]:
-    family = generate_family(cfg.seed, cfg.max_rank, cfg.max_width)
-    obj = digraph_to_json(family.graph) if cfg.max_rank == 0 else family_to_json(family)
+def cmd_gen_graph(args: argparse.Namespace) -> tuple[int, list[str]]:
+    family = generate_family(args.seed, args.max_rank, args.max_width)
+    obj = digraph_to_json(family.graph) if args.max_rank == 0 else family_to_json(family)
     return 0, [dumps(obj)]
 
 
@@ -289,42 +250,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _check(args: argparse.Namespace) -> None:
     if args.x < 0 or args.seed < 0:
         raise NplsError("--x and --seed must be non-negative")
     if args.max_steps is not None and args.max_steps < 0:
         raise NplsError("--max-steps must be non-negative")
     if not (0 <= args.max_rank <= MAX_RANK and 1 <= args.max_width <= MAX_WIDTH):
         raise NplsError(f"--max-rank must lie in 0..{MAX_RANK} and --max-width in 1..{MAX_WIDTH}")
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        mode=args.mode,
-        x_value=args.x,
-        seed=args.seed,
-        max_steps=args.max_steps,
-        max_rank=args.max_rank,
-        max_width=args.max_width,
-        output=args.output,
-        out_path=args.out,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        code, lines = _COMMANDS[cfg.command](cfg)
+        _check(args)
+        code, lines = _COMMANDS[args.command](args)
         text = "".join(line + "\n" for line in lines)
-        if cfg.out_path is not None:
-            Path(cfg.out_path).write_text(text, encoding="utf-8")
+        if args.out is not None:
+            Path(args.out).write_text(text, encoding="utf-8")
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NplsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if cfg.out_path is None:
+    if args.out is None:
         sys.stdout.write(text)
     return code
 

@@ -283,6 +283,19 @@ def _entry_point(ctx: ExtractionContext, path: NodePath, formula: int) -> NodePa
     raise UnreachableCase("formula missing below its own node")
 
 
+def _selected_upper(ctx: ExtractionContext, tau: NodePath) -> NodePath | None:
+    """The value-indexed cut upper that the goal ``tau`` selects, if any.
+
+    The principal of tau entered the branch at the final upper of some
+    cut, and tau's witness value picks that cut's value-indexed upper.
+    None when the principal persists to the end-sequent instead.
+    """
+    entry = _entry_point(ctx, tau, ctx.principal(tau))
+    if entry == ():
+        return None
+    return entry[:-1] + (ctx.witness_value(tau),)
+
+
 # Plain extraction (pls mode)
 
 
@@ -295,13 +308,9 @@ def pls_neighbor(ctx: ExtractionContext, sigma: NodePath) -> NodePath:
     value picks the corresponding value-indexed upper of that cut,
     which lies strictly earlier in post-order.
     """
-    tau = rightmost_goal(ctx, sigma)
-    principal = ctx.principal(tau)
-    entry = _entry_point(ctx, tau, principal)
-    if entry == ():
+    kappa = _selected_upper(ctx, rightmost_goal(ctx, sigma))
+    if kappa is None:
         return sigma
-    cut = entry[:-1]
-    kappa = cut + (ctx.witness_value(tau),)
     if ctx.kb[kappa] >= ctx.kb[sigma]:
         raise KBViolation(
             f"step {format_path(sigma)} -> {format_path(kappa)} does not move down"
@@ -448,21 +457,18 @@ def npls_neighbor_rel(
 def npls_gen_source(ctx: ExtractionContext, sigma: NodePath, tau: NodePath) -> NodePath:
     """The subproblem row spawned by a stuck exists-forall target.
 
-    The principal of tau entered the branch at the final upper of some
-    cut; tau's witness value picks that cut's value-indexed upper.  A
+    It is the cut upper that ``_selected_upper`` picks for tau.  A
     witnessing existential target needs no subproblem and maps back to
     its own row.
     """
     if not ctx.is_exists_forall(tau):
         return sigma
-    principal = ctx.principal(tau)
-    entry = _entry_point(ctx, tau, principal)
-    if entry == ():
+    kappa = _selected_upper(ctx, tau)
+    if kappa is None:
         raise EndFormulaPrincipal(
             f"the principal at {format_path(tau)} persists to the end-sequent"
         )
-    cut = entry[:-1]
-    return cut + (ctx.witness_value(tau),)
+    return kappa
 
 
 def npls_extract(
@@ -483,18 +489,11 @@ def npls_extract(
         return tau
     if not (ctx.is_exists(rho) and ctx.has_true_goal(rho)):
         raise NotASolution(f"node {format_path(rho)} does not solve its row")
-    principal = ctx.principal(tau)
-    entry = _entry_point(ctx, tau, principal)
-    if entry == ():
-        raise EndFormulaPrincipal(
-            f"the principal at {format_path(tau)} persists to the end-sequent"
-        )
-    cut = entry[:-1]
+    kappa = npls_gen_source(ctx, sigma, tau)
     rho_principal = ctx.principal(rho)
-    if rho_principal in ctx._seq_members[cut]:
+    if rho_principal in ctx._seq_members[kappa[:-1]]:
         return rho
     # kappa, the row's cut upper, adds the negated cut instance.
-    kappa = cut + (ctx.witness_value(tau),)
     if rho_principal != ctx._added[kappa]:
         raise NotASolution(
             f"solution at {format_path(rho)} witnesses neither the row's cut "

@@ -425,14 +425,26 @@ def verify_npls_conditions(inst: NplsInstance) -> ConditionReport:
     """Test the nine nested-search conditions by enumeration.
 
     Every listed source row is fetched once, and its targets and each
-    target's neighbors are read in ascending order of id; every
-    (row, target, neighbor) edge of the table is checked, not a sample.
-    Each row's solutions, its self-loops, are collected once, so the
-    work is linear in the targets plus the edges rather than in the
-    point space; the lift check adds one ``extract`` call per target
-    and solution of the target's subproblem.  The relation lives only
-    in the rows, so the bit bound checks the ids the table holds.  Each
-    failing check reports the first counterexample in scan order.
+    target's neighbors are read in ascending order of id.  Each row's
+    solutions, its self-loops, are collected once, so the work is linear
+    in the targets plus the edges rather than in the point space, plus
+    one ``extract`` call per lift tuple.  The relation lives only in the
+    rows, so the bit bound checks the ids the table holds.  Each failing
+    check reports the first counterexample in scan order.  Every tuple a
+    condition quantifies over is checked, not a sample:
+
+    - ``bit_bound``: every source, and every target of every row;
+    - ``gen_source_closure``: every (row, target), solutions included;
+    - ``neighbor_domain``: every (row, target, neighbor) edge;
+    - ``rank0_function``: every target of a rank-zero row;
+    - ``rank_descent``: every target of a positive-rank row that does
+      not list itself, the targets the solver spawns subproblems from;
+    - ``extract_lift``: every target of a positive-rank row, solutions
+      included, times every solution of the row ``gen_source`` gives it;
+    - ``initial_source``: the initial source;
+    - ``initial_target``: every row's initial target;
+    - ``cost_decrease``: every edge from a target to another target of
+      its row.
     """
     space = 1 << inst.d
     if space > DOMAIN_LIMIT:

@@ -56,6 +56,7 @@ from npls.nested_graph import (
     descent_steps,
     generate_family,
     npls_from_family,
+    pls_from_digraph,
 )
 from npls.search_core import (
     brute_force_npls,
@@ -247,13 +248,23 @@ def test_criterion_5_traversal_index_matches_the_pairwise_oracle():
 
 
 def test_criterion_6_rank_zero_rows_collapse_onto_plain_search():
+    # Every plain instance the package builds: rank-zero families, the
+    # digraphs ``solve`` reads, and pls-mode derivations.
+    cases = []
     for seed in range(1, 21):
-        width = 1 + (seed - 1) % 8
-        inst = npls_from_family(generate_family(seed, 0, width))
+        family = generate_family(seed, 0, 1 + (seed - 1) % 8)
+        cases.append((("family", seed), npls_from_family(family)))
+        cases.append((("digraph", seed), pls_from_digraph(family.graph)))
+    cases.append((("digraph", "G1"), pls_from_digraph(g1())))
+    derivations = [("D1", d1()), ("D2", d2())]
+    derivations += [(("sigma1", seed), random_sigma1_derivation(seed)) for seed in range(60)]
+    for name, d in derivations:
+        cases.append((name, build_pls(ExtractionContext(d, MODE_PLS))))
+    for name, inst in cases:
         y_nested, nested = solve_npls(inst)
         y_plain, plain = solve_pls(inst)
-        assert y_nested == y_plain, seed
-        assert nested.steps == plain.steps, seed
+        assert y_nested == y_plain, name
+        assert nested.steps == plain.steps, name
     print("criterion 6: pass")
 
 

@@ -51,7 +51,11 @@ def _argvs() -> list[list[str]]:
         for command in COMMANDS
         for fmt in FORMATS
     ]
-    failing = [["extract", "G1"], ["extract", "D3", "--mode", "pls"], ["solve", "D3", "--max-steps", "3"]]
+    failing = [
+        ["extract", "G1"],
+        ["extract", "D3", "--mode", "pls"],
+        ["solve", "D3", "--max-steps", "3"],
+    ]
     argvs += [[*argv, "--format", fmt] for argv in failing for fmt in FORMATS]
     return argvs
 

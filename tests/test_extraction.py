@@ -5,6 +5,7 @@ import pytest
 from npls.corpus import d1, d2, d3, random_sigma2_derivation, t_d3
 from npls.derivation import Derivation, InitialRule, ProofNode, substitute_numeral, validate
 from npls.errors import (
+    EndFormulaPrincipal,
     GoalNotFound,
     ModeError,
     NotASolution,
@@ -250,6 +251,21 @@ def test_npls_extract_cases():
         npls_extract(ctx, (), (2,), (2,))
     with pytest.raises(NotASolution):
         npls_extract(ctx, (), (2,), (0, 0))
+
+
+def test_a_principal_that_persists_to_the_end_sequent_selects_no_cut_upper():
+    ctx = _npls_ctx()
+    # Point the exists-forall target (2,) at the end-formula, which
+    # enters the branch at the root, so no cut upper is selected.
+    ctx._principal[(2,)] = ctx.end_id
+    with pytest.raises(EndFormulaPrincipal, match=r"at \(2\) persists"):
+        npls_gen_source(ctx, (), (2,))
+    with pytest.raises(EndFormulaPrincipal, match=r"at \(2\) persists"):
+        npls_extract(ctx, (), (2,), (0,))
+    # The solution is checked first.
+    with pytest.raises(NotASolution):
+        npls_extract(ctx, (), (2,), (2,))
+    assert npls_gen_source(ctx, (), (2, 1)) == (1,)
 
 
 def test_d3_solve_trace_is_frozen():

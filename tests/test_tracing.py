@@ -64,6 +64,20 @@ def test_verify_reads_the_one_row_of_a_plain_instance(name, span, capsys):
     assert tracer.counts["search_core.calls.row"] == 1
 
 
+@pytest.mark.parametrize("name", ["G1", "D2", "NG2", "D3", "T-D3"])
+def test_solve_runs_the_nested_solver_on_every_input_kind(name, capsys):
+    # A plain instance is the one-row, rank-zero case of a nested one.
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["solve", name]) == 0
+    finally:
+        tracer.uninstall()
+    names = [s[1] for s in tracer.spans]
+    assert names.count("search_core.solve_npls") == 1
+    assert "search_core.solve_pls" not in names
+
+
 def test_verify_reads_the_rows_table_instead_of_scanning_the_point_space(capsys):
     # NG2's point space has 128 points and 18 source rows; the verifier
     # fetches each listed row once and asks about no other point.
