@@ -425,22 +425,25 @@ def verify_npls_conditions(inst: NplsInstance) -> ConditionReport:
     """Test the nine nested-search conditions by enumeration.
 
     Every listed source row is fetched once, and its targets and each
-    target's neighbors are read in ascending order of id.  Each row's
-    solutions, its self-loops, are collected once, so the work is linear
-    in the targets plus the edges rather than in the point space, plus
-    one ``extract`` call per lift tuple.  The relation lives only in the
-    rows, so the bit bound checks the ids the table holds.  Each failing
-    check reports the first counterexample in scan order.  Every tuple a
-    condition quantifies over is checked, not a sample:
+    target's neighbors are read in ascending order of id.  Each row is
+    split once into its solutions, the targets that list themselves, and
+    its stuck targets, the rest.  The solver hands only stuck targets to
+    ``gen_source`` and ``extract``, so the three conditions on those two
+    maps quantify over stuck targets alone, and the work is linear in the
+    targets plus the edges rather than in the point space, plus one
+    ``extract`` call per pair of a stuck target and a solution of its
+    generated row.  The relation lives only in the rows, so the bit bound
+    checks the ids the table holds.  Each failing check reports the first
+    counterexample in scan order.  Every tuple a condition quantifies
+    over is checked, not a sample:
 
     - ``bit_bound``: every source, and every target of every row;
-    - ``gen_source_closure``: every (row, target), solutions included;
+    - ``gen_source_closure``: every stuck target of every row;
     - ``neighbor_domain``: every (row, target, neighbor) edge;
     - ``rank0_function``: every target of a rank-zero row;
-    - ``rank_descent``: every target of a positive-rank row that does
-      not list itself, the targets the solver spawns subproblems from;
-    - ``extract_lift``: every target of a positive-rank row, solutions
-      included, times every solution of the row ``gen_source`` gives it;
+    - ``rank_descent``: every stuck target of a positive-rank row;
+    - ``extract_lift``: every stuck target of a positive-rank row, times
+      every solution of the row ``gen_source`` gives it;
     - ``initial_source``: the initial source;
     - ``initial_target``: every row's initial target;
     - ``cost_decrease``: every edge from a target to another target of
@@ -459,7 +462,12 @@ def verify_npls_conditions(inst: NplsInstance) -> ConditionReport:
     sources = inst.sources()
     table = {s: inst.row(s) for s in sources}
     source_set = set(sources)
-    solutions = {s: [y for y, zs in row.items() if _lists(zs, y)] for s, row in table.items()}
+    solutions: dict[PointId, list[PointId]] = {}
+    stuck: dict[PointId, list[PointId]] = {}
+    for s, row in table.items():
+        solutions[s] = [y for y, zs in row.items() if _lists(zs, y)]
+        loops = set(solutions[s])
+        stuck[s] = [y for y in row if y not in loops]
 
     checks: list[ConditionCheck] = []
 
@@ -491,7 +499,7 @@ def verify_npls_conditions(inst: NplsInstance) -> ConditionReport:
     @run("gen_source_closure")
     def _closure():
         for s in sources:
-            for y in table[s]:
+            for y in stuck[s]:
                 got, err = guarded(inst.gen_source, s, y)
                 if err is not None:
                     return (s, y), f"gen_source failed: {err}"
@@ -525,9 +533,7 @@ def verify_npls_conditions(inst: NplsInstance) -> ConditionReport:
             r = inst.rank(s)
             if r == 0:
                 continue
-            for y, zs in table[s].items():
-                if _lists(zs, y):
-                    continue
+            for y in stuck[s]:
                 got, err = guarded(inst.gen_source, s, y)
                 if err is not None:
                     return (s, y), f"gen_source failed: {err}"
@@ -537,22 +543,19 @@ def verify_npls_conditions(inst: NplsInstance) -> ConditionReport:
 
     @run("extract_lift")
     def _lift():
-        # The busiest loop of the verifier, one call per target and
-        # solution of its subproblem, so it calls ``extract`` unwrapped.
-        extract = inst.extract
         for s in sources:
             if inst.rank(s) == 0:
                 continue
-            for y, zs in table[s].items():
+            row = table[s]
+            for y in stuck[s]:
                 child, err = guarded(inst.gen_source, s, y)
-                if err is not None or child not in source_set or not solutions[child]:
+                if err is not None or child not in source_set:
                     continue  # a failing gen_source is reported by gen_source_closure
-                neighbors = set(zs)
+                neighbors = set(row[y])
                 for z in solutions[child]:
-                    try:
-                        got = extract(s, y, z)
-                    except Exception as exc:  # noqa: BLE001
-                        return (s, y, z), f"extract failed: {_failure(exc)}"
+                    got, err = guarded(inst.extract, s, y, z)
+                    if err is not None:
+                        return (s, y, z), f"extract failed: {err}"
                     if got not in neighbors:
                         return (s, y, z), f"extracted point {got} is not a neighbor of {y}"
         return None

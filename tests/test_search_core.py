@@ -5,7 +5,18 @@ import sys
 
 import pytest
 
-from npls.corpus import g1, ng2
+from npls.corpus import (
+    d1,
+    d2,
+    d3,
+    g1,
+    ng2,
+    random_sigma1_derivation,
+    random_sigma2_derivation,
+    t_d2,
+    t_d3,
+)
+from npls.derivation import MODE_NPLS, MODE_PLS, expand_template
 from npls.errors import (
     CostViolation,
     DomainTooLarge,
@@ -14,6 +25,7 @@ from npls.errors import (
     RankViolation,
     StepBudgetExceeded,
 )
+from npls.extraction import ExtractionContext, build_npls, build_pls
 from npls.nested_graph import (
     NestedGraphFamily,
     generate_family,
@@ -310,3 +322,141 @@ def test_solve_npls_nests_deeper_than_the_recursion_limit():
     assert solution == 2 * k - 1
     # Each positive-rank row opens, descends, lifts and closes; row 0 opens and closes.
     assert trace.step_count == 4 * (k - 1) + 2
+
+
+def _lifting_instance(gen, ext):
+    """Row 1, of rank 1, holds the solution 2 and the stuck target 3.
+
+    Target 3 spawns row 0, of rank 0, whose one target 6 is a solution,
+    and lifts from it to 2.  ``gen`` and ``ext`` tabulate ``gen_source``
+    and ``extract``; a lookup they miss raises ``KeyError``.
+    """
+    inst = _tabled_instance({0: {6: [6]}, 1: {2: [2], 3: [2]}})
+    return dataclasses.replace(
+        inst,
+        initial_source=lambda: 1,
+        initial_target=lambda s: max(inst.row(s)),
+        gen_source=lambda s, y: gen[(s, y)],
+        extract=lambda s, y, z: ext[(s, y, z)],
+        rank=lambda s: s,
+    )
+
+
+_GEN = {(1, 3): 0}
+_EXT = {(1, 3, 6): 2}
+
+
+@pytest.mark.parametrize(
+    "ext, detail",
+    [
+        ({(1, 3, 6): 3}, "extracted point 3 is not a neighbor of 3"),
+        ({}, "extract failed: KeyError: (1, 3, 6)"),
+    ],
+)
+def test_a_bad_extract_on_a_stuck_target_fails_the_lift(ext, detail):
+    report = verify_npls_conditions(_lifting_instance(_GEN, ext))
+    lift = report.check("extract_lift")
+    assert not lift.passed
+    assert lift.counterexample == (1, 3, 6)
+    assert lift.detail == detail
+    assert {c.name for c in report.checks if not c.passed} == {"extract_lift"}
+
+
+@pytest.mark.parametrize(
+    "gen, ext",
+    [
+        # gen_source raises on the solutions 2 and 6.
+        (_GEN, _EXT),
+        # gen_source leaves the sources on solution 2.
+        ({**_GEN, (1, 2): 9}, _EXT),
+        # Solution 2 spawns row 0, and extract raises on its solution 6.
+        ({**_GEN, (1, 2): 0}, _EXT),
+        # ... or lifts it to a point that 2 does not list.
+        ({**_GEN, (1, 2): 0}, {**_EXT, (1, 2, 6): 3}),
+    ],
+)
+def test_gen_source_and_extract_are_not_asked_about_solutions(gen, ext):
+    # The solver never lifts from a target that lists itself, so the
+    # closure and lift conditions do not quantify over one.
+    inst = _lifting_instance(gen, ext)
+    assert verify_npls_conditions(inst).all_passed
+    solution, trace = solve_npls(inst)
+    trace.check()
+    assert solution == 2
+    assert [s.action for s in trace.steps] == [INIT_TARGET, DESCEND, SOLVED, EXTRACT, SOLVED]
+
+
+def _lift_pairs(inst):
+    """Pairs of a stuck target of a positive-rank row and a solution of its generated row."""
+    pairs = 0
+    for s in inst.sources():
+        if inst.rank(s) == 0:
+            continue
+        for y, zs in inst.row(s).items():
+            if y not in zs:
+                child = inst.row(inst.gen_source(s, y))
+                pairs += sum(z in child[z] for z in child)
+    return pairs
+
+
+def test_the_lift_calls_extract_once_per_stuck_target_and_solution():
+    inst = build_npls(ExtractionContext(expand_template(t_d3(), 100), MODE_NPLS))
+    calls = 0
+    extract = inst.extract
+
+    def counted(s, y, z):
+        nonlocal calls
+        calls += 1
+        return extract(s, y, z)
+
+    assert verify_npls_conditions(dataclasses.replace(inst, extract=counted)).all_passed
+    # Pairing every target, solutions included, would make 1,071,816 calls.
+    assert calls == _lift_pairs(inst) == 204
+
+
+def _broad_closure_and_lift(inst):
+    """Closure and lift over every target, solutions included, as pass/fail."""
+    sources = set(inst.sources())
+    closure = lift = True
+    for s in sources:
+        for y, zs in inst.row(s).items():
+            try:
+                child = inst.gen_source(s, y)
+            except Exception:  # noqa: BLE001
+                child = None
+            if child not in sources:
+                closure = False
+            elif inst.rank(s) > 0:
+                sub = inst.row(child)
+                for z in (z for z in sub if z in sub[z]):
+                    try:
+                        lift = lift and inst.extract(s, y, z) in zs
+                    except Exception:  # noqa: BLE001
+                        lift = False
+    return closure, lift
+
+
+def _produced_instances():
+    for seed in range(60):
+        yield build_pls(ExtractionContext(random_sigma1_derivation(seed), MODE_PLS))
+        yield build_npls(ExtractionContext(random_sigma2_derivation(seed), MODE_NPLS))
+    for x in (0, 1, 3, 7):
+        yield build_pls(ExtractionContext(expand_template(t_d2(), x), MODE_PLS))
+        yield build_npls(ExtractionContext(expand_template(t_d3(), x), MODE_NPLS))
+    for seed in range(1, 21):
+        for rank in range(4):
+            yield npls_from_family(generate_family(seed, rank, 3))
+    yield build_pls(ExtractionContext(d1(), MODE_PLS))
+    yield build_pls(ExtractionContext(d2(), MODE_PLS))
+    yield build_npls(ExtractionContext(d3(), MODE_NPLS))
+    yield npls_from_family(ng2())
+    yield pls_from_digraph(g1())
+
+
+def test_narrowed_closure_and_lift_agree_with_every_target_on_produced_instances():
+    # Narrowing the two conditions to stuck targets changes no verdict on
+    # an instance the package builds.
+    for inst in _produced_instances():
+        report = verify_npls_conditions(inst)
+        narrowed = (report.check("gen_source_closure").passed, report.check("extract_lift").passed)
+        assert narrowed == _broad_closure_and_lift(inst)

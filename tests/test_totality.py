@@ -148,13 +148,16 @@ def tabulated_instances(draw):
     # Each of the last four tables is wild, with points drawn from
     # anywhere, in one draw out of eight.
     wild = draw(st.lists(st.integers(0, 7), min_size=4, max_size=4))
+    # The solver and the verifier call ``gen_source`` and ``extract``
+    # only on targets that do not list themselves, and ``extract`` only
+    # on solutions of the generated row, so the tables list those alone
+    # and any other lookup raises ``KeyError``.
     gen = {}
     for s in sources:
         lower = [t for t in sources if rank[t] < rank[s]]
-        for y in rows[s]:
-            gen[(s, y)] = _pick(draw, lower or sources, not wild[0])
-    # The solver and the verifier call ``extract`` only on solutions of
-    # the generated row, so the table lists those alone.
+        for y, zs in rows[s].items():
+            if y not in zs:
+                gen[(s, y)] = _pick(draw, lower or sources, not wild[0])
     ext = {}
     for (s, y), child in gen.items():
         for z, zs in rows.get(child, {}).items():
