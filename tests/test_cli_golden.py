@@ -3,9 +3,12 @@
 ``tests/cli_golden.json`` records ``validate``, ``extract``, ``solve``
 and ``verify`` in text and machine format on D1–D3, G1, NG2, on T-D2
 and T-D3 at x ∈ {0, 7, 50}, and on the Σ1 derivation of seed 3 and the
-Σ2 derivation of seed 12, plus three runs that fail.  The random
-derivations are written to a temporary directory, whose path reads
-``<tmp>`` in the pinned argv and output.
+Σ2 derivation of seed 12, plus three runs that fail.  It also records
+``solve`` and ``verify`` in both formats on three ``gen-graph`` families,
+one each at ranks 2, 3 and 4, and on a family whose solution table
+points a node along an edge it does not have.  The random derivations
+and the families are written to a temporary directory, whose path
+reads ``<tmp>`` in the pinned argv and output.
 
 A change that is meant to keep the command line's behaviour must pass
 this test with the pinned file unchanged.  To regenerate the file, run
@@ -27,13 +30,17 @@ from pathlib import Path
 
 from npls.cli import main
 from npls.corpus import random_sigma1_derivation, random_sigma2_derivation
-from npls.serialization import derivation_to_json, dumps
+from npls.nested_graph import generate_family
+from npls.serialization import derivation_to_json, dumps, family_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 TMP = "<tmp>"
 
 COMMANDS = ("validate", "extract", "solve", "verify")
 FORMATS = ("text", "machine")
+# (rank, seed) of the generated families, all at the gen-graph default width.
+FAMILIES = ((2, 2), (3, 3), (4, 4))
+WIDTH = 4
 
 
 def _inputs() -> list[list[str]]:
@@ -57,7 +64,26 @@ def _argvs() -> list[list[str]]:
         ["solve", "D3", "--max-steps", "3"],
     ]
     argvs += [[*argv, "--format", fmt] for argv in failing for fmt in FORMATS]
+    families = [f"family-{rank}-{seed}.json" for rank, seed in FAMILIES]
+    argvs += [
+        [command, f"{TMP}/{name}", "--format", fmt]
+        for name in [*families, "family-broken-table.json"]
+        for command in ("solve", "verify")
+        for fmt in FORMATS
+    ]
     return argvs
+
+
+def _broken_table_family() -> dict:
+    """The rank-2 family of seed 2 with node 0's first solution sent to node 2.
+
+    Node 0 has no edge to node 2, so ``extract_lift`` fails on it.
+    """
+    doc = family_to_json(generate_family(2, 2, WIDTH))
+    entry = doc["solutions"][0]
+    assert entry["node"] == 0 and [0, 2] not in doc["graph"]["edges"]
+    entry["edge_to"] = 2
+    return doc
 
 
 def _write_inputs(tmp: Path) -> None:
@@ -66,6 +92,10 @@ def _write_inputs(tmp: Path) -> None:
         ("sigma2-12.json", random_sigma2_derivation(12)),
     ):
         (tmp / name).write_text(dumps(derivation_to_json(derivation)), encoding="utf-8")
+    for rank, seed in FAMILIES:
+        doc = family_to_json(generate_family(seed, rank, WIDTH))
+        (tmp / f"family-{rank}-{seed}.json").write_text(dumps(doc), encoding="utf-8")
+    (tmp / "family-broken-table.json").write_text(dumps(_broken_table_family()), encoding="utf-8")
 
 
 def _run(argv: list[str], tmp: Path) -> dict:
