@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import (
@@ -124,9 +125,15 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
     the cheapest-by-id decreasing successor or itself, and on positive
     ranks each node lists its edges.
 
-    The only structural prerequisite enforced here is that every node
-    has some outgoing edge, which keeps the step functions total.  Cost
-    conformance and rank relationships are not enforced, so a
+    Compiling builds only the preorder problem list and its inverse by
+    object identity, the ranks and costs, and the bit widths, and checks that every node has some
+    outgoing edge, which keeps the step functions total.  Everything
+    else is read per call from the problem itself: ``gen_source`` looks
+    the node up in its ``children``, and ``extract`` in its
+    ``solution_to_edge``, falling back to the node's self-loop, from a
+    per-problem set built on first use.
+
+    Cost conformance and rank relationships are not enforced, so a
     deliberately broken family still compiles and its defects surface
     as failed conditions in ``verify_npls_conditions``, the one family
     checker.  A rank-zero edge that does not decrease the cost is no
@@ -134,39 +141,25 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
     graph is what sees it.
     """
     problems = _flatten(fam)
+    # A child shared by two nodes is listed twice; the later id wins.
     pid_of = {id(p): i for i, p in enumerate(problems)}
     n_problems = len(problems)
     max_nodes = max(p.graph.n_nodes for p in problems)
     node_bits = max((max_nodes - 1).bit_length(), 1)
     pid_bits = max((n_problems - 1).bit_length(), 1)
     node_mask = (1 << node_bits) - 1
-
-    ranks: list[int] = []
-    costs: list[tuple[int, ...]] = []
-    loops: list[set[int]] = []
-    child_pid: dict[tuple[int, int], int] = {}
-    sol_edge: dict[tuple[int, int, int], int] = {}
+    ranks = [p.rank for p in problems]
+    costs = [p.graph.costs for p in problems]
+    loops: dict[int, set[int]] = {}
 
     for i, p in enumerate(problems):
-        ranks.append(p.rank)
-        costs.append(p.graph.costs)
-        loops.append({a for a, b in p.graph.edges if a == b})
-        has_out = {s for s, _ in p.graph.edges}
-        for s in range(p.graph.n_nodes):
-            if s not in has_out:
-                raise TotalityViolated(f"problem {i}: node {s} has no outgoing edge")
-        for node, child in p.children.items():
-            child_pid[(i, node)] = pid_of[id(child)]
-        for (node, sol), tgt in p.solution_to_edge.items():
-            sol_edge[(i, node, sol)] = tgt
+        g = p.graph
+        has_out = set(map(itemgetter(0), g.edges))
+        if not has_out.issuperset(range(g.n_nodes)):
+            s = next(s for s in range(g.n_nodes) if s not in has_out)
+            raise TotalityViolated(f"problem {i}: node {s} has no outgoing edge")
 
-    def pack(pid: int, node: int) -> int:
-        return (pid << node_bits) | node
-
-    def unpack(t: int) -> tuple[int, int]:
-        return t >> node_bits, t & node_mask
-
-    # Problem s owns the ids pack(s, 0) .. pack(s, n_nodes - 1).
+    # Problem s owns the ids (s << node_bits) .. (s << node_bits) + n_nodes - 1.
     def row(s: int) -> dict[int, list[int]] | None:
         if not 0 <= s < n_problems:
             return None
@@ -180,15 +173,16 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
         return {base + v: zs for v, zs in enumerate(out)}
 
     def gen_source(s: int, y: int) -> int:
-        node = y & node_mask
-        return child_pid.get((s, node), s)
+        child = problems[s].children.get(y & node_mask)
+        return s if child is None else pid_of[id(child)]
 
     def extract(s: int, y: int, z: int) -> int:
-        node = y & node_mask
-        _, sol = unpack(z)
-        key = (s, node, sol)
-        if key in sol_edge:
-            return pack(s, sol_edge[key])
+        node, sol = y & node_mask, z & node_mask
+        table = problems[s].solution_to_edge
+        if (node, sol) in table:
+            return (s << node_bits) | table[(node, sol)]
+        if s not in loops:
+            loops[s] = {a for a, b in problems[s].graph.edges if a == b}
         if node in loops[s]:
             return y
         raise InvariantViolation(f"no translation for solution {sol} at node {node} of {s}")
@@ -198,7 +192,7 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
         sources=lambda: list(range(n_problems)),
         row=row,
         initial_source=lambda: 0,
-        initial_target=lambda s: pack(s, 0),
+        initial_target=lambda s: s << node_bits,
         cost=lambda t: costs[t >> node_bits][t & node_mask],
         gen_source=gen_source,
         extract=extract,

@@ -15,6 +15,13 @@ and equal formulas in one document decode to one shared object.
 Locations are passed down as a parent location plus a key or index,
 and one is formatted only for a value that fails its check.
 
+Graphs and families carry thousands of small values, so they are
+checked in C-level passes over their types.  A family is checked as a
+whole document: one walk collects all of its problems, the passes
+check them together, and the problems are built bottom-up.  The
+item-by-item walk runs only when a pass fails, to name the first bad
+value with its location.
+
 Documents are distinguished by their top-level keys: a derivation has
 ``end_x`` and ``nodes``, a template has ``root``, a family has ``rank``
 and ``graph``, and a bare digraph has ``n`` and ``edges``.
@@ -23,7 +30,9 @@ and ``graph``, and a bare digraph has ``n`` and ``edges``.
 from __future__ import annotations
 
 import json
-from itertools import chain
+import sys
+from itertools import accumulate, chain, islice
+from operator import itemgetter
 from typing import Any
 
 from .derivation import (
@@ -53,9 +62,15 @@ from .terms import (
 )
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj: Any) -> str:
-    """Render a JSON value deterministically: sorted keys, no spaces."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Render a JSON value deterministically: sorted keys, no spaces.
+
+    One module-level encoder renders every value, so no call builds its own.
+    """
+    return _ENCODER.encode(obj)
 
 
 # A location is a string, or a pair of a parent location and a key: a
@@ -115,6 +130,8 @@ def _get(obj: dict, key: str, where: Where) -> Any:
 _INT = {int}
 _LIST = {list}
 _PAIR = {2}
+# What an absent children or solutions array reads as; never mutated.
+_NO_ITEMS: list = []
 
 
 # Terms and formulas
@@ -461,6 +478,99 @@ def family_to_json(fam: NestedGraphFamily) -> Any:
 
 
 def family_from_json(obj: Any, where: Where = "family") -> NestedGraphFamily:
+    """Decode a nested family, checking the whole document at once.
+
+    Families carry thousands of small problems, so their checks run as
+    C-level passes over all problems together (see ``_family_at_once``).
+    Only when a pass fails does the item-by-item walk run, to name the
+    first bad value.
+    """
+    fam = _family_at_once(obj)
+    return _family_walk(obj, where) if fam is None else fam
+
+
+def _family_at_once(obj: Any) -> NestedGraphFamily | None:
+    """Decode a family with whole-document checks, or None when one fails.
+
+    One walk collects the problems level by level; the children of each
+    problem are consecutive in the level after its own.  Passes over all
+    problems then check the types of the ranks, node counts, edges,
+    costs, child nodes and solution triples, and the families are built
+    bottom-up.  The graph constructor checks one cost per node and the
+    edge ranges, and the tables built per problem show duplicate entries by
+    their size.  A lookup on a value that is no object, or of a missing
+    key, is a failed check too.  A document that nests deeper than the
+    walk could recurse is left to the walk.
+    """
+    problems: list = []
+    kid_lists: list = []
+    level = [obj]
+    try:
+        for _ in range(sys.getrecursionlimit()):
+            if not level:
+                break
+            problems += level
+            kids = [p.get("children", _NO_ITEMS) for p in level]
+            kid_lists += kids
+            level = [c["problem"] for c in chain.from_iterable(kids)]
+        else:
+            return None
+        entries = list(chain.from_iterable(kid_lists))
+        sol_lists = [p.get("solutions", _NO_ITEMS) for p in problems]
+        sols = list(chain.from_iterable(sol_lists))
+        graphs = [p["graph"] for p in problems]
+        ranks = [p["rank"] for p in problems]
+        nodes = [c["node"] for c in entries]
+        keys = list(zip(map(itemgetter("node"), sols), map(itemgetter("solution"), sols)))
+        targets = list(map(itemgetter("edge_to"), sols))
+        ns = [g["n"] for g in graphs]
+        raw_edges = [g["edges"] for g in graphs]
+        raw_costs = [g["costs"] for g in graphs]
+        if not set(map(type, chain(kid_lists, sol_lists, raw_edges, raw_costs))) <= _LIST:
+            return None
+        pairs = list(chain.from_iterable(raw_edges))
+        ints = chain(
+            ranks,
+            nodes,
+            chain.from_iterable(keys),
+            targets,
+            ns,
+            chain.from_iterable(pairs),
+            chain.from_iterable(raw_costs),
+        )
+        if not (
+            set(map(type, pairs)) <= _LIST
+            and set(map(len, pairs)) <= _PAIR
+            and set(map(type, ints)) <= _INT
+            and min(ranks) >= 0
+            and min(ns) > 0
+        ):
+            return None
+        solutions = iter(zip(keys, targets))
+        tables = [dict(islice(solutions, len(s))) for s in sol_lists]
+        if list(map(len, tables)) != list(map(len, sol_lists)):
+            return None
+        digraphs = [
+            CostedDigraph(n, tuple(sorted(map(tuple, e))), tuple(c))
+            for n, e, c in zip(ns, raw_edges, raw_costs)
+        ]
+        # Problem i's child entries are entries[a:b].  Every problem but
+        # the root has one entry, so entries[j] holds problems[j + 1].
+        starts = list(accumulate(map(len, kid_lists), initial=0))
+        fams: list = [None] * len(problems)
+        for i in reversed(range(len(problems))):
+            a, b = starts[i], starts[i + 1]
+            children = dict(zip(nodes[a:b], fams[a + 1 : b + 1])) if a < b else {}
+            if len(children) != b - a:
+                return None
+            fams[i] = NestedGraphFamily(digraphs[i], ranks[i], children, tables[i])
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    return fams[0]
+
+
+def _family_walk(obj: Any, where: Where) -> NestedGraphFamily:
+    """Decode a family item by item, naming the first value that fails."""
     d = _need_dict(obj, where)
     rank = _need_int(_get(d, "rank", where), (where, ".rank"))
     if rank < 0:
@@ -474,7 +584,7 @@ def family_from_json(obj: Any, where: Where = "family") -> NestedGraphFamily:
         node = _need_int(_get(c, "node", cw), (cw, ".node"))
         if node in children:
             raise _fail((cw, ".node"), "duplicate child node")
-        children[node] = family_from_json(_get(c, "problem", cw), (cw, ".problem"))
+        children[node] = _family_walk(_get(c, "problem", cw), (cw, ".problem"))
     table: dict[tuple[int, int], int] = {}
     at = (where, ".solutions")
     for i, raw in enumerate(_need_list(d.get("solutions", []), at)):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
+from npls.cli import main
 from npls.corpus import g1, ng2
 from npls.errors import CostConditionViolated, TotalityViolated
 from npls.nested_graph import (
@@ -163,6 +165,41 @@ def test_dead_ends_are_rejected_and_missing_loops_are_implicit():
     inst = npls_from_family(loopless)
     assert inst.row(0) == {0: [1], 1: [1]}
     assert verify_npls_conditions(inst).all_passed
+
+
+def _unopened_dead_end(dead_end: bool) -> NestedGraphFamily:
+    """A rank-1 family whose node 1 is backed by a problem the search never opens.
+
+    Node 0's child solves at once and lifts node 0 to node 1, which
+    rests on its self-loop, so ``solve`` never asks for problem 2, the
+    child of node 1.  With ``dead_end``, node 1 of that child has no
+    outgoing edge.
+    """
+    loop = NestedGraphFamily(CostedDigraph(1, ((0, 0),), (0,)), 0)
+    edges = ((0, 0),) if dead_end else ((0, 0), (1, 1))
+    unopened = NestedGraphFamily(CostedDigraph(2, edges, (0, 1)), 0)
+    top = CostedDigraph(2, ((0, 1), (1, 1)), (1, 0))
+    return NestedGraphFamily(top, 1, {0: loop, 1: unopened}, {(0, 0): 1})
+
+
+def test_totality_is_checked_on_problems_the_search_never_opens(tmp_path, capsys):
+    inst = npls_from_family(_unopened_dead_end(False))
+    opened = []
+
+    def row(s):
+        opened.append(s)
+        return inst.row(s)
+
+    assert solve_npls(dataclasses.replace(inst, row=row))[0] == 1
+    assert opened == [0, 1]
+
+    message = "problem 2: node 1 has no outgoing edge"
+    with pytest.raises(TotalityViolated, match=message):
+        npls_from_family(_unopened_dead_end(True))
+    path = tmp_path / "dead-end.json"
+    path.write_text(dumps(family_to_json(_unopened_dead_end(True))), encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: TotalityViolated: {message}\n"
 
 
 def test_rank0_step_needs_a_strictly_cheaper_successor():

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npls import serialization
-from npls.corpus import FIXTURES, random_sigma1_derivation, random_sigma2_derivation
+from npls.corpus import FIXTURES, ng2, random_sigma1_derivation, random_sigma2_derivation
 from npls.derivation import CutRule
 from npls.errors import FormatError
+from npls.nested_graph import MAX_RANK, generate_family
 from npls.serialization import (
     MAX_TERM_DEPTH,
     Document,
@@ -19,6 +20,8 @@ from npls.serialization import (
     document_from_json,
     document_to_json,
     dumps,
+    family_from_json,
+    family_to_json,
     formula_from_json,
     formula_to_json,
     literal_from_json,
@@ -139,6 +142,15 @@ def test_digraph_parse_errors():
 
 
 _LOOP = {"n": 1, "edges": [[0, 0]], "costs": [0]}
+_SOLUTION = {"node": 0, "solution": 0, "edge_to": 0}
+
+
+def _family(rank, graph=_LOOP, children=(), solutions=()):
+    return {"rank": rank, "graph": graph, "children": list(children), "solutions": list(solutions)}
+
+
+def _child(node, problem):
+    return {"node": node, "problem": problem}
 
 
 @pytest.mark.parametrize(
@@ -179,6 +191,34 @@ _LOOP = {"n": 1, "edges": [[0, 0]], "costs": [0]}
                 "children": [{"node": 0, "problem": {"rank": 0, "graph": {**_LOOP, "edges": [[0]]}}}],
             },
             "family.children[0].problem.graph.edges[0]: an edge is a pair",
+        ),
+        (
+            _family(1, children=[_child(0, _family(1, children=[_child(0, _family(True))]))]),
+            "family.children[0].problem.children[0].problem.rank: expected an integer, got bool",
+        ),
+        (
+            _family(1, children=[_child(1.0, _family(0))]),
+            "family.children[0].node: expected an integer, got float",
+        ),
+        (
+            _family(1, children=[_child(0, _family(1, solutions=[_SOLUTION, _SOLUTION]))]),
+            "family.children[0].problem.solutions[1]: duplicate solution entry",
+        ),
+        (
+            _family(1, children=[_child(0, _family(0, graph={**_LOOP, "edges": [[0, 0], [0, 5]]}))]),
+            "family.children[0].problem.graph: edge (0,5) leaves the node range",
+        ),
+        (
+            _family(1, children=[_child(0, _family(0, graph={"n": 0, "edges": [], "costs": []}))]),
+            "family.children[0].problem.graph.n: a graph needs at least one node",
+        ),
+        (
+            {**_family(1), "children": None},
+            "family.children: expected an array, got NoneType",
+        ),
+        (
+            _family(1, children=[_child(0, _family(0)), _child(1, [0])]),
+            "family.children[1].problem: expected an object, got list",
         ),
     ],
 )
@@ -325,6 +365,108 @@ def test_a_mutated_leaf_decodes_exactly_or_fails(sigma, seed, pick, leaf):
         return
     canonical = {**mutated, "nodes": sorted(mutated["nodes"], key=lambda n: n["path"])}
     assert dumps(derivation_to_json(value)) == dumps(canonical)
+
+
+def _value_paths(obj, at=()):
+    """The path of every value in a JSON document, the document included."""
+    yield at
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _value_paths(value, at + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _value_paths(value, at + (i,))
+
+
+def _key_paths(obj):
+    return [at for at in _value_paths(obj) if at and isinstance(at[-1], str)]
+
+
+def _deleted(obj, at):
+    head, rest = at[0], at[1:]
+    if not rest:
+        return {k: v for k, v in obj.items() if k != head}
+    if isinstance(obj, dict):
+        return {**obj, head: _deleted(obj[head], rest)}
+    return [*obj[:head], _deleted(obj[head], rest), *obj[head + 1 :]]
+
+
+def _outcome(decode, obj):
+    try:
+        return decode(obj)
+    except FormatError as exc:
+        return str(exc)
+
+
+def _walk_family(obj):
+    return serialization._family_walk(obj, "family")
+
+
+_DELETE = object()
+_FAMILY_LEAVES = st.one_of(
+    st.integers(min_value=-2, max_value=8),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 2.5, "", "0", "node", None, [], {}, [0], [0, 0], {"node": 0}]),
+    st.just(_DELETE),
+)
+
+
+@lru_cache(maxsize=None)
+def _generated_family(seed, rank, width):
+    return generate_family(seed, rank, width)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(min_value=0, max_value=99),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0),
+    _FAMILY_LEAVES,
+)
+def test_a_mutated_family_decodes_as_the_item_walk_does(seed, rank, width, pick, leaf):
+    """Whole-document checks agree with the item-by-item walk on each mutation.
+
+    One value of a generated family (any leaf or subtree) is replaced,
+    or one key is deleted.  Both decoders return equal families, or
+    both raise FormatError with the same message.
+    """
+    doc = family_to_json(_generated_family(seed, rank, width))
+    if leaf is _DELETE:
+        keys = _key_paths(doc)
+        mutated = _deleted(doc, keys[pick % len(keys)])
+    else:
+        paths = list(_value_paths(doc))
+        mutated = _replaced(doc, paths[pick % len(paths)], leaf)
+    assert _outcome(family_from_json, mutated) == _outcome(_walk_family, mutated)
+
+
+_PROBE_LEAVES = (-1, 0, 5, True, 1.0, None, "0", [], {}, [0, 0])
+
+
+@pytest.mark.parametrize("seed, rank, width", [(1, 2, 2), (2, 1, 3), (3, 3, 1), (4, 0, 4)])
+def test_every_single_mutation_of_a_small_family_decodes_as_the_item_walk_does(seed, rank, width):
+    doc = family_to_json(generate_family(seed, rank, width))
+    mutated = [_replaced(doc, at, leaf) for at in _value_paths(doc) for leaf in _PROBE_LEAVES]
+    mutated += [_deleted(doc, at) for at in _key_paths(doc)]
+    for obj in mutated:
+        assert _outcome(family_from_json, obj) == _outcome(_walk_family, obj), obj
+
+
+def test_well_formed_families_never_take_the_item_walk(monkeypatch):
+    def walk(obj, where):
+        raise AssertionError(f"the item walk ran on a well-formed family at {where}")
+
+    docs = [family_to_json(ng2())]
+    docs += [
+        family_to_json(generate_family(seed, rank, width))
+        for seed in range(1, 6)
+        for rank in range(MAX_RANK + 1)
+        for width in (1, 3, 5)
+    ]
+    expected = [_walk_family(doc) for doc in docs]
+    monkeypatch.setattr(serialization, "_family_walk", walk)
+    assert [loads_document(dumps(doc)) for doc in docs] == expected
 
 
 def test_family_parse_errors():
