@@ -5,8 +5,10 @@ and ``verify`` in text and machine format on D1–D3, G1, NG2, on T-D2
 and T-D3 at x ∈ {0, 7, 50}, and on the Σ1 derivation of seed 3 and the
 Σ2 derivation of seed 12, plus three runs that fail.  It also records
 ``solve`` and ``verify`` in both formats on three ``gen-graph`` families,
-one each at ranks 2, 3 and 4, and on a family whose solution table
-points a node along an edge it does not have.  The random derivations
+one each at ranks 2, 3 and 4, and on three broken families: one whose
+solution table points a node along an edge it does not have, one whose
+child has its parent's rank, and one with an edge that raises the cost.
+The random derivations
 and the families are written to a temporary directory, whose path
 reads ``<tmp>`` in the pinned argv and output.
 
@@ -67,11 +69,15 @@ def _argvs() -> list[list[str]]:
     families = [f"family-{rank}-{seed}.json" for rank, seed in FAMILIES]
     argvs += [
         [command, f"{TMP}/{name}", "--format", fmt]
-        for name in [*families, "family-broken-table.json"]
+        for name in [*families, *(f"family-{name}.json" for name in BROKEN)]
         for command in ("solve", "verify")
         for fmt in FORMATS
     ]
     return argvs
+
+
+def _seed_2_family() -> dict:
+    return family_to_json(generate_family(2, 2, WIDTH))
 
 
 def _broken_table_family() -> dict:
@@ -79,11 +85,43 @@ def _broken_table_family() -> dict:
 
     Node 0 has no edge to node 2, so ``extract_lift`` fails on it.
     """
-    doc = family_to_json(generate_family(2, 2, WIDTH))
+    doc = _seed_2_family()
     entry = doc["solutions"][0]
     assert entry["node"] == 0 and [0, 2] not in doc["graph"]["edges"]
     entry["edge_to"] = 2
     return doc
+
+
+def _rank_plateau_family() -> dict:
+    """The rank-2 family of seed 2 with node 0's child raised to rank 2.
+
+    Node 0 does not list itself, so ``rank_descent`` fails at (0, 0).
+    """
+    doc = _seed_2_family()
+    child = doc["children"][0]
+    assert child["node"] == 0 and [0, 0] not in doc["graph"]["edges"]
+    child["problem"]["rank"] = doc["rank"]
+    return doc
+
+
+def _cost_raising_family() -> dict:
+    """The rank-2 family of seed 2 with an edge from node 0 to the dearer node 2.
+
+    ``cost_decrease`` fails on that edge.
+    """
+    doc = _seed_2_family()
+    graph = doc["graph"]
+    assert graph["costs"][0] < graph["costs"][2] and [0, 2] not in graph["edges"]
+    graph["edges"] = sorted([*graph["edges"], [0, 2]])
+    return doc
+
+
+# The broken families, by the name of the file each is written to.
+BROKEN = {
+    "broken-table": _broken_table_family,
+    "rank-plateau": _rank_plateau_family,
+    "cost-raising": _cost_raising_family,
+}
 
 
 def _write_inputs(tmp: Path) -> None:
@@ -95,7 +133,8 @@ def _write_inputs(tmp: Path) -> None:
     for rank, seed in FAMILIES:
         doc = family_to_json(generate_family(seed, rank, WIDTH))
         (tmp / f"family-{rank}-{seed}.json").write_text(dumps(doc), encoding="utf-8")
-    (tmp / "family-broken-table.json").write_text(dumps(_broken_table_family()), encoding="utf-8")
+    for name, build in BROKEN.items():
+        (tmp / f"family-{name}.json").write_text(dumps(build()), encoding="utf-8")
 
 
 def _run(argv: list[str], tmp: Path) -> dict:
