@@ -69,23 +69,21 @@ def descent_steps(g: CostedDigraph) -> list[int]:
     return step
 
 
-def pls_from_digraph(g: CostedDigraph, start: int = 0) -> NplsInstance:
+def pls_from_digraph(g: CostedDigraph) -> NplsInstance:
     """View a costed digraph as a plain local search instance.
 
     The instance has one rank-zero source row, 0, whose targets are the
     node ids, each listing its entry of the descent step function; its
     costs are the node costs.  Solving follows the smallest-id
-    cost-decreasing edge from ``start`` until it reaches a node with no
+    cost-decreasing edge from node 0 until it reaches a node with no
     cheaper successor.  Conformance of the edge costs is checked first;
     it is what makes every walk terminate.
     """
     check_cost_condition(g)
-    if not 0 <= start < g.n_nodes:
-        raise ValueError(f"start node {start} out of range")
     table = {v: [t] for v, t in enumerate(descent_steps(g))}
     costs = g.costs
     d = max((g.n_nodes - 1).bit_length(), 1)
-    return plain_instance(d, 0, table, start, lambda t: costs[t])
+    return plain_instance(d, 0, table, 0, lambda t: costs[t])
 
 
 @dataclass(frozen=True)

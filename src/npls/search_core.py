@@ -20,9 +20,12 @@ search problem is the rank zero case with one row: its targets are the
 feasible points and each lists its step, so ``solve_pls`` and
 ``solve_npls`` run the same descent.  An instance states its relation
 once, as one table per source row that maps each target to its
-neighbors; the solvers read the rows they open, and
-``verify_npls_conditions`` tests all nine conditions by walking every
-row edge by edge.
+neighbors; the solvers read the rows they open.
+``verify_npls_conditions`` fetches every row once and splits it into
+its solutions and its stuck targets, asking ``gen_source`` once per
+stuck target; each of the nine conditions is a scan over that split,
+which walks every row edge by edge, and a scan that raises reports
+``checker crashed``.
 """
 
 from __future__ import annotations
@@ -417,25 +420,24 @@ CONDITION_NAMES = (
 )
 
 
-def _failure(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def verify_npls_conditions(inst: NplsInstance) -> ConditionReport:
     """Test the nine nested-search conditions by enumeration.
 
-    Every listed source row is fetched once, and its targets and each
-    target's neighbors are read in ascending order of id.  Each row is
-    split once into its solutions, the targets that list themselves, and
-    its stuck targets, the rest.  The solver hands only stuck targets to
-    ``gen_source`` and ``extract``, so the three conditions on those two
-    maps quantify over stuck targets alone, and the work is linear in the
-    targets plus the edges rather than in the point space, plus one
-    ``extract`` call per pair of a stuck target and a solution of its
-    generated row.  The relation lives only in the rows, so the bit bound
-    checks the ids the table holds.  Each failing check reports the first
-    counterexample in scan order.  Every tuple a condition quantifies
-    over is checked, not a sample:
+    One pass fetches every listed source row and splits it into its
+    solutions, the targets that list themselves, and its stuck targets,
+    the rest, each paired with the answer of one ``gen_source`` call.
+    The solver hands only stuck targets to ``gen_source`` and
+    ``extract``, so the three conditions on those two maps quantify over
+    stuck targets alone, and ``gen_source`` is asked once per stuck
+    target.  Each condition is then a scan over that split, reading
+    targets and neighbors in ascending order of id, and reports its
+    first failure in scan order; a scan that raises reports ``checker
+    crashed`` and no counterexample.  The work is linear in the targets
+    plus the edges rather than in the point space, plus one ``extract``
+    call per pair of a stuck target and a solution of its generated row.
+    The relation lives only in the rows, so the bit bound checks the ids
+    the table holds.  Every tuple a condition quantifies over is
+    checked, not a sample:
 
     - ``bit_bound``: every source, and every target of every row;
     - ``gen_source_closure``: every stuck target of every row;
@@ -457,142 +459,111 @@ def verify_npls_conditions(inst: NplsInstance) -> ConditionReport:
         try:
             return fn(*args), None
         except Exception as exc:  # noqa: BLE001 - verifier reports, never raises
-            return None, _failure(exc)
+            return None, f"{type(exc).__name__}: {exc}"
 
     sources = inst.sources()
-    table = {s: inst.row(s) for s in sources}
     source_set = set(sources)
-    solutions: dict[PointId, list[PointId]] = {}
-    stuck: dict[PointId, list[PointId]] = {}
-    for s, row in table.items():
-        solutions[s] = [y for y, zs in row.items() if _lists(zs, y)]
-        loops = set(solutions[s])
-        stuck[s] = [y for y in row if y not in loops]
+    # Source -> (row, solutions, [(stuck target, gen_source answer, its error)]).
+    split: dict[PointId, tuple] = {}
+    for s in sources:
+        row = inst.row(s)
+        solutions = [y for y, zs in row.items() if _lists(zs, y)]
+        loops = set(solutions)
+        split[s] = row, solutions, [
+            (y, *guarded(inst.gen_source, s, y)) for y in row if y not in loops
+        ]
 
-    checks: list[ConditionCheck] = []
-
-    def run(name: str):
-        def wrap(fn):
-            try:
-                bad = fn()
-            except Exception as exc:  # noqa: BLE001
-                checks.append(ConditionCheck(name, False, None, f"checker crashed: {exc}"))
-                return
-            if bad is None:
-                checks.append(ConditionCheck(name, True))
-            else:
-                counter, detail = bad
-                checks.append(ConditionCheck(name, False, counter, detail))
-
-        return wrap
-
-    @run("bit_bound")
-    def _bit_bound():
-        for s in sources:
+    def bit_bound():
+        for s, (row, _, _) in split.items():
             if s >= space:
-                return (s,), "a source lies beyond the bit bound"
-            for t in table[s]:
+                yield (s,), "a source lies beyond the bit bound"
+            for t in row:
                 if t >= space:
-                    return (s, t), "a target lies beyond the bit bound"
-        return None
+                    yield (s, t), "a target lies beyond the bit bound"
 
-    @run("gen_source_closure")
-    def _closure():
-        for s in sources:
-            for y in stuck[s]:
-                got, err = guarded(inst.gen_source, s, y)
+    def gen_source_closure():
+        for s, (_, _, stuck) in split.items():
+            for y, child, err in stuck:
                 if err is not None:
-                    return (s, y), f"gen_source failed: {err}"
-                if got not in source_set:
-                    return (s, y), f"gen_source returned non-source {got}"
-        return None
+                    yield (s, y), f"gen_source failed: {err}"
+                elif child not in source_set:
+                    yield (s, y), f"gen_source returned non-source {child}"
 
-    @run("neighbor_domain")
-    def _domain():
-        for s in sources:
-            row = table[s]
+    def neighbor_domain():
+        for s, (row, _, _) in split.items():
             for y, zs in row.items():
                 for z in zs:
                     if z not in row:
-                        return (s, y, z), "neighbor relation leaves the target set"
-        return None
+                        yield (s, y, z), "neighbor relation leaves the target set"
 
-    @run("rank0_function")
-    def _rank0():
-        for s in sources:
-            if inst.rank(s) != 0:
-                continue
-            for y, zs in table[s].items():
-                if len(zs) != 1:
-                    return (s, y), f"target lists {len(zs)} neighbors, not exactly one"
-        return None
+    def rank0_function():
+        for s, (row, _, _) in split.items():
+            if inst.rank(s) == 0:
+                for y, zs in row.items():
+                    if len(zs) != 1:
+                        yield (s, y), f"target lists {len(zs)} neighbors, not exactly one"
 
-    @run("rank_descent")
-    def _descent():
-        for s in sources:
+    def rank_descent():
+        for s, (_, _, stuck) in split.items():
             r = inst.rank(s)
             if r == 0:
                 continue
-            for y in stuck[s]:
-                got, err = guarded(inst.gen_source, s, y)
+            for y, child, err in stuck:
                 if err is not None:
-                    return (s, y), f"gen_source failed: {err}"
-                if inst.rank(got) >= r:
-                    return (s, y), f"subproblem rank {inst.rank(got)} >= {r}"
-        return None
+                    yield (s, y), f"gen_source failed: {err}"
+                elif inst.rank(child) >= r:
+                    yield (s, y), f"subproblem rank {inst.rank(child)} >= {r}"
 
-    @run("extract_lift")
-    def _lift():
-        for s in sources:
+    def extract_lift():
+        for s, (row, _, stuck) in split.items():
             if inst.rank(s) == 0:
                 continue
-            row = table[s]
-            for y in stuck[s]:
-                child, err = guarded(inst.gen_source, s, y)
+            for y, child, err in stuck:
                 if err is not None or child not in source_set:
                     continue  # a failing gen_source is reported by gen_source_closure
                 neighbors = set(row[y])
-                for z in solutions[child]:
+                for z in split[child][1]:
                     got, err = guarded(inst.extract, s, y, z)
                     if err is not None:
-                        return (s, y, z), f"extract failed: {err}"
-                    if got not in neighbors:
-                        return (s, y, z), f"extracted point {got} is not a neighbor of {y}"
-        return None
+                        yield (s, y, z), f"extract failed: {err}"
+                    elif got not in neighbors:
+                        yield (s, y, z), f"extracted point {got} is not a neighbor of {y}"
 
-    @run("initial_source")
-    def _init_source():
+    def initial_source():
         got, err = guarded(inst.initial_source)
         if err is not None:
-            return (), f"initial_source failed: {err}"
-        if got not in source_set:
-            return (got,), "initial source is not a source"
-        return None
+            yield (), f"initial_source failed: {err}"
+        elif got not in source_set:
+            yield (got,), "initial source is not a source"
 
-    @run("initial_target")
-    def _init_target():
-        for s in sources:
+    def initial_target():
+        for s, (row, _, _) in split.items():
             got, err = guarded(inst.initial_target, s)
             if err is not None:
-                return (s,), f"initial_target failed: {err}"
-            if got not in table[s]:
-                return (s, got), "initial target is not a target of its row"
-        return None
+                yield (s,), f"initial_target failed: {err}"
+            elif got not in row:
+                yield (s, got), "initial target is not a target of its row"
 
-    @run("cost_decrease")
-    def _cost():
-        for s in sources:
-            row = table[s]
+    def cost_decrease():
+        for s, (row, _, _) in split.items():
             for y, zs in row.items():
                 moves = [z for z in zs if z != y and z in row]
-                if not moves:
-                    continue
-                cost_y = inst.cost(y)
-                for z in moves:
-                    if cost_y <= inst.cost(z):
-                        return (s, y, z), "neighbor step does not decrease cost"
-        return None
+                if moves:
+                    cost_y = inst.cost(y)
+                    for z in moves:
+                        if cost_y <= inst.cost(z):
+                            yield (s, y, z), "neighbor step does not decrease cost"
 
-    by_name = {c.name: c for c in checks}
-    ordered = tuple(by_name[name] for name in CONDITION_NAMES)
-    return ConditionReport(ordered)
+    scans = (
+        bit_bound, gen_source_closure, neighbor_domain, rank0_function, rank_descent,
+        extract_lift, initial_source, initial_target, cost_decrease,
+    )
+    checks = []
+    for name, scan in zip(CONDITION_NAMES, scans):
+        try:
+            bad = next(scan(), None)
+        except Exception as exc:  # noqa: BLE001
+            checks.append(ConditionCheck(name, False, None, f"checker crashed: {exc}"))
+        else:
+            checks.append(ConditionCheck(name, bad is None, *(bad or ())))
+    return ConditionReport(tuple(checks))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from collections import Counter
 
 import pytest
 
@@ -39,6 +40,7 @@ from npls.search_core import (
     INIT_TARGET,
     RANK0_STEP,
     SOLVED,
+    ConditionCheck,
     NplsInstance,
     SearchTrace,
     TraceStep,
@@ -362,6 +364,38 @@ def test_a_bad_extract_on_a_stuck_target_fails_the_lift(ext, detail):
     assert {c.name for c in report.checks if not c.passed} == {"extract_lift"}
 
 
+def test_a_crashing_cost_fails_only_its_own_condition():
+    # The lift fails at (1, 3, 6) with or without the crash.
+    inst = _lifting_instance(_GEN, {(1, 3, 6): 3})
+    costs = {2: 2, 6: 6}
+    crashed = verify_npls_conditions(dataclasses.replace(inst, cost=lambda t: costs[t]))
+    # Only target 3 steps to another target, so only its cost is asked.
+    assert crashed.check("cost_decrease") == ConditionCheck(
+        "cost_decrease", False, None, "checker crashed: 3"
+    )
+    expected = verify_npls_conditions(inst).checks
+    assert [c for c in crashed.checks if c.name != "cost_decrease"] == [
+        c for c in expected if c.name != "cost_decrease"
+    ]
+    assert {c.name for c in expected if not c.passed} == {"extract_lift"}
+
+
+def test_a_crashing_rank_on_a_non_source_fails_the_descent_but_not_the_closure():
+    ranks = {0: 0, 1: 1}
+    inst = dataclasses.replace(_lifting_instance({(1, 3): 9}, _EXT), rank=lambda s: ranks[s])
+    report = verify_npls_conditions(inst)
+    assert report.check("rank_descent") == ConditionCheck(
+        "rank_descent", False, None, "checker crashed: 9"
+    )
+    closure = report.check("gen_source_closure")
+    assert closure.counterexample == (1, 3)
+    assert closure.detail == "gen_source returned non-source 9"
+    assert {c.name for c in report.checks if not c.passed} == {
+        "gen_source_closure",
+        "rank_descent",
+    }
+
+
 @pytest.mark.parametrize(
     "gen, ext",
     [
@@ -412,6 +446,29 @@ def test_the_lift_calls_extract_once_per_stuck_target_and_solution():
     assert verify_npls_conditions(dataclasses.replace(inst, extract=counted)).all_passed
     # Pairing every target, solutions included, would make 1,071,816 calls.
     assert calls == _lift_pairs(inst) == 204
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_npls(ExtractionContext(expand_template(t_d3(), 100), MODE_NPLS)),
+        lambda: npls_from_family(ng2()),
+        lambda: npls_from_family(generate_family(3, 3, 4)),
+    ],
+    ids=["T-D3 at x=100", "NG2", "rank-3 family"],
+)
+def test_verify_asks_gen_source_once_per_stuck_target(build):
+    inst = build()
+    calls = Counter()
+    gen_source = inst.gen_source
+
+    def counted(s, y):
+        calls[(s, y)] += 1
+        return gen_source(s, y)
+
+    assert verify_npls_conditions(dataclasses.replace(inst, gen_source=counted)).all_passed
+    stuck = [(s, y) for s in inst.sources() for y, zs in inst.row(s).items() if y not in zs]
+    assert calls == Counter(stuck)
 
 
 def _broad_closure_and_lift(inst):
