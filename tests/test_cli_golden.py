@@ -31,9 +31,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from npls.cli import main
-from npls.corpus import random_sigma1_derivation, random_sigma2_derivation
+from npls.corpus import random_sigma1_derivation, random_sigma2_derivation, t_d3
 from npls.nested_graph import generate_family
-from npls.serialization import derivation_to_json, dumps, family_to_json
+from npls.serialization import derivation_to_json, dumps, family_to_json, template_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 TMP = "<tmp>"
@@ -71,6 +71,12 @@ def _argvs() -> list[list[str]]:
         [command, f"{TMP}/{name}", "--format", fmt]
         for name in [*families, *(f"family-{name}.json" for name in BROKEN)]
         for command in ("solve", "verify")
+        for fmt in FORMATS
+    ]
+    argvs += [
+        [command, f"{TMP}/template-{name}.json", "--x", "3", "--format", fmt]
+        for name in BROKEN_TEMPLATES
+        for command in ("validate", "extract")
         for fmt in FORMATS
     ]
     return argvs
@@ -124,6 +130,47 @@ BROKEN = {
 }
 
 
+def _t_d3_body() -> tuple[dict, dict]:
+    """T-D3 as a document, and the existential rule node of its family body."""
+    doc = template_to_json(t_d3())
+    body = doc["root"]["family"]["body"]
+    assert body["rule"] == {"tag": "exists", "principal": 0, "witness": {"num": 2}}
+    return doc, body
+
+
+def _witness_at_bound_template() -> dict:
+    """T-D3 with its family body's witness raised to the end-formula's bound, 4.
+
+    Every replicate fails the bound check, and its leaf no longer holds
+    the instance the rule adds.
+    """
+    doc, body = _t_d3_body()
+    assert body["sequent"][0]["ex"]["bound"] == {"num": 4}
+    body["rule"]["witness"] = {"num": 4}
+    return doc
+
+
+def _false_leaf_template() -> dict:
+    """T-D3 with its family body's witness and leaf literal moved to 1.
+
+    The rule adds 1*1 = 1+1, its leaf holds exactly that, and it is false.
+    """
+    doc, body = _t_d3_body()
+    body["rule"]["witness"] = {"num": 1}
+    leaf = body["children"][0]["sequent"][2]
+    assert leaf["lhs"] == {"op": "mul", "args": [{"num": 2}, {"num": 2}]}
+    leaf["lhs"]["args"] = [{"num": 1}, {"num": 1}]
+    leaf["rhs"]["args"] = [{"num": 1}, {"num": 1}]
+    return doc
+
+
+# The broken templates, by the name of the file each is written to.
+BROKEN_TEMPLATES = {
+    "witness-at-bound": _witness_at_bound_template,
+    "false-leaf": _false_leaf_template,
+}
+
+
 def _write_inputs(tmp: Path) -> None:
     for name, derivation in (
         ("sigma1-3.json", random_sigma1_derivation(3)),
@@ -135,6 +182,8 @@ def _write_inputs(tmp: Path) -> None:
         (tmp / f"family-{rank}-{seed}.json").write_text(dumps(doc), encoding="utf-8")
     for name, build in BROKEN.items():
         (tmp / f"family-{name}.json").write_text(dumps(build()), encoding="utf-8")
+    for name, build in BROKEN_TEMPLATES.items():
+        (tmp / f"template-{name}.json").write_text(dumps(build()), encoding="utf-8")
 
 
 def _run(argv: list[str], tmp: Path) -> dict:
