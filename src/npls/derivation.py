@@ -272,9 +272,23 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
 
     One pass fills the report's ``FormulaTable``: each node's sequent is
     interned once, each distinct formula normalized once, and upper
-    sequents are checked by comparing sorted lists of formula ids.  The
-    class and free-variable checks also run once per distinct formula
-    object; their issues are still flagged at every occurrence.
+    sequents are checked by comparing sorted lists of formula ids.
+
+    Work that depends only on shared objects runs once per object, keyed
+    by identity, and its issues are still flagged at every node:
+
+    * the class and free-variable checks, once per distinct formula;
+    * an initial literal's truth, once per distinct literal formula;
+    * an existential or exists-forall rule's shape and closedness
+      checks, its witness, bound and inner bound values, and the
+      formulas its children add, once per distinct (rule kind,
+      principal, witness) triple.  The added formulas are built only
+      once a node's child count matches, so a huge inner bound is
+      refused by the count alone.
+
+    Per node remain the principal or literal index range, the child
+    count, the comparison of each upper sequent, and every message that
+    names the rule's index.  A cut rule is checked per node.
     """
     if mode not in _MODE_CLASS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -310,6 +324,10 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     # id(f) -> (too high a class, sorted extra free variables); ``d``
     # holds every f for the whole pass, so no id is reused meanwhile.
     checked: dict[int, tuple[bool, list[str]]] = {}
+    # id(literal formula) -> its truth, or the message of its failure.
+    truth: dict[int, bool | str] = {}
+    # (rule kind, id(principal), id(witness)) -> _RuleFacts.
+    rule_facts: dict[tuple[type, int, int], _RuleFacts] = {}
 
     for path in d.paths():
         node = d.nodes[path]
@@ -344,11 +362,17 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             if not isinstance(f, LitFormula):
                 flag(path, f"initial index {rule.index} does not point at a literal")
                 continue
-            try:
-                if not eval_literal(f.lit, d.end_x):
-                    flag(path, f"initial literal at index {rule.index} is false")
-            except NplsError as exc:
-                flag(path, f"initial literal does not evaluate: {exc}")
+            holds = truth.get(id(f))
+            if holds is None:
+                try:
+                    holds = eval_literal(f.lit, d.end_x)
+                except NplsError as exc:
+                    holds = f"initial literal does not evaluate: {exc}"
+                truth[id(f)] = holds
+            if holds is False:
+                flag(path, f"initial literal at index {rule.index} is false")
+            elif holds is not True:
+                flag(path, holds)
             continue
 
         if isinstance(rule, (ExistsRule, ExistsForallRule)):
@@ -356,38 +380,30 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
                 flag(path, f"principal index {rule.principal} out of range")
                 continue
             principal = sequent[rule.principal]
-            wanted = ExistsLit if isinstance(rule, ExistsRule) else ExistsForall
-            if not isinstance(principal, wanted):
-                flag(path, f"principal at index {rule.principal} has the wrong shape")
+            key = (type(rule), id(principal), id(rule.witness))
+            facts = rule_facts.get(key)
+            if facts is None:
+                facts = rule_facts[key] = _RuleFacts(rule, principal, value)
+            if facts.stop is not None:
+                flag(path, facts.stop.format(index=rule.principal))
                 continue
-            if free_vars(rule.witness) - {"x"}:
-                flag(path, "witnessing term is not closed")
+            if facts.above is not None:
+                flag(path, facts.above)
+            if facts.inner is None:
+                flag(path, "inner bound does not evaluate")
                 continue
-            w = value(rule.witness)
-            outer = principal.bound if isinstance(principal, ExistsLit) else principal.bound1
-            b = value(outer)
-            if w is None or b is None:
-                flag(path, "witness or bound does not evaluate")
+            if count != facts.inner:
+                flag(path, f"{facts.name} rule has {count} children, expected {facts.inner}")
                 continue
-            if w >= b:
-                flag(path, f"witness value {w} is not below the bound {b}")
-            if isinstance(rule, ExistsRule):
-                if count != 1:
-                    flag(path, f"existential rule has {count} children, expected 1")
-                    continue
-                added = LitFormula(exists_instance(principal, rule.witness))
-                _check_child(d, table, path, base, 0, added, flag)
-            else:
-                inner = value(principal.bound2)
-                if inner is None:
-                    flag(path, "inner bound does not evaluate")
-                    continue
-                if count != inner:
-                    flag(path, f"exists-forall rule has {count} children, expected {inner}")
-                    continue
-                for n in range(inner):
-                    added = LitFormula(exists_forall_instance(principal, rule.witness, n))
-                    _check_child(d, table, path, base, n, added, flag)
+            # The added formulas' ids are interned at the first node
+            # that gets this far, in child order.
+            added_ids = facts.added_ids
+            for n in range(count):
+                child = path + (n,)
+                upper = d.nodes[child].sequent
+                if n == len(added_ids):
+                    added_ids.append(_intern_added(table, upper, facts.instance(n)))
+                _check_child(table, child, upper, base, added_ids[n], flag)
             continue
 
         if isinstance(rule, CutRule):
@@ -409,9 +425,11 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             if count != b + 1:
                 flag(path, f"cut has {count} children, expected {b + 1}")
                 continue
-            for n in range(b):
-                _check_child(d, table, path, base, n, negated_instance(formula, n), flag)
-            _check_child(d, table, path, base, b, formula, flag)
+            for n in range(b + 1):
+                child = path + (n,)
+                upper = d.nodes[child].sequent
+                added = negated_instance(formula, n) if n < b else formula
+                _check_child(table, child, upper, base, _intern_added(table, upper, added), flag)
             continue
 
         flag(path, f"unknown rule {type(rule).__name__}")
@@ -419,30 +437,80 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     return ValidationReport(mode, tuple(issues), table)
 
 
+class _RuleFacts:
+    """What validation learns of one (rule kind, principal, witness) triple.
+
+    An existential or exists-forall rule's checks, short of its index
+    range and child count, depend only on the kind of rule and on its
+    principal and witness objects.  ``stop`` is the message that ends
+    the check, a format string with the rule's principal ``index``;
+    ``above`` flags a witness not below the bound; ``inner`` is the
+    number of children the rule must have, None when it does not
+    evaluate.  ``added_ids`` holds the table id of each child's added
+    formula, filled in when a node of the triple first reaches its
+    children, so no instance is built before the child count matches.
+    """
+
+    __slots__ = ("stop", "above", "inner", "name", "added_ids", "instance")
+
+    def __init__(self, rule: ExistsRule | ExistsForallRule, principal: Formula, value) -> None:
+        self.stop: str | None = None
+        self.above: str | None = None
+        self.inner: int | None = None
+        self.added_ids: list[int] = []
+        exists = isinstance(rule, ExistsRule)
+        self.name = "existential" if exists else "exists-forall"
+        if not isinstance(principal, ExistsLit if exists else ExistsForall):
+            self.stop = "principal at index {index} has the wrong shape"
+            return
+        witness = rule.witness
+        if free_vars(witness) - {"x"}:
+            self.stop = "witnessing term is not closed"
+            return
+        w = value(witness)
+        b = value(principal.bound if exists else principal.bound1)
+        if w is None or b is None:
+            self.stop = "witness or bound does not evaluate"
+            return
+        if w >= b:
+            self.above = f"witness value {w} is not below the bound {b}"
+        if exists:
+            self.inner = 1
+            self.instance = lambda n: LitFormula(exists_instance(principal, witness))
+        else:
+            self.inner = value(principal.bound2)
+            self.instance = lambda n: LitFormula(exists_forall_instance(principal, witness, n))
+
+
+def _intern_added(table: FormulaTable, upper: tuple[Formula, ...], added: Formula) -> int:
+    """The table id of a formula that a child adds over its parent.
+
+    An upper sequent usually lists the added formula last; interning
+    that equal occurrence instead of the freshly built ``added`` finds
+    its id by identity, and equal formulas have the same id.
+    """
+    if upper and (upper[-1] is added or upper[-1] == added):
+        added = upper[-1]
+    return table.intern(added)
+
+
 def _check_child(
-    d: Derivation,
     table: FormulaTable,
-    path: NodePath,
+    child: NodePath,
+    upper: tuple[Formula, ...],
     base: list[int],
-    index: int,
-    added: Formula,
+    added_id: int,
     flag,
 ) -> None:
     """The upper sequent must be the lower sequent (``base``) plus the added formula.
 
-    ``base`` is the lower sequent's sorted ids.  An upper sequent
-    usually lists the added formula last; interning that equal
-    occurrence instead of the freshly built ``added`` finds its id by
-    identity, and equal formulas have the same id.
+    ``base`` is the lower sequent's sorted ids and ``added_id`` the id
+    of the added formula.
     """
-    child = path + (index,)
-    sequent = d.sequent(child)
-    if sequent and sequent[-1] == added:
-        added = sequent[-1]
-    added_id = table.added[child] = table.intern(added)
+    table.added[child] = added_id
     want = base.copy()
     insort(want, added_id)
-    got = table.record(child, sequent)
+    got = table.record(child, upper)
     if got != want:
         missing = Counter(want) - Counter(got)
         surplus = Counter(got) - Counter(want)
@@ -511,7 +579,10 @@ def expand_template(template: DerivationTemplate, x: int) -> Derivation:
     per assignment of its own free variables, which bound variables
     shadow: a formula that does not mention a family's index is built
     once for the whole family.  The expansion shares one object per
-    distinct substituted formula, so validation interns each just once.
+    distinct substituted formula and witness, so validation interns each
+    formula just once, evaluates each initial literal once, and checks
+    the rules of all replicates that share a principal and a witness
+    once.  Rule objects themselves are built per node.
     """
     env0: dict[str, Term] = {"x": Term("num", value=x)}
     nodes: dict[NodePath, ProofNode] = {}

@@ -119,7 +119,8 @@ class ExtractionContext:
     ``low[i]`` is the smallest post-order id in the subtree of node
     ``i``, so that subtree is exactly the ids ``low[i]..i``.  Each table
     is filled in one pass over the nodes; child counts in particular are
-    counted once rather than rescanned per child.  Past validation a
+    counted once rather than rescanned per child, and each distinct
+    witness object is evaluated once.  Past validation a
     context therefore costs time linear in the total size of the
     sequents, plus sorting the post-order index.
     """
@@ -179,6 +180,9 @@ class ExtractionContext:
                 got = true_lit[fid] = isinstance(f, LitFormula) and eval_literal(f.lit, self.x)
             return got
 
+        # The value of each distinct witness object; ``derivation`` holds
+        # every witness for the context's life, so no id is reused.
+        value_of: dict[int, int] = {}
         self._has_true_literal: dict[NodePath, bool] = {}
         self._principal: dict[NodePath, int] = {}
         self._witness_value: dict[NodePath, int] = {}
@@ -189,7 +193,10 @@ class ExtractionContext:
             rule = node.rule
             if isinstance(rule, (ExistsRule, ExistsForallRule)):
                 self._principal[path] = self._seq_ids[path][rule.principal]
-                self._witness_value[path] = eval_term(rule.witness, self.x)
+                w = value_of.get(id(rule.witness))
+                if w is None:
+                    w = value_of[id(rule.witness)] = eval_term(rule.witness, self.x)
+                self._witness_value[path] = w
                 if isinstance(rule, ExistsRule):
                     self._true_goal[path] = holds(self._added[path + (0,)])
             self._left_upper[path] = bool(path) and (
@@ -199,22 +206,29 @@ class ExtractionContext:
 
     @staticmethod
     def _check_mode(d: Derivation, mode: str) -> None:
+        # The node's path is formatted only for the node that fails.
         for path, node in d.nodes.items():
-            where = f" at {format_path(path)}"
             if mode == MODE_PLS:
                 if isinstance(node.rule, ExistsForallRule) or any(
                     classify(f) > 1 for f in node.sequent
                 ):
-                    raise ModeError("exists-forall material needs npls mode" + where)
+                    raise ModeError(
+                        f"exists-forall material needs npls mode at {format_path(path)}"
+                    )
                 if isinstance(node.rule, CutRule) and not isinstance(
                     node.rule.formula, ExistsLit
                 ):
-                    raise ModeError("pls mode admits cuts on bounded existentials only" + where)
+                    raise ModeError(
+                        f"pls mode admits cuts on bounded existentials only at {format_path(path)}"
+                    )
             else:
                 if isinstance(node.rule, CutRule) and not isinstance(
                     node.rule.formula, ExistsForall
                 ):
-                    raise ModeError("npls mode admits cuts on exists-forall formulas only" + where)
+                    raise ModeError(
+                        "npls mode admits cuts on exists-forall formulas only"
+                        f" at {format_path(path)}"
+                    )
 
     # Node predicates
 

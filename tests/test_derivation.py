@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 from functools import cmp_to_key
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npls.corpus import d1, d2, d3, t_d2, t_d3
+from npls.corpus import (
+    d1,
+    d2,
+    d3,
+    random_sigma1_derivation,
+    random_sigma2_derivation,
+    t_d2,
+    t_d3,
+)
 from npls.derivation import (
     MODE_NPLS,
     MODE_PLS,
@@ -28,8 +37,14 @@ from npls.derivation import (
     substitute_numeral,
     validate,
 )
-from npls.errors import NoSuchNode, ValidationFailed
-from npls.serialization import derivation_to_json
+from npls.errors import NoSuchNode, NplsError, ValidationFailed
+from npls.serialization import (
+    derivation_to_json,
+    formula_from_json,
+    formula_to_json,
+    rule_from_json,
+    rule_to_json,
+)
 from npls.terms import (
     ExistsForall,
     ExistsLit,
@@ -452,3 +467,160 @@ def test_formula_ids_survive_formulas_that_are_dropped_at_once():
         for b in range(7):
             assert (ids[a] == ids[b]) == formulas_equal(make(a), make(b))
     assert ids == [ids[k % 7] for k in range(2000)]
+
+
+# Validation shares its work between equal objects; sharing must not
+# change a report.
+
+
+def _template_sites(tnode, at=()):
+    """Every (steps, kind, position) a one-leaf mutation can hit in a template.
+
+    ``steps`` lead from the root to a template node: ``k`` to its k-th
+    listed child, ``"f"`` to its family body.
+    """
+    sites = []
+    if isinstance(tnode.rule, (ExistsRule, ExistsForallRule)):
+        sites += [(at, "witness", None), (at, "principal", None)]
+    for i, f in enumerate(tnode.sequent):
+        sites.append((at, "literal" if isinstance(f, LitFormula) else "bound", i))
+    for k, child in enumerate(tnode.children):
+        sites += _template_sites(child, at + (k,))
+    if tnode.family is not None:
+        sites += _template_sites(tnode.family.body, at + ("f",))
+    return sites
+
+
+def _mutated_node(tnode, kind, position, value):
+    if kind == "witness":
+        return dataclasses.replace(tnode, rule=dataclasses.replace(tnode.rule, witness=value))
+    if kind == "principal":
+        return dataclasses.replace(tnode, rule=dataclasses.replace(tnode.rule, principal=value))
+    f = tnode.sequent[position]
+    if kind == "literal":
+        f = LitFormula(f.lit.negate())
+    elif isinstance(f, ExistsLit):
+        f = dataclasses.replace(f, bound=value)
+    else:
+        f = dataclasses.replace(f, bound2=value)
+    sequent = tnode.sequent[:position] + (f,) + tnode.sequent[position + 1 :]
+    return dataclasses.replace(tnode, sequent=sequent)
+
+
+def _mutated_template(tnode, steps, kind, position, value):
+    if not steps:
+        return _mutated_node(tnode, kind, position, value)
+    step, rest = steps[0], steps[1:]
+    if step == "f":
+        body = _mutated_template(tnode.family.body, rest, kind, position, value)
+        return dataclasses.replace(tnode, family=dataclasses.replace(tnode.family, body=body))
+    children = list(tnode.children)
+    children[step] = _mutated_template(children[step], rest, kind, position, value)
+    return dataclasses.replace(tnode, children=tuple(children))
+
+
+_SHARING_TEMPLATES = {"T-D2": t_d2, "T-D3": t_d3, "mixed": _mixed_family_template}
+
+
+def _assert_sharing_changes_no_report(shared, unshared):
+    for mode in (MODE_PLS, MODE_NPLS):
+        a, b = validate(shared, mode), validate(unshared, mode)
+        assert a.issues == b.issues
+        assert a.ok == b.ok
+
+
+@pytest.mark.parametrize("x", [0, 1, 3, 7])
+@pytest.mark.parametrize("name", sorted(_SHARING_TEMPLATES))
+def test_validation_reports_alike_on_shared_and_per_occurrence_expansions(name, x):
+    t = _SHARING_TEMPLATES[name]()
+    _assert_sharing_changes_no_report(expand_template(t, x), _expand_per_occurrence(t, x))
+
+
+_VALUES = st.one_of(
+    st.integers(0, 5).map(num),
+    st.sampled_from([var("x"), var("i"), var("q"), add(var("x"), num(1)), mul(var("i"), num(2))]),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(sorted(_SHARING_TEMPLATES)),
+    st.integers(0, 4),
+    st.data(),
+)
+def test_validation_reports_alike_on_mutated_templates(name, x, data):
+    t = _SHARING_TEMPLATES[name]()
+    steps, kind, position = data.draw(st.sampled_from(_template_sites(t.root)))
+    value = data.draw(st.integers(0, 4) if kind == "principal" else _VALUES)
+    t = DerivationTemplate(_mutated_template(t.root, steps, kind, position, value))
+    try:
+        unshared = _expand_per_occurrence(t, x)
+    except NplsError:
+        # A family bound that no longer evaluates; expansion refuses it.
+        with pytest.raises(NplsError):
+            expand_template(t, x)
+        return
+    _assert_sharing_changes_no_report(expand_template(t, x), unshared)
+
+
+def _per_occurrence_copy(d):
+    """``d`` with every formula, witness and cut formula occurrence its own object."""
+    return Derivation(
+        d.end_x,
+        {
+            p: ProofNode(
+                tuple(formula_from_json(formula_to_json(f)) for f in node.sequent),
+                rule_from_json(rule_to_json(node.rule)),
+            )
+            for p, node in d.nodes.items()
+        },
+    )
+
+
+@pytest.mark.parametrize("sigma", [1, 2])
+def test_validation_reports_alike_on_random_derivations_without_sharing(sigma):
+    generate = random_sigma1_derivation if sigma == 1 else random_sigma2_derivation
+    for seed in range(60):
+        d = generate(seed)
+        _assert_sharing_changes_no_report(d, _per_occurrence_copy(d))
+
+
+def test_validation_checks_each_distinct_rule_and_literal_object_once(monkeypatch):
+    import npls.derivation as derivation
+
+    calls = {"exists_instance": 0, "eval_literal": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(derivation, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(derivation, name, counted)
+    d = expand_template(t_d3(), 100)
+    assert validate(d, MODE_NPLS).ok
+    # 102 existential rules share one (principal, witness) pair; the
+    # 105 initial leaves share 4 literal objects.
+    assert calls == {"exists_instance": 1, "eval_literal": 4}
+
+
+def test_a_huge_inner_bound_is_refused_by_the_child_count(monkeypatch):
+    import npls.derivation as derivation
+
+    built = []
+    monkeypatch.setattr(
+        derivation, "exists_forall_instance", lambda *args: built.append(args)
+    )
+    body = Literal(False, var("z"), var("y"))
+    ef = ExistsForall("z", num(1), "y", num(2**63), body)
+    lit = LitFormula(Literal(False, num(0), num(0)))
+    d = Derivation(
+        0,
+        {
+            (): ProofNode((ef,), ExistsForallRule(0, num(0))),
+            (0,): ProofNode((ef, lit), InitialRule(1)),
+        },
+    )
+    assert validate(d, MODE_NPLS).lines() == [
+        f"(): exists-forall rule has 1 children, expected {2**63}"
+    ]
+    assert built == []
