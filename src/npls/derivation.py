@@ -326,7 +326,8 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     checked: dict[int, tuple[bool, list[str]]] = {}
     # id(literal formula) -> its truth, or the message of its failure.
     truth: dict[int, bool | str] = {}
-    # (rule kind, id(principal), id(witness)) -> _RuleFacts.
+    # (rule kind, id(principal), id(witness)) -> _RuleFacts; ``d`` holds
+    # both objects too.
     rule_facts: dict[tuple[type, int, int], _RuleFacts] = {}
 
     for path in d.paths():
