@@ -8,6 +8,10 @@ and T-D3 at x ∈ {0, 7, 50}, and on the Σ1 derivation of seed 3 and the
 one each at ranks 2, 3 and 4, and on three broken families: one whose
 solution table points a node along an edge it does not have, one whose
 child has its parent's rank, and one with an edge that raises the cost.
+It records ``validate`` and ``extract`` in both formats at x = 3 on four
+broken T-D3 templates: one whose family witness reaches its bound, one
+with a false leaf, one whose cut uppers rename a bound variable, and one
+whose cut upper n adds the instance at n+1.
 The random derivations
 and the families are written to a temporary directory, whose path
 reads ``<tmp>`` in the pinned argv and output.
@@ -164,10 +168,49 @@ def _false_leaf_template() -> dict:
     return doc
 
 
+def _cut_upper(doc: dict) -> dict:
+    """The negated formula that T-D3's family body adds at the root cut."""
+    neg = doc["root"]["family"]["body"]["sequent"][1]["ex"]
+    assert neg["v"] == "y" and neg["body"]["lhs"]["args"] == [{"var": "i"}, {"var": "y"}]
+    return neg
+
+
+def _renamed_cut_upper_template() -> dict:
+    """T-D3 with its family body's negated formula binding w, not y.
+
+    Each value-indexed upper adds the cut's negated instance under
+    another bound-variable name, which is the same formula.
+    """
+    doc, body = _t_d3_body()
+    neg = _cut_upper(doc)
+    neg["v"] = "w"
+    neg["body"]["lhs"]["args"][1] = {"var": "w"}
+    neg["body"]["rhs"] = {"var": "w"}
+    for sequent in (body["sequent"], body["children"][0]["sequent"]):
+        sequent[1] = {"ex": neg}
+    return doc
+
+
+def _shifted_cut_upper_template() -> dict:
+    """T-D3 with upper n of the root cut adding the instance at n+1.
+
+    The family body writes the index as i+1, so no value-indexed upper
+    adds the formula the cut expects of it.
+    """
+    doc, body = _t_d3_body()
+    neg = _cut_upper(doc)
+    neg["body"]["lhs"]["args"][0] = {"op": "add", "args": [{"var": "i"}, {"num": 1}]}
+    for sequent in (body["sequent"], body["children"][0]["sequent"]):
+        sequent[1] = {"ex": neg}
+    return doc
+
+
 # The broken templates, by the name of the file each is written to.
 BROKEN_TEMPLATES = {
     "witness-at-bound": _witness_at_bound_template,
     "false-leaf": _false_leaf_template,
+    "renamed-cut-upper": _renamed_cut_upper_template,
+    "shifted-cut-upper": _shifted_cut_upper_template,
 }
 
 
