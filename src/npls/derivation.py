@@ -42,6 +42,7 @@ from .terms import (
     ExistsForall,
     ExistsLit,
     Formula,
+    Literal,
     LitFormula,
     Term,
     classify,
@@ -199,13 +200,12 @@ class FormulaTable:
 
     Decoded and expanded derivations share one object per distinct
     formula, so ``intern`` looks a formula up by identity first: each
-    distinct object is hashed and normalized once, however often it
+    distinct object is normalized and hashed once, however often it
     occurs.
     """
 
     def __init__(self) -> None:
         self._ids: dict[Formula, int] = {}
-        self._seen: dict[Formula, int] = {}
         # id(f) -> (f, formula id); holding f keeps its id(f) from being
         # reused by another object while the table lives.
         self._by_object: dict[int, tuple[Formula, int]] = {}
@@ -218,11 +218,7 @@ class FormulaTable:
         known = self._by_object.get(id(f))
         if known is not None:
             return known[1]
-        # Equal formulas have equal normal forms, so a formula seen
-        # before skips normalization.
-        got = self._seen.get(f)
-        if got is None:
-            got = self._seen[f] = self._ids.setdefault(normalize(f), len(self._ids))
+        got = self._ids.setdefault(normalize(f), len(self._ids))
         self._by_object[id(f)] = (f, got)
         return got
 
@@ -271,8 +267,12 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     derivation is sound at its substituted value.
 
     One pass fills the report's ``FormulaTable``: each node's sequent is
-    interned once, each distinct formula normalized once, and upper
-    sequents are checked by comparing sorted lists of formula ids.
+    interned once, each distinct formula object normalized once, and
+    upper sequents are checked by comparing sorted lists of formula ids.
+    The formula a child adds is matched in place against the last
+    formula of its upper sequent, which is then interned as it stands;
+    the added formula is built only when that match fails (see
+    ``_intern_added``).
 
     Work that depends only on shared objects runs once per object, keyed
     by identity, and its issues are still flagged at every node:
@@ -282,8 +282,8 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     * an existential or exists-forall rule's shape and closedness
       checks, its witness, bound and inner bound values, and the
       formulas its children add, once per distinct (rule kind,
-      principal, witness) triple.  The added formulas are built only
-      once a node's child count matches, so a huge inner bound is
+      principal, witness) triple.  The added formulas are looked at
+      only once a node's child count matches, so a huge inner bound is
       refused by the count alone.
 
     Per node remain the principal or literal index range, the child
@@ -403,7 +403,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
                 child = path + (n,)
                 upper = d.nodes[child].sequent
                 if n == len(added_ids):
-                    added_ids.append(_intern_added(table, upper, facts.instance(n)))
+                    added_ids.append(_intern_added(table, upper, principal, rule.witness, n))
                 _check_child(table, child, upper, base, added_ids[n], flag)
             continue
 
@@ -429,8 +429,8 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             for n in range(b + 1):
                 child = path + (n,)
                 upper = d.nodes[child].sequent
-                added = negated_instance(formula, n) if n < b else formula
-                _check_child(table, child, upper, base, _intern_added(table, upper, added), flag)
+                added_id = _intern_added(table, upper, formula, None, n if n < b else None)
+                _check_child(table, child, upper, base, added_id, flag)
             continue
 
         flag(path, f"unknown rule {type(rule).__name__}")
@@ -449,10 +449,10 @@ class _RuleFacts:
     number of children the rule must have, None when it does not
     evaluate.  ``added_ids`` holds the table id of each child's added
     formula, filled in when a node of the triple first reaches its
-    children, so no instance is built before the child count matches.
+    children, so no instance is looked at before the child count matches.
     """
 
-    __slots__ = ("stop", "above", "inner", "name", "added_ids", "instance")
+    __slots__ = ("stop", "above", "inner", "name", "added_ids")
 
     def __init__(self, rule: ExistsRule | ExistsForallRule, principal: Formula, value) -> None:
         self.stop: str | None = None
@@ -475,24 +475,111 @@ class _RuleFacts:
             return
         if w >= b:
             self.above = f"witness value {w} is not below the bound {b}"
-        if exists:
-            self.inner = 1
-            self.instance = lambda n: LitFormula(exists_instance(principal, witness))
-        else:
-            self.inner = value(principal.bound2)
-            self.instance = lambda n: LitFormula(exists_forall_instance(principal, witness, n))
+        self.inner = 1 if exists else value(principal.bound2)
 
 
-def _intern_added(table: FormulaTable, upper: tuple[Formula, ...], added: Formula) -> int:
-    """The table id of a formula that a child adds over its parent.
+def _intern_added(
+    table: FormulaTable,
+    upper: tuple[Formula, ...],
+    f: Formula,
+    witness: Term | None,
+    n: int | None,
+) -> int:
+    """The table id of the formula a child adds over its parent.
 
-    An upper sequent usually lists the added formula last; interning
-    that equal occurrence instead of the freshly built ``added`` finds
-    its id by identity, and equal formulas have the same id.
+    Child ``n`` of an existential or exists-forall rule on ``f`` adds
+    the instance of ``f`` at ``witness`` (and branch ``n``); upper ``n``
+    of a cut on ``f`` has no witness and adds the negated instance at
+    ``n``, and the final cut upper, ``n`` None, adds ``f`` itself.
+
+    An upper sequent usually lists the added formula last.  That
+    occurrence is matched against ``f`` at the numeral ``n`` or the
+    witness without building anything, and on a match it is interned as
+    it stands: one normalization and one hash, found again by identity
+    when its sequent is recorded.  The added formula is built only when
+    the match fails: a renamed bound variable, an added formula that is
+    not last, or a wrong upper.  Equal formulas have the same id, so
+    both ways give the same id.
     """
-    if upper and (upper[-1] is added or upper[-1] == added):
-        added = upper[-1]
+    if upper and _is_added(upper[-1], f, witness, n):
+        return table.intern(upper[-1])
+    if n is None:
+        added = f
+    elif witness is None:
+        added = negated_instance(f, n)
+    elif isinstance(f, ExistsLit):
+        added = LitFormula(exists_instance(f, witness))
+    else:
+        added = LitFormula(exists_forall_instance(f, witness, n))
     return table.intern(added)
+
+
+def _is_added(u: Formula, f: Formula, witness: Term | None, n: int | None) -> bool:
+    """Whether ``u`` equals the formula that ``_intern_added`` would build."""
+    if n is None:
+        return u is f or u == f
+    if isinstance(f, ExistsLit):
+        at = n if witness is None else witness
+        return u.__class__ is LitFormula and _literal_is(
+            u.lit, f.body, witness is None, f.var, at, None, 0
+        )
+    if witness is not None:
+        return u.__class__ is LitFormula and _literal_is(
+            u.lit, f.body, False, f.var1, witness, f.var2, n
+        )
+    # The inner quantifier shadows the outer one when both bind one name.
+    name = None if f.var1 == f.var2 else f.var1
+    return (
+        u.__class__ is ExistsLit
+        and u.var == f.var2
+        and (u.bound is f.bound2 or u.bound == f.bound2)
+        and _literal_is(u.body, f.body, True, name, n, None, 0)
+    )
+
+
+def _literal_is(
+    u: Literal,
+    body: Literal,
+    negate: bool,
+    name: str | None,
+    at: Term | int,
+    name2: str | None,
+    at2: int,
+) -> bool:
+    """Whether ``u`` equals ``body``, negated if ``negate``, after ``_term_is``'s substitution."""
+    return (
+        u.__class__ is Literal
+        and u.negated == (body.negated != negate)
+        and _term_is(u.lhs, body.lhs, name, at, name2, at2)
+        and _term_is(u.rhs, body.rhs, name, at, name2, at2)
+    )
+
+
+def _term_is(
+    u: Term, t: Term, name: str | None, at: Term | int, name2: str | None, at2: int
+) -> bool:
+    """Whether ``u == substitute_term(t, {name: at, name2: at2})``, building nothing.
+
+    ``at`` is a term or an int that stands for its numeral, ``at2`` an
+    int; ``name2`` wins when both names are one, as a dict's later key
+    does.
+    """
+    if t.op == "var":
+        if t.name == name2:
+            at = at2
+        elif t.name != name:
+            return u is t or u == t
+        if at.__class__ is int:
+            return u.op == "num" and u.value == at and u.name is None
+        return u is at or u == at
+    if t.op == "num":
+        return u is t or u == t
+    if u.op != t.op or u.value is not None or u.name is not None:
+        return False
+    for a, b in zip(u.args, t.args):
+        if not _term_is(a, b, name, at, name2, at2):
+            return False
+    return True
 
 
 def _check_child(

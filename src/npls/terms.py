@@ -287,11 +287,13 @@ def negated_instance(f: Formula, n: int) -> Formula:
     For a bounded existential over a literal this is a negated literal;
     for an exists-forall block it is a bounded existential over the
     negated body.  These are exactly the formulas a cut introduces in
-    its value-indexed upper sequents.
+    its value-indexed upper sequents.  When both quantifiers of the
+    block bind one name, the inner one binds the body, which n leaves
+    unchanged.
     """
     if isinstance(f, ExistsLit):
         return LitFormula(exists_instance(f, num(n)).negate())
     if isinstance(f, ExistsForall):
-        body = substitute_literal(f.body, {f.var1: num(n)}).negate()
-        return ExistsLit(f.var2, f.bound2, body)
+        body = f.body if f.var1 == f.var2 else substitute_literal(f.body, {f.var1: num(n)})
+        return ExistsLit(f.var2, f.bound2, body.negate())
     raise ValueError("negated instances exist only for quantified formulas")

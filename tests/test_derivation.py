@@ -52,10 +52,14 @@ from npls.terms import (
     Literal,
     add,
     eval_term,
+    exists_forall_instance,
+    exists_instance,
     formulas_equal,
     mul,
+    negated_instance,
     num,
     substitute_formula,
+    substitute_literal,
     substitute_term,
     var,
 )
@@ -585,22 +589,58 @@ def test_validation_reports_alike_on_random_derivations_without_sharing(sigma):
         _assert_sharing_changes_no_report(d, _per_occurrence_copy(d))
 
 
-def test_validation_checks_each_distinct_rule_and_literal_object_once(monkeypatch):
-    import npls.derivation as derivation
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
 
-    calls = {"exists_instance": 0, "eval_literal": 0}
-    for name in calls:
-
-        def counted(*args, _name=name, _real=getattr(derivation, name)):
+        def counted(*args, _name=name, _real=getattr(module, name)):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(derivation, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_validation_checks_each_distinct_rule_and_literal_object_once(monkeypatch):
+    import npls.derivation as derivation
+
+    calls = _count_calls(monkeypatch, derivation, ("exists_instance", "eval_literal"))
+    existential = []
+    real = derivation._intern_added
+
+    def intern_added(table, upper, f, witness, n):
+        if isinstance(f, ExistsLit) and witness is not None:
+            existential.append(n)
+        return real(table, upper, f, witness, n)
+
+    monkeypatch.setattr(derivation, "_intern_added", intern_added)
     d = expand_template(t_d3(), 100)
     assert validate(d, MODE_NPLS).ok
-    # 102 existential rules share one (principal, witness) pair; the
-    # 105 initial leaves share 4 literal objects.
-    assert calls == {"exists_instance": 1, "eval_literal": 4}
+    # 102 existential rules share one (principal, witness) pair, whose
+    # added formula is looked at once, matched in place and never built;
+    # the 105 initial leaves share 4 literal objects.
+    assert existential == [0]
+    assert calls == {"exists_instance": 0, "eval_literal": 4}
+
+
+def test_validation_builds_no_cut_instance_and_normalizes_each_quantified_object_once(
+    monkeypatch,
+):
+    import npls.derivation as derivation
+
+    calls = _count_calls(monkeypatch, derivation, ("negated_instance",))
+    normalized = []
+    real = derivation.normalize
+    monkeypatch.setattr(derivation, "normalize", lambda f: normalized.append(f) or real(f))
+    d = expand_template(t_d3(), 100)
+    assert validate(d, MODE_NPLS).ok
+    # The root cut's 103 uppers each add a formula that is matched in
+    # place, so none is built and each is normalized as it stands.
+    assert calls == {"negated_instance": 0}
+    quantified = [f for f in normalized if not isinstance(f, LitFormula)]
+    objects = {id(f): f for node in d.nodes.values() for f in node.sequent}
+    assert len({id(f) for f in quantified}) == len(quantified)
+    assert all(objects.get(id(f)) is f for f in quantified)
 
 
 def test_a_huge_inner_bound_is_refused_by_the_child_count(monkeypatch):
@@ -624,3 +664,202 @@ def test_a_huge_inner_bound_is_refused_by_the_child_count(monkeypatch):
         f"(): exists-forall rule has 1 children, expected {2**63}"
     ]
     assert built == []
+
+
+# Validation matches each added formula in place; it must report and
+# number formulas exactly as building, comparing and interning does.
+
+
+def _built_added(f, witness, n):
+    if n is None:
+        return f
+    if witness is None:
+        return negated_instance(f, n)
+    if isinstance(f, ExistsLit):
+        return LitFormula(exists_instance(f, witness))
+    return LitFormula(exists_forall_instance(f, witness, n))
+
+
+def _oracle_intern_added(table, upper, f, witness, n):
+    """Build the added formula, compare it with the upper's last formula, intern."""
+    import npls.derivation as derivation
+
+    added = _built_added(f, witness, n)
+    if upper:
+        assert derivation._is_added(upper[-1], f, witness, n) == (upper[-1] == added)
+        if upper[-1] is added or upper[-1] == added:
+            added = upper[-1]
+    return table.intern(added)
+
+
+def _assert_validation_matches_oracle(d):
+    import npls.derivation as derivation
+
+    for mode in (MODE_PLS, MODE_NPLS):
+        got = validate(d, mode)
+        real, derivation._intern_added = derivation._intern_added, _oracle_intern_added
+        try:
+            want = validate(d, mode)
+        finally:
+            derivation._intern_added = real
+        assert got.issues == want.issues
+        assert (got.table is None) == (want.table is None)
+        if want.table is not None:
+            assert got.table.formulas() == want.table.formulas()
+            assert got.table.sequent == want.table.sequent
+            assert got.table.added == want.table.added
+
+
+def _replace_sequents(d, edit):
+    """``d`` with each non-root node's sequent replaced by ``edit(path, sequent)``."""
+    nodes = {
+        p: ProofNode(edit(p, node.sequent) if p else node.sequent, node.rule)
+        for p, node in d.nodes.items()
+    }
+    return Derivation(d.end_x, nodes)
+
+
+def _renamed(f, names):
+    """``f`` with its bound variables renamed to ``names``, free ones kept."""
+    if isinstance(f, ExistsLit):
+        body = substitute_literal(f.body, {f.var: var(names[0])})
+        return ExistsLit(names[0], f.bound, body)
+    if isinstance(f, ExistsForall):
+        body = substitute_literal(f.body, {f.var1: var(names[0]), f.var2: var(names[1])})
+        return ExistsForall(names[0], f.bound1, names[1], f.bound2, body)
+    return f
+
+
+def _doubly_bound_cut():
+    """A cut on ∃y<2 ∀y<2 (y·y = y), whose body only the inner y binds."""
+    end = ExistsLit("y", num(4), Literal(False, mul(var("y"), var("y")), add(var("y"), var("y"))))
+    cut = ExistsForall("y", num(2), "y", num(2), Literal(False, mul(var("y"), var("y")), var("y")))
+    end_inst = LitFormula(exists_instance(end, num(2)))
+    nodes = {(): ProofNode((end,), CutRule(cut))}
+    for n in range(2):
+        neg = negated_instance(cut, n)
+        nodes[(n,)] = ProofNode((end, neg), ExistsRule(0, num(2)))
+        nodes[(n, 0)] = ProofNode((end, neg, end_inst), InitialRule(2))
+    nodes[(2,)] = ProofNode((end, cut), ExistsForallRule(1, num(0)))
+    for m in range(2):
+        branch = LitFormula(exists_forall_instance(cut, num(0), m))
+        nodes[(2, m)] = ProofNode((end, cut, branch), InitialRule(2))
+    return Derivation(0, nodes)
+
+
+def test_a_doubly_bound_cut_validates_with_the_inner_binding():
+    d = _doubly_bound_cut()
+    assert d.sequent((1,))[1] == ExistsLit(
+        "y", num(2), Literal(True, mul(var("y"), var("y")), var("y"))
+    )
+    assert validate(d, MODE_NPLS).ok
+    _assert_validation_matches_oracle(d)
+    # The uppers of the same cut with n put into the body do not match.
+    outer = ExistsLit("y", num(2), Literal(True, mul(num(1), num(1)), num(1)))
+    bad = _replace_sequents(d, lambda p, seq: seq[:1] + (outer,) + seq[2:] if p[0] == 1 else seq)
+    assert validate(bad, MODE_NPLS).lines() == [
+        "(1): upper sequent mismatch: missing 1 formula(s), 1 unexpected formula(s)"
+    ]
+    _assert_validation_matches_oracle(bad)
+
+
+def _fixture_derivations():
+    yield from (d1(), d2(), d3(), _doubly_bound_cut())
+    for x in (0, 1, 3):
+        yield expand_template(t_d2(), x)
+        yield expand_template(t_d3(), x)
+
+
+@pytest.mark.parametrize("names", [("w", "v"), ("@0", "@1"), ("@1", "@0"), ("y", "z")])
+def test_validation_matches_the_oracle_on_renamed_bound_variables(names):
+    for d in _fixture_derivations():
+        _assert_validation_matches_oracle(
+            _replace_sequents(d, lambda p, seq: tuple(_renamed(f, names) for f in seq))
+        )
+        _assert_validation_matches_oracle(
+            _replace_sequents(d, lambda p, seq: seq[:-1] + (_renamed(seq[-1], names),))
+        )
+
+
+def test_validation_matches_the_oracle_when_the_added_formula_is_not_last():
+    for d in _fixture_derivations():
+        moved = _replace_sequents(d, lambda p, seq: seq[-1:] + seq[:-1])
+        _assert_validation_matches_oracle(moved)
+        _assert_validation_matches_oracle(_replace_sequents(d, lambda p, seq: seq[:-1]))
+
+
+def _freed(f):
+    """``f`` with the canonical names free where its bound variables stood.
+
+    Normalizing renames the binders to those names, so ``f`` gets the
+    id of the formula it was made from, though the two differ.
+    """
+    if isinstance(f, ExistsLit):
+        return ExistsLit(f.var, f.bound, substitute_literal(f.body, {f.var: var("@0")}))
+    if isinstance(f, ExistsForall):
+        body = substitute_literal(f.body, {f.var1: var("@0"), f.var2: var("@1")})
+        return ExistsForall(f.var1, f.bound1, f.var2, f.bound2, body)
+    return LitFormula(Literal(f.lit.negated, f.lit.lhs, add(f.lit.rhs, var("@0"))))
+
+
+def test_validation_matches_the_oracle_on_free_variables_named_like_canonical_ones():
+    for d in _fixture_derivations():
+        _assert_validation_matches_oracle(
+            _replace_sequents(d, lambda p, seq: seq[:-1] + (_freed(seq[-1]),))
+        )
+        _assert_validation_matches_oracle(
+            _replace_sequents(d, lambda p, seq: tuple(map(_freed, seq)))
+        )
+    # T-D3's value-indexed cut uppers, with the value left as a free @0.
+    at0 = ExistsLit("y", num(2), Literal(True, mul(var("@0"), var("y")), var("y")))
+    _assert_validation_matches_oracle(
+        _replace_sequents(
+            expand_template(t_d3(), 2), lambda p, seq: seq[:1] + (at0,) + seq[2:] if p[0] < 4 else seq
+        )
+    )
+
+
+@pytest.mark.parametrize("sigma", [1, 2])
+def test_validation_matches_the_oracle_on_random_derivations(sigma):
+    generate = random_sigma1_derivation if sigma == 1 else random_sigma2_derivation
+    for seed in range(60):
+        _assert_validation_matches_oracle(generate(seed))
+
+
+def _formula_leaves(doc, at=()):
+    """Every (path, key) of a formula document whose value a one-leaf mutation replaces."""
+    out = []
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out += _formula_leaves(value, at + (key,))
+        elif isinstance(value, list):
+            for k, item in enumerate(value):
+                out += _formula_leaves(item, at + (key, k))
+        elif key in ("neg", "num", "var", "v"):
+            out.append((at, key))
+    return out
+
+
+_LEAF_NAMES = st.sampled_from(["x", "y", "z", "w", "i", "@0", "@1"])
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["T-D2", "T-D3"]), st.sampled_from([0, 1, 3, 7]), st.data())
+def test_validation_matches_the_oracle_on_mutated_cut_uppers(name, x, data):
+    d = expand_template(_SHARING_TEMPLATES[name](), x)
+    n = data.draw(st.sampled_from(sorted(p[0] for p in d.nodes if len(p) == 1)))
+    sequent = d.sequent((n,))
+    position = data.draw(st.sampled_from(range(len(sequent))))
+    doc = formula_to_json(sequent[position])
+    at, key = data.draw(st.sampled_from(_formula_leaves(doc)))
+    leaf = doc
+    for step in at:
+        leaf = leaf[step]
+    if key == "neg":
+        leaf[key] = not leaf[key]
+    elif key == "num":
+        leaf[key] = data.draw(st.integers(0, 4))
+    else:
+        leaf[key] = data.draw(_LEAF_NAMES)
+    sequent = sequent[:position] + (formula_from_json(doc),) + sequent[position + 1 :]
+    _assert_validation_matches_oracle(_mutate(d, (n,), sequent=sequent))

@@ -195,3 +195,13 @@ def test_negated_instance_shapes():
     assert got == ExistsLit("y", num(2), Literal(True, mul(num(0), var("y")), var("y")))
     with pytest.raises(ValueError):
         negated_instance(LitFormula(Literal(False, num(1), num(1))), 0)
+
+
+def test_negated_instance_lets_the_inner_binding_win():
+    # Both quantifiers bind z, so z in the body is the inner one, as in
+    # normalize and exists_forall_instance, and n does not reach it.
+    body = Literal(False, mul(var("z"), var("z")), var("z"))
+    ef = ExistsForall("z", num(3), "z", num(2), body)
+    assert negated_instance(ef, 1) == ExistsLit("z", num(2), body.negate())
+    assert normalize(ef).body.lhs == mul(var("@1"), var("@1"))
+    assert exists_forall_instance(ef, num(1), 0) == Literal(False, mul(num(0), num(0)), num(0))
