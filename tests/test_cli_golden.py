@@ -11,10 +11,13 @@ child has its parent's rank, and one with an edge that raises the cost.
 It records ``validate`` and ``extract`` in both formats at x = 3 on four
 broken T-D3 templates: one whose family witness reaches its bound, one
 with a false leaf, one whose cut uppers rename a bound variable, and one
-whose cut upper n adds the instance at n+1.
-The random derivations
-and the families are written to a temporary directory, whose path
-reads ``<tmp>`` in the pinned argv and output.
+whose cut upper n adds the instance at n+1.  It records ``validate``
+and ``extract`` in both formats on two copies of D2 whose later node
+repeats the end-formula: one with ``{"num": true}`` in place of
+``{"num": 1}``, which fails there, and one with its keys in another
+order, which decodes to the same formula.  The random derivations, the
+families, the templates and the D2 copies are written to a temporary
+directory, whose path reads ``<tmp>`` in the pinned argv and output.
 
 A change that is meant to keep the command line's behaviour must pass
 this test with the pinned file unchanged.  To regenerate the file, run
@@ -35,7 +38,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from npls.cli import main
-from npls.corpus import random_sigma1_derivation, random_sigma2_derivation, t_d3
+from npls.corpus import d2, random_sigma1_derivation, random_sigma2_derivation, t_d3
 from npls.nested_graph import generate_family
 from npls.serialization import derivation_to_json, dumps, family_to_json, template_to_json
 
@@ -80,6 +83,12 @@ def _argvs() -> list[list[str]]:
     argvs += [
         [command, f"{TMP}/template-{name}.json", "--x", "3", "--format", fmt]
         for name in BROKEN_TEMPLATES
+        for command in ("validate", "extract")
+        for fmt in FORMATS
+    ]
+    argvs += [
+        [command, f"{TMP}/derivation-{name}.json", "--format", fmt]
+        for name in REPEATS
         for command in ("validate", "extract")
         for fmt in FORMATS
     ]
@@ -214,6 +223,51 @@ BROKEN_TEMPLATES = {
 }
 
 
+def _d2_repeat() -> tuple[dict, dict]:
+    """D2 as a document, and the end-formula as its node (1, 0) repeats it."""
+    doc = derivation_to_json(d2())
+    node = doc["nodes"][3]
+    assert node["path"] == [1, 0] and node["sequent"][0] == doc["nodes"][0]["sequent"][0]
+    return doc, node["sequent"][0]["ex"]
+
+
+def _true_for_one_derivation() -> dict:
+    """D2 with ``{"num": true}`` for the first ``{"num": 1}`` of the repeat at (1, 0).
+
+    The earlier occurrences decode, and this one fails at its location.
+    """
+    doc, ex = _d2_repeat()
+    args = ex["body"]["rhs"]["args"]
+    assert args[0] == {"num": 1}
+    args[0] = {"num": True}
+    return doc
+
+
+def _reordered_keys_derivation() -> dict:
+    """D2 with the repeat at (1, 0) writing its keys in reverse order.
+
+    The document is written with its keys as they stand, so the repeat
+    is other JSON text for the same formula.
+    """
+    doc, ex = _d2_repeat()
+    doc["nodes"][3]["sequent"][0] = {
+        "ex": {
+            "v": ex["v"],
+            "bound": ex["bound"],
+            "body": {k: ex["body"][k] for k in reversed(list(ex["body"]))},
+        }
+    }
+    return doc
+
+
+# The derivations whose later node repeats a formula in other JSON text,
+# by the name of the file each is written to with its keys unsorted.
+REPEATS = {
+    "true-for-one": _true_for_one_derivation,
+    "reordered-keys": _reordered_keys_derivation,
+}
+
+
 def _write_inputs(tmp: Path) -> None:
     for name, derivation in (
         ("sigma1-3.json", random_sigma1_derivation(3)),
@@ -227,6 +281,9 @@ def _write_inputs(tmp: Path) -> None:
         (tmp / f"family-{name}.json").write_text(dumps(build()), encoding="utf-8")
     for name, build in BROKEN_TEMPLATES.items():
         (tmp / f"template-{name}.json").write_text(dumps(build()), encoding="utf-8")
+    for name, build in REPEATS.items():
+        text = json.dumps(build(), separators=(",", ":"))
+        (tmp / f"derivation-{name}.json").write_text(text, encoding="utf-8")
 
 
 def _run(argv: list[str], tmp: Path) -> dict:
