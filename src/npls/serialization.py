@@ -9,18 +9,22 @@ offending location on any mismatch.
 Each node of a derivation repeats its parent's side formulas, so one
 document holds far more formula occurrences than distinct formulas.
 The derivation and template decoders keep a per-document memo keyed by
-the ``repr`` of each raw sequent formula, which tells ``true`` from
-``1`` and ``1.0`` from ``1``: each distinct formula is decoded once,
-and equal formulas in one document decode to one shared object.
-Locations are passed down as a parent location plus a key or index,
-and one is formatted only for a value that fails its check.
+the ``marshal`` bytes (version 2) of each raw formula, which tell
+``true`` from ``1`` and ``1.0`` from ``1``: each distinct formula is
+decoded once, and equal formulas in one document decode to one shared
+object.  Locations are passed down as a parent location plus a key or
+index, and one is formatted only for a value that fails its check.
 
-Graphs and families carry thousands of small values, so they are
-checked in C-level passes over their types.  A family is checked as a
-whole document: one walk collects all of its problems, the passes
-check them together, and the problems are built bottom-up.  The
+Derivations, graphs and families carry thousands of small values, so
+they are checked in C-level passes over their types.  A derivation is
+checked as a whole document: passes over all nodes check the types,
+one ``map`` keys every formula occurrence, and each distinct formula
+and raw rule is decoded once.  A family is checked as a whole document
+too: one walk collects all of its problems, the passes check them
+together, and the problems are built bottom-up.  For both, the
 item-by-item walk runs only when a pass fails, to name the first bad
-value with its location.
+value with its location.  Templates are decoded node by node, through
+the same formula key.
 
 Documents are distinguished by their top-level keys: a derivation has
 ``end_x`` and ``nodes``, a template has ``root``, a family has ``rank``
@@ -30,8 +34,9 @@ and ``graph``, and a bare digraph has ``n`` and ``edges``.
 from __future__ import annotations
 
 import json
+import marshal
 import sys
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -129,6 +134,7 @@ def _get(obj: dict, key: str, where: Where) -> Any:
 # else, bools and int subclasses included, takes the per-item path.
 _INT = {int}
 _LIST = {list}
+_DICT = {dict}
 _PAIR = {2}
 # What an absent children or solutions array reads as; never mutated.
 _NO_ITEMS: list = []
@@ -247,14 +253,31 @@ def formula_from_json(obj: Any, where: Where = "formula") -> Formula:
     return ExistsLit(v, bound, literal_from_json(_get(ex, "body", at), (at, ".body")))
 
 
-def _shared_formula(raw: Any, where: Where, memo: dict[str, Formula]) -> Formula:
+_KEY_VERSION = 2
+
+
+def _key(raw: Any) -> bytes:
+    """The memo key of a raw JSON value: its ``marshal`` bytes, version 2.
+
+    The bytes tell ``true`` from ``1`` and ``1.0`` from ``1``, and equal
+    bytes load back to one typed value, so a key hit returns exactly
+    what decoding would.  Version 2 writes neither back-references nor
+    interning flags, so equal values always get equal bytes.  A dict's
+    bytes follow its key order.
+    """
+    return marshal.dumps(raw, _KEY_VERSION)
+
+
+def _shared_formula(raw: Any, where: Where, memo: dict[bytes, Formula]) -> Formula:
     """Decode a raw formula once per document.
 
-    ``memo`` maps the ``repr`` of each raw formula that decoded to its
-    value.  Equal reprs mean equal JSON values, down to the types of
-    their leaves, so a hit returns exactly what decoding would.
+    ``memo`` maps the ``_key`` of each raw formula that decoded to its
+    value, so equal formulas in one document decode to one object.
+    The template decoder and the derivation walk call this once per
+    occurrence; ``_derivation_at_once`` keys all occurrences of a
+    derivation in one pass and fills the same kind of memo.
     """
-    key = repr(raw)
+    key = _key(raw)
     f = memo.get(key)
     if f is None:
         f = memo[key] = formula_from_json(raw, where)
@@ -262,7 +285,7 @@ def _shared_formula(raw: Any, where: Where, memo: dict[str, Formula]) -> Formula
 
 
 def _sequent_from_json(
-    node: dict, where: Where, memo: dict[str, Formula]
+    node: dict, where: Where, memo: dict[bytes, Formula]
 ) -> tuple[Formula, ...]:
     at = (where, ".sequent")
     sequent = []
@@ -329,12 +352,8 @@ def derivation_to_json(d: Derivation) -> Any:
 
 
 def _path_from_json(obj: Any, where: Where) -> tuple[int, ...]:
-    entries = _need_list(obj, where)
-    # Checked in C first; the loop runs only to name the first bad entry.
-    if set(map(type, entries)) <= _INT and min(entries, default=0) >= 0:
-        return tuple(entries)
     path = []
-    for i, e in enumerate(entries):
+    for i, e in enumerate(_need_list(obj, where)):
         n = _need_int(e, (where, i))
         if n < 0:
             raise _fail((where, i), "path entries are non-negative")
@@ -343,23 +362,100 @@ def _path_from_json(obj: Any, where: Where) -> tuple[int, ...]:
 
 
 def derivation_from_json(obj: Any) -> Derivation:
+    """Decode a derivation, checking all of its nodes at once.
+
+    Each node repeats its parent's side formulas, so a document holds
+    far more formula occurrences than distinct formulas.  A well-formed
+    document is decoded in whole-document passes (see
+    ``_derivation_at_once``): each distinct formula and each distinct
+    raw rule is decoded once.  Only when a check fails does the
+    node-by-node walk run, to name the first bad value.
+    """
     d = _need_dict(obj, "derivation")
     end_x = _need_int(_get(d, "end_x", "derivation"), "derivation.end_x")
     if end_x < 0:
         raise _fail("derivation.end_x", "the parameter is non-negative")
-    memo: dict[str, Formula] = {}
+    raw_nodes = _need_list(_get(d, "nodes", "derivation"), "derivation.nodes")
+    nodes = _derivation_at_once(raw_nodes)
+    if nodes is None:
+        nodes = _derivation_walk(raw_nodes)
+    if not nodes:
+        raise _fail("derivation.nodes", "a derivation needs at least one node")
+    return Derivation(end_x, nodes)
+
+
+def _derivation_at_once(raw_nodes: list) -> dict[tuple[int, ...], ProofNode] | None:
+    """Decode a derivation's nodes in C-level passes, or None when a check fails.
+
+    Passes over all nodes check the types of the node objects, of their
+    paths and sequents, and of the path entries.  One ``map`` keys every
+    sequent formula occurrence by its ``_key`` bytes.  Each distinct key
+    is decoded once, the key list is dropped once every occurrence has
+    its formula, and the shared formulas are sliced into per-node
+    sequents by the running sum of the sequent lengths.  Each distinct
+    raw rule is decoded once, keyed the same way, and a cut formula goes
+    through the formula memo, so it is the very object its final upper
+    holds.  The node table shows duplicate paths by its size.  A formula
+    or rule that fails to decode, or a lookup of a missing key, is a
+    failed check too.
+    """
+    try:
+        if not set(map(type, raw_nodes)) <= _DICT:
+            return None
+        paths = [n["path"] for n in raw_nodes]
+        rules = [n["rule"] for n in raw_nodes]
+        sequents = [n["sequent"] for n in raw_nodes]
+        if not (
+            set(map(type, chain(paths, sequents))) <= _LIST
+            and set(map(type, chain.from_iterable(paths))) <= _INT
+            and min(chain.from_iterable(paths), default=0) >= 0
+        ):
+            return None
+        raws = list(chain.from_iterable(sequents))
+        # _key's bytes, with marshal.dumps mapped directly so the pass stays in C.
+        keys = list(map(marshal.dumps, raws, repeat(_KEY_VERSION)))
+        # Each distinct key, first to its raw formula, then to its decoded one.
+        memo = dict(zip(keys, raws))
+        del raws
+        for k, raw in memo.items():
+            memo[k] = formula_from_json(raw, "formula")
+        shared = tuple(map(memo.__getitem__, keys))
+        del keys
+        ends = list(accumulate(map(len, sequents), initial=0))
+        sequent_of = map(shared.__getitem__, map(slice, ends, ends[1:]))
+        rule_keys = list(map(marshal.dumps, rules, repeat(_KEY_VERSION)))
+        rule_of = dict(zip(rule_keys, rules))
+        for k, raw in rule_of.items():
+            rule_of[k] = rule_from_json(raw, "rule", memo)
+        rules_in_order = map(rule_of.__getitem__, rule_keys)
+        nodes = dict(zip(map(tuple, paths), map(ProofNode, sequent_of, rules_in_order)))
+    except (FormatError, KeyError, TypeError, ValueError):
+        return None
+    return nodes if len(nodes) == len(raw_nodes) else None
+
+
+def _derivation_walk(raw_nodes: list) -> dict[tuple[int, ...], ProofNode]:
+    """Decode a derivation's nodes one by one, naming the first value that fails.
+
+    It shares formulas and rules through the same keys as
+    ``_derivation_at_once``, so both decoders share objects alike.
+    """
+    memo: dict[bytes, Formula] = {}
+    rule_memo: dict[bytes, Rule] = {}
     nodes: dict[tuple[int, ...], ProofNode] = {}
-    for i, raw in enumerate(_need_list(_get(d, "nodes", "derivation"), "derivation.nodes")):
+    for i, raw in enumerate(raw_nodes):
         where = ("derivation.nodes", i)
         node = _need_dict(raw, where)
         path = _path_from_json(_get(node, "path", where), (where, ".path"))
         if path in nodes:
             raise _fail((where, ".path"), "duplicate node path")
-        rule = rule_from_json(_get(node, "rule", where), (where, ".rule"), memo)
+        raw_rule = _get(node, "rule", where)
+        key = _key(raw_rule)
+        rule = rule_memo.get(key)
+        if rule is None:
+            rule = rule_memo[key] = rule_from_json(raw_rule, (where, ".rule"), memo)
         nodes[path] = ProofNode(_sequent_from_json(node, where, memo), rule)
-    if not nodes:
-        raise _fail("derivation.nodes", "a derivation needs at least one node")
-    return Derivation(end_x, nodes)
+    return nodes
 
 
 # Templates
@@ -385,7 +481,7 @@ def template_to_json(t: DerivationTemplate) -> Any:
     return {"root": _template_node_to_json(t.root)}
 
 
-def _template_node_from_json(obj: Any, where: Where, memo: dict[str, Formula]) -> TemplateNode:
+def _template_node_from_json(obj: Any, where: Where, memo: dict[bytes, Formula]) -> TemplateNode:
     d = _need_dict(obj, where)
     rule = rule_from_json(_get(d, "rule", where), (where, ".rule"), memo)
     sequent = _sequent_from_json(d, where, memo)

@@ -206,9 +206,29 @@ class ExistsForall:
 
 Formula = Union[LitFormula, ExistsLit, ExistsForall]
 
-# Canonical bound-variable names; "@" keeps them out of the user namespace.
-_CANON0 = "@0"
-_CANON1 = "@1"
+# Canonical bound-variable names are "@0", "@1", ...; "@" keeps them out
+# of the usual user namespace, and normalize skips any that occur free.
+_CANON = ("@0", "@1")
+_CANON_VARS = tuple(map(var, _CANON))
+
+
+def _canonical_names(free: set[str]) -> tuple[str, str]:
+    """The first two canonical names that are not in ``free``."""
+    names = [f"@{k}" for k in range(len(free) + 2) if f"@{k}" not in free]
+    return names[0], names[1]
+
+
+def _renamed(t: Term, env: Mapping[str, Term], free: set[str]) -> Term:
+    """``substitute_term(t, env)``, adding each name it keeps to ``free``."""
+    if t.op == "var":
+        got = env.get(t.name)
+        if got is None:
+            free.add(t.name)
+            return t
+        return got
+    if t.op == "num":
+        return t
+    return Term(t.op, tuple([_renamed(a, env, free) for a in t.args]))
 
 
 def classify(f: Formula) -> int:
@@ -225,15 +245,35 @@ def normalize(f: Formula) -> Formula:
 
     Two formulas are treated as equal throughout the package exactly
     when their normal forms are equal, so the choice of bound-variable
-    names in input files never matters.
+    names in input files never matters.  Each bound variable gets the
+    first canonical name, in the order ``@0``, ``@1``, ..., that is not
+    free in the formula, so no free variable is captured.  The choice
+    depends on the free variables alone, so formulas that differ only
+    in their bound-variable names keep one normal form.  The body is
+    renamed to ``@0`` and ``@1`` first, and again only when one of them
+    turns out to be free.
     """
     if isinstance(f, LitFormula):
         return f
     if isinstance(f, ExistsLit):
-        body = substitute_literal(f.body, {f.var: var(_CANON0)})
-        return ExistsLit(_CANON0, f.bound, body)
-    body = substitute_literal(f.body, {f.var1: var(_CANON0), f.var2: var(_CANON1)})
-    return ExistsForall(_CANON0, f.bound1, _CANON1, f.bound2, body)
+        binders, bounds = (f.var,), (f.bound,)
+    else:
+        binders, bounds = (f.var1, f.var2), (f.bound1, f.bound2)
+    # The inner binder wins when both bind one name, as a dict's later key does.
+    env = dict(zip(binders, _CANON_VARS))
+    free: set[str] = set()
+    lhs, rhs = _renamed(f.body.lhs, env, free), _renamed(f.body.rhs, env, free)
+    for b in bounds:
+        free |= free_vars(b)
+    names = _CANON
+    if not free.isdisjoint(names[: len(binders)]):
+        names = _canonical_names(free)
+        env = dict(zip(binders, map(var, names)))
+        lhs, rhs = _renamed(f.body.lhs, env, free), _renamed(f.body.rhs, env, free)
+    body = Literal(f.body.negated, lhs, rhs)
+    if isinstance(f, ExistsLit):
+        return ExistsLit(names[0], f.bound, body)
+    return ExistsForall(names[0], f.bound1, names[1], f.bound2, body)
 
 
 def formulas_equal(a: Formula, b: Formula) -> bool:

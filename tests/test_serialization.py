@@ -289,25 +289,88 @@ def test_derivation_item_errors_name_the_item(doc, message):
     assert _error_location(loads_document, dumps(doc)) == message
 
 
-def test_equal_formulas_in_one_derivation_decode_to_one_object(monkeypatch):
-    doc = derivation_to_json(random_sigma2_derivation(20))
-    decode = serialization.formula_from_json
-    decoded = []
+def _no_walk(*args):
+    raise AssertionError("the item walk ran on a well-formed document")
+
+
+def _counted_decoders(monkeypatch):
+    """The raw formulas and rules decoded from now on; the walk may not run."""
+    formulas, rules = [], []
+    decode, decode_rule = serialization.formula_from_json, serialization.rule_from_json
 
     def counted(obj, where):
-        decoded.append(obj)
+        formulas.append(obj)
         return decode(obj, where)
 
+    def counted_rule(obj, where, memo):
+        rules.append(obj)
+        return decode_rule(obj, where, memo)
+
     monkeypatch.setattr(serialization, "formula_from_json", counted)
+    monkeypatch.setattr(serialization, "rule_from_json", counted_rule)
+    monkeypatch.setattr(serialization, "_derivation_walk", _no_walk)
+    return formulas, rules
+
+
+def _distinct_raw(doc):
+    """The number of distinct raw formulas and of distinct raw rules of a derivation document.
+
+    The ``repr`` of a raw value tells ``true`` from ``1``; every object
+    of a document built by ``derivation_to_json`` lists its keys in one order.
+    """
+    nodes = doc["nodes"]
+    formulas = {repr(f) for node in nodes for f in node["sequent"]}
+    formulas |= {repr(node["rule"]["formula"]) for node in nodes if node["rule"]["tag"] == "cut"}
+    return len(formulas), len({repr(node["rule"]) for node in nodes})
+
+
+def test_equal_formulas_in_one_derivation_decode_to_one_object(monkeypatch):
+    doc = derivation_to_json(random_sigma2_derivation(20))
+    decoded, rules = _counted_decoders(monkeypatch)
     d = loads_document(dumps(doc))
-    raw = [dumps(f) for node in doc["nodes"] for f in node["sequent"]]
-    raw += [dumps(node["rule"]["formula"]) for node in doc["nodes"] if node["rule"]["tag"] == "cut"]
-    assert len(decoded) == len(set(raw)) < len(raw)
+    assert (len(decoded), len(rules)) == _distinct_raw(doc)
+    assert len(decoded) < sum(len(node["sequent"]) for node in doc["nodes"])
+    assert len(rules) < len(doc["nodes"])
     shared: dict = {}
-    for node in d.nodes.values():
+    cuts = 0
+    for path, node in d.nodes.items():
         cut = (node.rule.formula,) if isinstance(node.rule, CutRule) else ()
         for f in node.sequent + cut:
             assert shared.setdefault(f, f) is f
+        if cut:
+            final = max(p for p in d.nodes if p[:-1] == path and len(p) == len(path) + 1)
+            assert node.rule.formula is d.nodes[final].sequent[-1]
+            cuts += 1
+    assert cuts
+
+
+def _d2_repeat():
+    """D2 as a document, and the end-formula as its node (1, 0) repeats it."""
+    doc = derivation_to_json(FIXTURES["D2"]())
+    node = doc["nodes"][3]
+    assert node["path"] == [1, 0] and node["sequent"][0] == doc["nodes"][0]["sequent"][0]
+    return doc, node["sequent"][0]["ex"]
+
+
+def test_a_repeat_with_true_for_one_fails_at_its_own_location():
+    doc, ex = _d2_repeat()
+    assert ex["body"]["rhs"]["args"][0] == {"num": 1}
+    ex["body"]["rhs"]["args"][0] = {"num": True}
+    assert _error_location(loads_document, json.dumps(doc)) == (
+        "derivation.nodes[3].sequent[0].ex.body.rhs.args[0].num: expected an integer, got bool"
+    )
+
+
+def test_a_repeat_with_its_keys_in_another_order_decodes_to_an_equal_formula(monkeypatch):
+    doc, ex = _d2_repeat()
+    reordered = {"v": ex["v"], "bound": ex["bound"], "body": dict(reversed(ex["body"].items()))}
+    doc["nodes"][3]["sequent"][0] = {"ex": reordered}
+    text = json.dumps(doc)
+    assert dumps(json.loads(text)) == dumps(derivation_to_json(FIXTURES["D2"]()))
+    monkeypatch.setattr(serialization, "_derivation_walk", _no_walk)
+    d = loads_document(text)
+    assert d == FIXTURES["D2"]()
+    assert d.sequent((1, 0))[0] == d.sequent(())[0]
 
 
 @lru_cache(maxsize=None)
@@ -467,6 +530,117 @@ def test_well_formed_families_never_take_the_item_walk(monkeypatch):
     expected = [_walk_family(doc) for doc in docs]
     monkeypatch.setattr(serialization, "_family_walk", walk)
     assert [loads_document(dumps(doc)) for doc in docs] == expected
+
+
+def _walk_derivation(obj):
+    """``derivation_from_json`` with the whole-document passes turned off."""
+    fast = serialization._derivation_at_once
+    serialization._derivation_at_once = lambda raw_nodes: None
+    try:
+        return serialization.derivation_from_json(obj)
+    finally:
+        serialization._derivation_at_once = fast
+
+
+def _sharing(d):
+    """Each rule and formula object of ``d``, in node order, as the index of its first sight."""
+    first: dict = {}
+    out = []
+    for path in sorted(d.nodes):
+        node = d.nodes[path]
+        objs = [node.rule, *node.sequent]
+        if isinstance(node.rule, CutRule):
+            objs.append(node.rule.formula)
+        out += [first.setdefault(id(o), len(first)) for o in objs]
+    return out
+
+
+def _derivation_outcome(decode, obj):
+    try:
+        d = decode(obj)
+    except FormatError as exc:
+        return str(exc)
+    return d, _sharing(d)
+
+
+def _renamed_key(obj, at, new):
+    head, rest = at[0], at[1:]
+    if not rest:
+        return {(new if k == head else k): v for k, v in obj.items()}
+    if isinstance(obj, dict):
+        return {**obj, head: _renamed_key(obj[head], rest, new)}
+    return [*obj[:head], _renamed_key(obj[head], rest, new), *obj[head + 1 :]]
+
+
+@lru_cache(maxsize=None)
+def _generated_doc(sigma, seed):
+    doc = derivation_to_json(_generated(sigma, seed))
+    return doc, list(_value_paths(doc)), _key_paths(doc)
+
+
+_RENAME = object()
+_SUBTREE = object()
+_DERIVATION_LEAVES = st.one_of(
+    st.integers(min_value=-2, max_value=4),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, "", "x", "cut", "add", None, [], {}, [0], {"num": 1}]),
+    st.sampled_from([_DELETE, _RENAME, _SUBTREE]),
+)
+_KEYS = st.sampled_from(["num", "var", "op", "args", "neg", "lhs", "ex", "v", "all", "tag", "path"])
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(min_value=0, max_value=59),
+    st.booleans(),
+    st.integers(min_value=0),
+    st.integers(min_value=0),
+    _DERIVATION_LEAVES,
+    _KEYS,
+)
+def test_a_mutated_derivation_decodes_as_the_item_walk_does(
+    sigma, seed, shallow, pick, other, leaf, key
+):
+    """Whole-document passes agree with the node-by-node walk on each mutation.
+
+    One value of a generated derivation (a leaf, a subtree, or a copy of
+    another of its values) is replaced, or one key is renamed or
+    deleted.  Half of the mutations hit the node level (a node, its
+    path or path entries, its rule or its sequent list), where most
+    values are formula leaves.  Both decoders return equal derivations
+    whose rule and formula objects are shared alike, or both raise
+    FormatError with the same message.
+    """
+    doc, paths, keys = _generated_doc(sigma, seed)
+    if shallow:
+        paths = [at for at in paths if len(at) <= 4]
+        keys = [at for at in keys if len(at) <= 4]
+    if leaf is _DELETE:
+        mutated = _deleted(doc, keys[pick % len(keys)])
+    elif leaf is _RENAME:
+        mutated = _renamed_key(doc, keys[pick % len(keys)], key)
+    else:
+        if leaf is _SUBTREE:
+            leaf = doc
+            for step in paths[other % len(paths)]:
+                leaf = leaf[step]
+        mutated = _replaced(doc, paths[pick % len(paths)], leaf)
+    fast = _derivation_outcome(serialization.derivation_from_json, mutated)
+    assert fast == _derivation_outcome(_walk_derivation, mutated)
+
+
+def test_well_formed_derivations_never_take_the_item_walk(monkeypatch):
+    derivations = [FIXTURES[name]() for name in ("D1", "D2", "D3")]
+    derivations += [_generated(sigma, seed) for sigma in (1, 2) for seed in range(60)]
+    docs = list(map(derivation_to_json, derivations))
+    walked = list(map(_walk_derivation, docs))
+    formulas, rules = _counted_decoders(monkeypatch)
+    decoded = list(map(serialization.derivation_from_json, docs))
+    assert decoded == derivations == walked
+    assert list(map(_sharing, decoded)) == list(map(_sharing, walked))
+    distinct = list(map(_distinct_raw, docs))
+    assert (len(formulas), len(rules)) == tuple(map(sum, zip(*distinct)))
 
 
 def test_family_parse_errors():

@@ -30,6 +30,7 @@ from npls.terms import (
     num,
     smash,
     substitute_formula,
+    substitute_literal,
     substitute_term,
     var,
 )
@@ -205,3 +206,41 @@ def test_negated_instance_lets_the_inner_binding_win():
     assert negated_instance(ef, 1) == ExistsLit("z", num(2), body.negate())
     assert normalize(ef).body.lhs == mul(var("@1"), var("@1"))
     assert exists_forall_instance(ef, num(1), 0) == Literal(False, mul(num(0), num(0)), num(0))
+
+
+def test_normalize_never_captures_a_free_canonical_name():
+    freed = ExistsLit("y", num(2), Literal(True, mul(num(0), var("@0")), var("@0")))
+    bound = ExistsLit("y", num(2), Literal(True, mul(num(0), var("y")), var("y")))
+    assert not formulas_equal(freed, bound)
+    assert normalize(freed) == ExistsLit(
+        "@1", num(2), Literal(True, mul(num(0), var("@0")), var("@0"))
+    )
+    # A canonical name free only in a bound is skipped too.
+    ef = ExistsForall("z", var("@1"), "y", num(2), Literal(False, var("z"), add(var("y"), var("@0"))))
+    assert normalize(ef) == ExistsForall(
+        "@2", var("@1"), "@3", num(2), Literal(False, var("@2"), add(var("@3"), var("@0")))
+    )
+
+
+_NAMES = st.sampled_from(["y", "z", "@0", "@1", "@2"])
+
+
+def _formula(binders, free, bound_free):
+    """An exists-forall block over ``binders`` whose body and first bound name ``free``."""
+    v1, v2 = binders
+    body = Literal(False, mul(var(v1), var(free)), add(var(v2), num(1)))
+    return ExistsForall(v1, var(bound_free), v2, num(2), body)
+
+
+def _alpha_key(f):
+    """``f`` with its binders renamed to names no formula here uses freely."""
+    body = substitute_literal(f.body, {f.var1: var("#0"), f.var2: var("#1")})
+    return ExistsForall("#0", f.bound1, "#1", f.bound2, body)
+
+
+@given(st.tuples(_NAMES, _NAMES), st.tuples(_NAMES, _NAMES), _NAMES, _NAMES, _NAMES, _NAMES)
+def test_normal_forms_are_equal_exactly_for_alpha_equivalent_formulas(b1, b2, f1, f2, g1, g2):
+    f, g = _formula(b1, f1, g1), _formula(b2, f2, g2)
+    assert formula_vars(normalize(f)) == formula_vars(f)
+    assert normalize(normalize(f)) == normalize(f)
+    assert (normalize(f) == normalize(g)) == (_alpha_key(f) == _alpha_key(g))
