@@ -263,7 +263,8 @@ def _key(raw: Any) -> bytes:
     bytes load back to one typed value, so a key hit returns exactly
     what decoding would.  Version 2 writes neither back-references nor
     interning flags, so equal values always get equal bytes.  A dict's
-    bytes follow its key order.
+    bytes follow its key order.  ``marshal`` raises ValueError for a
+    value nested deeper than its own limit of 2000 levels.
     """
     return marshal.dumps(raw, _KEY_VERSION)
 
@@ -275,9 +276,14 @@ def _shared_formula(raw: Any, where: Where, memo: dict[bytes, Formula]) -> Formu
     value, so equal formulas in one document decode to one object.
     The template decoder and the derivation walk call this once per
     occurrence; ``_derivation_at_once`` keys all occurrences of a
-    derivation in one pass and fills the same kind of memo.
+    derivation in one pass and fills the same kind of memo.  A value
+    nested too deeply for ``marshal`` has no key; it is decoded
+    without the memo, so the decoder's depth cap names its location.
     """
-    key = _key(raw)
+    try:
+        key = _key(raw)
+    except ValueError:
+        return formula_from_json(raw, where)
     f = memo.get(key)
     if f is None:
         f = memo[key] = formula_from_json(raw, where)
@@ -396,8 +402,8 @@ def _derivation_at_once(raw_nodes: list) -> dict[tuple[int, ...], ProofNode] | N
     raw rule is decoded once, keyed the same way, and a cut formula goes
     through the formula memo, so it is the very object its final upper
     holds.  The node table shows duplicate paths by its size.  A formula
-    or rule that fails to decode, or a lookup of a missing key, is a
-    failed check too.
+    or rule that fails to decode, a value too deeply nested to key, or
+    a lookup of a missing key, is a failed check too.
     """
     try:
         if not set(map(type, raw_nodes)) <= _DICT:
@@ -437,11 +443,10 @@ def _derivation_at_once(raw_nodes: list) -> dict[tuple[int, ...], ProofNode] | N
 def _derivation_walk(raw_nodes: list) -> dict[tuple[int, ...], ProofNode]:
     """Decode a derivation's nodes one by one, naming the first value that fails.
 
-    It shares formulas and rules through the same keys as
-    ``_derivation_at_once``, so both decoders share objects alike.
+    It shares formulas through the same key as ``_derivation_at_once``,
+    so both decoders share formula objects alike.
     """
     memo: dict[bytes, Formula] = {}
-    rule_memo: dict[bytes, Rule] = {}
     nodes: dict[tuple[int, ...], ProofNode] = {}
     for i, raw in enumerate(raw_nodes):
         where = ("derivation.nodes", i)
@@ -449,11 +454,7 @@ def _derivation_walk(raw_nodes: list) -> dict[tuple[int, ...], ProofNode]:
         path = _path_from_json(_get(node, "path", where), (where, ".path"))
         if path in nodes:
             raise _fail((where, ".path"), "duplicate node path")
-        raw_rule = _get(node, "rule", where)
-        key = _key(raw_rule)
-        rule = rule_memo.get(key)
-        if rule is None:
-            rule = rule_memo[key] = rule_from_json(raw_rule, (where, ".rule"), memo)
+        rule = rule_from_json(_get(node, "rule", where), (where, ".rule"), memo)
         nodes[path] = ProofNode(_sequent_from_json(node, where, memo), rule)
     return nodes
 

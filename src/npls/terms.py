@@ -212,23 +212,12 @@ _CANON = ("@0", "@1")
 _CANON_VARS = tuple(map(var, _CANON))
 
 
-def _canonical_names(free: set[str]) -> tuple[str, str]:
-    """The first two canonical names that are not in ``free``."""
+def _canonical_vars(free: frozenset[str]) -> tuple[Term, Term]:
+    """The variables of the first two canonical names that are not in ``free``."""
+    if free.isdisjoint(_CANON):
+        return _CANON_VARS
     names = [f"@{k}" for k in range(len(free) + 2) if f"@{k}" not in free]
-    return names[0], names[1]
-
-
-def _renamed(t: Term, env: Mapping[str, Term], free: set[str]) -> Term:
-    """``substitute_term(t, env)``, adding each name it keeps to ``free``."""
-    if t.op == "var":
-        got = env.get(t.name)
-        if got is None:
-            free.add(t.name)
-            return t
-        return got
-    if t.op == "num":
-        return t
-    return Term(t.op, tuple([_renamed(a, env, free) for a in t.args]))
+    return var(names[0]), var(names[1])
 
 
 def classify(f: Formula) -> int:
@@ -249,31 +238,16 @@ def normalize(f: Formula) -> Formula:
     first canonical name, in the order ``@0``, ``@1``, ..., that is not
     free in the formula, so no free variable is captured.  The choice
     depends on the free variables alone, so formulas that differ only
-    in their bound-variable names keep one normal form.  The body is
-    renamed to ``@0`` and ``@1`` first, and again only when one of them
-    turns out to be free.
+    in their bound-variable names keep one normal form.
     """
     if isinstance(f, LitFormula):
         return f
+    v0, v1 = _canonical_vars(formula_vars(f))
     if isinstance(f, ExistsLit):
-        binders, bounds = (f.var,), (f.bound,)
-    else:
-        binders, bounds = (f.var1, f.var2), (f.bound1, f.bound2)
-    # The inner binder wins when both bind one name, as a dict's later key does.
-    env = dict(zip(binders, _CANON_VARS))
-    free: set[str] = set()
-    lhs, rhs = _renamed(f.body.lhs, env, free), _renamed(f.body.rhs, env, free)
-    for b in bounds:
-        free |= free_vars(b)
-    names = _CANON
-    if not free.isdisjoint(names[: len(binders)]):
-        names = _canonical_names(free)
-        env = dict(zip(binders, map(var, names)))
-        lhs, rhs = _renamed(f.body.lhs, env, free), _renamed(f.body.rhs, env, free)
-    body = Literal(f.body.negated, lhs, rhs)
-    if isinstance(f, ExistsLit):
-        return ExistsLit(names[0], f.bound, body)
-    return ExistsForall(names[0], f.bound1, names[1], f.bound2, body)
+        body = substitute_literal(f.body, {f.var: v0})
+        return ExistsLit(v0.name, f.bound, body)
+    body = substitute_literal(f.body, {f.var1: v0, f.var2: v1})
+    return ExistsForall(v0.name, f.bound1, v1.name, f.bound2, body)
 
 
 def formulas_equal(a: Formula, b: Formula) -> bool:

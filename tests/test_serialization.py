@@ -15,6 +15,7 @@ from npls.nested_graph import MAX_RANK, generate_family
 from npls.serialization import (
     MAX_TERM_DEPTH,
     Document,
+    derivation_from_json,
     derivation_to_json,
     digraph_from_json,
     document_from_json,
@@ -28,10 +29,13 @@ from npls.serialization import (
     loads_document,
     rule_from_json,
     rule_to_json,
+    template_from_json,
+    template_to_json,
     term_from_json,
     term_to_json,
 )
 from npls.terms import ExistsForall, ExistsLit, Literal, add, num, smash, var
+from test_cli_golden import REPEATS
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -289,6 +293,62 @@ def test_derivation_item_errors_name_the_item(doc, message):
     assert _error_location(loads_document, dumps(doc)) == message
 
 
+# Over 2000 levels of dicts and lists, more than ``marshal`` can key.
+_TOO_DEEP_TO_KEY = _nested_div2(1100)
+
+
+def _too_deep_d2(place):
+    doc = derivation_to_json(FIXTURES["D2"]())
+    deep = _eq(_TOO_DEEP_TO_KEY, {"num": 0})
+    if place == "witness":
+        doc["nodes"][2]["rule"]["witness"] = _TOO_DEEP_TO_KEY
+    elif place == "sequent":
+        doc["nodes"][3]["sequent"][2] = deep
+    else:
+        doc["nodes"][0]["rule"]["formula"] = deep
+    return doc
+
+
+def _too_deep_t_d3():
+    doc = template_to_json(FIXTURES["T-D3"]())
+    doc["root"]["sequent"][0] = _eq(_TOO_DEEP_TO_KEY, {"num": 0})
+    return doc
+
+
+@pytest.mark.parametrize(
+    "decode, doc, message",
+    [
+        (
+            derivation_from_json,
+            _too_deep_d2("witness"),
+            "derivation.nodes[2].rule.witness: term nests more than 256 operations",
+        ),
+        (
+            derivation_from_json,
+            _too_deep_d2("sequent"),
+            "derivation.nodes[3].sequent[2].lhs: term nests more than 256 operations",
+        ),
+        (
+            derivation_from_json,
+            _too_deep_d2("cut"),
+            "derivation.nodes[0].rule.formula.lhs: term nests more than 256 operations",
+        ),
+        (
+            template_from_json,
+            _too_deep_t_d3(),
+            "template.root.sequent[0].lhs: term nests more than 256 operations",
+        ),
+    ],
+)
+def test_a_value_too_deep_to_key_fails_at_the_depth_cap(decode, doc, message):
+    """A value ``marshal`` cannot key is decoded unshared, so the depth cap names it.
+
+    The documents are decoded as objects: the JSON parser may reject
+    text nested this deeply before the decoder sees it.
+    """
+    assert _error_location(decode, doc) == message
+
+
 def _no_walk(*args):
     raise AssertionError("the item walk ran on a well-formed document")
 
@@ -344,28 +404,21 @@ def test_equal_formulas_in_one_derivation_decode_to_one_object(monkeypatch):
     assert cuts
 
 
-def _d2_repeat():
-    """D2 as a document, and the end-formula as its node (1, 0) repeats it."""
-    doc = derivation_to_json(FIXTURES["D2"]())
-    node = doc["nodes"][3]
-    assert node["path"] == [1, 0] and node["sequent"][0] == doc["nodes"][0]["sequent"][0]
-    return doc, node["sequent"][0]["ex"]
+def _repeat_text(name):
+    """The D2 copy ``name`` of ``REPEATS``, as JSON text with its keys as they stand."""
+    return json.dumps(REPEATS[name]())
 
 
 def test_a_repeat_with_true_for_one_fails_at_its_own_location():
-    doc, ex = _d2_repeat()
-    assert ex["body"]["rhs"]["args"][0] == {"num": 1}
-    ex["body"]["rhs"]["args"][0] = {"num": True}
-    assert _error_location(loads_document, json.dumps(doc)) == (
+    assert _error_location(loads_document, _repeat_text("true-for-one")) == (
         "derivation.nodes[3].sequent[0].ex.body.rhs.args[0].num: expected an integer, got bool"
     )
 
 
 def test_a_repeat_with_its_keys_in_another_order_decodes_to_an_equal_formula(monkeypatch):
-    doc, ex = _d2_repeat()
-    reordered = {"v": ex["v"], "bound": ex["bound"], "body": dict(reversed(ex["body"].items()))}
-    doc["nodes"][3]["sequent"][0] = {"ex": reordered}
-    text = json.dumps(doc)
+    text = _repeat_text("reordered-keys")
+    nodes = json.loads(text)["nodes"]
+    assert json.dumps(nodes[3]["sequent"][0]) != json.dumps(nodes[0]["sequent"][0])
     assert dumps(json.loads(text)) == dumps(derivation_to_json(FIXTURES["D2"]()))
     monkeypatch.setattr(serialization, "_derivation_walk", _no_walk)
     d = loads_document(text)
@@ -543,12 +596,16 @@ def _walk_derivation(obj):
 
 
 def _sharing(d):
-    """Each rule and formula object of ``d``, in node order, as the index of its first sight."""
+    """Each formula object of ``d``, in node order, as the index of its first sight.
+
+    Cut formulas count too.  Rule objects do not: the walk decodes a
+    rule once per node, the passes once per distinct raw rule.
+    """
     first: dict = {}
     out = []
     for path in sorted(d.nodes):
         node = d.nodes[path]
-        objs = [node.rule, *node.sequent]
+        objs = list(node.sequent)
         if isinstance(node.rule, CutRule):
             objs.append(node.rule.formula)
         out += [first.setdefault(id(o), len(first)) for o in objs]
@@ -609,8 +666,8 @@ def test_a_mutated_derivation_decodes_as_the_item_walk_does(
     deleted.  Half of the mutations hit the node level (a node, its
     path or path entries, its rule or its sequent list), where most
     values are formula leaves.  Both decoders return equal derivations
-    whose rule and formula objects are shared alike, or both raise
-    FormatError with the same message.
+    whose formula objects are shared alike, or both raise FormatError
+    with the same message.
     """
     doc, paths, keys = _generated_doc(sigma, seed)
     if shallow:
