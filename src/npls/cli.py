@@ -152,19 +152,19 @@ def cmd_extract(args: argparse.Namespace) -> tuple[int, list[str]]:
     return (0 if report.verified else 1), lines
 
 
+# One machine trace record, byte for byte what ``dumps`` makes of the
+# step's dict: the keys are in sorted order with no spaces, ``action`` is
+# one of the five ASCII constants of ``search_core``, and every id, rank
+# and cost on this path is a plain int, because the decoders reject bools
+# and floats and the instance builders compute ints.
+_STEP_RECORD = '{"action":"%s","cost":%d,"rank":%d,"source":%d,"target":%d}'
+
+
 def cmd_solve(args: argparse.Namespace) -> tuple[int, list[str]]:
     solution, trace = solve_npls(_instance(args), args.max_steps)
     if args.output == "machine":
         lines = [
-            dumps(
-                {
-                    "action": s.action,
-                    "source": s.source,
-                    "target": s.target,
-                    "rank": s.rank,
-                    "cost": s.cost,
-                }
-            )
+            _STEP_RECORD % (s.action, s.cost, s.rank, s.source, s.target)
             for s in trace.steps
         ]
         lines.append(dumps({"solution": solution, "steps": trace.step_count}))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     CostViolation,
@@ -120,8 +120,13 @@ EXTRACT = "extract"
 SOLVED = "solved"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
+    """One step of a search trace: ``(source, target, rank, cost, action)``.
+
+    An immutable named tuple, so it compares equal to a plain tuple of
+    the same values; ``action`` is one of the five constants above.
+    """
+
     source: PointId
     target: PointId
     rank: int

@@ -367,6 +367,43 @@ def test_solve_descends_a_rank0_row_with_negative_costs(tmp_path, capsys):
     lines = _lines(capsys)
     assert [line.split()[-1] for line in lines[2:5]] == ["cost=-1", "cost=-2", "cost=-3"]
     assert lines[-1] == "solution=1 steps=7"
+    assert main(["solve", str(path), "--format", "machine"]) == 0
+    lines = _lines(capsys)
+    assert lines[2:5] == [
+        '{"action":"init-target","cost":-1,"rank":0,"source":1,"target":4}',
+        '{"action":"rank0-step","cost":-2,"rank":0,"source":1,"target":5}',
+        '{"action":"solved","cost":-3,"rank":0,"source":1,"target":6}',
+    ]
+    assert lines[-1] == '{"solution":1,"steps":7}'
+
+
+# Chain costs: negative, zero, or above 2^63, where a machine record
+# could part from the encoder if it rendered a cost any other way.
+_CHAIN_COSTS = st.one_of(st.integers(max_value=-1), st.just(0), st.integers(min_value=2**63 + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(_CHAIN_COSTS, max_size=40), st.booleans(), st.integers(0, 10**6))
+def test_machine_solve_records_are_the_encoder_bytes(tmp_path_factory, costs, head, offset):
+    from npls.nested_graph import CostedDigraph, pls_from_digraph
+    from npls.search_core import solve_npls
+    from npls.serialization import digraph_to_json
+
+    # A chain 0 -> 1 -> ... whose costs descend, with one 4,000-digit cost
+    # at its start or, negated, at its sink.
+    long_cost = 10**3999 + offset
+    costs = sorted(costs | {long_cost if head else -long_cost}, reverse=True)
+    n = len(costs)
+    g = CostedDigraph(n, tuple((i, min(i + 1, n - 1)) for i in range(n)), tuple(costs))
+    path = tmp_path_factory.getbasetemp() / "chain.json"
+    path.write_text(dumps(digraph_to_json(g)), encoding="utf-8")
+    solution, trace = solve_npls(pls_from_digraph(g))
+    records = [dumps(s._asdict()) for s in trace.steps]
+    records.append(dumps({"solution": solution, "steps": trace.step_count}))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["solve", str(path), "--format", "machine"]) == 0
+    assert out.getvalue() == "".join(r + "\n" for r in records)
 
 
 def test_verify_reports_corrupted_costs(tmp_path, capsys):

@@ -135,7 +135,12 @@ def test_trace_check_accepts_the_empty_trace():
 
 
 def _step(action, source=0, target=0, rank=0, cost=0):
-    return TraceStep(source, target, rank, cost, action)
+    step = TraceStep(source, target, rank, cost, action)
+    # A step is immutable and equals the plain tuple of its fields.
+    with pytest.raises(AttributeError):
+        step.cost = cost - 1
+    assert step == (source, target, rank, cost, action)
+    return step
 
 
 def test_trace_check_rejects_shape_violations():
