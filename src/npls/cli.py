@@ -44,9 +44,11 @@ from .nested_graph import (
     MAX_RANK,
     MAX_WIDTH,
     CostedDigraph,
+    FamilyTable,
     NestedGraphFamily,
     generate_family,
     npls_from_family,
+    npls_from_table,
     pls_from_digraph,
 )
 from .search_core import NplsInstance, solve_npls, verify_npls_conditions
@@ -98,12 +100,14 @@ def _derivation(doc, args: argparse.Namespace) -> tuple[Derivation, str]:
 def _instance(args: argparse.Namespace) -> NplsInstance:
     """The search instance the input compiles to, for ``solve`` and ``verify``.
 
-    A digraph is a plain instance, a family a nested one; a derivation
-    or template compiles through ExtractionContext in its mode.
+    A digraph is a plain instance, a family file's table or a family fixture a
+    nested one; a derivation or template compiles through ExtractionContext in its mode.
     """
     doc = _load_input(args.input)
     if isinstance(doc, CostedDigraph):
         return pls_from_digraph(doc)
+    if isinstance(doc, FamilyTable):
+        return npls_from_table(doc)
     if isinstance(doc, NestedGraphFamily):
         return npls_from_family(doc)
     ctx = ExtractionContext(*_derivation(doc, args))

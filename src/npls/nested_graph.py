@@ -10,8 +10,8 @@ A nested family stacks such graphs: each node of a positive-rank
 problem may be backed by a child problem of strictly smaller rank, and
 a stored table translates any solution of the child (one of its
 trivial cycles) into an outgoing edge of the backing node.  Families
-are the combinatorial model of the nested search and convert directly
-into instances of the search core.
+are the combinatorial model of the nested search; they compile into
+instances of the search core from one flat ``FamilyTable``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     CostConditionViolated,
@@ -63,9 +63,12 @@ def descent_steps(g: CostedDigraph) -> list[int]:
     to itself when it has none; its fixed points are therefore the
     local minima.  One pass over the edges fills the table.
     """
-    costs = g.costs
-    step = list(range(g.n_nodes))
-    for s, t in g.edges:
+    return _descent(g.n_nodes, g.edges, g.costs)
+
+
+def _descent(n_nodes: int, edges, costs) -> list[int]:
+    step = list(range(n_nodes))
+    for s, t in edges:
         if costs[t] < costs[s] and (step[s] == s or t < step[s]):
             step[s] = t
     return step
@@ -95,7 +98,8 @@ class NestedGraphFamily:
     ``children`` maps a node id to the backing subproblem and
     ``solution_to_edge`` maps (node, solution node of its child) to the
     successor the solution points at.  The search never reads the
-    children of a rank-zero problem.
+    children of a rank-zero problem.  Only the generator, the fixtures
+    and ``family_from_json`` build these; a family file decodes to a table.
     """
 
     graph: CostedDigraph
@@ -104,34 +108,50 @@ class NestedGraphFamily:
     solution_to_edge: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
 
-def _flatten(fam: NestedGraphFamily) -> list[NestedGraphFamily]:
-    """All problems of a family in preorder; the top problem comes first."""
-    out: list[NestedGraphFamily] = []
-    stack = [fam]
+class FamilyTable(NamedTuple):
+    """A family as lists with one entry per problem, in preorder, children by node."""
+
+    n_nodes: list[int]
+    edges: list[list]
+    costs: list[list[int]]
+    ranks: list[int]
+    children: list[dict[int, int]]  # node -> the id of its child problem
+    solutions: list[Mapping[tuple[int, int], int]]  # as in ``solution_to_edge``
+
+
+def family_table(fam: NestedGraphFamily) -> FamilyTable:
+    """The table of an object family; a child shared by two nodes maps to its later id."""
+    problems, stack = [], [fam]
     while stack:
         f = stack.pop()
-        out.append(f)
+        problems.append(f)
         stack.extend(f.children[node] for node in sorted(f.children, reverse=True))
-    return out
+    pid_of = {id(p): i for i, p in enumerate(problems)}
+    return FamilyTable(
+        [p.graph.n_nodes for p in problems],
+        [list(map(list, sorted(p.graph.edges))) for p in problems],
+        [list(p.graph.costs) for p in problems],
+        [p.rank for p in problems],
+        [{node: pid_of[id(c)] for node, c in p.children.items()} for p in problems],
+        [p.solution_to_edge for p in problems],
+    )
 
 
 def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
-    """Compile a family into a nested search instance.
+    """Compile an object family: ``npls_from_table`` of its ``family_table``."""
+    return npls_from_table(family_table(fam))
+
+
+def npls_from_table(table: FamilyTable) -> NplsInstance:
+    """Compile a family table into a nested search instance.
 
     Point ids pack a problem id and a node id into fixed bit fields; a
     source is a bare problem id and a target is a packed pair.  The row
-    of a problem is built from its graph when it is asked for: on rank
+    of a problem is built from its edges when it is asked for: on rank
     zero each node lists the one node its descent step function picks,
     the cheapest-by-id decreasing successor or itself, and on positive
-    ranks each node lists its edges.
-
-    Compiling builds only the preorder problem list and its inverse by
-    object identity, the ranks and costs, and the bit widths, and checks that every node has some
-    outgoing edge, which keeps the step functions total.  Everything
-    else is read per call from the problem itself: ``gen_source`` looks
-    the node up in its ``children``, and ``extract`` in its
-    ``solution_to_edge``, falling back to the node's self-loop, from a
-    per-problem set built on first use.
+    ranks each node lists its edges.  Compiling checks only that every
+    node has some outgoing edge, which keeps the step functions total.
 
     Cost conformance and rank relationships are not enforced, so a
     deliberately broken family still compiles and its defects surface
@@ -140,49 +160,41 @@ def npls_from_family(fam: NestedGraphFamily) -> NplsInstance:
     descent step, so no row holds it; ``check_cost_condition`` on the
     graph is what sees it.
     """
-    problems = _flatten(fam)
-    # A child shared by two nodes is listed twice; the later id wins.
-    pid_of = {id(p): i for i, p in enumerate(problems)}
-    n_problems = len(problems)
-    max_nodes = max(p.graph.n_nodes for p in problems)
-    node_bits = max((max_nodes - 1).bit_length(), 1)
+    ns, edges, costs, ranks, children, solutions = table
+    n_problems = len(ns)
+    node_bits = max((max(ns) - 1).bit_length(), 1)
     pid_bits = max((n_problems - 1).bit_length(), 1)
     node_mask = (1 << node_bits) - 1
-    ranks = [p.rank for p in problems]
-    costs = [p.graph.costs for p in problems]
     loops: dict[int, set[int]] = {}
 
-    for i, p in enumerate(problems):
-        g = p.graph
-        has_out = set(map(itemgetter(0), g.edges))
-        if not has_out.issuperset(range(g.n_nodes)):
-            s = next(s for s in range(g.n_nodes) if s not in has_out)
+    for i, (n, es) in enumerate(zip(ns, edges)):
+        has_out = set(map(itemgetter(0), es))
+        if not has_out.issuperset(range(n)):
+            s = next(s for s in range(n) if s not in has_out)
             raise TotalityViolated(f"problem {i}: node {s} has no outgoing edge")
 
     # Problem s owns the ids (s << node_bits) .. (s << node_bits) + n_nodes - 1.
     def row(s: int) -> dict[int, list[int]] | None:
         if not 0 <= s < n_problems:
             return None
-        g = problems[s].graph
         base = s << node_bits
         if ranks[s] == 0:
-            return {base + v: [base + t] for v, t in enumerate(descent_steps(g))}
-        out: list[list[int]] = [[] for _ in range(g.n_nodes)]
-        for a, b in sorted(set(g.edges)):
+            return {base + v: [base + t] for v, t in enumerate(_descent(ns[s], edges[s], costs[s]))}
+        out: list[list[int]] = [[] for _ in range(ns[s])]
+        for a, b in sorted(set(map(tuple, edges[s]))):
             out[a].append(base + b)
         return {base + v: zs for v, zs in enumerate(out)}
 
     def gen_source(s: int, y: int) -> int:
-        child = problems[s].children.get(y & node_mask)
-        return s if child is None else pid_of[id(child)]
+        return children[s].get(y & node_mask, s)
 
     def extract(s: int, y: int, z: int) -> int:
         node, sol = y & node_mask, z & node_mask
-        table = problems[s].solution_to_edge
-        if (node, sol) in table:
-            return (s << node_bits) | table[(node, sol)]
+        to_edge = solutions[s]
+        if (node, sol) in to_edge:
+            return (s << node_bits) | to_edge[(node, sol)]
         if s not in loops:
-            loops[s] = {a for a, b in problems[s].graph.edges if a == b}
+            loops[s] = {a for a, b in edges[s] if a == b}
         if node in loops[s]:
             return y
         raise InvariantViolation(f"no translation for solution {sol} at node {node} of {s}")

@@ -20,11 +20,11 @@ they are checked in C-level passes over their types.  A derivation is
 checked as a whole document: passes over all nodes check the types,
 one ``map`` keys every formula occurrence, and each distinct formula
 and raw rule is decoded once.  A family is checked as a whole document
-too: one walk collects all of its problems, the passes check them
-together, and the problems are built bottom-up.  For both, the
-item-by-item walk runs only when a pass fails, to name the first bad
-value with its location.  Templates are decoded node by node, through
-the same formula key.
+too, into a preorder ``FamilyTable`` with no object per problem;
+only ``family_from_json`` builds objects, from that table.  For both,
+the item-by-item walk runs only when a pass fails, to name the first
+bad value with its location.  Templates are decoded node by node,
+through the same formula key.
 
 Documents are distinguished by their top-level keys: a derivation has
 ``end_x`` and ``nodes``, a template has ``root``, a family has ``rank``
@@ -37,7 +37,7 @@ import json
 import marshal
 import sys
 from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter
+from operator import add, itemgetter, lt, mul
 from typing import Any
 
 from .derivation import (
@@ -53,7 +53,7 @@ from .derivation import (
     TemplateNode,
 )
 from .errors import FormatError
-from .nested_graph import CostedDigraph, NestedGraphFamily
+from .nested_graph import CostedDigraph, FamilyTable, NestedGraphFamily, family_table
 from .terms import (
     OPS,
     ExistsForall,
@@ -575,32 +575,43 @@ def family_to_json(fam: NestedGraphFamily) -> Any:
 
 
 def family_from_json(obj: Any, where: Where = "family") -> NestedGraphFamily:
-    """Decode a nested family, checking the whole document at once.
+    """Decode a nested family to objects, built from its checked table.
 
-    Families carry thousands of small problems, so their checks run as
-    C-level passes over all problems together (see ``_family_at_once``).
-    Only when a pass fails does the item-by-item walk run, to name the
-    first bad value.
+    The checks run as C-level passes over all problems together (see
+    ``_family_at_once``); only when one fails does the item-by-item walk
+    run, to name the first bad value.  ``loads_document`` stops at the table.
     """
-    fam = _family_at_once(obj)
-    return _family_walk(obj, where) if fam is None else fam
+    table = _family_at_once(obj)
+    return _family_walk(obj, where) if table is None else _family_objects(table)
 
 
-def _family_at_once(obj: Any) -> NestedGraphFamily | None:
-    """Decode a family with whole-document checks, or None when one fails.
+def _family_objects(table: FamilyTable) -> NestedGraphFamily:
+    """The object family of a table; children have larger ids than their parent."""
+    ns, edges, costs, ranks, children, solutions = table
+    fams: list = [None] * len(ns)
+    for i in reversed(range(len(ns))):
+        graph = CostedDigraph(ns[i], tuple(sorted(map(tuple, edges[i]))), tuple(costs[i]))
+        kids = {node: fams[c] for node, c in children[i].items()}
+        fams[i] = NestedGraphFamily(graph, ranks[i], kids, solutions[i])
+    return fams[0]
+
+
+def _family_at_once(obj: Any) -> FamilyTable | None:
+    """Decode a family to its table with whole-document checks, or None when one fails.
 
     One walk collects the problems level by level; the children of each
     problem are consecutive in the level after its own.  Passes over all
     problems then check the types of the ranks, node counts, edges,
-    costs, child nodes and solution triples, and the families are built
-    bottom-up.  The graph constructor checks one cost per node and the
-    edge ranges, and the tables built per problem show duplicate entries by
-    their size.  A lookup on a value that is no object, or of a missing
-    key, is a failed check too.  A document that nests deeper than the
-    walk could recurse is left to the walk.
+    costs, child nodes and solution triples, one cost per node, and
+    every edge end against its problem's node count.  The maps built per
+    problem show duplicate entries by their size.  A lookup on a value
+    that is no object, or of a missing key, is a failed check too.  A
+    document nested deeper than the walk could recurse is left to it.
     """
     problems: list = []
     kid_lists: list = []
+    nodes: list = []
+    paths: list = [()]  # the child nodes from the top down to each problem
     level = [obj]
     try:
         for _ in range(sys.getrecursionlimit()):
@@ -609,15 +620,18 @@ def _family_at_once(obj: Any) -> NestedGraphFamily | None:
             problems += level
             kids = [p.get("children", _NO_ITEMS) for p in level]
             kid_lists += kids
-            level = [c["problem"] for c in chain.from_iterable(kids)]
+            entries = list(chain.from_iterable(kids))
+            level = [c["problem"] for c in entries]
+            at = [c["node"] for c in entries]
+            nodes += at
+            up = paths[-len(kids) :]
+            paths += map(add, chain.from_iterable(map(repeat, up, map(len, kids))), zip(at))
         else:
             return None
-        entries = list(chain.from_iterable(kid_lists))
         sol_lists = [p.get("solutions", _NO_ITEMS) for p in problems]
         sols = list(chain.from_iterable(sol_lists))
         graphs = [p["graph"] for p in problems]
         ranks = [p["rank"] for p in problems]
-        nodes = [c["node"] for c in entries]
         keys = list(zip(map(itemgetter("node"), sols), map(itemgetter("solution"), sols)))
         targets = list(map(itemgetter("edge_to"), sols))
         ns = [g["n"] for g in graphs]
@@ -626,44 +640,43 @@ def _family_at_once(obj: Any) -> NestedGraphFamily | None:
         if not set(map(type, chain(kid_lists, sol_lists, raw_edges, raw_costs))) <= _LIST:
             return None
         pairs = list(chain.from_iterable(raw_edges))
+        ends = list(chain.from_iterable(pairs))
         ints = chain(
             ranks,
             nodes,
             chain.from_iterable(keys),
             targets,
             ns,
-            chain.from_iterable(pairs),
+            ends,
             chain.from_iterable(raw_costs),
         )
+        bounds = chain.from_iterable(map(repeat, ns, map(mul, map(len, raw_edges), repeat(2))))
         if not (
             set(map(type, pairs)) <= _LIST
             and set(map(len, pairs)) <= _PAIR
             and set(map(type, ints)) <= _INT
             and min(ranks) >= 0
             and min(ns) > 0
+            and list(map(len, raw_costs)) == ns
+            and min(ends, default=0) >= 0
+            and all(map(lt, ends, bounds))
         ):
             return None
+        # A path sorts after its prefixes and before its later siblings',
+        # so ``order`` lists the problems in preorder; ``pid`` inverts it.
+        order = sorted(range(len(paths)), key=paths.__getitem__)
+        pid = sorted(range(len(order)), key=order.__getitem__)
         solutions = iter(zip(keys, targets))
         tables = [dict(islice(solutions, len(s))) for s in sol_lists]
-        if list(map(len, tables)) != list(map(len, sol_lists)):
+        # Every problem but the top one has one child entry: nodes[j] backs problem j + 1.
+        node_pids = iter(zip(nodes, pid[1:]))
+        child_maps = [dict(islice(node_pids, len(k))) for k in kid_lists]
+        if list(map(len, chain(tables, child_maps))) != list(map(len, chain(sol_lists, kid_lists))):
             return None
-        digraphs = [
-            CostedDigraph(n, tuple(sorted(map(tuple, e))), tuple(c))
-            for n, e, c in zip(ns, raw_edges, raw_costs)
-        ]
-        # Problem i's child entries are entries[a:b].  Every problem but
-        # the root has one entry, so entries[j] holds problems[j + 1].
-        starts = list(accumulate(map(len, kid_lists), initial=0))
-        fams: list = [None] * len(problems)
-        for i in reversed(range(len(problems))):
-            a, b = starts[i], starts[i + 1]
-            children = dict(zip(nodes[a:b], fams[a + 1 : b + 1])) if a < b else {}
-            if len(children) != b - a:
-                return None
-            fams[i] = NestedGraphFamily(digraphs[i], ranks[i], children, tables[i])
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
-    return fams[0]
+    per_problem = (ns, raw_edges, raw_costs, ranks, child_maps, tables)
+    return FamilyTable(*[list(map(xs.__getitem__, order)) for xs in per_problem])
 
 
 def _family_walk(obj: Any, where: Where) -> NestedGraphFamily:
@@ -700,18 +713,19 @@ def _family_walk(obj: Any, where: Where) -> NestedGraphFamily:
 # Document dispatch
 
 
-Document = Derivation | DerivationTemplate | NestedGraphFamily | CostedDigraph
+Document = Derivation | DerivationTemplate | NestedGraphFamily | FamilyTable | CostedDigraph
 
 
 def document_from_json(obj: Any) -> Document:
-    """Decode any supported document, dispatching on its top-level keys."""
+    """Decode any supported document by its top-level keys; a family to its table."""
     d = _need_dict(obj, "document")
     if "end_x" in d:
         return derivation_from_json(d)
     if "root" in d:
         return template_from_json(d)
     if "rank" in d and "graph" in d:
-        return family_from_json(d)
+        table = _family_at_once(d)
+        return family_table(_family_walk(d, "family")) if table is None else table
     if "n" in d and "edges" in d:
         return digraph_from_json(d)
     raise _fail("document", "unrecognized document shape")

@@ -247,6 +247,32 @@ def test_commands_leave_no_reference_cycles(tmp_path, capsys):
         gc.enable()
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_family_files_build_no_graph_or_family_objects(rank, tmp_path, monkeypatch, capsys):
+    from npls.nested_graph import CostedDigraph, NestedGraphFamily, generate_family
+    from npls.serialization import family_to_json
+
+    path = tmp_path / f"family-{rank}.json"
+    path.write_text(dumps(family_to_json(generate_family(rank, rank, 4))), encoding="utf-8")
+    built = []
+
+    def counted(fn):
+        def wrapper(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            return fn(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(CostedDigraph, "__post_init__", counted(CostedDigraph.__post_init__))
+    monkeypatch.setattr(NestedGraphFamily, "__init__", counted(NestedGraphFamily.__init__))
+    assert main(["solve", str(path)]) == 0
+    assert main(["verify", str(path)]) == 0
+    assert built == []
+    # The counters do count: a fixture family is built as objects.
+    assert main(["solve", "NG2"]) == 0
+    assert "NestedGraphFamily" in built and "CostedDigraph" in built
+
+
 def test_verify_family_machine_output_is_pinned(capsys):
     assert main(["verify", "NG2", "--format", "machine"]) == 0
     assert capsys.readouterr().out == (

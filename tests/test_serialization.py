@@ -11,7 +11,15 @@ from npls import serialization
 from npls.corpus import FIXTURES, ng2, random_sigma1_derivation, random_sigma2_derivation
 from npls.derivation import CutRule
 from npls.errors import FormatError
-from npls.nested_graph import MAX_RANK, generate_family
+from npls.nested_graph import (
+    MAX_RANK,
+    NestedGraphFamily,
+    family_table,
+    generate_family,
+    npls_from_family,
+    npls_from_table,
+)
+from npls.search_core import solve_npls, verify_npls_conditions
 from npls.serialization import (
     MAX_TERM_DEPTH,
     Document,
@@ -42,7 +50,8 @@ from test_cli_golden import REPEATS
 def test_fixture_round_trips(name):
     doc = FIXTURES[name]()
     again = loads_document(dumps(document_to_json(doc)))
-    assert again == doc
+    # A family document decodes to the table of its family.
+    assert again == (family_table(doc) if isinstance(doc, NestedGraphFamily) else doc)
 
 
 def test_dumps_is_deterministic_and_compact():
@@ -569,6 +578,53 @@ def test_every_single_mutation_of_a_small_family_decodes_as_the_item_walk_does(s
         assert _outcome(family_from_json, obj) == _outcome(_walk_family, obj), obj
 
 
+def _attempt(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # any failure is part of the outcome compared
+        return repr(exc)
+
+
+def _compiled(compile_family, family):
+    """The bit width, solve trace and condition report of a compiled family, or its error."""
+    inst = _attempt(compile_family, family)
+    if isinstance(inst, str):
+        return inst
+    return inst.d, _attempt(solve_npls, inst), _attempt(verify_npls_conditions, inst)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_decoded_and_flattened_tables_compile_alike(seed):
+    for rank in range(MAX_RANK + 1):
+        for width in (1, 3, 5):
+            fam = generate_family(seed, rank, width)
+            decoded = loads_document(dumps(family_to_json(fam)))
+            assert _compiled(npls_from_table, decoded) == _compiled(npls_from_table, family_table(fam))
+
+
+@pytest.mark.parametrize("seed, rank, width", [(1, 2, 2), (2, 1, 3), (3, 3, 1), (4, 0, 4)])
+def test_every_single_mutation_of_a_small_family_compiles_as_the_item_walk_does(seed, rank, width):
+    """A mutated family file fails or compiles as the objects of the item walk do.
+
+    Where the walk names a bad value, ``loads_document`` raises the same
+    message; where it succeeds, the decoded table compiles to the same
+    instance outcome, a ``TotalityViolated`` included.  Mutations that
+    make the document no longer look like a family are left out.
+    """
+    doc = family_to_json(generate_family(seed, rank, width))
+    mutated = [_replaced(doc, at, leaf) for at in _value_paths(doc) for leaf in _PROBE_LEAVES]
+    mutated += [_deleted(doc, at) for at in _key_paths(doc)]
+    for obj in mutated:
+        if not (isinstance(obj, dict) and "rank" in obj and "graph" in obj):
+            continue
+        walked = _outcome(_walk_family, obj)
+        decoded = _outcome(loads_document, dumps(obj))
+        if isinstance(walked, str):
+            assert decoded == walked, obj
+        else:
+            assert _compiled(npls_from_table, decoded) == _compiled(npls_from_family, walked), obj
+
+
 def test_well_formed_families_never_take_the_item_walk(monkeypatch):
     def walk(obj, where):
         raise AssertionError(f"the item walk ran on a well-formed family at {where}")
@@ -580,9 +636,10 @@ def test_well_formed_families_never_take_the_item_walk(monkeypatch):
         for rank in range(MAX_RANK + 1)
         for width in (1, 3, 5)
     ]
-    expected = [_walk_family(doc) for doc in docs]
+    walked = [_walk_family(doc) for doc in docs]
     monkeypatch.setattr(serialization, "_family_walk", walk)
-    assert [loads_document(dumps(doc)) for doc in docs] == expected
+    assert [loads_document(dumps(doc)) for doc in docs] == list(map(family_table, walked))
+    assert list(map(family_from_json, docs)) == walked
 
 
 def _walk_derivation(obj):

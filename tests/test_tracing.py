@@ -17,7 +17,8 @@ from npls.cli import main
 from npls.corpus import random_sigma2_derivation
 from npls.derivation import MODE_NPLS
 from npls.extraction import ExtractionContext, build_npls
-from npls.serialization import derivation_to_json, dumps
+from npls.nested_graph import generate_family
+from npls.serialization import derivation_to_json, dumps, family_to_json
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -46,6 +47,25 @@ def test_tracer_installs_and_records_the_command_path(capsys):
     before = len(tracer.spans)
     assert main(["solve", "G1"]) == 0
     assert len(tracer.spans) == before
+
+
+def test_tracer_spans_the_decode_of_a_family_file(tmp_path, capsys):
+    # A family file decodes to a table, which no traced builder may receive.
+    text = dumps(family_to_json(generate_family(5, 3, 4)))
+    path = tmp_path / "family.json"
+    path.write_text(text, encoding="utf-8")
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        for command in ("solve", "verify"):
+            tracer.start_command()
+            assert main([command, str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    names = [s[1] for s in tracer.spans]
+    assert names.count("serialization.loads_document") == 2
+    assert {"search_core.solve_npls", "search_core.verify_npls_conditions"} <= set(names)
+    assert tracer.counts["serialization.bytes_decoded"] == 2 * len(text)
 
 
 @pytest.mark.parametrize(
