@@ -231,65 +231,115 @@ FIXTURES = {
 # Random derivations
 
 
-def _true_literal_index(sequent: tuple[Formula, ...]) -> int | None:
-    for i, f in enumerate(sequent):
-        if isinstance(f, LitFormula) and eval_literal(f.lit):
-            return i
-    return None
+def _fresh_exists_cut(rng: random.Random) -> ExistsLit:
+    b = 1 + rng.randrange(3)
+    a = rng.randrange(3)
+    t = rng.randrange(5)
+    return ExistsLit("z", num(b), _eq(add(var("z"), num(a)), num(t)))
+
+
+def _fresh_exists_forall_cut(rng: random.Random) -> ExistsForall:
+    b1 = 1 + rng.randrange(3)
+    b2 = 1 + rng.randrange(2)
+    z, y = var("z"), var("y")
+    body = rng.choice(
+        (
+            _eq(mul(z, y), y),
+            _eq(add(z, y), y),
+            _eq(mul(z, y), num(0)),
+            Literal(True, add(z, num(rng.randrange(2))), num(rng.randrange(3))),
+        )
+    )
+    return ExistsForall("z", num(b1), "y", num(b2), body)
+
+
+# A generator's fresh cut formula, and the roll thresholds below which it
+# cuts, applies an exists-forall rule and applies an existential rule.
+_SIGMA1_MOVES = (_fresh_exists_cut, 0.35, 0.35, 0.6)
+_SIGMA2_MOVES = (_fresh_exists_forall_cut, 0.3, 0.55, 0.75)
 
 
 class _Grower:
-    """Shared machinery of the two derivation generators.
+    """The growth loop of both derivation generators; ``nodes`` is the tree.
 
     The end-formula is designed together with a witness value, so any
     sequent extending the end-sequent can be closed in at most two
-    nodes; every other growth step preserves validity on its own.
+    nodes; every other growth step preserves validity on its own.  The
+    root cuts on a fresh formula.  ``grow`` closes a node on a true
+    literal, or through the end-formula once the depth or node budget
+    runs low; otherwise one roll against the generator's thresholds
+    picks a fresh cut, the exists-forall rule (an empty range for
+    Sigma-1, and a sequent without such a formula falls through), the
+    existential rule, or closing.  The end-formula's bound is at least
+    1, so the existential rule always has a formula to apply.
     """
 
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-        w = rng.randrange(4)
+    def __init__(self, seed: int, moves, max_depth: int, max_nodes: int):
+        self.rng = rng = random.Random(seed)
+        self.witness = w = rng.randrange(4)
         c = rng.randrange(4)
         b = w + 1 + rng.randrange(3)
-        self.witness = w
         self.end = ExistsLit("y", num(b), _eq(add(var("y"), num(c)), num(w + c)))
+        self.fresh_cut, self.cut_below, self.forall_below, self.exists_below = moves
+        self.max_depth, self.max_nodes = max_depth, max_nodes
         self.nodes: dict[NodePath, ProofNode] = {}
-        self.count = 0
+        self.cut_step((), (self.end,), 0, self.fresh_cut(rng))
 
-    def emit(self, path: NodePath, sequent: tuple[Formula, ...], rule) -> None:
-        self.nodes[path] = ProofNode(sequent, rule)
-        self.count += 1
+    def grow(self, path: NodePath, sequent: tuple[Formula, ...], depth: int) -> None:
+        for i, f in enumerate(sequent):
+            if isinstance(f, LitFormula) and eval_literal(f.lit):
+                self.nodes[path] = ProofNode(sequent, InitialRule(i))
+                return
+        if depth >= self.max_depth - 2 or self.max_nodes - len(self.nodes) < 16:
+            self.close(path, sequent)
+            return
+        roll = self.rng.random()
+        if roll < self.cut_below:
+            self.cut_step(path, sequent, depth, self.fresh_cut(self.rng))
+            return
+        if roll < self.forall_below and self.forall_step(path, sequent, depth):
+            return
+        if roll < self.exists_below:
+            self.exists_step(path, sequent, depth)
+            return
+        self.close(path, sequent)
 
     def close(self, path: NodePath, sequent: tuple[Formula, ...]) -> None:
-        i = _true_literal_index(sequent)
-        if i is not None:
-            self.emit(path, sequent, InitialRule(i))
-            return
-        self.emit(path, sequent, ExistsRule(0, num(self.witness)))
+        self.nodes[path] = ProofNode(sequent, ExistsRule(0, num(self.witness)))
         child = sequent + (LitFormula(exists_instance(self.end, num(self.witness))),)
-        self.emit(path + (0,), child, InitialRule(len(child) - 1))
+        self.nodes[path + (0,)] = ProofNode(child, InitialRule(len(child) - 1))
 
-    def exists_step(self, path: NodePath, sequent, depth, recurse) -> bool:
+    def exists_step(self, path: NodePath, sequent, depth) -> None:
         candidates = [
             i
             for i, f in enumerate(sequent)
             if isinstance(f, ExistsLit) and eval_term(f.bound) > 0
         ]
+        k = self.rng.choice(candidates)
+        f = sequent[k]
+        v = self.rng.randrange(eval_term(f.bound))
+        self.nodes[path] = ProofNode(sequent, ExistsRule(k, num(v)))
+        self.grow(path + (0,), sequent + (LitFormula(exists_instance(f, num(v))),), depth + 1)
+
+    def forall_step(self, path: NodePath, sequent, depth) -> bool:
+        candidates = [i for i, f in enumerate(sequent) if isinstance(f, ExistsForall)]
         if not candidates:
             return False
         k = self.rng.choice(candidates)
         f = sequent[k]
-        v = self.rng.randrange(eval_term(f.bound))
-        self.emit(path, sequent, ExistsRule(k, num(v)))
-        recurse(path + (0,), sequent + (LitFormula(exists_instance(f, num(v))),), depth + 1)
+        v = self.rng.randrange(eval_term(f.bound1))
+        self.nodes[path] = ProofNode(sequent, ExistsForallRule(k, num(v)))
+        for n in range(eval_term(f.bound2)):
+            child = sequent + (LitFormula(exists_forall_instance(f, num(v), n)),)
+            self.grow(path + (n,), child, depth + 1)
         return True
 
-    def cut_step(self, path: NodePath, sequent, depth, formula, recurse) -> None:
+    def cut_step(self, path: NodePath, sequent, depth, formula) -> None:
         b = eval_term(formula.bound if isinstance(formula, ExistsLit) else formula.bound1)
-        self.emit(path, sequent, CutRule(formula))
+        self.nodes[path] = ProofNode(sequent, CutRule(formula))
         for i in range(b):
-            recurse(path + (i,), sequent + (negated_instance(formula, i),), depth + 1)
-        recurse(path + (b,), sequent + (formula,), depth + 1)
+            self.grow(path + (i,), sequent + (negated_instance(formula, i),), depth + 1)
+        self.grow(path + (b,), sequent + (formula,), depth + 1)
 
 
 def random_sigma1_derivation(
@@ -302,32 +352,7 @@ def random_sigma1_derivation(
     value below its bound, and closing through the end-formula.  Any
     true literal closes its node immediately.
     """
-    rng = random.Random(seed)
-    grower = _Grower(rng)
-
-    def fresh_cut() -> ExistsLit:
-        b = 1 + rng.randrange(3)
-        a = rng.randrange(3)
-        t = rng.randrange(5)
-        return ExistsLit("z", num(b), _eq(add(var("z"), num(a)), num(t)))
-
-    def build(path: NodePath, sequent, depth: int) -> None:
-        if _true_literal_index(sequent) is not None:
-            grower.emit(path, sequent, InitialRule(_true_literal_index(sequent)))
-            return
-        if depth >= max_depth - 2 or max_nodes - grower.count < 16:
-            grower.close(path, sequent)
-            return
-        roll = rng.random()
-        if roll < 0.35:
-            grower.cut_step(path, sequent, depth, fresh_cut(), build)
-            return
-        if roll < 0.6 and grower.exists_step(path, sequent, depth, build):
-            return
-        grower.close(path, sequent)
-
-    grower.cut_step((), (grower.end,), 0, fresh_cut(), build)
-    return Derivation(seed % 3, grower.nodes)
+    return Derivation(seed % 3, _Grower(seed, _SIGMA1_MOVES, max_depth, max_nodes).nodes)
 
 
 def random_sigma2_derivation(
@@ -340,53 +365,4 @@ def random_sigma2_derivation(
     below the outer bound, branching once per value below the inner
     bound.  Inner bounds stay positive so every such rule has uppers.
     """
-    rng = random.Random(seed)
-    grower = _Grower(rng)
-
-    def fresh_cut() -> ExistsForall:
-        b1 = 1 + rng.randrange(3)
-        b2 = 1 + rng.randrange(2)
-        z, y = var("z"), var("y")
-        body = rng.choice(
-            (
-                _eq(mul(z, y), y),
-                _eq(add(z, y), y),
-                _eq(mul(z, y), num(0)),
-                Literal(True, add(z, num(rng.randrange(2))), num(rng.randrange(3))),
-            )
-        )
-        return ExistsForall("z", num(b1), "y", num(b2), body)
-
-    def forall_step(path: NodePath, sequent, depth) -> bool:
-        candidates = [i for i, f in enumerate(sequent) if isinstance(f, ExistsForall)]
-        if not candidates:
-            return False
-        k = rng.choice(candidates)
-        f = sequent[k]
-        v = rng.randrange(eval_term(f.bound1))
-        grower.emit(path, sequent, ExistsForallRule(k, num(v)))
-        for n in range(eval_term(f.bound2)):
-            child = sequent + (LitFormula(exists_forall_instance(f, num(v), n)),)
-            build(path + (n,), child, depth + 1)
-        return True
-
-    def build(path: NodePath, sequent, depth: int) -> None:
-        i = _true_literal_index(sequent)
-        if i is not None:
-            grower.emit(path, sequent, InitialRule(i))
-            return
-        if depth >= max_depth - 2 or max_nodes - grower.count < 16:
-            grower.close(path, sequent)
-            return
-        roll = rng.random()
-        if roll < 0.3:
-            grower.cut_step(path, sequent, depth, fresh_cut(), build)
-            return
-        if roll < 0.55 and forall_step(path, sequent, depth):
-            return
-        if roll < 0.75 and grower.exists_step(path, sequent, depth, build):
-            return
-        grower.close(path, sequent)
-
-    grower.cut_step((), (grower.end,), 0, fresh_cut(), build)
-    return Derivation(seed % 3, grower.nodes)
+    return Derivation(seed % 3, _Grower(seed, _SIGMA2_MOVES, max_depth, max_nodes).nodes)

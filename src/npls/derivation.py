@@ -492,14 +492,14 @@ def _intern_added(
     of a cut on ``f`` has no witness and adds the negated instance at
     ``n``, and the final cut upper, ``n`` None, adds ``f`` itself.
 
-    An upper sequent usually lists the added formula last.  That
-    occurrence is matched against ``f`` at the numeral ``n`` or the
-    witness without building anything, and on a match it is interned as
-    it stands: one normalization and one hash, found again by identity
-    when its sequent is recorded.  The added formula is built only when
-    the match fails: a renamed bound variable, an added formula that is
-    not last, or a wrong upper.  Equal formulas have the same id, so
-    both ways give the same id.
+    An upper sequent usually lists the added formula last.  ``_is_added``
+    matches that occurrence against ``f``'s body under the environment
+    that building the instance substitutes, without building anything,
+    and on a match it is interned as it stands: one normalization and
+    one hash, found again by identity when its sequent is recorded.  The
+    added formula is built only when the match fails: a renamed bound
+    variable, an added formula that is not last, or a wrong upper.
+    Equal formulas have the same id, so both ways give the same id.
     """
     if upper and _is_added(upper[-1], f, witness, n):
         return table.intern(upper[-1])
@@ -515,59 +515,48 @@ def _intern_added(
 
 
 def _is_added(u: Formula, f: Formula, witness: Term | None, n: int | None) -> bool:
-    """Whether ``u`` equals the formula that ``_intern_added`` would build."""
+    """Whether ``u`` equals the formula that ``_intern_added`` would build.
+
+    Each case matches ``f``'s body under the environment its builder
+    substitutes, so the dict settles a name that both quantifiers bind.
+    """
     if n is None:
         return u is f or u == f
     if isinstance(f, ExistsLit):
-        at = n if witness is None else witness
-        return u.__class__ is LitFormula and _literal_is(
-            u.lit, f.body, witness is None, f.var, at, None, 0
-        )
+        env = {f.var: n if witness is None else witness}
+        return u.__class__ is LitFormula and _literal_is(u.lit, f.body, witness is None, env)
     if witness is not None:
-        return u.__class__ is LitFormula and _literal_is(
-            u.lit, f.body, False, f.var1, witness, f.var2, n
-        )
+        env = {f.var1: witness, f.var2: n}
+        return u.__class__ is LitFormula and _literal_is(u.lit, f.body, False, env)
     # The inner quantifier shadows the outer one when both bind one name.
-    name = None if f.var1 == f.var2 else f.var1
+    env = {} if f.var1 == f.var2 else {f.var1: n}
     return (
         u.__class__ is ExistsLit
         and u.var == f.var2
         and (u.bound is f.bound2 or u.bound == f.bound2)
-        and _literal_is(u.body, f.body, True, name, n, None, 0)
+        and _literal_is(u.body, f.body, True, env)
     )
 
 
-def _literal_is(
-    u: Literal,
-    body: Literal,
-    negate: bool,
-    name: str | None,
-    at: Term | int,
-    name2: str | None,
-    at2: int,
-) -> bool:
-    """Whether ``u`` equals ``body``, negated if ``negate``, after ``_term_is``'s substitution."""
+def _literal_is(u: Literal, body: Literal, negate: bool, env: dict[str, Term | int]) -> bool:
+    """Whether ``u`` equals ``body``, negated if ``negate``, after substituting ``env``."""
     return (
         u.__class__ is Literal
         and u.negated == (body.negated != negate)
-        and _term_is(u.lhs, body.lhs, name, at, name2, at2)
-        and _term_is(u.rhs, body.rhs, name, at, name2, at2)
+        and _term_is(u.lhs, body.lhs, env)
+        and _term_is(u.rhs, body.rhs, env)
     )
 
 
-def _term_is(
-    u: Term, t: Term, name: str | None, at: Term | int, name2: str | None, at2: int
-) -> bool:
-    """Whether ``u == substitute_term(t, {name: at, name2: at2})``, building nothing.
+def _term_is(u: Term, t: Term, env: dict[str, Term | int]) -> bool:
+    """Whether ``u == substitute_term(t, env)``, building nothing.
 
-    ``at`` is a term or an int that stands for its numeral, ``at2`` an
-    int; ``name2`` wins when both names are one, as a dict's later key
-    does.
+    ``env`` is ``substitute_term``'s environment, name to term, except
+    that an int stands for its numeral.
     """
     if t.op == "var":
-        if t.name == name2:
-            at = at2
-        elif t.name != name:
+        at = env.get(t.name)
+        if at is None:
             return u is t or u == t
         if at.__class__ is int:
             return u.op == "num" and u.value == at and u.name is None
@@ -577,7 +566,7 @@ def _term_is(
     if u.op != t.op or u.value is not None or u.name is not None:
         return False
     for a, b in zip(u.args, t.args):
-        if not _term_is(a, b, name, at, name2, at2):
+        if not _term_is(a, b, env):
             return False
     return True
 

@@ -153,6 +153,12 @@ def npls_from_table(table: FamilyTable) -> NplsInstance:
     ranks each node lists its edges.  Compiling checks only that every
     node has some outgoing edge, which keeps the step functions total.
 
+    ``extract`` reads the solution table alone and raises
+    InvariantViolation on a pair it lacks.  The solver and the verifier
+    ask it only about stuck targets, and a self-looped node of a
+    positive-rank row lists itself, so it is a solution, never stuck,
+    and needs no translation.
+
     Cost conformance and rank relationships are not enforced, so a
     deliberately broken family still compiles and its defects surface
     as failed conditions in ``verify_npls_conditions``, the one family
@@ -165,7 +171,6 @@ def npls_from_table(table: FamilyTable) -> NplsInstance:
     node_bits = max((max(ns) - 1).bit_length(), 1)
     pid_bits = max((n_problems - 1).bit_length(), 1)
     node_mask = (1 << node_bits) - 1
-    loops: dict[int, set[int]] = {}
 
     for i, (n, es) in enumerate(zip(ns, edges)):
         has_out = set(map(itemgetter(0), es))
@@ -193,10 +198,6 @@ def npls_from_table(table: FamilyTable) -> NplsInstance:
         to_edge = solutions[s]
         if (node, sol) in to_edge:
             return (s << node_bits) | to_edge[(node, sol)]
-        if s not in loops:
-            loops[s] = {a for a, b in edges[s] if a == b}
-        if node in loops[s]:
-            return y
         raise InvariantViolation(f"no translation for solution {sol} at node {node} of {s}")
 
     return NplsInstance(

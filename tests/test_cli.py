@@ -19,9 +19,30 @@ import npls.derivation
 import npls.extraction
 from npls.cli import main
 from npls.corpus import FIXTURES, d2, random_sigma1_derivation, random_sigma2_derivation, t_d3
-from npls.derivation import ProofNode
-from npls.serialization import derivation_to_json, document_to_json, dumps, template_to_json
-from npls.terms import LitFormula
+from npls.derivation import (
+    MODE_PLS,
+    CutRule,
+    DerivationTemplate,
+    ExistsForallRule,
+    ExistsRule,
+    FamilySpec,
+    InitialRule,
+    ProofNode,
+    TemplateNode,
+    expand_template,
+    validate,
+)
+from npls.errors import FormatError, ModeError, ValidationFailed
+from npls.extraction import ExtractionContext
+from npls.serialization import (
+    derivation_from_json,
+    derivation_to_json,
+    document_to_json,
+    dumps,
+    template_to_json,
+)
+from npls.terms import ExistsForall, ExistsLit, LitFormula, Literal, num, smash, var
+from test_derivation import _root_only
 
 
 def _lines(capsys):
@@ -580,3 +601,84 @@ def test_mutated_documents_exit_with_a_documented_code(tmp_path_factory, which, 
             code = main([command, str(path), "--format", "machine"])
         assert code in (0, 1, 2), command
         event(f"{command} exits {code}")
+
+
+# Values that do not evaluate, and inputs that never reach validation.
+
+# Its value would be 2**(9*9), past the 64-bit cap.
+_HUGE = smash(num(256), num(256))
+_TRUE = LitFormula(Literal(False, num(0), num(0)))
+_ZY = Literal(False, var("z"), var("y"))
+_EF = ExistsForall("z", num(1), "y", num(1), _ZY)
+
+
+@pytest.mark.parametrize(
+    "d, mode, line",
+    [
+        (
+            _root_only((LitFormula(Literal(False, _HUGE, num(0))),), InitialRule(0)),
+            "pls",
+            "(): initial literal does not evaluate: smash exponent 81 exceeds 64 bits",
+        ),
+        (
+            _root_only((ExistsForall("z", num(1), "y", _HUGE, _ZY),), ExistsForallRule(0, num(0))),
+            "npls",
+            "(): inner bound does not evaluate",
+        ),
+        (
+            _root_only((_TRUE,), CutRule(ExistsForall("z", _HUGE, "y", num(1), _ZY))),
+            "npls",
+            "(): cut bound does not evaluate",
+        ),
+        (
+            _root_only((ExistsLit("z", num(1), _TRUE.lit),), ExistsRule(0, _HUGE)),
+            "pls",
+            "(): witness or bound does not evaluate",
+        ),
+    ],
+    ids=["initial literal", "inner bound", "cut bound", "witness"],
+)
+def test_a_value_that_does_not_evaluate_fails_validation(tmp_path, capsys, d, mode, line):
+    assert validate(d, mode).lines() == [line]
+    path = tmp_path / "d.json"
+    path.write_text(dumps(derivation_to_json(d)), encoding="utf-8")
+    assert main(["validate", str(path), "--mode", mode]) == 1
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_a_family_bound_left_open_fails_the_expansion(tmp_path, capsys):
+    leaf = TemplateNode((_TRUE,), InitialRule(0))
+    family = FamilySpec("i", var("q"), leaf)
+    t = DerivationTemplate(TemplateNode((_TRUE,), InitialRule(0), (), family))
+    message = "family bound at () is open after substitution"
+    with pytest.raises(ValidationFailed) as raised:
+        expand_template(t, 0)
+    assert str(raised.value) == message
+    path = tmp_path / "t.json"
+    path.write_text(dumps(template_to_json(t)), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: ValidationFailed: {message}\n"
+
+
+def test_a_negative_parameter_fails_decoding(tmp_path, capsys):
+    obj = {**derivation_to_json(d2()), "end_x": -1}
+    message = "derivation.end_x: the parameter is non-negative"
+    with pytest.raises(FormatError) as raised:
+        derivation_from_json(obj)
+    assert str(raised.value) == message
+    path = tmp_path / "d.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_exists_forall_material_needs_npls_mode(tmp_path, capsys):
+    d = _root_only((_EF, _TRUE), InitialRule(1))
+    message = "exists-forall material needs npls mode at ()"
+    with pytest.raises(ModeError) as raised:
+        ExtractionContext(d, MODE_PLS)
+    assert str(raised.value) == message
+    path = tmp_path / "d.json"
+    path.write_text(dumps(derivation_to_json(d)), encoding="utf-8")
+    assert main(["extract", str(path), "--mode", "pls"]) == 1
+    assert capsys.readouterr().err == f"error: ModeError: {message}\n"

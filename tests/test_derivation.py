@@ -46,10 +46,13 @@ from npls.serialization import (
     rule_to_json,
 )
 from npls.terms import (
+    _ARITY,
+    OPS,
     ExistsForall,
     ExistsLit,
     LitFormula,
     Literal,
+    Term,
     add,
     eval_term,
     exists_forall_instance,
@@ -293,6 +296,29 @@ def test_detect_mode():
     assert detect_mode(d1()) == MODE_PLS
     assert detect_mode(d2()) == MODE_PLS
     assert detect_mode(d3()) == MODE_NPLS
+
+
+def _root_only(sequent, rule):
+    return Derivation(0, {(): ProofNode(sequent, rule)})
+
+
+def test_detect_mode_finds_exists_forall_material_wherever_it_stands():
+    ef = ExistsForall("z", num(1), "y", num(1), Literal(False, var("z"), var("y")))
+    true = LitFormula(Literal(False, num(0), num(0)))
+    assert detect_mode(_root_only((true,), InitialRule(0))) == MODE_PLS
+    # As the cut formula alone, as a side formula alone, and as the
+    # principal of an exists-forall rule.
+    assert detect_mode(_root_only((true,), CutRule(ef))) == MODE_NPLS
+    assert detect_mode(_root_only((true, ef), InitialRule(0))) == MODE_NPLS
+    assert detect_mode(_root_only((ef,), ExistsForallRule(0, num(0)))) == MODE_NPLS
+
+
+def test_an_unknown_rule_is_flagged_by_its_type_name():
+    class Axiom:
+        pass
+
+    d = _root_only((LitFormula(Literal(False, num(0), num(0))),), Axiom())
+    assert validate(d, MODE_PLS).lines() == ["(): unknown rule Axiom"]
 
 
 def test_template_expansion_reproduces_the_fixture():
@@ -761,6 +787,82 @@ def test_a_doubly_bound_cut_validates_with_the_inner_binding():
         "(1): upper sequent mismatch: missing 1 formula(s), 1 unexpected formula(s)"
     ]
     _assert_validation_matches_oracle(bad)
+
+
+_MATCH_NAMES = ("x", "y", "z")
+_match_terms = st.recursive(
+    st.sampled_from(_MATCH_NAMES).map(var) | st.integers(0, 3).map(num),
+    lambda inner: st.sampled_from(sorted(OPS)).flatmap(
+        lambda op: st.tuples(*[inner] * _ARITY[op]).map(lambda args: Term(op, args))
+    ),
+    max_leaves=6,
+)
+_match_envs = st.dictionaries(
+    st.sampled_from(_MATCH_NAMES), st.integers(0, 3) | _match_terms, max_size=3
+)
+
+
+def _as_terms(env):
+    """``env`` with each int replaced by its numeral, as ``substitute_term`` takes it."""
+    return {k: num(v) if isinstance(v, int) else v for k, v in env.items()}
+
+
+@given(_match_terms, _match_envs, st.booleans(), _match_terms)
+def test_the_term_matcher_is_equality_with_the_substituted_term(t, env, substituted, other):
+    import npls.derivation as derivation
+
+    want = substitute_term(t, _as_terms(env))
+    u = want if substituted else other
+    assert derivation._term_is(u, t, env) == (u == want)
+
+
+_match_literals = st.builds(Literal, st.booleans(), _match_terms, _match_terms)
+_match_bounds = st.integers(1, 3).map(num)
+
+
+@st.composite
+def _added_cases(draw, case):
+    """One (f, witness, n) of ``case``: which rule or cut upper adds the formula."""
+    if case in ("existential", "cut on an existential"):
+        name = draw(st.sampled_from(_MATCH_NAMES))
+        f = ExistsLit(name, draw(_match_bounds), draw(_match_literals))
+    else:
+        var1 = draw(st.sampled_from(_MATCH_NAMES))
+        var2 = var1 if case.endswith("one name") else draw(st.sampled_from(_MATCH_NAMES))
+        bound1, bound2 = draw(_match_bounds), draw(_match_bounds)
+        f = ExistsForall(var1, bound1, var2, bound2, draw(_match_literals))
+    witness = None if case.startswith("cut") else draw(_match_terms)
+    n = 0 if case == "existential" else draw(st.integers(0, 3))
+    return f, witness, n
+
+
+_ADDED_CASES = (
+    "existential",
+    "cut on an existential",
+    "exists-forall",
+    "exists-forall on one name",
+    "cut on an exists-forall",
+    "cut on an exists-forall on one name",
+)
+
+
+@pytest.mark.parametrize("case", _ADDED_CASES)
+@settings(deadline=None)
+@given(st.data())
+def test_the_added_formula_matcher_agrees_with_building_it(case, data):
+    import npls.derivation as derivation
+
+    f, witness, n = data.draw(_added_cases(case))
+    # The upper's formula is the built one, or one built with some of f,
+    # the witness and n drawn anew.
+    g, w, m = data.draw(_added_cases(case))
+    u = _built_added(
+        g if data.draw(st.booleans()) else f,
+        w if data.draw(st.booleans()) else witness,
+        m if data.draw(st.booleans()) else n,
+    )
+    assert derivation._is_added(u, f, witness, n) == (u == _built_added(f, witness, n))
+    assert derivation._is_added(_built_added(f, witness, n), f, witness, n)
 
 
 def _fixture_derivations():

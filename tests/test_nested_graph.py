@@ -143,7 +143,7 @@ def test_verify_flags_broken_solution_tables():
     assert _failed(fam) == {"extract_lift": (0, 0, 5)}
     assert report.check("extract_lift").detail == "extracted point 0 is not a neighbor of 0"
 
-    # Without a table entry, node 0 has no self-loop to fall back on.
+    # Without a table entry, extract has no translation to give.
     fam = NestedGraphFamily(_loop_graph(), 1, {0: child, 1: child}, {})
     report = verify_npls_conditions(npls_from_family(fam))
     assert _failed(fam) == {"extract_lift": (0, 0, 5)}

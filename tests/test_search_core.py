@@ -522,3 +522,93 @@ def test_narrowed_closure_and_lift_agree_with_every_target_on_produced_instances
         report = verify_npls_conditions(inst)
         narrowed = (report.check("gen_source_closure").passed, report.check("extract_lift").passed)
         assert narrowed == _broad_closure_and_lift(inst)
+
+
+def _ng2_instance():
+    # Row 0 (rank 2) is {0: [2, 3], 1: [2], 2: [2], 3: [1, 2]} with costs
+    # 3, 1, 0, 2; its stuck target 0 spawns row 1, {4: [5], 5: [5]}.
+    return npls_from_family(ng2())
+
+
+def _g1_instance():
+    # One rank-0 row 0 over targets 0..5, in a point space of 2**3.
+    return pls_from_digraph(g1())
+
+
+def _fails(name, counterexample, detail):
+    return ConditionCheck(name, False, counterexample, detail)
+
+
+@pytest.mark.parametrize(
+    "build, edit, want",
+    [
+        (
+            _ng2_instance,
+            lambda inst: {"d": 21},
+            (verify_npls_conditions, DomainTooLarge, "point space 2^21 exceeds the limit"),
+        ),
+        (
+            _g1_instance,
+            lambda inst: {"sources": lambda: [8], "row": lambda s: inst.row(0)},
+            _fails("bit_bound", (8,), "a source lies beyond the bit bound"),
+        ),
+        (
+            _g1_instance,
+            lambda inst: {"d": 2},
+            _fails("bit_bound", (0, 4), "a target lies beyond the bit bound"),
+        ),
+        (
+            _ng2_instance,
+            lambda inst: {"gen_source": lambda s, y: {}[(s, y)]},
+            _fails("gen_source_closure", (0, 0), "gen_source failed: KeyError: (0, 0)"),
+        ),
+        (
+            _ng2_instance,
+            lambda inst: {"gen_source": lambda s, y: {}[(s, y)]},
+            _fails("rank_descent", (0, 0), "gen_source failed: KeyError: (0, 0)"),
+        ),
+        (
+            _ng2_instance,
+            lambda inst: {"initial_source": lambda: {}["top"]},
+            _fails("initial_source", (), "initial_source failed: KeyError: 'top'"),
+        ),
+        (
+            _ng2_instance,
+            lambda inst: {"initial_target": lambda s: {}[s]},
+            _fails("initial_target", (0,), "initial_target failed: KeyError: 0"),
+        ),
+        (
+            # Row 1 lifts to its solution 5; row 0 then lifts target 0 to
+            # the cheaper target 1, which 0 does not list.
+            _ng2_instance,
+            lambda inst: {"extract": lambda s, y, z: {0: 1, 1: 5}[s]},
+            (solve_npls, InvariantViolation, "extracted point 1 is not a neighbor of 0 in row 0"),
+        ),
+        (
+            _ng2_instance,
+            lambda inst: {"gen_source": lambda s, y: 99},
+            (solve_npls, InvariantViolation, "generated source 99 is not a source"),
+        ),
+    ],
+    ids=[
+        "domain too large",
+        "source beyond the bit bound",
+        "target beyond the bit bound",
+        "gen_source raises, closure",
+        "gen_source raises, descent",
+        "initial_source raises",
+        "initial_target raises",
+        "extract leaves the neighbors",
+        "gen_source leaves the sources",
+    ],
+)
+def test_each_failure_names_its_condition_counterexample_and_detail(build, edit, want):
+    inst = build()
+    inst = dataclasses.replace(inst, **edit(inst))
+    if isinstance(want, ConditionCheck):
+        assert verify_npls_conditions(inst).check(want.name) == want
+        return
+    run, error, message = want
+    with pytest.raises(error) as raised:
+        run(inst)
+    assert str(raised.value) == message
