@@ -15,9 +15,16 @@ whose cut upper n adds the instance at n+1.  It records ``validate``
 and ``extract`` in both formats on two copies of D2 whose later node
 repeats the end-formula: one with ``{"num": true}`` in place of
 ``{"num": 1}``, which fails there, and one with its keys in another
-order, which decodes to the same formula.  The random derivations, the
-families, the templates and the D2 copies are written to a temporary
-directory, whose path reads ``<tmp>`` in the pinned argv and output.
+order, which decodes to the same formula.  It records ``solve`` and
+``verify`` in both formats on six digraph files: the rank-0 ``gen-graph``
+digraph of seed 3 at width 16 with two more cheaper successors of node 0,
+its edges reversed and one of them listed twice; the same digraph with
+two cost-raising edges appended out of sorted order; one with a
+cost-raising edge before an edge that leaves the node range; one with a
+``true`` node id; one with a three-element pair; and one of 10^12 nodes
+with one cost.  The random derivations, the families, the templates,
+the D2 copies and the digraphs are written to a temporary directory,
+whose path reads ``<tmp>`` in the pinned argv and output.
 
 A change that is meant to keep the command line's behaviour must pass
 this test with the pinned file unchanged.  To regenerate the file, run
@@ -40,7 +47,13 @@ from pathlib import Path
 from npls.cli import main
 from npls.corpus import d2, random_sigma1_derivation, random_sigma2_derivation, t_d3
 from npls.nested_graph import generate_family
-from npls.serialization import derivation_to_json, dumps, family_to_json, template_to_json
+from npls.serialization import (
+    derivation_to_json,
+    digraph_to_json,
+    dumps,
+    family_to_json,
+    template_to_json,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 TMP = "<tmp>"
@@ -90,6 +103,12 @@ def _argvs() -> list[list[str]]:
         [command, f"{TMP}/derivation-{name}.json", "--format", fmt]
         for name in REPEATS
         for command in ("validate", "extract")
+        for fmt in FORMATS
+    ]
+    argvs += [
+        [command, f"{TMP}/digraph-{name}.json", "--format", fmt]
+        for name in DIGRAPHS
+        for command in ("solve", "verify")
         for fmt in FORMATS
     ]
     return argvs
@@ -268,6 +287,68 @@ REPEATS = {
 }
 
 
+def _seed_3_digraph() -> dict:
+    """The rank-0 ``gen-graph`` digraph of seed 3 at width 16."""
+    doc = digraph_to_json(generate_family(3, 0, 16).graph)
+    costs = doc["costs"]
+    assert costs[0] > costs[8] > costs[7] and [0, 12] in doc["edges"]
+    return doc
+
+
+def _unsorted_digraph() -> dict:
+    """The seed-3 digraph with edges 0 -> 8 and 0 -> 7 added, reversed, 0 -> 8 twice.
+
+    Node 0 now has three cheaper successors and steps to the smallest id, 7.
+    """
+    doc = _seed_3_digraph()
+    doc["edges"] = [[0, 8], *reversed([[0, 7], [0, 8], *doc["edges"]])]
+    return doc
+
+
+def _two_raising_digraph() -> dict:
+    """The seed-3 digraph with 7 -> 0 and then 3 -> 9 appended; both raise the cost.
+
+    Listed order puts (7,0) first, sorted order (3,9).
+    """
+    doc = _seed_3_digraph()
+    costs = doc["costs"]
+    assert costs[7] <= costs[0] and costs[3] <= costs[9]
+    doc["edges"] += [[7, 0], [3, 9]]
+    return doc
+
+
+def _raising_then_out_of_range_digraph() -> dict:
+    """The seed-3 digraph with the cost-raising 7 -> 0, then an edge to node 16."""
+    doc = _seed_3_digraph()
+    doc["edges"] += [[7, 0], [0, 16]]
+    return doc
+
+
+def _true_end_digraph() -> dict:
+    """The seed-3 digraph with an edge from node ``true``."""
+    doc = _seed_3_digraph()
+    doc["edges"].append([True, 0])
+    return doc
+
+
+def _triple_digraph() -> dict:
+    """The seed-3 digraph with the three-element pair [0, 7, 8]."""
+    doc = _seed_3_digraph()
+    doc["edges"].append([0, 7, 8])
+    return doc
+
+
+# The digraph files, by the name of the file each is written to.
+DIGRAPHS = {
+    "unsorted": _unsorted_digraph,
+    "two-raising": _two_raising_digraph,
+    "raising-then-out-of-range": _raising_then_out_of_range_digraph,
+    "true-end": _true_end_digraph,
+    "triple": _triple_digraph,
+    "one-cost": lambda: {"n": 10**12, "edges": [[0, 0]], "costs": [0]},
+}
+
+
 def _write_inputs(tmp: Path) -> None:
     for name, derivation in (
         ("sigma1-3.json", random_sigma1_derivation(3)),
@@ -284,6 +365,8 @@ def _write_inputs(tmp: Path) -> None:
     for name, build in REPEATS.items():
         text = json.dumps(build(), separators=(",", ":"))
         (tmp / f"derivation-{name}.json").write_text(text, encoding="utf-8")
+    for name, build in DIGRAPHS.items():
+        (tmp / f"digraph-{name}.json").write_text(dumps(build()), encoding="utf-8")
 
 
 def _run(argv: list[str], tmp: Path) -> dict:
