@@ -67,6 +67,7 @@ from .extraction import (
 )
 from .nested_graph import (
     CostedDigraph,
+    DigraphTable,
     NestedGraphFamily,
     generate_family,
     npls_from_family,

@@ -44,6 +44,7 @@ from .nested_graph import (
     MAX_RANK,
     MAX_WIDTH,
     CostedDigraph,
+    DigraphTable,
     FamilyTable,
     NestedGraphFamily,
     generate_family,
@@ -100,11 +101,12 @@ def _derivation(doc, args: argparse.Namespace) -> tuple[Derivation, str]:
 def _instance(args: argparse.Namespace) -> NplsInstance:
     """The search instance the input compiles to, for ``solve`` and ``verify``.
 
-    A digraph is a plain instance, a family file's table or a family fixture a
-    nested one; a derivation or template compiles through ExtractionContext in its mode.
+    A digraph file's table or a digraph fixture is a plain instance, a family
+    file's table or a family fixture a nested one; a derivation or template
+    compiles through ExtractionContext in its mode.
     """
     doc = _load_input(args.input)
-    if isinstance(doc, CostedDigraph):
+    if isinstance(doc, (DigraphTable, CostedDigraph)):
         return pls_from_digraph(doc)
     if isinstance(doc, FamilyTable):
         return npls_from_table(doc)

@@ -595,16 +595,10 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
             for y in ts
         }
 
-    # A target that is not an exists-forall rule is a solution of its
-    # row: it spawns no subproblem and lifts to itself.
     def gen_source(s: int, y: int) -> int:
-        if not is_ef[y]:
-            return s
         return kb[npls_gen_source(ctx, paths[s], paths[y])]
 
     def extract(s: int, y: int, z: int) -> int:
-        if not is_ef[y]:
-            return y
         return kb[npls_extract(ctx, paths[s], paths[y], paths[z])]
 
     return NplsInstance(

@@ -11,7 +11,8 @@ problem may be backed by a child problem of strictly smaller rank, and
 a stored table translates any solution of the child (one of its
 trivial cycles) into an outgoing edge of the backing node.  Families
 are the combinatorial model of the nested search; they compile into
-instances of the search core from one flat ``FamilyTable``.
+instances of the search core from one flat ``FamilyTable``, as a
+digraph does from a ``CostedDigraph`` or a decoded ``DigraphTable``.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ class CostedDigraph:
     def __post_init__(self) -> None:
         if len(self.costs) != self.n_nodes:
             raise ValueError("one cost per node required")
-        # A walk in Python: C-level min and max over the edge ends took
-        # 2.5 to 4 times as long on CPython 3.11, on large and small graphs.
         for s, t in self.edges:
             if not (0 <= s < self.n_nodes and 0 <= t < self.n_nodes):
                 raise ValueError(f"edge ({s},{t}) leaves the node range")
@@ -63,31 +62,50 @@ def descent_steps(g: CostedDigraph) -> list[int]:
     to itself when it has none; its fixed points are therefore the
     local minima.  One pass over the edges fills the table.
     """
-    return _descent(g.n_nodes, g.edges, g.costs)
+    return _descent(g.n_nodes, g.edges, g.costs)[0]
 
 
-def _descent(n_nodes: int, edges, costs) -> list[int]:
+def _descent(n_nodes: int, edges, costs) -> tuple[list[int], bool]:
+    """The step table, and whether every edge between distinct nodes lowers the cost."""
     step = list(range(n_nodes))
+    conforms = True
     for s, t in edges:
-        if costs[t] < costs[s] and (step[s] == s or t < step[s]):
-            step[s] = t
-    return step
+        if costs[t] < costs[s]:
+            if step[s] == s or t < step[s]:
+                step[s] = t
+        elif s != t:
+            conforms = False
+    return step, conforms
 
 
-def pls_from_digraph(g: CostedDigraph) -> NplsInstance:
-    """View a costed digraph as a plain local search instance.
+class DigraphTable(NamedTuple):
+    """A checked digraph file with its own pair lists, unsorted; fields as in ``CostedDigraph``."""
+
+    n_nodes: int
+    edges: list[list[int]]
+    costs: list[int]
+
+
+def pls_from_digraph(g: CostedDigraph | DigraphTable) -> NplsInstance:
+    """View a costed digraph or a digraph table as a plain local search instance.
 
     The instance has one rank-zero source row, 0, whose targets are the
     node ids, each listing its entry of the descent step function; its
     costs are the node costs.  Solving follows the smallest-id
     cost-decreasing edge from node 0 until it reaches a node with no
-    cheaper successor.  Conformance of the edge costs is checked first;
-    it is what makes every walk terminate.
+    cheaper successor.  One walk over the edges fills the step function
+    and checks the cost condition, which makes every walk terminate;
+    ``check_cost_condition`` names the first edge that fails it, in
+    sorted order for a table.
     """
-    check_cost_condition(g)
-    table = {v: [t] for v, t in enumerate(descent_steps(g))}
-    costs = g.costs
-    d = max((g.n_nodes - 1).bit_length(), 1)
+    n, edges, costs = g.n_nodes, g.edges, g.costs
+    step, conforms = _descent(n, edges, costs)
+    if not conforms:
+        if isinstance(g, DigraphTable):
+            g = CostedDigraph(n, tuple(sorted(map(tuple, edges))), tuple(costs))
+        check_cost_condition(g)
+    table = {v: [t] for v, t in enumerate(step)}
+    d = max((n - 1).bit_length(), 1)
     return plain_instance(d, 0, table, 0, lambda t: costs[t])
 
 
@@ -184,7 +202,8 @@ def npls_from_table(table: FamilyTable) -> NplsInstance:
             return None
         base = s << node_bits
         if ranks[s] == 0:
-            return {base + v: [base + t] for v, t in enumerate(_descent(ns[s], edges[s], costs[s]))}
+            step = _descent(ns[s], edges[s], costs[s])[0]
+            return {base + v: [base + t] for v, t in enumerate(step)}
         out: list[list[int]] = [[] for _ in range(ns[s])]
         for a, b in sorted(set(map(tuple, edges[s]))):
             out[a].append(base + b)

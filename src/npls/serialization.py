@@ -21,9 +21,11 @@ checked as a whole document: passes over all nodes check the types,
 one ``map`` keys every formula occurrence, and each distinct formula
 and raw rule is decoded once.  A family is checked as a whole document
 too, into a preorder ``FamilyTable`` with no object per problem;
-only ``family_from_json`` builds objects, from that table.  For both,
-the item-by-item walk runs only when a pass fails, to name the first
-bad value with its location.  Templates are decoded node by node,
+only ``family_from_json`` builds objects, from that table.  A digraph
+decodes to a ``DigraphTable`` of its own pair lists, with no copy or
+sort; only ``digraph_from_json`` builds a ``CostedDigraph``.  For all
+three, the item-by-item walk runs only when a check fails, to name the
+first bad value with its location.  Templates are decoded node by node,
 through the same formula key.
 
 Documents are distinguished by their top-level keys: a derivation has
@@ -53,7 +55,7 @@ from .derivation import (
     TemplateNode,
 )
 from .errors import FormatError
-from .nested_graph import CostedDigraph, FamilyTable, NestedGraphFamily, family_table
+from .nested_graph import CostedDigraph, DigraphTable, FamilyTable, NestedGraphFamily, family_table
 from .terms import (
     OPS,
     ExistsForall,
@@ -529,32 +531,51 @@ def _need_edge(obj: Any, where: Where) -> tuple[int, int]:
 
 
 def digraph_from_json(obj: Any, where: Where = "digraph") -> CostedDigraph:
+    """Decode a digraph to an object: from its checked table, or by the item walk."""
+    table = _digraph_at_once(obj)
+    if table is not None:
+        n, edges, costs = table
+        return CostedDigraph(n, tuple(sorted(map(tuple, edges))), tuple(costs))
     d = _need_dict(obj, where)
     n = _need_int(_get(d, "n", where), (where, ".n"))
     if n <= 0:
         raise _fail((where, ".n"), "a graph needs at least one node")
-    # Graphs carry thousands of edges and costs, so they are checked in
-    # C-level passes over their types, and walked item by item only to
-    # name the first that fails.
     at = (where, ".edges")
-    raw = _need_list(_get(d, "edges", where), at)
-    if (
-        set(map(type, raw)) <= _LIST
-        and set(map(len, raw)) <= _PAIR
-        and set(map(type, chain.from_iterable(raw))) <= _INT
-    ):
-        edges = list(map(tuple, raw))
-    else:
-        edges = [_need_edge(e, (at, i)) for i, e in enumerate(raw)]
+    edges = [_need_edge(e, (at, i)) for i, e in enumerate(_need_list(_get(d, "edges", where), at))]
     at = (where, ".costs")
-    costs = tuple(_need_list(_get(d, "costs", where), at))
-    if not set(map(type, costs)) <= _INT:
-        for i, c in enumerate(costs):
-            _need_int(c, (at, i))
+    costs = _need_list(_get(d, "costs", where), at)
+    for i, c in enumerate(costs):
+        _need_int(c, (at, i))
     try:
-        return CostedDigraph(n, tuple(sorted(edges)), costs)
+        return CostedDigraph(n, tuple(sorted(edges)), tuple(costs))
     except ValueError as exc:
         raise _fail(where, str(exc)) from exc
+
+
+def _digraph_at_once(obj: Any) -> DigraphTable | None:
+    """A digraph as the table of its own lists, or None when a check fails.
+
+    One C-level pass checks the types of the edge ends: a JSON pair that
+    is no array has no int among them, or is empty.  The costs' count is
+    checked before their types.  One walk unpacks each pair, which checks
+    its length, and checks both ends against ``n``.  A failed lookup is
+    a failed check too.
+    """
+    try:
+        n, edges, costs = obj["n"], obj["edges"], obj["costs"]
+        if not (type(n) is int and n > 0 and type(edges) is list and type(costs) is list):
+            return None
+        if not (set(map(type, chain.from_iterable(edges))) <= _INT and len(costs) == n):
+            return None
+        if not set(map(type, costs)) <= _INT:
+            return None
+        # C-level min and max over the ends took about three times as long.
+        for s, t in edges:
+            if not (0 <= s < n and 0 <= t < n):
+                return None
+    except (KeyError, TypeError, ValueError):
+        return None
+    return DigraphTable(n, edges, costs)
 
 
 def family_to_json(fam: NestedGraphFamily) -> Any:
@@ -713,11 +734,13 @@ def _family_walk(obj: Any, where: Where) -> NestedGraphFamily:
 # Document dispatch
 
 
-Document = Derivation | DerivationTemplate | NestedGraphFamily | FamilyTable | CostedDigraph
+Document = (
+    Derivation | DerivationTemplate | NestedGraphFamily | FamilyTable | CostedDigraph | DigraphTable
+)
 
 
 def document_from_json(obj: Any) -> Document:
-    """Decode any supported document by its top-level keys; a family to its table."""
+    """Decode any supported document by its top-level keys; a family or digraph to its table."""
     d = _need_dict(obj, "document")
     if "end_x" in d:
         return derivation_from_json(d)
@@ -727,7 +750,8 @@ def document_from_json(obj: Any) -> Document:
         table = _family_at_once(d)
         return family_table(_family_walk(d, "family")) if table is None else table
     if "n" in d and "edges" in d:
-        return digraph_from_json(d)
+        table = _digraph_at_once(d)
+        return digraph_from_json(d) if table is None else table
     raise _fail("document", "unrecognized document shape")
 
 

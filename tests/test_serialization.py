@@ -13,6 +13,8 @@ from npls.derivation import CutRule
 from npls.errors import FormatError
 from npls.nested_graph import (
     MAX_RANK,
+    CostedDigraph,
+    DigraphTable,
     NestedGraphFamily,
     family_table,
     generate_family,
@@ -50,8 +52,13 @@ from test_cli_golden import REPEATS
 def test_fixture_round_trips(name):
     doc = FIXTURES[name]()
     again = loads_document(dumps(document_to_json(doc)))
-    # A family document decodes to the table of its family.
-    assert again == (family_table(doc) if isinstance(doc, NestedGraphFamily) else doc)
+    # A family or digraph document decodes to its table.
+    if isinstance(doc, NestedGraphFamily):
+        doc = family_table(doc)
+    elif isinstance(doc, CostedDigraph):
+        doc = DigraphTable(doc.n_nodes, list(map(list, sorted(doc.edges))), list(doc.costs))
+    assert again == doc
+    assert type(again) is type(doc)
 
 
 def test_dumps_is_deterministic_and_compact():

@@ -18,7 +18,7 @@ from npls.corpus import random_sigma2_derivation
 from npls.derivation import MODE_NPLS
 from npls.extraction import ExtractionContext, build_npls
 from npls.nested_graph import generate_family
-from npls.serialization import derivation_to_json, dumps, family_to_json
+from npls.serialization import derivation_to_json, digraph_to_json, dumps, family_to_json
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -66,6 +66,25 @@ def test_tracer_spans_the_decode_of_a_family_file(tmp_path, capsys):
     assert names.count("serialization.loads_document") == 2
     assert {"search_core.solve_npls", "search_core.verify_npls_conditions"} <= set(names)
     assert tracer.counts["serialization.bytes_decoded"] == 2 * len(text)
+
+
+def test_tracer_spans_and_counts_the_compile_of_a_digraph_file(tmp_path, capsys):
+    # A digraph file decodes to a table, which goes through the traced compile.
+    doc = digraph_to_json(generate_family(3, 0, 16).graph)
+    path = tmp_path / "digraph.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        for command in ("solve", "verify"):
+            tracer.start_command()
+            assert main([command, str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    names = [s[1] for s in tracer.spans]
+    assert names.count("nested_graph.pls_from_digraph") == 2
+    assert tracer.counts["search_core.calls.row"] == 2
+    assert tracer.counts["search_core.calls.cost"] > 0
 
 
 @pytest.mark.parametrize(
