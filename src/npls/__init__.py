@@ -89,12 +89,10 @@ from .search_core import (
 from .serialization import (
     derivation_from_json,
     derivation_to_json,
-    digraph_from_json,
     digraph_to_json,
     document_from_json,
     document_to_json,
     dumps,
-    family_from_json,
     family_to_json,
     loads_document,
     template_from_json,

@@ -101,9 +101,9 @@ def _derivation(doc, args: argparse.Namespace) -> tuple[Derivation, str]:
 def _instance(args: argparse.Namespace) -> NplsInstance:
     """The search instance the input compiles to, for ``solve`` and ``verify``.
 
-    A digraph file's table or a digraph fixture is a plain instance, a family
-    file's table or a family fixture a nested one; a derivation or template
-    compiles through ExtractionContext in its mode.
+    A file decodes to a table and a fixture is built as objects; a digraph
+    is a plain instance and a family a nested one, in either form.  A
+    derivation or template compiles through ExtractionContext in its mode.
     """
     doc = _load_input(args.input)
     if isinstance(doc, (DigraphTable, CostedDigraph)):

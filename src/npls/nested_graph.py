@@ -10,9 +10,9 @@ A nested family stacks such graphs: each node of a positive-rank
 problem may be backed by a child problem of strictly smaller rank, and
 a stored table translates any solution of the child (one of its
 trivial cycles) into an outgoing edge of the backing node.  Families
-are the combinatorial model of the nested search; they compile into
-instances of the search core from one flat ``FamilyTable``, as a
-digraph does from a ``CostedDigraph`` or a decoded ``DigraphTable``.
+are the combinatorial model of the nested search.  Files decode to
+tables and the generator and fixtures build objects; both compile into
+search instances, a family through its one flat ``FamilyTable``.
 """
 
 from __future__ import annotations
@@ -46,13 +46,12 @@ class CostedDigraph:
                 raise ValueError(f"edge ({s},{t}) leaves the node range")
 
 
-def check_cost_condition(g: CostedDigraph) -> None:
-    """Raise unless every edge between distinct nodes decreases the cost."""
-    for s, t in g.edges:
-        if s != t and g.costs[s] <= g.costs[t]:
-            raise CostConditionViolated(
-                f"edge ({s},{t}) has costs {g.costs[s]} -> {g.costs[t]}"
-            )
+def check_cost_condition(g: CostedDigraph | DigraphTable) -> None:
+    """Raise unless every edge between distinct nodes lowers the cost; name the least that fails."""
+    raising = [(s, t) for s, t in g.edges if s != t and g.costs[s] <= g.costs[t]]
+    if raising:
+        s, t = min(raising)
+        raise CostConditionViolated(f"edge ({s},{t}) has costs {g.costs[s]} -> {g.costs[t]}")
 
 
 def descent_steps(g: CostedDigraph) -> list[int]:
@@ -95,14 +94,12 @@ def pls_from_digraph(g: CostedDigraph | DigraphTable) -> NplsInstance:
     cost-decreasing edge from node 0 until it reaches a node with no
     cheaper successor.  One walk over the edges fills the step function
     and checks the cost condition, which makes every walk terminate;
-    ``check_cost_condition`` names the first edge that fails it, in
-    sorted order for a table.
+    only when it fails does ``check_cost_condition`` run, to name the
+    first edge that fails it in sorted order.
     """
     n, edges, costs = g.n_nodes, g.edges, g.costs
     step, conforms = _descent(n, edges, costs)
     if not conforms:
-        if isinstance(g, DigraphTable):
-            g = CostedDigraph(n, tuple(sorted(map(tuple, edges))), tuple(costs))
         check_cost_condition(g)
     table = {v: [t] for v, t in enumerate(step)}
     d = max((n - 1).bit_length(), 1)
@@ -116,8 +113,8 @@ class NestedGraphFamily:
     ``children`` maps a node id to the backing subproblem and
     ``solution_to_edge`` maps (node, solution node of its child) to the
     successor the solution points at.  The search never reads the
-    children of a rank-zero problem.  Only the generator, the fixtures
-    and ``family_from_json`` build these; a family file decodes to a table.
+    children of a rank-zero problem.  The generator and the fixtures build
+    these, as does the decoder's item walk to name a bad value; files decode to tables.
     """
 
     graph: CostedDigraph

@@ -20,13 +20,13 @@ they are checked in C-level passes over their types.  A derivation is
 checked as a whole document: passes over all nodes check the types,
 one ``map`` keys every formula occurrence, and each distinct formula
 and raw rule is decoded once.  A family is checked as a whole document
-too, into a preorder ``FamilyTable`` with no object per problem;
-only ``family_from_json`` builds objects, from that table.  A digraph
-decodes to a ``DigraphTable`` of its own pair lists, with no copy or
-sort; only ``digraph_from_json`` builds a ``CostedDigraph``.  For all
-three, the item-by-item walk runs only when a check fails, to name the
-first bad value with its location.  Templates are decoded node by node,
-through the same formula key.
+too, into a preorder ``FamilyTable`` with no object per problem, and a
+digraph into a ``DigraphTable`` of its own pair lists, with no copy or
+sort: graph documents decode only to the tables they compile from.  For
+all three, the item-by-item walk runs only when a check fails, to name
+the first bad value with its location.  Templates are decoded node by
+node, through the same formula key.  The encoders take the objects that
+the fixtures and the generator build.
 
 Documents are distinguished by their top-level keys: a derivation has
 ``end_x`` and ``nodes``, a template has ``root``, a family has ``rank``
@@ -140,6 +140,8 @@ _DICT = {dict}
 _PAIR = {2}
 # What an absent children or solutions array reads as; never mutated.
 _NO_ITEMS: list = []
+# The message for a document nested deeper than parsing or decoding recurses.
+_TOO_DEEP = "document is nested too deeply to decode"
 
 
 # Terms and formulas
@@ -507,9 +509,11 @@ def _template_node_from_json(obj: Any, where: Where, memo: dict[bytes, Formula])
 
 def template_from_json(obj: Any) -> DerivationTemplate:
     d = _need_dict(obj, "template")
-    return DerivationTemplate(
-        _template_node_from_json(_get(d, "root", "template"), "template.root", {})
-    )
+    try:
+        root = _template_node_from_json(_get(d, "root", "template"), "template.root", {})
+    except RecursionError as exc:
+        raise FormatError(_TOO_DEEP) from exc
+    return DerivationTemplate(root)
 
 
 # Graphs and families
@@ -530,12 +534,8 @@ def _need_edge(obj: Any, where: Where) -> tuple[int, int]:
     return _need_int(pair[0], (where, 0)), _need_int(pair[1], (where, 1))
 
 
-def digraph_from_json(obj: Any, where: Where = "digraph") -> CostedDigraph:
-    """Decode a digraph to an object: from its checked table, or by the item walk."""
-    table = _digraph_at_once(obj)
-    if table is not None:
-        n, edges, costs = table
-        return CostedDigraph(n, tuple(sorted(map(tuple, edges))), tuple(costs))
+def _digraph_walk(obj: Any, where: Where) -> CostedDigraph:
+    """Decode a digraph item by item, naming the first value that fails."""
     d = _need_dict(obj, where)
     n = _need_int(_get(d, "n", where), (where, ".n"))
     if n <= 0:
@@ -593,28 +593,6 @@ def family_to_json(fam: NestedGraphFamily) -> Any:
     if solutions:
         out["solutions"] = solutions
     return out
-
-
-def family_from_json(obj: Any, where: Where = "family") -> NestedGraphFamily:
-    """Decode a nested family to objects, built from its checked table.
-
-    The checks run as C-level passes over all problems together (see
-    ``_family_at_once``); only when one fails does the item-by-item walk
-    run, to name the first bad value.  ``loads_document`` stops at the table.
-    """
-    table = _family_at_once(obj)
-    return _family_walk(obj, where) if table is None else _family_objects(table)
-
-
-def _family_objects(table: FamilyTable) -> NestedGraphFamily:
-    """The object family of a table; children have larger ids than their parent."""
-    ns, edges, costs, ranks, children, solutions = table
-    fams: list = [None] * len(ns)
-    for i in reversed(range(len(ns))):
-        graph = CostedDigraph(ns[i], tuple(sorted(map(tuple, edges[i]))), tuple(costs[i]))
-        kids = {node: fams[c] for node, c in children[i].items()}
-        fams[i] = NestedGraphFamily(graph, ranks[i], kids, solutions[i])
-    return fams[0]
 
 
 def _family_at_once(obj: Any) -> FamilyTable | None:
@@ -706,7 +684,7 @@ def _family_walk(obj: Any, where: Where) -> NestedGraphFamily:
     rank = _need_int(_get(d, "rank", where), (where, ".rank"))
     if rank < 0:
         raise _fail((where, ".rank"), "ranks are non-negative")
-    graph = digraph_from_json(_get(d, "graph", where), (where, ".graph"))
+    graph = _digraph_walk(_get(d, "graph", where), (where, ".graph"))
     children: dict[int, NestedGraphFamily] = {}
     at = (where, ".children")
     for i, raw in enumerate(_need_list(d.get("children", []), at)):
@@ -734,28 +712,38 @@ def _family_walk(obj: Any, where: Where) -> NestedGraphFamily:
 # Document dispatch
 
 
-Document = (
-    Derivation | DerivationTemplate | NestedGraphFamily | FamilyTable | CostedDigraph | DigraphTable
-)
+Document = Derivation | DerivationTemplate | FamilyTable | DigraphTable
 
 
 def document_from_json(obj: Any) -> Document:
-    """Decode any supported document by its top-level keys; a family or digraph to its table."""
+    """Decode a document by its top-level keys; a family or a digraph decodes to its table.
+
+    When a graph's whole-document checks fail, its item walk names the
+    first bad value, or else gives the table of the objects it built.
+    """
     d = _need_dict(obj, "document")
     if "end_x" in d:
         return derivation_from_json(d)
     if "root" in d:
         return template_from_json(d)
     if "rank" in d and "graph" in d:
-        table = _family_at_once(d)
-        return family_table(_family_walk(d, "family")) if table is None else table
+        try:
+            return _family_at_once(d) or family_table(_family_walk(d, "family"))
+        except RecursionError as exc:
+            raise FormatError(_TOO_DEEP) from exc
     if "n" in d and "edges" in d:
         table = _digraph_at_once(d)
-        return digraph_from_json(d) if table is None else table
+        if table is None:
+            g = _digraph_walk(d, "digraph")
+            table = DigraphTable(g.n_nodes, list(map(list, g.edges)), list(g.costs))
+        return table
     raise _fail("document", "unrecognized document shape")
 
 
-def document_to_json(value: Document) -> Any:
+def document_to_json(
+    value: Derivation | DerivationTemplate | NestedGraphFamily | CostedDigraph,
+) -> Any:
+    """Encode a document as the fixtures and the generator build it: graphs as objects."""
     if isinstance(value, Derivation):
         return derivation_to_json(value)
     if isinstance(value, DerivationTemplate):
@@ -770,18 +758,14 @@ def document_to_json(value: Document) -> Any:
 def loads_document(text: str) -> Document:
     """Parse JSON text and decode it as a document.
 
-    Parsing and decoding both recurse on the nesting depth, so a
-    document nested deeper than the interpreter's recursion limit is
-    rejected as malformed rather than left to escape as RecursionError.
-    An integer literal longer than the interpreter's int-string limit
-    is malformed too.
+    Text nested deeper than parsing can recurse, or holding an integer
+    literal longer than the interpreter's int-string limit, is malformed.
     """
     try:
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            # JSONDecodeError, or the int-string limit on a long integer.
-            raise FormatError(f"not valid JSON: {exc}") from exc
-        return document_from_json(obj)
+        obj = json.loads(text)
+    except ValueError as exc:
+        # JSONDecodeError, or the int-string limit on a long integer.
+        raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise FormatError("document is nested too deeply to decode") from exc
+        raise FormatError(_TOO_DEEP) from exc
+    return document_from_json(obj)

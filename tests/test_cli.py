@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -58,17 +59,22 @@ def test_validate_fixture_by_name(capsys):
 
 
 def test_package_runs_as_a_module():
-    # The same command line without an installed ``npls`` script.
+    # The same command line without an installed ``npls`` script, through ``cli.entry``.
     src = str(Path(npls.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "npls", "validate", "D2"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "ok mode=pls\n", "")
+    missing = "error: no file or fixture named 'no-such-fixture'\n"
+    for argv, expected in (
+        (["validate", "D2"], (0, "ok mode=pls\n", "")),
+        (["validate", "no-such-fixture"], (2, "", missing)),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "npls", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == expected, argv
 
 
 def test_validate_expands_templates(capsys):
@@ -477,27 +483,23 @@ def _object_outcome(doc: dict) -> tuple[int, str]:
     from npls.errors import NplsError
     from npls.nested_graph import check_cost_condition
 
-    at_once = serialization._digraph_at_once
-    serialization._digraph_at_once = lambda obj: None
     try:
-        check_cost_condition(serialization.digraph_from_json(doc))
+        check_cost_condition(serialization._digraph_walk(doc, "digraph"))
     except FormatError as exc:
         return 2, f"error: {exc}\n"
     except NplsError as exc:
         return 1, f"error: {type(exc).__name__}: {exc}\n"
-    finally:
-        serialization._digraph_at_once = at_once
     return 0, ""
 
 
 @settings(max_examples=200, deadline=None)
 @given(_conforming_digraphs())
 def test_a_digraph_table_compiles_as_its_object_does(doc):
+    from npls import serialization
     from npls.nested_graph import DigraphTable, descent_steps, pls_from_digraph
-    from npls.serialization import digraph_from_json, loads_document
 
-    table = loads_document(dumps(doc))
-    g = digraph_from_json(doc)
+    table = serialization.loads_document(dumps(doc))
+    g = serialization._digraph_walk(doc, "digraph")
     assert table == DigraphTable(doc["n"], doc["edges"], doc["costs"])
     assert g.edges == tuple(sorted(map(tuple, doc["edges"])))
     from_table, from_object = pls_from_digraph(table), pls_from_digraph(g)
@@ -568,11 +570,44 @@ def test_digraph_files_build_no_graph_object(tmp_path, monkeypatch, capsys):
     assert main(["solve", str(path)]) == 0
     assert main(["verify", str(path)]) == 0
     assert built == []
-    # The counter does count: naming a cost-raising edge builds the object.
+    # Naming a cost-raising edge builds no object either.
     doc["edges"].append([7, 0])
     path.write_text(dumps(doc), encoding="utf-8")
     assert main(["solve", str(path)]) == 1
+    assert built == []
+    # The counter does count: the item walk builds the object that names an end out of range.
+    doc["edges"].append([16, 0])
+    path.write_text(dumps(doc), encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
     assert len(built) == 1
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_a_fixture_runs_as_the_file_of_its_encoding_does(name, tmp_path):
+    """A fixture, built as objects, and its file, decoded to a table, give the same run.
+
+    Every command, mode, ``--x`` and format gives the same exit code,
+    stdout and stderr on both, with the file's path masked.
+    """
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps(document_to_json(FIXTURES[name]())), encoding="utf-8")
+    for command, mode, x, output in product(
+        ("validate", "extract", "solve", "verify"),
+        ("auto", "pls", "npls"),
+        ("0", "3", "7"),
+        ("text", "machine"),
+    ):
+        options = ["--mode", mode, "--x", x, "--format", output]
+        code, *streams = _run([command, str(path), *options])
+        masked = (code, *(text.replace(str(path), "<input>") for text in streams))
+        assert _run([command, name, *options]) == masked, (command, *options)
 
 
 def test_verify_reports_corrupted_costs(tmp_path, capsys):

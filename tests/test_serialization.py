@@ -27,11 +27,9 @@ from npls.serialization import (
     Document,
     derivation_from_json,
     derivation_to_json,
-    digraph_from_json,
     document_from_json,
     document_to_json,
     dumps,
-    family_from_json,
     family_to_json,
     formula_from_json,
     formula_to_json,
@@ -151,13 +149,13 @@ def test_derivation_parse_errors():
 
 def test_digraph_parse_errors():
     assert "pair" in _error_location(
-        digraph_from_json, {"n": 2, "edges": [[0]], "costs": [1, 0]}
+        document_from_json, {"n": 2, "edges": [[0]], "costs": [1, 0]}
     )
     assert "one cost per node" in _error_location(
-        digraph_from_json, {"n": 2, "edges": [], "costs": [1]}
+        document_from_json, {"n": 2, "edges": [], "costs": [1]}
     )
     assert "at least one node" in _error_location(
-        digraph_from_json, {"n": 0, "edges": [], "costs": []}
+        document_from_json, {"n": 0, "edges": [], "costs": []}
     )
 
 
@@ -534,6 +532,21 @@ def _walk_family(obj):
     return serialization._family_walk(obj, "family")
 
 
+def _assert_decodes_as_the_walk_does(obj):
+    """The whole-document checks give the table of the walk's objects, or refuse what it refuses.
+
+    A table keeps each problem's pairs in file order, and the walk's
+    objects sort them.  Every mutated document here is a JSON value, so
+    where the checks refuse it the walk must name a bad value.
+    """
+    table = serialization._family_at_once(obj)
+    walked = _outcome(lambda o: family_table(_walk_family(o)), obj)
+    if table is None:
+        assert isinstance(walked, str), obj
+    else:
+        assert table._replace(edges=list(map(sorted, table.edges))) == walked, obj
+
+
 _DELETE = object()
 _FAMILY_LEAVES = st.one_of(
     st.integers(min_value=-2, max_value=8),
@@ -560,8 +573,8 @@ def test_a_mutated_family_decodes_as_the_item_walk_does(seed, rank, width, pick,
     """Whole-document checks agree with the item-by-item walk on each mutation.
 
     One value of a generated family (any leaf or subtree) is replaced,
-    or one key is deleted.  Both decoders return equal families, or
-    both raise FormatError with the same message.
+    or one key is deleted.  The checks return the table of the walk's
+    objects, or they refuse the document and the walk raises FormatError.
     """
     doc = family_to_json(_generated_family(seed, rank, width))
     if leaf is _DELETE:
@@ -570,7 +583,7 @@ def test_a_mutated_family_decodes_as_the_item_walk_does(seed, rank, width, pick,
     else:
         paths = list(_value_paths(doc))
         mutated = _replaced(doc, paths[pick % len(paths)], leaf)
-    assert _outcome(family_from_json, mutated) == _outcome(_walk_family, mutated)
+    _assert_decodes_as_the_walk_does(mutated)
 
 
 _PROBE_LEAVES = (-1, 0, 5, True, 1.0, None, "0", [], {}, [0, 0])
@@ -582,7 +595,7 @@ def test_every_single_mutation_of_a_small_family_decodes_as_the_item_walk_does(s
     mutated = [_replaced(doc, at, leaf) for at in _value_paths(doc) for leaf in _PROBE_LEAVES]
     mutated += [_deleted(doc, at) for at in _key_paths(doc)]
     for obj in mutated:
-        assert _outcome(family_from_json, obj) == _outcome(_walk_family, obj), obj
+        _assert_decodes_as_the_walk_does(obj)
 
 
 def _attempt(fn, *args):
@@ -646,7 +659,7 @@ def test_well_formed_families_never_take_the_item_walk(monkeypatch):
     walked = [_walk_family(doc) for doc in docs]
     monkeypatch.setattr(serialization, "_family_walk", walk)
     assert [loads_document(dumps(doc)) for doc in docs] == list(map(family_table, walked))
-    assert list(map(family_from_json, docs)) == walked
+    assert list(map(document_from_json, docs)) == list(map(family_table, walked))
 
 
 def _walk_derivation(obj):
@@ -790,6 +803,26 @@ def test_family_parse_errors():
     )
 
 
+def test_values_nested_past_the_recursion_limit_fail_as_malformed():
+    """Python-built documents deeper than the decoders recurse raise FormatError.
+
+    ``json.loads`` refuses such depth first, so only a caller that
+    decodes a Python value reaches the family walk or the template decoder.
+    """
+    family = _family(0)
+    node: dict = {"rule": {"tag": "initial", "index": 0}, "sequent": []}
+    for _ in range(3000):
+        family = _family(1, children=[{"node": 0, "problem": family}])
+        node = {"rule": {"tag": "initial", "index": 0}, "sequent": [], "children": [node]}
+    for decode, obj in (
+        (document_from_json, family),
+        (document_from_json, {"root": node}),
+        (template_from_json, {"root": node}),
+    ):
+        with pytest.raises(FormatError, match="^document is nested too deeply to decode$"):
+            decode(obj)
+
+
 def test_document_dispatch_errors():
     with pytest.raises(FormatError, match="not valid JSON"):
         loads_document("{")
@@ -806,4 +839,4 @@ def test_document_to_json_rejects_foreign_values():
 
 def test_document_union_covers_all_fixtures():
     for name in FIXTURES:
-        assert isinstance(FIXTURES[name](), Document)
+        assert isinstance(document_from_json(document_to_json(FIXTURES[name]())), Document)
