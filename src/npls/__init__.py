@@ -46,7 +46,6 @@ from .derivation import (
 )
 from .errors import (
     FormatError,
-    KBViolation,
     ModeError,
     NplsError,
     NotASolution,

@@ -10,8 +10,12 @@ Each input compiles once, in one helper, to the derivation or search
 instance its command runs on; ``solve`` runs ``solve_npls`` on every
 instance, plain ones being its one-row, rank-zero case.
 
-Text output is meant for people; ``--format machine`` switches every
-command to line-delimited JSON records with deterministic bytes.
+Each command takes only the options it reads, and any other is a usage
+error: ``--mode`` and ``--x`` on the four that read an input, and
+``--max-steps`` on ``extract`` and ``solve``; ``--seed``, ``--max-rank``
+and ``--max-width`` on ``gen-graph``; ``--out`` on all, and ``--format``
+on all but ``gen-graph``, whose ``machine`` records are line-delimited
+JSON with deterministic bytes.
 """
 
 from __future__ import annotations
@@ -217,32 +221,33 @@ _COMMANDS = {
     "gen-graph": cmd_gen_graph,
 }
 
-_NEEDS_INPUT = {"validate", "extract", "solve", "verify"}
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("input", help="file path or fixture name")
+    reads.add_argument(
         "--mode",
         choices=["pls", "npls", MODE_AUTO],
         default=MODE_AUTO,
         help="derivation mode; auto picks by quantifier class",
     )
-    shared.add_argument("--x", type=int, default=0, help="parameter value for templates")
-    shared.add_argument("--seed", type=int, default=1, help="generator seed")
-    shared.add_argument("--max-steps", type=int, default=None, help="solver step budget")
-    shared.add_argument("--max-rank", type=int, default=2, help="family nesting depth")
-    shared.add_argument("--max-width", type=int, default=4, help="family problem size")
-    shared.add_argument("--out", default=None, help="write output to this file")
-    shared.add_argument(
+    reads.add_argument("--x", type=int, default=0, help="parameter value for templates")
+    reads.add_argument(
         "--format",
         choices=["text", "machine"],
         default="text",
         dest="output",
         help="text tables or line-delimited JSON",
     )
+    searches = argparse.ArgumentParser(add_help=False)
+    searches.add_argument("--max-steps", type=int, default=None, help="solver step budget")
+    generates = argparse.ArgumentParser(add_help=False)
+    generates.add_argument("--seed", type=int, default=1, help="generator seed")
+    generates.add_argument("--max-rank", type=int, default=2, help="family nesting depth")
+    generates.add_argument("--max-width", type=int, default=4, help="family problem size")
+    searching = [reads, searches]
+    parents = {"validate": [reads], "extract": searching, "solve": searching, "verify": [reads]}
 
     parser = argparse.ArgumentParser(
         prog="npls",
@@ -250,18 +255,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name, parents=[shared])
-        if name in _NEEDS_INPUT:
-            p.add_argument("input", help="file path or fixture name")
+        p = sub.add_parser(name, parents=parents.get(name, [generates]))
+        p.add_argument("--out", default=None, help="write output to this file")
     return parser
 
 
 def _check(args: argparse.Namespace) -> None:
-    if args.x < 0 or args.seed < 0:
+    """Range checks on the options the command has."""
+    if getattr(args, "x", 0) < 0 or getattr(args, "seed", 0) < 0:
         raise NplsError("--x and --seed must be non-negative")
-    if args.max_steps is not None and args.max_steps < 0:
+    if getattr(args, "max_steps", None) is not None and args.max_steps < 0:
         raise NplsError("--max-steps must be non-negative")
-    if not (0 <= args.max_rank <= MAX_RANK and 1 <= args.max_width <= MAX_WIDTH):
+    if args.command == "gen-graph" and not (
+        0 <= args.max_rank <= MAX_RANK and 1 <= args.max_width <= MAX_WIDTH
+    ):
         raise NplsError(f"--max-rank must lie in 0..{MAX_RANK} and --max-width in 1..{MAX_WIDTH}")
 
 

@@ -147,12 +147,12 @@ def postorder_index(paths: Iterable[NodePath]) -> dict[NodePath, int]:
     numbered after all of its descendants, so the root receives the
     largest index.  The numbering realizes the path order in which a
     node is below another when its path properly extends the other's,
-    or is smaller at the first entry where the paths differ.
+    or is smaller at the first entry where the paths differ.  The dict
+    lists the paths in post-order.
     """
     node_set = set(paths)
     if () not in node_set:
         raise NoSuchNode("tree has no root")
-    children: dict[NodePath, int] = {}
     for p in node_set:
         if p and p[:-1] not in node_set:
             raise NoSuchNode(f"node {format_path(p)} has no parent")
@@ -279,16 +279,16 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
 
     * the class and free-variable checks, once per distinct formula;
     * an initial literal's truth, once per distinct literal formula;
-    * an existential or exists-forall rule's shape and closedness
-      checks, its witness, bound and inner bound values, and the
-      formulas its children add, once per distinct (rule kind,
-      principal, witness) triple.  The added formulas are looked at
-      only once a node's child count matches, so a huge inner bound is
+    * a quantifier rule's shape and closedness checks, its witness,
+      bound and inner bound values, and the formulas its children add,
+      once per distinct (rule kind, principal, witness) triple, a cut
+      being keyed by its cut formula.  The added formulas are looked at
+      only once a node's child count matches, so a huge bound is
       refused by the count alone.
 
     Per node remain the principal or literal index range, the child
     count, the comparison of each upper sequent, and every message that
-    names the rule's index.  A cut rule is checked per node.
+    names the rule's index.
     """
     if mode not in _MODE_CLASS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -327,7 +327,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     # id(literal formula) -> its truth, or the message of its failure.
     truth: dict[int, bool | str] = {}
     # (rule kind, id(principal), id(witness)) -> _RuleFacts; ``d`` holds
-    # both objects too.
+    # both objects too, and a cut's witness is None.
     rule_facts: dict[tuple[type, int, int], _RuleFacts] = {}
 
     for path in d.paths():
@@ -376,64 +376,42 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
                 flag(path, holds)
             continue
 
-        if isinstance(rule, (ExistsRule, ExistsForallRule)):
-            if not 0 <= rule.principal < len(sequent):
-                flag(path, f"principal index {rule.principal} out of range")
-                continue
-            principal = sequent[rule.principal]
-            key = (type(rule), id(principal), id(rule.witness))
-            facts = rule_facts.get(key)
-            if facts is None:
-                facts = rule_facts[key] = _RuleFacts(rule, principal, value)
-            if facts.stop is not None:
-                flag(path, facts.stop.format(index=rule.principal))
-                continue
-            if facts.above is not None:
-                flag(path, facts.above)
-            if facts.inner is None:
-                flag(path, "inner bound does not evaluate")
-                continue
-            if count != facts.inner:
-                flag(path, f"{facts.name} rule has {count} children, expected {facts.inner}")
-                continue
-            # The added formulas' ids are interned at the first node
-            # that gets this far, in child order.
-            added_ids = facts.added_ids
-            for n in range(count):
-                child = path + (n,)
-                upper = d.nodes[child].sequent
-                if n == len(added_ids):
-                    added_ids.append(_intern_added(table, upper, principal, rule.witness, n))
-                _check_child(table, child, upper, base, added_ids[n], flag)
-            continue
-
         if isinstance(rule, CutRule):
-            formula = rule.formula
-            if mode == MODE_PLS and not isinstance(formula, ExistsLit):
-                flag(path, "pls cuts must be on bounded existentials")
+            index, principal, witness = None, rule.formula, None
+        elif isinstance(rule, (ExistsRule, ExistsForallRule)):
+            index, witness = rule.principal, rule.witness
+            if not 0 <= index < len(sequent):
+                flag(path, f"principal index {index} out of range")
                 continue
-            if mode == MODE_NPLS and not isinstance(formula, ExistsForall):
-                flag(path, "npls cuts must be on exists-forall formulas")
-                continue
-            if formula_vars(formula) - {"x"}:
-                flag(path, "cut formula is not closed")
-                continue
-            outer = formula.bound if isinstance(formula, ExistsLit) else formula.bound1
-            b = value(outer)
-            if b is None:
-                flag(path, "cut bound does not evaluate")
-                continue
-            if count != b + 1:
-                flag(path, f"cut has {count} children, expected {b + 1}")
-                continue
-            for n in range(b + 1):
-                child = path + (n,)
-                upper = d.nodes[child].sequent
-                added_id = _intern_added(table, upper, formula, None, n if n < b else None)
-                _check_child(table, child, upper, base, added_id, flag)
+            principal = sequent[index]
+        else:
+            flag(path, f"unknown rule {type(rule).__name__}")
             continue
-
-        flag(path, f"unknown rule {type(rule).__name__}")
+        key = (type(rule), id(principal), id(witness))
+        facts = rule_facts.get(key)
+        if facts is None:
+            facts = rule_facts[key] = _RuleFacts(rule, principal, value, mode)
+        if facts.stop is not None:
+            flag(path, facts.stop.format(index=index))
+            continue
+        if facts.above is not None:
+            flag(path, facts.above)
+        if facts.inner is None:
+            flag(path, "inner bound does not evaluate")
+            continue
+        if count != facts.inner:
+            flag(path, f"{facts.name} has {count} children, expected {facts.inner}")
+            continue
+        # The added formulas' ids are interned at the first node that
+        # gets this far, in child order.
+        added_ids = facts.added_ids
+        for n in range(count):
+            child = path + (n,)
+            upper = d.nodes[child].sequent
+            if n == len(added_ids):
+                at = None if n == facts.final else n
+                added_ids.append(_intern_added(table, upper, principal, witness, at))
+            _check_child(table, child, upper, base, added_ids[n], flag)
 
     return ValidationReport(mode, tuple(issues), table)
 
@@ -441,26 +419,42 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
 class _RuleFacts:
     """What validation learns of one (rule kind, principal, witness) triple.
 
-    An existential or exists-forall rule's checks, short of its index
-    range and child count, depend only on the kind of rule and on its
-    principal and witness objects.  ``stop`` is the message that ends
-    the check, a format string with the rule's principal ``index``;
-    ``above`` flags a witness not below the bound; ``inner`` is the
-    number of children the rule must have, None when it does not
-    evaluate.  ``added_ids`` holds the table id of each child's added
-    formula, filled in when a node of the triple first reaches its
+    A quantifier rule's checks, short of its index range and child
+    count, depend only on the kind of rule, on its principal and witness
+    objects, and on the mode.  A cut's principal is its cut formula and
+    its witness None.  ``stop`` is the message that ends the check, a
+    format string with the rule's principal ``index``; ``above`` flags a
+    witness not below the bound; ``inner`` is the number of children the
+    rule must have, None when it does not evaluate; ``final`` is the
+    index of the cut upper that adds the cut formula itself, None for
+    the other rules.  ``added_ids`` holds the table id of each child's
+    added formula, filled in when a node of the triple first reaches its
     children, so no instance is looked at before the child count matches.
     """
 
-    __slots__ = ("stop", "above", "inner", "name", "added_ids")
+    __slots__ = ("stop", "above", "inner", "final", "name", "added_ids")
 
-    def __init__(self, rule: ExistsRule | ExistsForallRule, principal: Formula, value) -> None:
+    def __init__(self, rule: Rule, principal: Formula, value, mode: str) -> None:
         self.stop: str | None = None
         self.above: str | None = None
         self.inner: int | None = None
+        self.final: int | None = None
         self.added_ids: list[int] = []
+        if isinstance(rule, CutRule):
+            self.name = "cut"
+            if mode == MODE_PLS and not isinstance(principal, ExistsLit):
+                self.stop = "pls cuts must be on bounded existentials"
+            elif mode == MODE_NPLS and not isinstance(principal, ExistsForall):
+                self.stop = "npls cuts must be on exists-forall formulas"
+            elif formula_vars(principal) - {"x"}:
+                self.stop = "cut formula is not closed"
+            elif (b := value(principal.bound if mode == MODE_PLS else principal.bound1)) is None:
+                self.stop = "cut bound does not evaluate"
+            else:
+                self.inner, self.final = b + 1, b
+            return
         exists = isinstance(rule, ExistsRule)
-        self.name = "existential" if exists else "exists-forall"
+        self.name = "existential rule" if exists else "exists-forall rule"
         if not isinstance(principal, ExistsLit if exists else ExistsForall):
             self.stop = "principal at index {index} has the wrong shape"
             return

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised on purpose derives from NplsError so callers can
-distinguish misuse of this library from ordinary Python failures.
+distinguish misuse of this library from ordinary Python failures.  Each
+type names a check that some input can fail; what validation settles
+is not checked again downstream, so it has no type here.
 """
 
 from __future__ import annotations
@@ -92,17 +94,5 @@ class GoalNotFound(NplsError):
     """The rightmost walk above a node found no witnessing rule."""
 
 
-class KBViolation(NplsError):
-    """A neighbor step failed to move down in the traversal order."""
-
-
-class EndFormulaPrincipal(NplsError):
-    """A subproblem was requested for the end-formula itself."""
-
-
 class NotASolution(NplsError):
     """The node handed back by a sub-search does not solve its row."""
-
-
-class UnreachableCase(NplsError):
-    """A case that valid input can never reach was hit; input is corrupt."""

@@ -47,22 +47,12 @@ from .derivation import (
     Derivation,
     ExistsForallRule,
     ExistsRule,
-    InitialRule,
     NodePath,
-    ProofNode,
     format_path,
     postorder_index,
     validate,
 )
-from .errors import (
-    EndFormulaPrincipal,
-    GoalNotFound,
-    KBViolation,
-    ModeError,
-    NotASolution,
-    UnreachableCase,
-    ValidationFailed,
-)
+from .errors import GoalNotFound, ModeError, NotASolution, ValidationFailed
 from .search_core import (
     NplsInstance,
     SearchTrace,
@@ -120,9 +110,8 @@ class ExtractionContext:
     ``i``, so that subtree is exactly the ids ``low[i]..i``.  Each table
     is filled in one pass over the nodes; child counts in particular are
     counted once rather than rescanned per child, and each distinct
-    witness object is evaluated once.  Past validation a
-    context therefore costs time linear in the total size of the
-    sequents, plus sorting the post-order index.
+    witness object is evaluated once.  Past validation a context
+    therefore costs time linear in the total size of the sequents.
     """
 
     def __init__(self, derivation: Derivation, mode: str):
@@ -151,7 +140,7 @@ class ExtractionContext:
         self.end_id = table.sequent[()][0]
 
         self.kb = postorder_index(derivation.nodes.keys())
-        self.path_of = [p for p, _ in sorted(self.kb.items(), key=lambda kv: kv[1])]
+        self.path_of = list(self.kb)
         self.n_nodes = len(self.path_of)
         self.d_max = max(len(p) for p in self.kb) + 1
         # Validation guarantees contiguous child indices, so counting
@@ -265,17 +254,17 @@ def target_condition(ctx: ExtractionContext, path: NodePath) -> bool:
 def rightmost_goal(ctx: ExtractionContext, path: NodePath) -> NodePath:
     """The lowest goal on the rightmost branch at or above ``path``.
 
-    Goals are existential rules with a true witnessing instance and, in
-    npls mode, exists-forall rules.  On input satisfying the target
-    condition a goal always exists: the branch ends in an initial leaf
-    whose true literal must have been introduced on the way, and the
-    rule introducing it qualifies.
+    Goals are existential rules with a true witnessing instance and
+    exists-forall rules, which only npls mode admits.  On input
+    satisfying the target condition a goal always exists: the branch
+    ends in an initial leaf whose true literal must have been introduced
+    on the way, and the rule introducing it qualifies.
     """
     current = path
     while True:
         if ctx.has_true_goal(current):
             return current
-        if ctx.mode == MODE_NPLS and ctx.is_exists_forall(current):
+        if ctx.is_exists_forall(current):
             return current
         count = ctx.child_count(current)
         if count == 0:
@@ -289,12 +278,11 @@ def _entry_point(ctx: ExtractionContext, path: NodePath, formula: int) -> NodePa
     """Shortest prefix of ``path`` whose sequent contains the formula.
 
     ``formula`` is an id of the context's formula table, and each prefix
-    is probed in its id set ``ctx._seq_members``.
+    is probed in its id set ``ctx._seq_members``.  The one caller passes
+    a goal's own principal, which lies in the goal's own sequent, so
+    some prefix always contains it.
     """
-    for k in range(len(path) + 1):
-        if formula in ctx._seq_members[path[:k]]:
-            return path[:k]
-    raise UnreachableCase("formula missing below its own node")
+    return next(path[:k] for k in range(len(path) + 1) if formula in ctx._seq_members[path[:k]])
 
 
 def _selected_upper(ctx: ExtractionContext, tau: NodePath) -> NodePath | None:
@@ -302,7 +290,8 @@ def _selected_upper(ctx: ExtractionContext, tau: NodePath) -> NodePath | None:
 
     The principal of tau entered the branch at the final upper of some
     cut, and tau's witness value picks that cut's value-indexed upper.
-    None when the principal persists to the end-sequent instead.
+    None when the principal persists to the end-sequent instead, which
+    only an existential goal's can, the end-formula being one.
     """
     entry = _entry_point(ctx, tau, ctx.principal(tau))
     if entry == ():
@@ -319,17 +308,13 @@ def pls_neighbor(ctx: ExtractionContext, sigma: NodePath) -> NodePath:
     The goal above sigma witnesses its principal formula.  If that
     formula is the end-formula, sigma solves the instance.  Otherwise
     it entered at the final upper of a cut, and the goal's witness
-    value picks the corresponding value-indexed upper of that cut,
-    which lies strictly earlier in post-order.
+    value, which validation keeps below the cut's bound, picks a
+    value-indexed upper of that cut strictly earlier in post-order.
+    That index is the cost, so the solver and the verifier check the
+    descent on every instance.
     """
     kappa = _selected_upper(ctx, rightmost_goal(ctx, sigma))
-    if kappa is None:
-        return sigma
-    if ctx.kb[kappa] >= ctx.kb[sigma]:
-        raise KBViolation(
-            f"step {format_path(sigma)} -> {format_path(kappa)} does not move down"
-        )
-    return kappa
+    return sigma if kappa is None else kappa
 
 
 def build_pls(ctx: ExtractionContext) -> NplsInstance:
@@ -355,8 +340,8 @@ def build_pls(ctx: ExtractionContext) -> NplsInstance:
 
 
 def _report(ctx: ExtractionContext, tau: NodePath, trace: SearchTrace) -> WitnessReport:
-    if not ctx.is_exists(tau):
-        raise NotASolution(f"node {format_path(tau)} carries no witnessing term")
+    # tau is a pls goal or an npls target that lists itself, so in both
+    # modes an existential rule.
     witness = ctx.witness_value(tau)
     instance = exists_instance(ctx.end_formula, ctx.derivation.rule(tau).witness)
     verified = (
@@ -471,18 +456,13 @@ def npls_neighbor_rel(
 def npls_gen_source(ctx: ExtractionContext, sigma: NodePath, tau: NodePath) -> NodePath:
     """The subproblem row spawned by a stuck exists-forall target.
 
-    It is the cut upper that ``_selected_upper`` picks for tau.  A
-    witnessing existential target needs no subproblem and maps back to
-    its own row.
+    It is the cut upper that ``_selected_upper`` picks for tau, which is
+    never None for an exists-forall rule.  A witnessing existential
+    target needs no subproblem and maps back to its own row.
     """
     if not ctx.is_exists_forall(tau):
         return sigma
-    kappa = _selected_upper(ctx, tau)
-    if kappa is None:
-        raise EndFormulaPrincipal(
-            f"the principal at {format_path(tau)} persists to the end-sequent"
-        )
-    return kappa
+    return _selected_upper(ctx, tau)
 
 
 def npls_extract(

@@ -310,15 +310,9 @@ def _sequent_from_json(
 def rule_to_json(rule: Rule) -> Any:
     if isinstance(rule, InitialRule):
         return {"tag": "initial", "index": rule.index}
-    if isinstance(rule, ExistsRule):
+    if isinstance(rule, (ExistsRule, ExistsForallRule)):
         return {
-            "tag": "exists",
-            "principal": rule.principal,
-            "witness": term_to_json(rule.witness),
-        }
-    if isinstance(rule, ExistsForallRule):
-        return {
-            "tag": "exists-forall",
+            "tag": "exists" if isinstance(rule, ExistsRule) else "exists-forall",
             "principal": rule.principal,
             "witness": term_to_json(rule.witness),
         }

@@ -694,6 +694,24 @@ def test_out_of_range_arguments_are_rejected(argv, capsys):
     assert captured.err.startswith("error: NplsError: --max-")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "D2", "--max-rank", "9"],
+        ["verify", "G1", "--seed", "-1"],
+        ["gen-graph", "--x", "-1"],
+        ["validate", "D2", "--max-steps", "5"],
+    ],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    # Each command takes only its own options, so none fails or is
+    # silently ignored on another's; the test above range-checks its own.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # Contract fuzz: one leaf replaced or one key deleted, four commands.
 
 

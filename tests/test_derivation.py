@@ -39,6 +39,7 @@ from npls.derivation import (
 )
 from npls.errors import NoSuchNode, NplsError, ValidationFailed
 from npls.serialization import (
+    derivation_from_json,
     derivation_to_json,
     formula_from_json,
     formula_to_json,
@@ -690,6 +691,52 @@ def test_a_huge_inner_bound_is_refused_by_the_child_count(monkeypatch):
         f"(): exists-forall rule has 1 children, expected {2**63}"
     ]
     assert built == []
+
+
+def _two_cuts_on_one_formula():
+    """D2 with a second cut on D2's cut formula at the root cut's upper (1)."""
+    end = ExistsLit("y", num(3), Literal(False, var("y"), add(num(1), num(1))))
+    cut = ExistsLit("z", num(2), Literal(False, add(var("z"), num(1)), num(2)))
+    end_inst = LitFormula(exists_instance(end, num(2)))
+    cut_inst = LitFormula(exists_instance(cut, num(1)))
+    neg0, neg1 = negated_instance(cut, 0), negated_instance(cut, 1)
+    d = Derivation(
+        0,
+        {
+            (): ProofNode((end,), CutRule(cut)),
+            (0,): ProofNode((end, neg0), InitialRule(1)),
+            (1,): ProofNode((end, neg1), CutRule(cut)),
+            (1, 0): ProofNode((end, neg1, neg0), InitialRule(2)),
+            (1, 1): ProofNode((end, neg1, neg1), ExistsRule(0, num(2))),
+            (1, 1, 0): ProofNode((end, neg1, neg1, end_inst), InitialRule(3)),
+            (1, 2): ProofNode((end, neg1, cut), ExistsRule(2, num(1))),
+            (1, 2, 0): ProofNode((end, neg1, cut, cut_inst), InitialRule(3)),
+            (2,): ProofNode((end, cut), ExistsRule(1, num(1))),
+            (2, 0): ProofNode((end, cut, cut_inst), InitialRule(2)),
+        },
+    )
+    return derivation_from_json(derivation_to_json(d))
+
+
+def test_cuts_sharing_a_formula_are_checked_once_and_flagged_per_node():
+    d = _two_cuts_on_one_formula()
+    assert d.rule(()).formula is d.rule((1,)).formula
+    assert validate(d, MODE_PLS).ok
+    # The root cut fills the shared facts first; the second cut's wrong
+    # upper is still named by its own path.
+    (end, neg1, neg0) = d.sequent((1, 0))
+    bad = _mutate(d, (1, 0), sequent=(end, neg1, neg0, neg0))
+    assert validate(bad, MODE_PLS).lines() == [
+        "(1,0): upper sequent mismatch: 1 unexpected formula(s)"
+    ]
+    bad = _mutate(d, (1, 2), sequent=(end, neg1, neg1), rule=ExistsRule(0, num(2)))
+    assert validate(bad, MODE_PLS).lines()[0] == (
+        "(1,2): upper sequent mismatch: missing 1 formula(s), 1 unexpected formula(s)"
+    )
+    assert validate(d, MODE_NPLS).lines() == [
+        "(): npls cuts must be on exists-forall formulas",
+        "(1): npls cuts must be on exists-forall formulas",
+    ]
 
 
 # Validation matches each added formula in place; it must report and

@@ -4,17 +4,11 @@ import pytest
 
 from npls.corpus import d1, d2, d3, random_sigma2_derivation, t_d3
 from npls.derivation import Derivation, InitialRule, ProofNode, substitute_numeral, validate
-from npls.errors import (
-    EndFormulaPrincipal,
-    GoalNotFound,
-    ModeError,
-    NotASolution,
-    UnreachableCase,
-    ValidationFailed,
-)
+from npls.errors import GoalNotFound, ModeError, NotASolution, ValidationFailed
 from npls.extraction import (
     ExtractionContext,
     _entry_point,
+    _selected_upper,
     build_npls,
     build_pls,
     extract_witness_npls,
@@ -137,8 +131,6 @@ def test_entry_point_is_where_a_formula_enters_the_branch():
     assert _entry_point(ctx, (2, 0), b00) == (2, 0)
     assert _entry_point(ctx, (2, 0), cut) == (2,)
     assert _entry_point(ctx, (2, 0), end) == ()
-    with pytest.raises(UnreachableCase):
-        _entry_point(ctx, (0,), cut)
 
 
 def test_pls_neighbor_steps():
@@ -253,21 +245,6 @@ def test_npls_extract_cases():
         npls_extract(ctx, (), (2,), (0, 0))
 
 
-def test_a_principal_that_persists_to_the_end_sequent_selects_no_cut_upper():
-    ctx = _npls_ctx()
-    # Point the exists-forall target (2,) at the end-formula, which
-    # enters the branch at the root, so no cut upper is selected.
-    ctx._principal[(2,)] = ctx.end_id
-    with pytest.raises(EndFormulaPrincipal, match=r"at \(2\) persists"):
-        npls_gen_source(ctx, (), (2,))
-    with pytest.raises(EndFormulaPrincipal, match=r"at \(2\) persists"):
-        npls_extract(ctx, (), (2,), (0,))
-    # The solution is checked first.
-    with pytest.raises(NotASolution):
-        npls_extract(ctx, (), (2,), (2,))
-    assert npls_gen_source(ctx, (), (2, 1)) == (1,)
-
-
 def test_d3_solve_trace_is_frozen():
     inst = build_npls(_npls_ctx())
     solution, trace = solve_npls(inst)
@@ -322,6 +299,20 @@ def _tabulation_cases():
         yield f"T-D3 x={x}", substitute_numeral(t_d3(), x)
     for seed in range(60):
         yield f"sigma2 seed={seed}", random_sigma2_derivation(seed)
+
+
+def test_validation_leaves_extraction_no_unreachable_case():
+    # What extraction relies on in place of re-checking it: every
+    # exists-forall rule selects a value-indexed cut upper before it in
+    # post-order, and every run ends on an existential rule.
+    for name, d in _tabulation_cases():
+        ctx = ExtractionContext(d, "npls")
+        for tau in ctx.path_of:
+            if ctx.is_exists_forall(tau):
+                kappa = _selected_upper(ctx, tau)
+                assert kappa is not None and ctx.is_left_upper(kappa), (name, tau)
+                assert ctx.kb[kappa] < ctx.kb[tau], (name, tau)
+        assert ctx.is_exists(extract_witness_npls(ctx).solution_node), name
 
 
 def test_context_id_sets_hold_each_sequent_formula():
