@@ -22,9 +22,14 @@ its edges reversed and one of them listed twice; the same digraph with
 two cost-raising edges appended out of sorted order; one with a
 cost-raising edge before an edge that leaves the node range; one with a
 ``true`` node id; one with a three-element pair; and one of 10^12 nodes
-with one cost.  The random derivations, the families, the templates,
-the D2 copies and the digraphs are written to a temporary directory,
-whose path reads ``<tmp>`` in the pinned argv and output.
+with one cost.  It records ``extract`` and ``solve`` in both formats on
+two derivations that break their mode and also fail validation, so a
+mode error must win over the other issues: ``--mode pls`` on a copy of
+D3 whose leaf (2,1,0) points at its false literal, and ``--mode npls``
+on a copy of D2 whose upper sequent (1,0) adds 1+1 = 2 in place of the
+instance 2 = 1+1.  The random derivations, the families, the templates,
+the D2 and D3 copies and the digraphs are written to a temporary
+directory, whose path reads ``<tmp>`` in the pinned argv and output.
 
 A change that is meant to keep the command line's behaviour must pass
 this test with the pinned file unchanged.  To regenerate the file, run
@@ -45,7 +50,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from npls.cli import main
-from npls.corpus import d2, random_sigma1_derivation, random_sigma2_derivation, t_d3
+from npls.corpus import d2, d3, random_sigma1_derivation, random_sigma2_derivation, t_d3
 from npls.nested_graph import generate_family
 from npls.serialization import (
     derivation_to_json,
@@ -109,6 +114,12 @@ def _argvs() -> list[list[str]]:
         [command, f"{TMP}/digraph-{name}.json", "--format", fmt]
         for name in DIGRAPHS
         for command in ("solve", "verify")
+        for fmt in FORMATS
+    ]
+    argvs += [
+        [command, f"{TMP}/derivation-{name}.json", "--mode", mode, "--format", fmt]
+        for name, (mode, _) in MODE_BREAKS.items()
+        for command in ("extract", "solve")
         for fmt in FORMATS
     ]
     return argvs
@@ -349,6 +360,35 @@ DIGRAPHS = {
 }
 
 
+def _false_leaf_d3() -> dict:
+    """D3 with its leaf (2,1,0) pointing at 0*1 = 1, which is false, not at 1*0 = 0."""
+    doc = derivation_to_json(d3())
+    leaf = doc["nodes"][-2]
+    assert leaf["path"] == [2, 1, 0] and leaf["rule"] == {"tag": "initial", "index": 3}
+    leaf["rule"]["index"] = 2
+    return doc
+
+
+def _broken_upper_d2() -> dict:
+    """D2 with its upper sequent (1,0) adding 1+1 = 2, not the instance 2 = 1+1.
+
+    The leaf's literal still holds; only the upper sequent is wrong.
+    """
+    doc = derivation_to_json(d2())
+    lit = doc["nodes"][3]["sequent"][2]
+    assert doc["nodes"][3]["path"] == [1, 0] and lit["lhs"] == {"num": 2}
+    lit["lhs"], lit["rhs"] = lit["rhs"], lit["lhs"]
+    return doc
+
+
+# The derivations that break a mode besides failing validation, by the
+# name of the file each is written to: the mode they run in, and their builder.
+MODE_BREAKS = {
+    "d3-false-leaf": ("pls", _false_leaf_d3),
+    "d2-broken-upper": ("npls", _broken_upper_d2),
+}
+
+
 def _write_inputs(tmp: Path) -> None:
     for name, derivation in (
         ("sigma1-3.json", random_sigma1_derivation(3)),
@@ -367,6 +407,8 @@ def _write_inputs(tmp: Path) -> None:
         (tmp / f"derivation-{name}.json").write_text(text, encoding="utf-8")
     for name, build in DIGRAPHS.items():
         (tmp / f"digraph-{name}.json").write_text(dumps(build()), encoding="utf-8")
+    for name, (_, build) in MODE_BREAKS.items():
+        (tmp / f"derivation-{name}.json").write_text(dumps(build()), encoding="utf-8")
 
 
 def _run(argv: list[str], tmp: Path) -> dict:
