@@ -196,7 +196,10 @@ class FormulaTable:
     ids sorted, which is the sequent read as a multiset, and ``members``
     to the set of those ids, for membership probes; ``added`` maps each
     child that validation checked to the id of the formula it adds over
-    its parent.  The ids belong to this table alone and die with it.
+    its parent.  ``children`` maps each node validation reached to its
+    child count, and ``witness`` each existential or exists-forall rule
+    whose witness and bound evaluate to its witness value.  The ids
+    belong to this table alone and die with it.
 
     Decoded and expanded derivations share one object per distinct
     formula, so ``intern`` looks a formula up by identity first: each
@@ -213,6 +216,8 @@ class FormulaTable:
         self.multiset: dict[NodePath, list[int]] = {}
         self.members: dict[NodePath, frozenset[int]] = {}
         self.added: dict[NodePath, int] = {}
+        self.children: dict[NodePath, int] = {}
+        self.witness: dict[NodePath, int] = {}
 
     def intern(self, f: Formula) -> int:
         known = self._by_object.get(id(f))
@@ -242,7 +247,9 @@ class ValidationReport:
     """Issues found by ``validate``, with the formula table it built.
 
     On a report that is ``ok`` the table holds every node's sequent and
-    every child's added formula; it takes no part in comparison or repr.
+    child count, every child's added formula and every existential and
+    exists-forall rule's witness value; it takes no part in comparison
+    or repr.
     """
 
     mode: str
@@ -349,7 +356,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
                 is_open = True
         if is_open:
             continue
-        count = len(order[path])
+        count = table.children[path] = len(order[path])
         rule = node.rule
         base = table.record(path, sequent)
 
@@ -394,6 +401,8 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
         if facts.stop is not None:
             flag(path, facts.stop.format(index=index))
             continue
+        if witness is not None:
+            table.witness[path] = facts.witness
         if facts.above is not None:
             flag(path, facts.above)
         if facts.inner is None:
@@ -423,19 +432,21 @@ class _RuleFacts:
     count, depend only on the kind of rule, on its principal and witness
     objects, and on the mode.  A cut's principal is its cut formula and
     its witness None.  ``stop`` is the message that ends the check, a
-    format string with the rule's principal ``index``; ``above`` flags a
-    witness not below the bound; ``inner`` is the number of children the
-    rule must have, None when it does not evaluate; ``final`` is the
-    index of the cut upper that adds the cut formula itself, None for
-    the other rules.  ``added_ids`` holds the table id of each child's
-    added formula, filled in when a node of the triple first reaches its
-    children, so no instance is looked at before the child count matches.
+    format string with the rule's principal ``index``; ``witness`` is
+    the witness's value, and ``above`` flags it not below the bound;
+    ``inner`` is the number of children the rule must have, None when it
+    does not evaluate; ``final`` is the index of the cut upper that adds
+    the cut formula itself, None for the other rules.  ``added_ids``
+    holds the table id of each child's added formula, filled in when a
+    node of the triple first reaches its children, so no instance is
+    looked at before the child count matches.
     """
 
-    __slots__ = ("stop", "above", "inner", "final", "name", "added_ids")
+    __slots__ = ("stop", "witness", "above", "inner", "final", "name", "added_ids")
 
     def __init__(self, rule: Rule, principal: Formula, value, mode: str) -> None:
         self.stop: str | None = None
+        self.witness: int | None = None
         self.above: str | None = None
         self.inner: int | None = None
         self.final: int | None = None
@@ -467,6 +478,7 @@ class _RuleFacts:
         if w is None or b is None:
             self.stop = "witness or bound does not evaluate"
             return
+        self.witness = w
         if w >= b:
             self.above = f"witness value {w} is not below the bound {b}"
         self.inner = 1 if exists else value(principal.bound2)

@@ -87,39 +87,40 @@ class WitnessReport:
 
 
 class ExtractionContext:
-    """A validated derivation with everything the compilers need cached.
+    """A validated derivation with the node facts the compilers read.
 
     Construction validates the derivation in the requested mode.  A
-    derivation whose formulas or rules do not fit the mode at all
-    raises ModeError; any other defect raises ValidationFailed.  The
-    cached tables cover sequent id sets, rule classification, the
-    truth of witnessing instances, post-order indices and child counts.
-    ``d_max`` exceeds the deepest node by one, so exists-forall targets
-    always cost at least one.
+    refused derivation raises ModeError when its formulas or rules do
+    not fit the mode at all, and ValidationFailed otherwise.  Every mode
+    violation is also a validation issue (a class check, a principal of
+    the wrong shape, a cut the mode does not admit), so the mode walk
+    runs only on refusal.
 
-    Formulas are the int ids of the ``FormulaTable`` that validation
-    built, read off the report of the one ``validate`` call:
-    ``_seq_ids`` holds each node's sequent as ids in sequent order,
-    ``_seq_members`` the set of those ids, which membership probes and
-    per-distinct-formula scans read, ``_added`` the id of the formula
-    each child adds, ``_principal`` the id of each rule's principal and
-    ``end_id`` that of the end-formula.  Nothing is normalized past
-    validation.
+    Validation's ``FormulaTable`` supplies, by node path: ``_seq_ids``
+    each sequent as formula ids in sequent order, ``_seq_members`` the
+    set of those ids, ``_added`` the id each child adds, ``_children``
+    each child count and ``_witness`` each quantifier rule's witness
+    value.  Nothing is normalized and no witness evaluated again.
 
-    ``low[i]`` is the smallest post-order id in the subtree of node
-    ``i``, so that subtree is exactly the ids ``low[i]..i``.  Each table
-    is filled in one pass over the nodes; child counts in particular are
-    counted once rather than rescanned per child, and each distinct
-    witness object is evaluated once.  Past validation a context
-    therefore costs time linear in the total size of the sequents.
+    The context derives the rest as lists by post-order id (``kb`` maps
+    a path to its id, ``path_of`` back): ``parent`` (the root is its
+    own), ``is_ef`` for exists-forall rules, ``left_upper`` for the
+    value-indexed cut uppers (all but a cut's last), ``low``, the
+    smallest id in the node's subtree, which is exactly ``low[i]..i``,
+    ``true_lit`` for sequents holding a true literal and ``true_goal``
+    for existential rules whose witnessing instance holds.  A child's
+    sequent is its parent's plus the formula it adds, so it holds a true
+    literal exactly when its parent does or that formula is one; each
+    distinct literal is evaluated once.  ``d_max`` exceeds the deepest
+    node by one, so exists-forall targets always cost at least one.
     """
 
     def __init__(self, derivation: Derivation, mode: str):
         if mode not in (MODE_PLS, MODE_NPLS):
             raise ValueError(f"unknown mode {mode!r}")
-        self._check_mode(derivation, mode)
         report = validate(derivation, mode)
         if not report.ok:
+            self._check_mode(derivation, mode)
             raise ValidationFailed(
                 "derivation is invalid: " + "; ".join(report.lines()[:3]), report
             )
@@ -136,62 +137,53 @@ class ExtractionContext:
         table = report.table
         self._seq_ids = table.sequent
         self._seq_members = table.members
-        self._added = table.added
+        self._added = added = table.added
+        self._children = children = table.children
+        self._witness = table.witness
         self.end_id = table.sequent[()][0]
 
-        self.kb = postorder_index(derivation.nodes.keys())
-        self.path_of = list(self.kb)
-        self.n_nodes = len(self.path_of)
-        self.d_max = max(len(p) for p in self.kb) + 1
-        # Validation guarantees contiguous child indices, so counting
-        # children gives each node's child count.  Children come before
-        # their parent in post-order, so a child's ``low`` is final when
-        # it reaches the parent.
-        self._child_count: dict[NodePath, int] = {}
-        self.low = list(range(self.n_nodes))
-        for i, path in enumerate(self.path_of):
-            if path:
-                up = path[:-1]
-                self._child_count[up] = self._child_count.get(up, 0) + 1
-                parent = self.kb[up]
-                self.low[parent] = min(self.low[parent], self.low[i])
+        self.kb = kb = postorder_index(derivation.nodes.keys())
+        self.path_of = paths = list(kb)
+        self.n_nodes = n = len(paths)
+        self.d_max = derivation.depth() + 1
+        rules = [derivation.nodes[p].rule for p in paths]
+        self.is_ef = [isinstance(r, ExistsForallRule) for r in rules]
+        self.parent = parent = [kb[p[:-1]] for p in paths]
+        self.left_upper = left_upper = [False] * n
+        self.low = low = list(range(n))
+        # Children come before their parent in post-order, and the root
+        # comes last, so a child's ``low`` is final when it reaches the
+        # parent.
+        for i in range(n - 1):
+            up = parent[i]
+            low[up] = min(low[up], low[i])
+            if isinstance(rules[up], CutRule):
+                left_upper[i] = paths[i][-1] < children[paths[up]] - 1
 
         # Truth of each distinct formula id, evaluated on first need; a
-        # quantified formula is never a true literal.  The goal of an
-        # existential rule is the literal its child adds.
+        # quantified formula is never a true literal.
         normal = table.formulas()
-        true_lit: dict[int, bool] = {}
+        truth: dict[int, bool] = {}
 
         def holds(fid: int) -> bool:
-            got = true_lit.get(fid)
+            got = truth.get(fid)
             if got is None:
                 f = normal[fid]
-                got = true_lit[fid] = isinstance(f, LitFormula) and eval_literal(f.lit, self.x)
+                got = truth[fid] = isinstance(f, LitFormula) and eval_literal(f.lit, self.x)
             return got
 
-        # The value of each distinct witness object; ``derivation`` holds
-        # every witness for the context's life, so no id is reused.
-        value_of: dict[int, int] = {}
-        self._has_true_literal: dict[NodePath, bool] = {}
-        self._principal: dict[NodePath, int] = {}
-        self._witness_value: dict[NodePath, int] = {}
-        self._true_goal: dict[NodePath, bool] = {}
-        self._left_upper: dict[NodePath, bool] = {}
-        for path, node in derivation.nodes.items():
-            self._has_true_literal[path] = any(map(holds, self._seq_ids[path]))
-            rule = node.rule
-            if isinstance(rule, (ExistsRule, ExistsForallRule)):
-                self._principal[path] = self._seq_ids[path][rule.principal]
-                w = value_of.get(id(rule.witness))
-                if w is None:
-                    w = value_of[id(rule.witness)] = eval_term(rule.witness, self.x)
-                self._witness_value[path] = w
-                if isinstance(rule, ExistsRule):
-                    self._true_goal[path] = holds(self._added[path + (0,)])
-            self._left_upper[path] = bool(path) and (
-                isinstance(derivation.rule(path[:-1]), CutRule)
-                and path[-1] < self._child_count[path[:-1]] - 1
-            )
+        # The root's one formula is existential.  Parents come after
+        # their children, so a descending scan sees every parent first;
+        # an existential rule's goal is the literal its one child adds.
+        self.true_lit = true_lit = [False] * n
+        self.true_goal = true_goal = [False] * n
+        for i in range(n - 2, -1, -1):
+            up = parent[i]
+            if isinstance(rules[up], ExistsRule):
+                true_goal[up] = holds(added[paths[i]])
+                true_lit[i] = true_lit[up] or true_goal[up]
+            else:
+                true_lit[i] = true_lit[up] or holds(added[paths[i]])
 
     @staticmethod
     def _check_mode(d: Derivation, mode: str) -> None:
@@ -221,34 +213,31 @@ class ExtractionContext:
 
     # Node predicates
 
-    def is_exists(self, path: NodePath) -> bool:
-        return isinstance(self.derivation.rule(path), ExistsRule)
-
     def is_exists_forall(self, path: NodePath) -> bool:
-        return isinstance(self.derivation.rule(path), ExistsForallRule)
+        return self.is_ef[self.kb[path]]
 
     def has_true_goal(self, path: NodePath) -> bool:
         """True on existential rules whose witnessing instance holds."""
-        return self._true_goal.get(path, False)
+        return self.true_goal[self.kb[path]]
 
     def principal(self, path: NodePath) -> int:
         """The formula id of an existential or exists-forall rule's principal."""
-        return self._principal[path]
+        return self._seq_ids[path][self.derivation.nodes[path].rule.principal]
 
     def witness_value(self, path: NodePath) -> int:
-        return self._witness_value[path]
+        return self._witness[path]
 
     def is_left_upper(self, path: NodePath) -> bool:
         """True on the value-indexed uppers of a cut (all but the last)."""
-        return self._left_upper[path]
+        return self.left_upper[self.kb[path]]
 
     def child_count(self, path: NodePath) -> int:
-        return self._child_count.get(path, 0)
+        return self._children[path]
 
 
 def target_condition(ctx: ExtractionContext, path: NodePath) -> bool:
     """No literal in the sequent at ``path`` evaluates to true."""
-    return not ctx._has_true_literal[path]
+    return not ctx.true_lit[ctx.kb[path]]
 
 
 def rightmost_goal(ctx: ExtractionContext, path: NodePath) -> NodePath:
@@ -332,7 +321,7 @@ def build_pls(ctx: ExtractionContext) -> NplsInstance:
     paths = ctx.path_of
     root = ctx.n_nodes - 1
     # The root comes last in post-order and is no cut upper.
-    feasible = [i for i, p in enumerate(paths) if ctx.is_left_upper(p) and target_condition(ctx, p)]
+    feasible = [i for i in range(root) if ctx.left_upper[i] and not ctx.true_lit[i]]
     table = {s: [ctx.kb[pls_neighbor(ctx, paths[s])]] for s in feasible + [root]}
 
     d = max((ctx.n_nodes - 1).bit_length(), 1)
@@ -481,7 +470,7 @@ def npls_extract(
     """
     if not ctx.is_exists_forall(tau):
         return tau
-    if not (ctx.is_exists(rho) and ctx.has_true_goal(rho)):
+    if not ctx.has_true_goal(rho):
         raise NotASolution(f"node {format_path(rho)} does not solve its row")
     kappa = npls_gen_source(ctx, sigma, tau)
     rho_principal = ctx.principal(rho)
@@ -501,12 +490,10 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     """The nested search instance of an npls-mode derivation.
 
     Point ids are post-order indices for rows and targets alike; the
-    rank of a row is its own id.  Plain lists by id hold the
-    exists-forall flag, the cost and the subtree bound ``ctx.low``, and
-    ``row`` builds one row's table from them when it is asked for, so
-    a search pays only for the rows it opens.  ``gen_source`` and
-    ``extract`` answer a target that is not an exists-forall rule from
-    its flag alone.
+    rank of a row is its own id.  The context's lists by id hold the
+    node facts, a list here holds the cost, and ``row`` builds one row's
+    table from them when it is asked for, so a search pays only for the
+    rows it opens.
 
     The rows realize ``npls_sources``, ``npls_targets`` and
     ``npls_neighbor_rel`` without calling them per pair.  One pass from
@@ -525,10 +512,8 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     paths = ctx.path_of
     n = ctx.n_nodes
     root = n - 1
-    is_ef = [ctx.is_exists_forall(p) for p in paths]
-    no_true_lit = [target_condition(ctx, p) for p in paths]
-    cost_of = [npls_cost(ctx, p) for p in paths]
-    low = ctx.low
+    is_ef, true_lit, true_goal, low = ctx.is_ef, ctx.true_lit, ctx.true_goal, ctx.low
+    cost_of = [ctx.d_max - len(p) if ef else 0 for p, ef in zip(paths, is_ef)]
 
     # Parents come after their children in post-order, so a descending
     # scan sees every parent first.
@@ -536,26 +521,25 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     below_goal = [False] * n
     source_ids = {root}
     for i in range(n - 2, -1, -1):
-        path = paths[i]
-        parent = kb[path[:-1]]
-        below_goal[i] = below_goal[parent] or ctx.has_true_goal(paths[parent])
-        if ctx.is_left_upper(path):
+        up = ctx.parent[i]
+        below_goal[i] = below_goal[up] or true_goal[up]
+        if ctx.left_upper[i]:
             owner[i] = i
-            if no_true_lit[i] and not below_goal[i]:
+            if not true_lit[i] and not below_goal[i]:
                 source_ids.add(i)
         else:
-            owner[i] = owner[parent]
+            owner[i] = owner[up]
     sources = sorted(source_ids)
 
     owned: dict[int, list[int]] = {}
     goals_of: dict[int, list[int]] = {}
-    for i, path in enumerate(paths):
-        if not no_true_lit[i]:
+    for i in range(n):
+        if true_lit[i]:
             continue
         if is_ef[i]:
             owned.setdefault(owner[i], []).append(i)
-        elif ctx.has_true_goal(path):
-            goals_of.setdefault(ctx.principal(path), []).append(i)
+        elif true_goal[i]:
+            goals_of.setdefault(ctx.principal(paths[i]), []).append(i)
 
     def row(s: int) -> dict[int, list[int]] | None:
         if s not in source_ids:

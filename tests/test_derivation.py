@@ -781,6 +781,20 @@ def _assert_validation_matches_oracle(d):
             assert got.table.formulas() == want.table.formulas()
             assert got.table.sequent == want.table.sequent
             assert got.table.added == want.table.added
+            assert got.table.children == want.table.children
+            assert got.table.witness == want.table.witness
+        if got.ok:
+            # A valid derivation's counts and values, computed from scratch.
+            children = {p: 0 for p in d.nodes}
+            for p in d.nodes:
+                if p:
+                    children[p[:-1]] += 1
+            assert got.table.children == children
+            assert got.table.witness == {
+                p: eval_term(node.rule.witness, d.end_x)
+                for p, node in d.nodes.items()
+                if isinstance(node.rule, (ExistsRule, ExistsForallRule))
+            }
 
 
 def _replace_sequents(d, edit):

@@ -2,7 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from npls.corpus import d1, d2, d3, random_sigma2_derivation, t_d3
+from npls.corpus import (
+    d1,
+    d2,
+    d3,
+    random_sigma1_derivation,
+    random_sigma2_derivation,
+    t_d3,
+)
 from npls.derivation import Derivation, InitialRule, ProofNode, substitute_numeral, validate
 from npls.errors import GoalNotFound, ModeError, NotASolution, ValidationFailed
 from npls.extraction import (
@@ -99,6 +106,53 @@ def test_context_evaluates_each_distinct_literal_once(monkeypatch):
     for path, node in d.nodes.items():
         lits = [f.lit for f in node.sequent if isinstance(f, LitFormula)]
         assert target_condition(ctx, path) == (not any(real(lit, d.end_x) for lit in lits))
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls that ``npls.extraction`` makes to its binding ``name``."""
+    from npls import extraction
+
+    calls = []
+    real = getattr(extraction, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extraction, name, counted)
+    return calls
+
+
+def test_building_a_context_evaluates_no_term(monkeypatch):
+    # Validation evaluated every witness, and the context reads its values.
+    cases = [substitute_numeral(t_d3(), 50), random_sigma2_derivation(20)]
+    calls = _count_calls(monkeypatch, "eval_term")
+    for d in cases:
+        ExtractionContext(d, "npls")
+    assert calls == []
+
+
+def test_building_a_valid_context_classifies_no_formula(monkeypatch):
+    # The mode walk runs only on a derivation that validation refuses.
+    cases = [d2(), random_sigma1_derivation(3)]
+    calls = _count_calls(monkeypatch, "classify")
+    for d in cases:
+        ExtractionContext(d, "pls")
+    assert calls == []
+
+
+def test_a_mode_violation_is_named_before_other_issues():
+    with pytest.raises(ModeError) as info:
+        ExtractionContext(d3(), "pls")
+    assert str(info.value) == "pls mode admits cuts on bounded existentials only at ()"
+    # D3 with a leaf that points at a false literal still breaks pls mode first.
+    nodes = dict(d3().nodes)
+    nodes[(2, 1, 0)] = ProofNode(nodes[(2, 1, 0)].sequent, InitialRule(2))
+    broken = Derivation(0, nodes)
+    assert "(2,1,0): initial literal at index 2 is false" in validate(broken, "pls").lines()
+    with pytest.raises(ModeError) as again:
+        ExtractionContext(broken, "pls")
+    assert str(again.value) == str(info.value)
 
 
 def test_target_condition():
@@ -304,7 +358,8 @@ def _tabulation_cases():
 def test_validation_leaves_extraction_no_unreachable_case():
     # What extraction relies on in place of re-checking it: every
     # exists-forall rule selects a value-indexed cut upper before it in
-    # post-order, and every run ends on an existential rule.
+    # post-order, and every run ends on an existential rule whose
+    # witnessing instance holds.
     for name, d in _tabulation_cases():
         ctx = ExtractionContext(d, "npls")
         for tau in ctx.path_of:
@@ -312,7 +367,7 @@ def test_validation_leaves_extraction_no_unreachable_case():
                 kappa = _selected_upper(ctx, tau)
                 assert kappa is not None and ctx.is_left_upper(kappa), (name, tau)
                 assert ctx.kb[kappa] < ctx.kb[tau], (name, tau)
-        assert ctx.is_exists(extract_witness_npls(ctx).solution_node), name
+        assert ctx.has_true_goal(extract_witness_npls(ctx).solution_node), name
 
 
 def test_context_id_sets_hold_each_sequent_formula():
