@@ -105,6 +105,37 @@ class CutRule:
 Rule = Union[InitialRule, ExistsRule, ExistsForallRule, CutRule]
 
 
+def added_formula(rule: Rule, principal: Formula, n: int | None) -> Formula | None:
+    """The formula that upper ``n`` of ``rule`` adds over its lower sequent.
+
+    ``principal`` is the lower sequent's formula at an existential or
+    exists-forall rule's principal index, or a cut's formula.  Upper 0
+    of an existential rule adds the instance at its witness, and upper
+    ``n`` of an exists-forall rule the body's instance at the witness
+    and ``n``.  A cut's value-indexed upper ``n`` adds the negated
+    instance at ``n``, and its final upper, ``n`` None, the cut formula
+    itself.  None when the rule adds no formula there: an initial rule,
+    an existential rule's upper other than 0, a principal of the wrong
+    shape, or a cut on a literal.  No bound is evaluated.
+
+    The rule is the one definition of what a child adds: validation
+    builds an added formula with it, and the derivation encoder and
+    decoders derive an omitted sequent with it.
+    """
+    if isinstance(rule, CutRule):
+        if n is None:
+            return principal
+        if isinstance(principal, (ExistsLit, ExistsForall)):
+            return negated_instance(principal, n)
+    elif isinstance(rule, ExistsRule):
+        if n == 0 and isinstance(principal, ExistsLit):
+            return LitFormula(exists_instance(principal, rule.witness))
+    elif isinstance(rule, ExistsForallRule):
+        if n is not None and isinstance(principal, ExistsForall):
+            return LitFormula(exists_forall_instance(principal, rule.witness, n))
+    return None
+
+
 @dataclass(frozen=True)
 class ProofNode:
     sequent: tuple[Formula, ...]
@@ -197,9 +228,10 @@ class FormulaTable:
     to the set of those ids, for membership probes; ``added`` maps each
     child that validation checked to the id of the formula it adds over
     its parent.  ``children`` maps each node validation reached to its
-    child count, and ``witness`` each existential or exists-forall rule
-    whose witness and bound evaluate to its witness value.  The ids
-    belong to this table alone and die with it.
+    child count, ``witness`` each existential or exists-forall rule
+    whose witness and bound evaluate to its witness value, and
+    ``truth`` the id of each initial literal that evaluates, to its
+    truth.  The ids belong to this table alone and die with it.
 
     Decoded and expanded derivations share one object per distinct
     formula, so ``intern`` looks a formula up by identity first: each
@@ -218,6 +250,7 @@ class FormulaTable:
         self.added: dict[NodePath, int] = {}
         self.children: dict[NodePath, int] = {}
         self.witness: dict[NodePath, int] = {}
+        self.truth: dict[int, bool] = {}
 
     def intern(self, f: Formula) -> int:
         known = self._by_object.get(id(f))
@@ -247,9 +280,9 @@ class ValidationReport:
     """Issues found by ``validate``, with the formula table it built.
 
     On a report that is ``ok`` the table holds every node's sequent and
-    child count, every child's added formula and every existential and
-    exists-forall rule's witness value; it takes no part in comparison
-    or repr.
+    child count, every child's added formula, every existential and
+    exists-forall rule's witness value and every initial literal's
+    truth; it takes no part in comparison or repr.
     """
 
     mode: str
@@ -278,14 +311,15 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     upper sequents are checked by comparing sorted lists of formula ids.
     The formula a child adds is matched in place against the last
     formula of its upper sequent, which is then interned as it stands;
-    the added formula is built only when that match fails (see
-    ``_intern_added``).
+    the added formula is built by ``added_formula`` only when that match
+    fails (see ``_intern_added``).
 
     Work that depends only on shared objects runs once per object, keyed
     by identity, and its issues are still flagged at every node:
 
     * the class and free-variable checks, once per distinct formula;
-    * an initial literal's truth, once per distinct literal formula;
+    * an initial literal's truth, once per formula id, kept in the
+      table's ``truth``;
     * a quantifier rule's shape and closedness checks, its witness,
       bound and inner bound values, and the formulas its children add,
       once per distinct (rule kind, principal, witness) triple, a cut
@@ -331,8 +365,8 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     # id(f) -> (too high a class, sorted extra free variables); ``d``
     # holds every f for the whole pass, so no id is reused meanwhile.
     checked: dict[int, tuple[bool, list[str]]] = {}
-    # id(literal formula) -> its truth, or the message of its failure.
-    truth: dict[int, bool | str] = {}
+    # Formula id -> the message of an initial literal that does not evaluate.
+    failed: dict[int, str] = {}
     # (rule kind, id(principal), id(witness)) -> _RuleFacts; ``d`` holds
     # both objects too, and a cut's witness is None.
     rule_facts: dict[tuple[type, int, int], _RuleFacts] = {}
@@ -370,17 +404,17 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             if not isinstance(f, LitFormula):
                 flag(path, f"initial index {rule.index} does not point at a literal")
                 continue
-            holds = truth.get(id(f))
-            if holds is None:
+            fid = table.intern(f)
+            holds = table.truth.get(fid)
+            if holds is None and fid not in failed:
                 try:
-                    holds = eval_literal(f.lit, d.end_x)
+                    holds = table.truth[fid] = eval_literal(f.lit, d.end_x)
                 except NplsError as exc:
-                    holds = f"initial literal does not evaluate: {exc}"
-                truth[id(f)] = holds
+                    failed[fid] = f"initial literal does not evaluate: {exc}"
             if holds is False:
                 flag(path, f"initial literal at index {rule.index} is false")
-            elif holds is not True:
-                flag(path, holds)
+            elif holds is None:
+                flag(path, failed[fid])
             continue
 
         if isinstance(rule, CutRule):
@@ -419,7 +453,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             upper = d.nodes[child].sequent
             if n == len(added_ids):
                 at = None if n == facts.final else n
-                added_ids.append(_intern_added(table, upper, principal, witness, at))
+                added_ids.append(_intern_added(table, upper, rule, principal, at))
             _check_child(table, child, upper, base, added_ids[n], flag)
 
     return ValidationReport(mode, tuple(issues), table)
@@ -487,16 +521,14 @@ class _RuleFacts:
 def _intern_added(
     table: FormulaTable,
     upper: tuple[Formula, ...],
+    rule: Rule,
     f: Formula,
-    witness: Term | None,
     n: int | None,
 ) -> int:
-    """The table id of the formula a child adds over its parent.
+    """The table id of the formula that upper ``n`` of ``rule`` on ``f`` adds.
 
-    Child ``n`` of an existential or exists-forall rule on ``f`` adds
-    the instance of ``f`` at ``witness`` (and branch ``n``); upper ``n``
-    of a cut on ``f`` has no witness and adds the negated instance at
-    ``n``, and the final cut upper, ``n`` None, adds ``f`` itself.
+    ``n`` is None for a cut's final upper, as ``added_formula`` takes
+    it; validation has checked the rule's shape and child count.
 
     An upper sequent usually lists the added formula last.  ``_is_added``
     matches that occurrence against ``f``'s body under the environment
@@ -507,24 +539,18 @@ def _intern_added(
     variable, an added formula that is not last, or a wrong upper.
     Equal formulas have the same id, so both ways give the same id.
     """
+    witness = None if isinstance(rule, CutRule) else rule.witness
     if upper and _is_added(upper[-1], f, witness, n):
         return table.intern(upper[-1])
-    if n is None:
-        added = f
-    elif witness is None:
-        added = negated_instance(f, n)
-    elif isinstance(f, ExistsLit):
-        added = LitFormula(exists_instance(f, witness))
-    else:
-        added = LitFormula(exists_forall_instance(f, witness, n))
-    return table.intern(added)
+    return table.intern(added_formula(rule, f, n))
 
 
 def _is_added(u: Formula, f: Formula, witness: Term | None, n: int | None) -> bool:
-    """Whether ``u`` equals the formula that ``_intern_added`` would build.
+    """Whether ``u`` equals what ``added_formula`` builds at ``n`` for a rule on ``f``.
 
-    Each case matches ``f``'s body under the environment its builder
-    substitutes, so the dict settles a name that both quantifiers bind.
+    ``witness`` is the rule's witness, None for a cut.  Each case
+    matches ``f``'s body under the environment its builder substitutes,
+    so the dict settles a name that both quantifiers bind.
     """
     if n is None:
         return u is f or u == f

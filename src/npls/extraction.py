@@ -100,7 +100,8 @@ class ExtractionContext:
     each sequent as formula ids in sequent order, ``_seq_members`` the
     set of those ids, ``_added`` the id each child adds, ``_children``
     each child count and ``_witness`` each quantifier rule's witness
-    value.  Nothing is normalized and no witness evaluated again.
+    value; and by formula id each initial literal's truth.  Nothing is
+    normalized, and no witness or initial literal evaluated, again.
 
     The context derives the rest as lists by post-order id (``kb`` maps
     a path to its id, ``path_of`` back): ``parent`` (the root is its
@@ -111,8 +112,9 @@ class ExtractionContext:
     for existential rules whose witnessing instance holds.  A child's
     sequent is its parent's plus the formula it adds, so it holds a true
     literal exactly when its parent does or that formula is one; each
-    distinct literal is evaluated once.  ``d_max`` exceeds the deepest
-    node by one, so exists-forall targets always cost at least one.
+    distinct literal that validation did not evaluate is evaluated once.
+    ``d_max`` exceeds the deepest node by one, so exists-forall targets
+    always cost at least one.
     """
 
     def __init__(self, derivation: Derivation, mode: str):
@@ -160,10 +162,11 @@ class ExtractionContext:
             if isinstance(rules[up], CutRule):
                 left_upper[i] = paths[i][-1] < children[paths[up]] - 1
 
-        # Truth of each distinct formula id, evaluated on first need; a
-        # quantified formula is never a true literal.
+        # Truth of each distinct formula id: validation's for the initial
+        # literals, the rest evaluated on first need.  A quantified
+        # formula is never a true literal.
         normal = table.formulas()
-        truth: dict[int, bool] = {}
+        truth = dict(table.truth)
 
         def holds(fid: int) -> bool:
             got = truth.get(fid)

@@ -6,20 +6,31 @@ equal values always serialize to identical bytes.  Every ``*_from_json``
 function validates shape as it decodes and raises FormatError with the
 offending location on any mismatch.
 
-Each node of a derivation repeats its parent's side formulas, so one
-document holds far more formula occurrences than distinct formulas.
+Each node of a derivation repeats its parent's side formulas, and its
+upper sequents follow from its rule.  So a derivation document states
+the root's sequent and may leave out any other node's ``sequent``: an
+omitted sequent is the parent's sequent followed by the formula that
+the parent's rule adds at the node's index (``added_formula``), a cut's
+last present child adding the cut formula itself.
+``derivation_to_json`` leaves out exactly the sequents that follow, by
+``==``; a sequent that does not follow can only be stated.  An omitted
+sequent that does not follow fails with a FormatError naming its node.
+
 The derivation and template decoders keep a per-document memo keyed by
 the ``marshal`` bytes (version 2) of each raw formula, which tell
-``true`` from ``1`` and ``1.0`` from ``1``: each distinct formula is
-decoded once, and equal formulas in one document decode to one shared
-object.  Locations are passed down as a parent location plus a key or
-index, and one is formatted only for a value that fails its check.
+``true`` from ``1`` and ``1.0`` from ``1``: each distinct stated formula
+is decoded once, and equal stated formulas in one document decode to
+one shared object.  Each distinct (rule kind, principal object, witness
+object, index) added formula of a derivation is built once.  Locations
+are passed down as a parent location plus a key or index, and one is
+formatted only for a value that fails its check.
 
 Derivations, graphs and families carry thousands of small values, so
 they are checked in C-level passes over their types.  A derivation is
 checked as a whole document: passes over all nodes check the types,
-one ``map`` keys every formula occurrence, and each distinct formula
-and raw rule is decoded once.  A family is checked as a whole document
+one ``map`` keys every stated formula occurrence, each distinct formula
+and raw rule is decoded once, and the omitted sequents are derived in
+path order.  A family is checked as a whole document
 too, into a preorder ``FamilyTable`` with no object per problem, and a
 digraph into a ``DigraphTable`` of its own pair lists, with no copy or
 sort: graph documents decode only to the tables they compile from.  For
@@ -38,8 +49,8 @@ from __future__ import annotations
 import json
 import marshal
 import sys
-from itertools import accumulate, chain, islice, repeat
-from operator import add, itemgetter, lt, mul
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, is_, itemgetter, lt, mul
 from typing import Any
 
 from .derivation import (
@@ -53,6 +64,7 @@ from .derivation import (
     ProofNode,
     Rule,
     TemplateNode,
+    added_formula,
 )
 from .errors import FormatError
 from .nested_graph import CostedDigraph, DigraphTable, FamilyTable, NestedGraphFamily, family_table
@@ -341,17 +353,70 @@ def rule_from_json(obj: Any, where: Where = "rule", memo: dict | None = None) ->
 # Derivations
 
 
+# A non-root path's parent path, and its index there.
+_UP = itemgetter(slice(None, -1))
+_INDEX = itemgetter(-1)
+
+
+def _following(paths: list[tuple[int, ...]]):
+    """The upper sequent that a child follows to, for a derivation with these ``paths``.
+
+    The returned function takes the parent's rule and sequent and the
+    child's path.  It finds the principal formula and hands it to
+    ``added_formula``, the parent's last child being a cut's final
+    upper, and gives the parent's sequent followed by the added formula,
+    or None where the rule adds nothing, a principal index out of range
+    included.  It builds each distinct (rule kind, principal object,
+    witness object, index) added formula once, so equal keys share one
+    object; the caller holds the keyed objects while it is in use.
+    """
+    kids = sorted(filter(None, paths))
+    # A later sibling sorts after an earlier one, so each parent keeps its largest index.
+    last = dict(zip(map(_UP, kids), map(_INDEX, kids)))
+    built: dict[tuple, Formula | None] = {}
+
+    def upper(rule: Rule, lower: tuple[Formula, ...], path: tuple[int, ...]) -> tuple | None:
+        n = path[-1]
+        kind = rule.__class__
+        if kind is CutRule:
+            principal, witness = rule.formula, None
+            if n == last[path[:-1]]:
+                n = None
+        elif kind is ExistsRule or kind is ExistsForallRule:
+            if not 0 <= rule.principal < len(lower):
+                return None
+            principal, witness = lower[rule.principal], rule.witness
+        else:
+            return None
+        key = (kind, id(principal), id(witness), n)
+        if key not in built:
+            built[key] = added_formula(rule, principal, n)
+        f = built[key]
+        return None if f is None else (*lower, f)
+
+    return upper
+
+
 def derivation_to_json(d: Derivation) -> Any:
+    """Encode a derivation, stating only the sequents that do not follow from the rules.
+
+    A non-root node's ``sequent`` is left out when it equals, by ``==``,
+    its parent's sequent followed by the formula that the parent's rule
+    adds at the node's index (``added_formula``); a cut's last present
+    child adds the cut formula.  The root, and every node whose sequent
+    does not follow, state theirs, so ``derivation_from_json`` gives
+    back an equal derivation, a broken one included.
+    """
+    paths = sorted(d.nodes)
+    upper = _following(paths)
     nodes = []
-    for path in sorted(d.nodes):
+    for path in paths:
         node = d.nodes[path]
-        nodes.append(
-            {
-                "path": list(path),
-                "rule": rule_to_json(node.rule),
-                "sequent": [formula_to_json(f) for f in node.sequent],
-            }
-        )
+        out = {"path": list(path), "rule": rule_to_json(node.rule)}
+        up = d.nodes.get(path[:-1]) if path else None
+        if up is None or node.sequent != upper(up.rule, up.sequent, path):
+            out["sequent"] = [formula_to_json(f) for f in node.sequent]
+        nodes.append(out)
     return {"end_x": d.end_x, "nodes": nodes}
 
 
@@ -368,12 +433,13 @@ def _path_from_json(obj: Any, where: Where) -> tuple[int, ...]:
 def derivation_from_json(obj: Any) -> Derivation:
     """Decode a derivation, checking all of its nodes at once.
 
-    Each node repeats its parent's side formulas, so a document holds
-    far more formula occurrences than distinct formulas.  A well-formed
-    document is decoded in whole-document passes (see
-    ``_derivation_at_once``): each distinct formula and each distinct
-    raw rule is decoded once.  Only when a check fails does the
-    node-by-node walk run, to name the first bad value.
+    A node other than the root may leave out its ``sequent`` when it
+    follows from the parent's rule (see ``derivation_to_json``); a
+    stated sequent is taken as it stands.  A well-formed document is
+    decoded in whole-document passes (see ``_derivation_at_once``):
+    each distinct formula and each distinct raw rule is decoded once.
+    Only when a check fails does the node-by-node walk run, to name the
+    first bad value or the first omitted sequent that does not follow.
     """
     d = _need_dict(obj, "derivation")
     end_x = _need_int(_get(d, "end_x", "derivation"), "derivation.end_x")
@@ -388,29 +454,40 @@ def derivation_from_json(obj: Any) -> Derivation:
     return Derivation(end_x, nodes)
 
 
+class _Omitted(tuple):
+    """The type of an omitted sequent while it is derived; no JSON value has it."""
+
+
+_OMITTED = _Omitted()
+_SEQUENT_TYPES = {list, _Omitted}
+
+
 def _derivation_at_once(raw_nodes: list) -> dict[tuple[int, ...], ProofNode] | None:
     """Decode a derivation's nodes in C-level passes, or None when a check fails.
 
     Passes over all nodes check the types of the node objects, of their
-    paths and sequents, and of the path entries.  One ``map`` keys every
-    sequent formula occurrence by its ``_key`` bytes.  Each distinct key
-    is decoded once, the key list is dropped once every occurrence has
-    its formula, and the shared formulas are sliced into per-node
-    sequents by the running sum of the sequent lengths.  Each distinct
-    raw rule is decoded once, keyed the same way, and a cut formula goes
-    through the formula memo, so it is the very object its final upper
-    holds.  The node table shows duplicate paths by its size.  A formula
-    or rule that fails to decode, a value too deeply nested to key, or
-    a lookup of a missing key, is a failed check too.
+    paths and stated sequents, and of the path entries.  One ``map``
+    keys every stated formula occurrence by its ``_key`` bytes.  Each
+    distinct key is decoded once, the key list is dropped once every
+    occurrence has its formula, and the shared formulas are sliced into
+    per-node sequents by the running sum of the sequent lengths.  Each
+    distinct raw rule is decoded once, keyed the same way, and a cut
+    formula goes through the formula memo, so it is the very object its
+    final upper holds.  The omitted sequents are then derived in path
+    order (see ``_derive_omitted``).  The node table shows duplicate
+    paths by its size.  A formula or rule that fails to decode, a value
+    too deeply nested to key, a lookup of a missing key, or an omitted
+    sequent that does not follow, is a failed check too.
     """
     try:
         if not set(map(type, raw_nodes)) <= _DICT:
             return None
         paths = [n["path"] for n in raw_nodes]
         rules = [n["rule"] for n in raw_nodes]
-        sequents = [n["sequent"] for n in raw_nodes]
+        sequents = [n.get("sequent", _OMITTED) for n in raw_nodes]
         if not (
-            set(map(type, chain(paths, sequents))) <= _LIST
+            set(map(type, paths)) <= _LIST
+            and set(map(type, sequents)) <= _SEQUENT_TYPES
             and set(map(type, chain.from_iterable(paths))) <= _INT
             and min(chain.from_iterable(paths), default=0) >= 0
         ):
@@ -426,35 +503,104 @@ def _derivation_at_once(raw_nodes: list) -> dict[tuple[int, ...], ProofNode] | N
         shared = tuple(map(memo.__getitem__, keys))
         del keys
         ends = list(accumulate(map(len, sequents), initial=0))
-        sequent_of = map(shared.__getitem__, map(slice, ends, ends[1:]))
+        sequent_of = list(map(shared.__getitem__, map(slice, ends, ends[1:])))
         rule_keys = list(map(marshal.dumps, rules, repeat(_KEY_VERSION)))
         rule_of = dict(zip(rule_keys, rules))
         for k, raw in rule_of.items():
             rule_of[k] = rule_from_json(raw, "rule", memo)
-        rules_in_order = map(rule_of.__getitem__, rule_keys)
-        nodes = dict(zip(map(tuple, paths), map(ProofNode, sequent_of, rules_in_order)))
+        rules = list(map(rule_of.__getitem__, rule_keys))
+        paths = list(map(tuple, paths))
+        omitted = list(compress(count(), map(is_, sequents, repeat(_OMITTED))))
+        if omitted and _derive_omitted(paths, rules, sequent_of, omitted) is not None:
+            return None
+        nodes = dict(zip(paths, map(ProofNode, sequent_of, rules)))
     except (FormatError, KeyError, TypeError, ValueError):
         return None
     return nodes if len(nodes) == len(raw_nodes) else None
 
 
+def _derive_omitted(
+    paths: list[tuple[int, ...]],
+    rules: list[Rule],
+    sequents: list,
+    omitted: list[int],
+) -> int | None:
+    """Fill in the omitted sequents, or return the index of the first that does not follow.
+
+    ``omitted`` lists the indices of the nodes whose ``sequents`` entry
+    is to be derived.  They are derived in path order, so a parent's
+    sequent is known before its children's, each from its parent's
+    sequent and rule.  Only the children present are derived, each
+    distinct added formula is built once, and no bound is evaluated.  A
+    node follows from nothing when it is the root, its parent is absent,
+    or its parent's rule adds no formula at its index.  The caller
+    refuses duplicate paths.
+    """
+    index = dict(zip(paths, count()))
+    upper = _following(paths)
+    for i in sorted(omitted, key=paths.__getitem__):
+        path = paths[i]
+        up = index.get(path[:-1]) if path else None
+        got = None if up is None else upper(rules[up], sequents[up], path)
+        if got is None:
+            return i
+        sequents[i] = got
+    return None
+
+
+def _shared_rule(raw: Any, where: Where, rules: dict[bytes, Rule], memo: dict) -> Rule:
+    """Decode a raw rule once per document, as ``_derivation_at_once`` does."""
+    try:
+        key = _key(raw)
+    except ValueError:
+        return rule_from_json(raw, where, memo)
+    rule = rules.get(key)
+    if rule is None:
+        rule = rules[key] = rule_from_json(raw, where, memo)
+    return rule
+
+
 def _derivation_walk(raw_nodes: list) -> dict[tuple[int, ...], ProofNode]:
     """Decode a derivation's nodes one by one, naming the first value that fails.
 
-    It shares formulas through the same key as ``_derivation_at_once``,
-    so both decoders share formula objects alike.
+    It shares formulas and rules through the same keys as
+    ``_derivation_at_once``, and derives omitted sequents as it does, so
+    both decoders share formula objects alike.  Stated values are
+    checked in document order first; then the first omitted sequent in
+    path order that does not follow is named by its node.
     """
     memo: dict[bytes, Formula] = {}
-    nodes: dict[tuple[int, ...], ProofNode] = {}
+    shared_rules: dict[bytes, Rule] = {}
+    paths: list[tuple[int, ...]] = []
+    rules: list[Rule] = []
+    sequents: list = []
+    omitted: list[int] = []
+    seen: set[tuple[int, ...]] = set()
     for i, raw in enumerate(raw_nodes):
         where = ("derivation.nodes", i)
         node = _need_dict(raw, where)
         path = _path_from_json(_get(node, "path", where), (where, ".path"))
-        if path in nodes:
+        if path in seen:
             raise _fail((where, ".path"), "duplicate node path")
-        rule = rule_from_json(_get(node, "rule", where), (where, ".rule"), memo)
-        nodes[path] = ProofNode(_sequent_from_json(node, where, memo), rule)
-    return nodes
+        seen.add(path)
+        paths.append(path)
+        rules.append(_shared_rule(_get(node, "rule", where), (where, ".rule"), shared_rules, memo))
+        if "sequent" in node:
+            sequents.append(_sequent_from_json(node, where, memo))
+        else:
+            sequents.append(_OMITTED)
+            omitted.append(i)
+    bad = _derive_omitted(paths, rules, sequents, omitted) if omitted else None
+    if bad is not None:
+        path = paths[bad]
+        if not path:
+            message = "the root states its sequent"
+        elif path[:-1] not in seen:
+            message = "the sequent is omitted and the node has no parent"
+        else:
+            message = "the sequent is omitted and does not follow from the parent's rule"
+        raise _fail(("derivation.nodes", bad), message)
+    return dict(zip(paths, map(ProofNode, sequents, rules)))
 
 
 # Templates

@@ -43,6 +43,7 @@ from npls.serialization import (
     template_to_json,
 )
 from npls.terms import ExistsForall, ExistsLit, LitFormula, Literal, num, smash, var
+from test_cli_golden import full_form
 from test_derivation import _root_only
 
 
@@ -717,10 +718,12 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(argv, capsys):
 
 @cache
 def _fuzz_documents():
+    """The fixtures and two random derivations; each derivation in compact and in full form."""
     names = ("D1", "D2", "D3", "T-D2", "T-D3", "G1", "NG2")
     docs = [document_to_json(FIXTURES[name]()) for name in names]
     docs.append(derivation_to_json(random_sigma1_derivation(3)))
     docs.append(derivation_to_json(random_sigma2_derivation(12)))
+    docs += [full_form(doc) for doc in docs if "end_x" in doc]
     return docs
 
 
@@ -760,8 +763,8 @@ def _edited(obj, at, leaf=None, delete=False):
 _FUZZ_LEAVES = st.sampled_from([True, False, None, *range(9), "", "x", 1.5, [], {}])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 8), st.booleans(), st.integers(0), _FUZZ_LEAVES)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 13), st.booleans(), st.integers(0), _FUZZ_LEAVES)
 def test_mutated_documents_exit_with_a_documented_code(tmp_path_factory, which, delete, pick, leaf):
     doc = _fuzz_documents()[which]
     leaves, keys = _edit_points(doc)
@@ -776,6 +779,77 @@ def test_mutated_documents_exit_with_a_documented_code(tmp_path_factory, which, 
             code = main([command, str(path), "--format", "machine"])
         assert code in (0, 1, 2), command
         event(f"{command} exits {code}")
+
+
+# Omitted sequents that do not follow from the parent's rule.
+
+
+def _d2_with(edit):
+    """D2 as its compact document, edited in place by ``edit``.
+
+    Its nodes are the root cut (0), the initial leaf (0) (1), the
+    existential rule (1) on the end-formula (2) with its leaf (1,0) (3),
+    and the existential rule (2) on the cut formula (4) with its leaf (5).
+    Only the root states its sequent.
+    """
+    doc = derivation_to_json(d2())
+    assert [n["path"] for n in doc["nodes"]] == [[], [0], [1], [1, 0], [2], [2, 0]]
+    assert [("sequent" in n) for n in doc["nodes"]] == [True] + [False] * 5
+    edit(doc)
+    return doc
+
+
+_INITIAL = {"tag": "initial", "index": 0}
+_NOT_DERIVED = "the sequent is omitted and does not follow from the parent's rule"
+
+
+def _set_rule(i, key, value):
+    return lambda doc: doc["nodes"][i]["rule"].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda doc: doc["nodes"].append({"path": [0, 0], "rule": _INITIAL}),
+            f"derivation.nodes[6]: {_NOT_DERIVED}",
+        ),
+        (
+            lambda doc: doc["nodes"].append({"path": [1, 1], "rule": _INITIAL}),
+            f"derivation.nodes[6]: {_NOT_DERIVED}",
+        ),
+        (_set_rule(2, "principal", 2), f"derivation.nodes[3]: {_NOT_DERIVED}"),
+        (_set_rule(2, "principal", 1), f"derivation.nodes[3]: {_NOT_DERIVED}"),
+        (
+            _set_rule(0, "formula", {"neg": False, "lhs": {"num": 0}, "rhs": {"num": 0}}),
+            f"derivation.nodes[1]: {_NOT_DERIVED}",
+        ),
+        (
+            lambda doc: doc["nodes"].pop(2),
+            "derivation.nodes[2]: the sequent is omitted and the node has no parent",
+        ),
+        (
+            lambda doc: doc["nodes"][0].pop("sequent"),
+            "derivation.nodes[0]: the root states its sequent",
+        ),
+    ],
+    ids=[
+        "under an initial rule",
+        "existential child 1",
+        "principal out of range",
+        "principal of the wrong shape",
+        "cut on a literal",
+        "missing parent",
+        "root",
+    ],
+)
+def test_an_omitted_sequent_that_does_not_follow_exits_two(tmp_path, capsys, edit, message):
+    path = tmp_path / "d.json"
+    path.write_text(dumps(_d2_with(edit)), encoding="utf-8")
+    for command in ("validate", "extract", "solve", "verify"):
+        assert main([command, str(path), "--format", "machine"]) == 2, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), command
 
 
 # Values that do not evaluate, and inputs that never reach validation.

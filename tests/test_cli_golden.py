@@ -30,6 +30,9 @@ on a copy of D2 whose upper sequent (1,0) adds 1+1 = 2 in place of the
 instance 2 = 1+1.  The random derivations, the families, the templates,
 the D2 and D3 copies and the digraphs are written to a temporary
 directory, whose path reads ``<tmp>`` in the pinned argv and output.
+The random derivations are written as ``derivation_to_json`` writes
+them, stating the root's sequent alone; the D2 and D3 copies state every
+sequent (``full_form``), so that their edits can reach any node's.
 
 A change that is meant to keep the command line's behaviour must pass
 this test with the pinned file unchanged.  To regenerate the file, run
@@ -53,10 +56,12 @@ from npls.cli import main
 from npls.corpus import d2, d3, random_sigma1_derivation, random_sigma2_derivation, t_d3
 from npls.nested_graph import generate_family
 from npls.serialization import (
+    derivation_from_json,
     derivation_to_json,
     digraph_to_json,
     dumps,
     family_to_json,
+    formula_to_json,
     template_to_json,
 )
 
@@ -253,9 +258,25 @@ BROKEN_TEMPLATES = {
 }
 
 
+def full_form(doc: dict) -> dict:
+    """A derivation document with every node's sequent stated.
+
+    ``derivation_to_json`` leaves out each sequent that follows from its
+    parent's; this states them all again, in the node key order ``path``,
+    ``rule``, ``sequent``, so a test can index or mutate any node's
+    sequent.
+    """
+    d = derivation_from_json(doc)
+    nodes = [
+        {**node, "sequent": [formula_to_json(f) for f in d.sequent(tuple(node["path"]))]}
+        for node in doc["nodes"]
+    ]
+    return {**doc, "nodes": nodes}
+
+
 def _d2_repeat() -> tuple[dict, dict]:
     """D2 as a document, and the end-formula as its node (1, 0) repeats it."""
-    doc = derivation_to_json(d2())
+    doc = full_form(derivation_to_json(d2()))
     node = doc["nodes"][3]
     assert node["path"] == [1, 0] and node["sequent"][0] == doc["nodes"][0]["sequent"][0]
     return doc, node["sequent"][0]["ex"]
@@ -362,7 +383,7 @@ DIGRAPHS = {
 
 def _false_leaf_d3() -> dict:
     """D3 with its leaf (2,1,0) pointing at 0*1 = 1, which is false, not at 1*0 = 0."""
-    doc = derivation_to_json(d3())
+    doc = full_form(derivation_to_json(d3()))
     leaf = doc["nodes"][-2]
     assert leaf["path"] == [2, 1, 0] and leaf["rule"] == {"tag": "initial", "index": 3}
     leaf["rule"]["index"] = 2
@@ -374,7 +395,7 @@ def _broken_upper_d2() -> dict:
 
     The leaf's literal still holds; only the upper sequent is wrong.
     """
-    doc = derivation_to_json(d2())
+    doc = full_form(derivation_to_json(d2()))
     lit = doc["nodes"][3]["sequent"][2]
     assert doc["nodes"][3]["path"] == [1, 0] and lit["lhs"] == {"num": 2}
     lit["lhs"], lit["rhs"] = lit["rhs"], lit["lhs"]

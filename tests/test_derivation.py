@@ -635,10 +635,10 @@ def test_validation_checks_each_distinct_rule_and_literal_object_once(monkeypatc
     existential = []
     real = derivation._intern_added
 
-    def intern_added(table, upper, f, witness, n):
-        if isinstance(f, ExistsLit) and witness is not None:
+    def intern_added(table, upper, rule, f, n):
+        if isinstance(rule, ExistsRule):
             existential.append(n)
-        return real(table, upper, f, witness, n)
+        return real(table, upper, rule, f, n)
 
     monkeypatch.setattr(derivation, "_intern_added", intern_added)
     d = expand_template(t_d3(), 100)
@@ -753,10 +753,11 @@ def _built_added(f, witness, n):
     return LitFormula(exists_forall_instance(f, witness, n))
 
 
-def _oracle_intern_added(table, upper, f, witness, n):
+def _oracle_intern_added(table, upper, rule, f, n):
     """Build the added formula, compare it with the upper's last formula, intern."""
     import npls.derivation as derivation
 
+    witness = None if isinstance(rule, CutRule) else rule.witness
     added = _built_added(f, witness, n)
     if upper:
         assert derivation._is_added(upper[-1], f, witness, n) == (upper[-1] == added)
@@ -783,6 +784,7 @@ def _assert_validation_matches_oracle(d):
             assert got.table.added == want.table.added
             assert got.table.children == want.table.children
             assert got.table.witness == want.table.witness
+            assert got.table.truth == want.table.truth
         if got.ok:
             # A valid derivation's counts and values, computed from scratch.
             children = {p: 0 for p in d.nodes}

@@ -32,7 +32,7 @@ from npls.extraction import (
     target_condition,
 )
 from npls.search_core import solve_npls, solve_pls
-from npls.terms import LitFormula, Literal, num
+from npls.terms import LitFormula, Literal, normalize, num
 
 
 def _pls_ctx(build=d2):
@@ -106,6 +106,28 @@ def test_context_evaluates_each_distinct_literal_once(monkeypatch):
     for path, node in d.nodes.items():
         lits = [f.lit for f in node.sequent if isinstance(f, LitFormula)]
         assert target_condition(ctx, path) == (not any(real(lit, d.end_x) for lit in lits))
+
+
+def test_context_evaluates_no_literal_that_validation_evaluated(monkeypatch):
+    from npls import derivation, extraction
+
+    evaluated = {"validate": [], "context": []}
+    real = derivation.eval_literal
+
+    def counting(caller):
+        def counted(lit, x):
+            evaluated[caller].append(normalize(LitFormula(lit)))
+            return real(lit, x)
+
+        return counted
+
+    monkeypatch.setattr(derivation, "eval_literal", counting("validate"))
+    monkeypatch.setattr(extraction, "eval_literal", counting("context"))
+    ExtractionContext(random_sigma2_derivation(20), "npls")
+    by_validation, by_context = evaluated["validate"], evaluated["context"]
+    assert by_validation and by_context
+    assert len(by_context) == len(set(by_context))
+    assert not set(by_validation) & set(by_context)
 
 
 def _count_calls(monkeypatch, name):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import strategies as st
 
 from npls import serialization
 from npls.corpus import FIXTURES, ng2, random_sigma1_derivation, random_sigma2_derivation
-from npls.derivation import CutRule
+from npls.cli import main
+from npls.derivation import CutRule, expand_template
 from npls.errors import FormatError
 from npls.nested_graph import (
     MAX_RANK,
@@ -43,7 +47,7 @@ from npls.serialization import (
     term_to_json,
 )
 from npls.terms import ExistsForall, ExistsLit, Literal, add, num, smash, var
-from test_cli_golden import REPEATS
+from test_cli_golden import REPEATS, _broken_upper_d2, _false_leaf_d3, full_form
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -312,7 +316,7 @@ _TOO_DEEP_TO_KEY = _nested_div2(1100)
 
 
 def _too_deep_d2(place):
-    doc = derivation_to_json(FIXTURES["D2"]())
+    doc = full_form(derivation_to_json(FIXTURES["D2"]()))
     deep = _eq(_TOO_DEEP_TO_KEY, {"num": 0})
     if place == "witness":
         doc["nodes"][2]["rule"]["witness"] = _TOO_DEEP_TO_KEY
@@ -389,17 +393,18 @@ def _counted_decoders(monkeypatch):
 def _distinct_raw(doc):
     """The number of distinct raw formulas and of distinct raw rules of a derivation document.
 
-    The ``repr`` of a raw value tells ``true`` from ``1``; every object
-    of a document built by ``derivation_to_json`` lists its keys in one order.
+    Only stated sequents count.  The ``repr`` of a raw value tells
+    ``true`` from ``1``; every object of a document built by
+    ``derivation_to_json`` or ``full_form`` lists its keys in one order.
     """
     nodes = doc["nodes"]
-    formulas = {repr(f) for node in nodes for f in node["sequent"]}
+    formulas = {repr(f) for node in nodes for f in node.get("sequent", ())}
     formulas |= {repr(node["rule"]["formula"]) for node in nodes if node["rule"]["tag"] == "cut"}
     return len(formulas), len({repr(node["rule"]) for node in nodes})
 
 
 def test_equal_formulas_in_one_derivation_decode_to_one_object(monkeypatch):
-    doc = derivation_to_json(random_sigma2_derivation(20))
+    doc = full_form(derivation_to_json(random_sigma2_derivation(20)))
     decoded, rules = _counted_decoders(monkeypatch)
     d = loads_document(dumps(doc))
     assert (len(decoded), len(rules)) == _distinct_raw(doc)
@@ -433,7 +438,7 @@ def test_a_repeat_with_its_keys_in_another_order_decodes_to_an_equal_formula(mon
     text = _repeat_text("reordered-keys")
     nodes = json.loads(text)["nodes"]
     assert json.dumps(nodes[3]["sequent"][0]) != json.dumps(nodes[0]["sequent"][0])
-    assert dumps(json.loads(text)) == dumps(derivation_to_json(FIXTURES["D2"]()))
+    assert dumps(json.loads(text)) == dumps(full_form(derivation_to_json(FIXTURES["D2"]())))
     monkeypatch.setattr(serialization, "_derivation_walk", _no_walk)
     d = loads_document(text)
     assert d == FIXTURES["D2"]()
@@ -480,12 +485,19 @@ _LEAVES = st.one_of(
 @given(
     st.sampled_from([1, 2]),
     st.integers(min_value=0, max_value=299),
+    st.booleans(),
     st.integers(min_value=0),
     _LEAVES,
 )
-def test_a_mutated_leaf_decodes_exactly_or_fails(sigma, seed, pick, leaf):
+def test_a_mutated_leaf_decodes_exactly_or_fails(sigma, seed, full, pick, leaf):
+    """A document with one leaf replaced fails, or encodes back to itself.
+
+    Half of the documents state every sequent; those are compared with
+    every sequent of the decoded value stated.
+    """
     d = _generated(sigma, seed)
-    doc = derivation_to_json(d)
+    encode = (lambda v: full_form(derivation_to_json(v))) if full else derivation_to_json
+    doc = encode(d)
     assert loads_document(dumps(doc)) == d
     paths = list(_leaf_paths(doc))
     mutated = _replaced(doc, paths[pick % len(paths)], leaf)
@@ -494,7 +506,7 @@ def test_a_mutated_leaf_decodes_exactly_or_fails(sigma, seed, pick, leaf):
     except FormatError:
         return
     canonical = {**mutated, "nodes": sorted(mutated["nodes"], key=lambda n: n["path"])}
-    assert dumps(derivation_to_json(value)) == dumps(canonical)
+    assert dumps(encode(value)) == dumps(canonical)
 
 
 def _value_paths(obj, at=()):
@@ -675,8 +687,7 @@ def _walk_derivation(obj):
 def _sharing(d):
     """Each formula object of ``d``, in node order, as the index of its first sight.
 
-    Cut formulas count too.  Rule objects do not: the walk decodes a
-    rule once per node, the passes once per distinct raw rule.
+    Cut formulas and derived formulas count too; rule objects do not.
     """
     first: dict = {}
     out = []
@@ -707,8 +718,10 @@ def _renamed_key(obj, at, new):
 
 
 @lru_cache(maxsize=None)
-def _generated_doc(sigma, seed):
+def _generated_doc(sigma, seed, full):
     doc = derivation_to_json(_generated(sigma, seed))
+    if full:
+        doc = full_form(doc)
     return doc, list(_value_paths(doc)), _key_paths(doc)
 
 
@@ -728,13 +741,14 @@ _KEYS = st.sampled_from(["num", "var", "op", "args", "neg", "lhs", "ex", "v", "a
     st.sampled_from([1, 2]),
     st.integers(min_value=0, max_value=59),
     st.booleans(),
+    st.booleans(),
     st.integers(min_value=0),
     st.integers(min_value=0),
     _DERIVATION_LEAVES,
     _KEYS,
 )
 def test_a_mutated_derivation_decodes_as_the_item_walk_does(
-    sigma, seed, shallow, pick, other, leaf, key
+    sigma, seed, full, shallow, pick, other, leaf, key
 ):
     """Whole-document passes agree with the node-by-node walk on each mutation.
 
@@ -744,9 +758,9 @@ def test_a_mutated_derivation_decodes_as_the_item_walk_does(
     path or path entries, its rule or its sequent list), where most
     values are formula leaves.  Both decoders return equal derivations
     whose formula objects are shared alike, or both raise FormatError
-    with the same message.
+    with the same message.  Half of the documents state every sequent.
     """
-    doc, paths, keys = _generated_doc(sigma, seed)
+    doc, paths, keys = _generated_doc(sigma, seed, full)
     if shallow:
         paths = [at for at in paths if len(at) <= 4]
         keys = [at for at in keys if len(at) <= 4]
@@ -768,6 +782,8 @@ def test_well_formed_derivations_never_take_the_item_walk(monkeypatch):
     derivations = [FIXTURES[name]() for name in ("D1", "D2", "D3")]
     derivations += [_generated(sigma, seed) for sigma in (1, 2) for seed in range(60)]
     docs = list(map(derivation_to_json, derivations))
+    docs += list(map(full_form, docs))
+    derivations += derivations
     walked = list(map(_walk_derivation, docs))
     formulas, rules = _counted_decoders(monkeypatch)
     decoded = list(map(serialization.derivation_from_json, docs))
@@ -775,6 +791,86 @@ def test_well_formed_derivations_never_take_the_item_walk(monkeypatch):
     assert list(map(_sharing, decoded)) == list(map(_sharing, walked))
     distinct = list(map(_distinct_raw, docs))
     assert (len(formulas), len(rules)) == tuple(map(sum, zip(*distinct)))
+
+
+# The corpora of the round trip: D1–D3, T-D2 and T-D3 expanded at each x,
+# and the Σ1 and Σ2 derivations of seeds 0–299.
+_TEMPLATE_XS = (0, 1, 3, 7, 50, 101, 400)
+# A fixed subset, by (name, derivation builder), that the CLI runs in both forms.
+_RUN_BOTH_FORMS = (
+    ("D1", FIXTURES["D1"]),
+    ("D3", FIXTURES["D3"]),
+    ("T-D2-7", lambda: expand_template(FIXTURES["T-D2"](), 7)),
+    ("T-D3-50", lambda: expand_template(FIXTURES["T-D3"](), 50)),
+    ("sigma1-3", lambda: _generated(1, 3)),
+    ("sigma1-41", lambda: _generated(1, 41)),
+    ("sigma2-12", lambda: _generated(2, 12)),
+    ("sigma2-20", lambda: _generated(2, 20)),
+    ("d3-false-leaf", lambda: derivation_from_json(_false_leaf_d3())),
+    ("d2-broken-upper", lambda: derivation_from_json(_broken_upper_d2())),
+)
+
+
+def _cli_outputs(path):
+    """Exit code, stdout and stderr of each command on ``path``, in machine format."""
+    outputs = []
+    for command in ("validate", "extract", "solve", "verify"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(path), "--format", "machine"])
+        outputs.append((command, code, out.getvalue(), err.getvalue()))
+    return outputs
+
+
+def test_compact_documents_round_trip_and_run_as_full_form_does(tmp_path):
+    """Every corpus derivation states only its root sequent and decodes back to itself.
+
+    On a fixed subset, two broken copies of D2 and D3 included, the four
+    commands print the same bytes and exit alike on the compact text and
+    on the text that states every sequent.  The broken D2's upper (1,0)
+    does not follow from its rule, so its compact text still states it.
+    """
+    derivations = [FIXTURES[name]() for name in ("D1", "D2", "D3")]
+    derivations += [
+        expand_template(FIXTURES[name](), x) for name in ("T-D2", "T-D3") for x in _TEMPLATE_XS
+    ]
+    derivations += [_generated(sigma, seed) for sigma in (1, 2) for seed in range(300)]
+    for d in derivations:
+        doc = derivation_to_json(d)
+        assert derivation_from_json(doc) == d
+        assert "sequent" in doc["nodes"][0] and doc["nodes"][0]["path"] == []
+        assert not any("sequent" in node for node in doc["nodes"][1:])
+    for name, build in _RUN_BOTH_FORMS:
+        doc = derivation_to_json(build())
+        compact, full = tmp_path / f"{name}.json", tmp_path / f"{name}-full.json"
+        compact.write_text(dumps(doc), encoding="utf-8")
+        full.write_text(dumps(full_form(doc)), encoding="utf-8")
+        assert derivation_from_json(full_form(doc)) == derivation_from_json(doc)
+        assert len(compact.read_bytes()) < len(full.read_bytes())
+        assert _cli_outputs(compact) == [
+            (command, code, out, err.replace(str(full), str(compact)))
+            for command, code, out, err in _cli_outputs(full)
+        ], name
+
+
+# The length and SHA-256 of the text that ``derivation_to_json`` wrote,
+# every sequent stated, before a node could leave its sequent out.
+_FULL_TEXT = {
+    "D2": (1911, "026e0214aec4d5ca841fff692419469e32d18c4d4d1d178a1dbba23077698b36"),
+    "D3": (4445, "ef16569ca2d1511994e8e83c5189383c08c364ea0349747ff389b5044a9ee7a4"),
+    "sigma2-20": (174622, "8dc64021eec0062872629a4f338ef540f6bf3c1f209ab6fbcdffd9ed57b21db4"),
+}
+
+
+def test_full_form_writes_the_text_that_stated_every_sequent():
+    derivations = {
+        "D2": FIXTURES["D2"](),
+        "D3": FIXTURES["D3"](),
+        "sigma2-20": random_sigma2_derivation(20),
+    }
+    for name, d in derivations.items():
+        text = dumps(full_form(derivation_to_json(d))).encode()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == _FULL_TEXT[name], name
 
 
 def test_family_parse_errors():
