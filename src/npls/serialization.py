@@ -14,7 +14,8 @@ the parent's rule adds at the node's index (``added_formula``), a cut's
 last present child adding the cut formula itself.
 ``derivation_to_json`` leaves out exactly the sequents that follow, by
 ``==``; a sequent that does not follow can only be stated.  An omitted
-sequent that does not follow fails with a FormatError naming its node.
+sequent that does not follow, or whose added formula nests past the
+term depth cap, fails with a FormatError naming its node.
 
 The derivation and template decoders keep a per-document memo keyed by
 the ``marshal`` bytes (version 2) of each raw formula, which tell
@@ -49,8 +50,8 @@ from __future__ import annotations
 import json
 import marshal
 import sys
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, is_, itemgetter, lt, mul
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, itemgetter, lt, mul
 from typing import Any
 
 from .derivation import (
@@ -170,6 +171,20 @@ def term_to_json(t: Term) -> Any:
 # Validation, evaluation and hashing all recurse on a term's nesting, so
 # a term whose operations nest deeper than this is malformed input.
 MAX_TERM_DEPTH = 256
+
+
+def _nests_too_deep(terms: tuple[Term, ...]) -> bool:
+    """Whether any of ``terms`` nests more than ``MAX_TERM_DEPTH`` operations.
+
+    It steps down one level at a time, each distinct object once per
+    level, so it recurses nowhere and a shared subterm is not copied.
+    """
+    level: Any = terms
+    for _ in range(MAX_TERM_DEPTH + 1):
+        level = {id(a): a for t in level for a in t.args}.values()
+        if not level:
+            return False
+    return True
 
 
 def term_from_json(obj: Any, where: Where = "term") -> Term:
@@ -369,6 +384,10 @@ def _following(paths: list[tuple[int, ...]]):
     included.  It builds each distinct (rule kind, principal object,
     witness object, index) added formula once, so equal keys share one
     object; the caller holds the keyed objects while it is in use.
+
+    An instance puts a witness into a body, each within the depth cap,
+    so its terms may nest up to twice as deep: such an instance raises
+    ValueError, as a stated sequent holding it fails to decode.
     """
     kids = sorted(filter(None, paths))
     # A later sibling sorts after an earlier one, so each parent keeps its largest index.
@@ -390,7 +409,10 @@ def _following(paths: list[tuple[int, ...]]):
             return None
         key = (kind, id(principal), id(witness), n)
         if key not in built:
-            built[key] = added_formula(rule, principal, n)
+            f = added_formula(rule, principal, n)
+            if witness is not None and f is not None and _nests_too_deep((f.lit.lhs, f.lit.rhs)):
+                raise ValueError(f"term nests more than {MAX_TERM_DEPTH} operations")
+            built[key] = f
         f = built[key]
         return None if f is None else (*lower, f)
 
@@ -405,7 +427,8 @@ def derivation_to_json(d: Derivation) -> Any:
     adds at the node's index (``added_formula``); a cut's last present
     child adds the cut formula.  The root, and every node whose sequent
     does not follow, state theirs, so ``derivation_from_json`` gives
-    back an equal derivation, a broken one included.
+    back an equal derivation, a broken one included.  So does a node
+    whose parent's rule adds a formula too deep to decode.
     """
     paths = sorted(d.nodes)
     upper = _following(paths)
@@ -414,7 +437,11 @@ def derivation_to_json(d: Derivation) -> Any:
         node = d.nodes[path]
         out = {"path": list(path), "rule": rule_to_json(node.rule)}
         up = d.nodes.get(path[:-1]) if path else None
-        if up is None or node.sequent != upper(up.rule, up.sequent, path):
+        try:
+            follows = up is not None and node.sequent == upper(up.rule, up.sequent, path)
+        except ValueError:
+            follows = False
+        if not follows:
             out["sequent"] = [formula_to_json(f) for f in node.sequent]
         nodes.append(out)
     return {"end_x": d.end_x, "nodes": nodes}
@@ -454,12 +481,8 @@ def derivation_from_json(obj: Any) -> Derivation:
     return Derivation(end_x, nodes)
 
 
-class _Omitted(tuple):
-    """The type of an omitted sequent while it is derived; no JSON value has it."""
-
-
-_OMITTED = _Omitted()
-_SEQUENT_TYPES = {list, _Omitted}
+# A stated sequent is a list; an omitted one reads as () until it is derived.
+_SEQUENT_TYPES = {list, tuple}
 
 
 def _derivation_at_once(raw_nodes: list) -> dict[tuple[int, ...], ProofNode] | None:
@@ -484,7 +507,7 @@ def _derivation_at_once(raw_nodes: list) -> dict[tuple[int, ...], ProofNode] | N
             return None
         paths = [n["path"] for n in raw_nodes]
         rules = [n["rule"] for n in raw_nodes]
-        sequents = [n.get("sequent", _OMITTED) for n in raw_nodes]
+        sequents = [n.get("sequent", ()) for n in raw_nodes]
         if not (
             set(map(type, paths)) <= _LIST
             and set(map(type, sequents)) <= _SEQUENT_TYPES
@@ -510,9 +533,9 @@ def _derivation_at_once(raw_nodes: list) -> dict[tuple[int, ...], ProofNode] | N
             rule_of[k] = rule_from_json(raw, "rule", memo)
         rules = list(map(rule_of.__getitem__, rule_keys))
         paths = list(map(tuple, paths))
-        omitted = list(compress(count(), map(is_, sequents, repeat(_OMITTED))))
-        if omitted and _derive_omitted(paths, rules, sequent_of, omitted) is not None:
-            return None
+        omitted = [i for i, n in enumerate(raw_nodes) if "sequent" not in n]
+        if omitted:
+            _derive_omitted(paths, rules, sequent_of, omitted)
         nodes = dict(zip(paths, map(ProofNode, sequent_of, rules)))
     except (FormatError, KeyError, TypeError, ValueError):
         return None
@@ -524,8 +547,8 @@ def _derive_omitted(
     rules: list[Rule],
     sequents: list,
     omitted: list[int],
-) -> int | None:
-    """Fill in the omitted sequents, or return the index of the first that does not follow.
+) -> None:
+    """Fill in the omitted sequents, or raise FormatError naming the first that does not follow.
 
     ``omitted`` lists the indices of the nodes whose ``sequents`` entry
     is to be derived.  They are derived in path order, so a parent's
@@ -533,19 +556,27 @@ def _derive_omitted(
     sequent and rule.  Only the children present are derived, each
     distinct added formula is built once, and no bound is evaluated.  A
     node follows from nothing when it is the root, its parent is absent,
-    or its parent's rule adds no formula at its index.  The caller
-    refuses duplicate paths.
+    or its parent's rule adds no formula at its index; an added formula
+    whose terms nest past the depth cap fails as a stated one does.  The
+    caller refuses duplicate paths.
     """
     index = dict(zip(paths, count()))
     upper = _following(paths)
     for i in sorted(omitted, key=paths.__getitem__):
         path = paths[i]
-        up = index.get(path[:-1]) if path else None
-        got = None if up is None else upper(rules[up], sequents[up], path)
+        where = ("derivation.nodes", i)
+        if not path:
+            raise _fail(where, "the root states its sequent")
+        up = index.get(path[:-1])
+        if up is None:
+            raise _fail(where, "the sequent is omitted and the node has no parent")
+        try:
+            got = upper(rules[up], sequents[up], path)
+        except ValueError as exc:
+            raise _fail(where, str(exc)) from exc
         if got is None:
-            return i
+            raise _fail(where, "the sequent is omitted and does not follow from the parent's rule")
         sequents[i] = got
-    return None
 
 
 def _shared_rule(raw: Any, where: Where, rules: dict[bytes, Rule], memo: dict) -> Rule:
@@ -588,18 +619,10 @@ def _derivation_walk(raw_nodes: list) -> dict[tuple[int, ...], ProofNode]:
         if "sequent" in node:
             sequents.append(_sequent_from_json(node, where, memo))
         else:
-            sequents.append(_OMITTED)
+            sequents.append(())
             omitted.append(i)
-    bad = _derive_omitted(paths, rules, sequents, omitted) if omitted else None
-    if bad is not None:
-        path = paths[bad]
-        if not path:
-            message = "the root states its sequent"
-        elif path[:-1] not in seen:
-            message = "the sequent is omitted and the node has no parent"
-        else:
-            message = "the sequent is omitted and does not follow from the parent's rule"
-        raise _fail(("derivation.nodes", bad), message)
+    if omitted:
+        _derive_omitted(paths, rules, sequents, omitted)
     return dict(zip(paths, map(ProofNode, sequents, rules)))
 
 

@@ -807,6 +807,29 @@ def _set_rule(i, key, value):
     return lambda doc: doc["nodes"][i]["rule"].__setitem__(key, value)
 
 
+def _div2s(obj, depth):
+    for _ in range(depth):
+        obj = {"op": "div2", "args": [obj]}
+    return obj
+
+
+def _deep_instance(doc):
+    """A root whose existential rule puts a 256-deep witness into a 256-deep body.
+
+    Each term is within the depth cap, and the instance at the leaf,
+    which is true, nests 512 operations deep.
+    """
+    body = {"neg": False, "lhs": _div2s({"var": "v"}, 256), "rhs": {"num": 0}}
+    doc["nodes"] = [
+        {
+            "path": [],
+            "rule": {"tag": "exists", "principal": 0, "witness": _div2s({"num": 0}, 256)},
+            "sequent": [{"ex": {"v": "v", "bound": {"num": 1}, "body": body}}],
+        },
+        {"path": [0], "rule": {"tag": "initial", "index": 1}},
+    ]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -832,6 +855,7 @@ def _set_rule(i, key, value):
             lambda doc: doc["nodes"][0].pop("sequent"),
             "derivation.nodes[0]: the root states its sequent",
         ),
+        (_deep_instance, "derivation.nodes[1]: term nests more than 256 operations"),
     ],
     ids=[
         "under an initial rule",
@@ -841,6 +865,7 @@ def _set_rule(i, key, value):
         "cut on a literal",
         "missing parent",
         "root",
+        "instance too deep",
     ],
 )
 def test_an_omitted_sequent_that_does_not_follow_exits_two(tmp_path, capsys, edit, message):

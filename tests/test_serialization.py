@@ -112,8 +112,7 @@ def test_parse_errors_carry_locations():
     assert "rule" in _error_location(rule_from_json, {"tag": "wat"})
 
 
-def _nested_div2(depth):
-    obj = {"var": "x"}
+def _nested_div2(depth, obj={"var": "x"}):
     for _ in range(depth):
         obj = {"op": "div2", "args": [obj]}
     return obj
@@ -365,6 +364,56 @@ def test_a_value_too_deep_to_key_fails_at_the_depth_cap(decode, doc, message):
     text nested this deeply before the decoder sees it.
     """
     assert _error_location(decode, doc) == message
+
+
+def _instance_documents(body_depth, witness_depth):
+    """A root existential rule and its leaf, compact and with the leaf's sequent stated.
+
+    The body nests its variable ``body_depth`` operations deep on the
+    left and holds it bare on the right; the witness nests
+    ``witness_depth`` deep, so the instance nests their sum.
+    """
+    v = {"var": "v"}
+    body = _eq(_nested_div2(body_depth, v), v)
+    ex = {"ex": {"v": "v", "bound": {"num": 1}, "body": body}}
+    witness = _nested_div2(witness_depth, {"num": 0})
+    root = _node([], [ex], {"tag": "exists", "principal": 0, "witness": witness})
+    leaf = {"path": [0], "rule": {"tag": "initial", "index": 1}}
+    instance = _eq(_nested_div2(body_depth, witness), witness)
+    return _derivation(root, leaf), _derivation(root, {**leaf, "sequent": [ex, instance]})
+
+
+@pytest.mark.parametrize(
+    "body_depth, witness_depth",
+    [(0, MAX_TERM_DEPTH), (128, 128), (129, 128), (MAX_TERM_DEPTH, MAX_TERM_DEPTH)],
+)
+def test_an_omitted_instance_is_held_to_the_term_depth_cap(body_depth, witness_depth):
+    """Both forms accept the same instances, and refuse the same ones at the cap.
+
+    The documents are decoded as objects: the JSON parser may reject
+    text nested this deeply before the decoder sees it.
+    """
+    compact, full = _instance_documents(body_depth, witness_depth)
+    if body_depth + witness_depth <= MAX_TERM_DEPTH:
+        # Compared as JSON: == on two distinct terms this deep passes the recursion limit.
+        for doc in (compact, full):
+            leaf = derivation_from_json(doc).nodes[(0,)]
+            assert [formula_to_json(f) for f in leaf.sequent] == full["nodes"][1]["sequent"]
+    else:
+        message = "term nests more than 256 operations"
+        assert _error_location(derivation_from_json, compact) == f"derivation.nodes[1]: {message}"
+        assert _error_location(derivation_from_json, full) == (
+            f"derivation.nodes[1].sequent[1].lhs: {message}"
+        )
+
+
+def test_a_node_under_a_too_deep_instance_states_its_sequent():
+    """The encoder states a sequent whose parent's rule adds an instance too deep to decode."""
+    compact, _ = _instance_documents(129, 128)
+    doc = {**compact, "nodes": [compact["nodes"][0], _node([0], [_ONE])]}
+    d = derivation_from_json(doc)
+    assert derivation_to_json(d) == doc
+    assert derivation_from_json(derivation_to_json(d)) == d
 
 
 def _no_walk(*args):
