@@ -14,7 +14,9 @@ applied at that node.  Four rules occur:
   value, followed by a final upper sequent adding the formula itself.
 
 Upper sequents always contain their lower sequent, so walking up the
-tree only ever grows the multiset.  Validation compares these multisets
+tree only ever grows the multiset.  Validation accepts an upper that
+repeats its lower sequent's objects and ends in the added formula
+without comparing it, compares any other upper with the lower sequent
 as sorted lists of formula ids, and keeps each sequent's set of ids for
 membership probes.  Node paths are tuples of child indices; children of
 a wide rule are numbered by instance value, with the extra cut upper
@@ -31,6 +33,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -39,6 +42,7 @@ from .errors import (
     ValidationFailed,
 )
 from .terms import (
+    MAX_TERM_DEPTH,
     ExistsForall,
     ExistsLit,
     Formula,
@@ -53,6 +57,7 @@ from .terms import (
     formula_vars,
     free_vars,
     negated_instance,
+    nests_too_deep,
     normalize,
     substitute_formula,
     substitute_term,
@@ -223,15 +228,16 @@ class FormulaTable:
 
     Ids are handed out in order of first sight, so two formulas get the
     same id exactly when ``formulas_equal`` holds.  ``sequent`` maps a
-    node to its sequent as ids in sequent order, ``multiset`` to those
-    ids sorted, which is the sequent read as a multiset, and ``members``
-    to the set of those ids, for membership probes; ``added`` maps each
-    child that validation checked to the id of the formula it adds over
-    its parent.  ``children`` maps each node validation reached to its
-    child count, ``witness`` each existential or exists-forall rule
-    whose witness and bound evaluate to its witness value, and
-    ``truth`` the id of each initial literal that evaluates, to its
-    truth.  The ids belong to this table alone and die with it.
+    node to its sequent as ids in sequent order and ``members`` to the
+    set of those ids, for membership probes; ``added`` maps each child
+    that validation checked to the id of the formula it adds over its
+    parent; a derived child's ``sequent`` and ``members`` are its
+    parent's plus that id.  ``children`` maps each node validation
+    reached to its child count, ``witness`` and ``principal`` each
+    existential or exists-forall rule whose witness and bound evaluate
+    to its witness value and to its principal's id, and ``truth`` the id
+    of each initial literal that evaluates, to its truth.  The ids
+    belong to this table alone and die with it.
 
     Decoded and expanded derivations share one object per distinct
     formula, so ``intern`` looks a formula up by identity first: each
@@ -245,11 +251,11 @@ class FormulaTable:
         # reused by another object while the table lives.
         self._by_object: dict[int, tuple[Formula, int]] = {}
         self.sequent: dict[NodePath, tuple[int, ...]] = {}
-        self.multiset: dict[NodePath, list[int]] = {}
         self.members: dict[NodePath, frozenset[int]] = {}
         self.added: dict[NodePath, int] = {}
         self.children: dict[NodePath, int] = {}
         self.witness: dict[NodePath, int] = {}
+        self.principal: dict[NodePath, int] = {}
         self.truth: dict[int, bool] = {}
 
     def intern(self, f: Formula) -> int:
@@ -264,14 +270,12 @@ class FormulaTable:
         """The normal form of every formula, indexed by id."""
         return list(self._ids)
 
-    def record(self, path: NodePath, sequent: tuple[Formula, ...]) -> list[int]:
-        """Intern a node's sequent, once per node, and return its sorted ids."""
-        got = self.multiset.get(path)
+    def record(self, path: NodePath, sequent: tuple[Formula, ...]) -> tuple[int, ...]:
+        """Intern a node's sequent, once per node, and return its ids."""
+        got = self.sequent.get(path)
         if got is None:
-            ids = tuple([self.intern(f) for f in sequent])
-            self.sequent[path] = ids
-            self.members[path] = frozenset(ids)
-            got = self.multiset[path] = sorted(ids)
+            got = self.sequent[path] = tuple([self.intern(f) for f in sequent])
+            self.members[path] = frozenset(got)
         return got
 
 
@@ -306,13 +310,22 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     lists one issue per offending node; an empty report means the
     derivation is sound at its substituted value.
 
-    One pass fills the report's ``FormulaTable``: each node's sequent is
-    interned once, each distinct formula object normalized once, and
-    upper sequents are checked by comparing sorted lists of formula ids.
-    The formula a child adds is matched in place against the last
-    formula of its upper sequent, which is then interned as it stands;
-    the added formula is built by ``added_formula`` only when that match
-    fails (see ``_intern_added``).
+    One pass in path order fills the report's ``FormulaTable``, each
+    distinct formula object normalized once.  The formula a child adds
+    is matched in place against the last formula of its upper sequent,
+    which is then interned as it stands; the added formula is built by
+    ``added_formula`` only when that match fails (see ``_intern_added``),
+    and a built one whose terms nest more than ``MAX_TERM_DEPTH``
+    operations is flagged at the child, not interned.
+
+    A child is derived when its upper sequent is its lower sequent,
+    object for object, followed by one formula that interns to the id
+    the rule adds.  Its ids and id set are then its parent's plus that
+    id, and at its own turn only its new formula takes the class and
+    free-variable checks, the parent's class flags being repeated in
+    index order.  Every other child takes the full check,
+    ``_check_child``: its sequent is interned and its sorted ids are
+    compared with the lower sequent's plus the added id.
 
     Work that depends only on shared objects runs once per object, keyed
     by identity, and its issues are still flagged at every node:
@@ -328,8 +341,8 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
       refused by the count alone.
 
     Per node remain the principal or literal index range, the child
-    count, the comparison of each upper sequent, and every message that
-    names the rule's index.
+    count, the check of each upper sequent, and every message that names
+    the rule's index.
     """
     if mode not in _MODE_CLASS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -370,12 +383,23 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     # (rule kind, id(principal), id(witness)) -> _RuleFacts; ``d`` holds
     # both objects too, and a cut's witness is None.
     rule_facts: dict[tuple[type, int, int], _RuleFacts] = {}
+    # Derived child -> the indices of its parent's formulas that exceed
+    # the class; the parent's other formulas are closed.
+    derived: dict[NodePath, tuple[int, ...]] = {}
 
     for path in d.paths():
         node = d.nodes[path]
         sequent = node.sequent
+        high = derived.pop(path, None)
+        if high is None:
+            high, start = (), 0
+        else:
+            for i in high:
+                flag(path, f"formula {i} exceeds the {mode} quantifier class")
+            start = len(sequent) - 1
         is_open = False
-        for i, f in enumerate(sequent):
+        for i in range(start, len(sequent)):
+            f = sequent[i]
             check = checked.get(id(f))
             if check is None:
                 check = checked[id(f)] = (
@@ -385,6 +409,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             too_high, extra = check
             if too_high:
                 flag(path, f"formula {i} exceeds the {mode} quantifier class")
+                high = (*high, i)
             if extra:
                 flag(path, f"formula {i} has free variables {extra}")
                 is_open = True
@@ -392,7 +417,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             continue
         count = table.children[path] = len(order[path])
         rule = node.rule
-        base = table.record(path, sequent)
+        ids = table.record(path, sequent)
 
         if isinstance(rule, InitialRule):
             if count != 0:
@@ -437,6 +462,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             continue
         if witness is not None:
             table.witness[path] = facts.witness
+            table.principal[path] = ids[index]
         if facts.above is not None:
             flag(path, facts.above)
         if facts.inner is None:
@@ -448,13 +474,30 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
         # The added formulas' ids are interned at the first node that
         # gets this far, in child order.
         added_ids = facts.added_ids
+        members = table.members[path]
+        base = None
         for n in range(count):
             child = path + (n,)
             upper = d.nodes[child].sequent
             if n == len(added_ids):
                 at = None if n == facts.final else n
                 added_ids.append(_intern_added(table, upper, rule, principal, at))
-            _check_child(table, child, upper, base, added_ids[n], flag)
+            added = added_ids[n]
+            if added is None:
+                flag(child, f"added formula nests more than {MAX_TERM_DEPTH} operations")
+            elif (
+                len(upper) == len(sequent) + 1
+                and all(map(is_, upper, sequent))
+                and table.intern(upper[-1]) == added
+            ):
+                table.added[child] = added
+                table.sequent[child] = (*ids, added)
+                table.members[child] = members | {added}
+                derived[child] = high
+            else:
+                if base is None:
+                    base = sorted(ids)
+                _check_child(table, child, upper, base, added, flag)
 
     return ValidationReport(mode, tuple(issues), table)
 
@@ -524,7 +567,7 @@ def _intern_added(
     rule: Rule,
     f: Formula,
     n: int | None,
-) -> int:
+) -> int | None:
     """The table id of the formula that upper ``n`` of ``rule`` on ``f`` adds.
 
     ``n`` is None for a cut's final upper, as ``added_formula`` takes
@@ -538,11 +581,21 @@ def _intern_added(
     added formula is built only when the match fails: a renamed bound
     variable, an added formula that is not last, or a wrong upper.
     Equal formulas have the same id, so both ways give the same id.
+
+    An instance puts a witness into a body, each within the depth cap,
+    so its terms may nest up to twice as deep.  Hashing such a term
+    recurses past the interpreter's limit, so a built instance that
+    nests more than ``MAX_TERM_DEPTH`` operations is not interned, and
+    the result is None.  A decoded upper never holds one, so it never
+    matches.
     """
     witness = None if isinstance(rule, CutRule) else rule.witness
     if upper and _is_added(upper[-1], f, witness, n):
         return table.intern(upper[-1])
-    return table.intern(added_formula(rule, f, n))
+    added = added_formula(rule, f, n)
+    if witness is not None and nests_too_deep((added.lit.lhs, added.lit.rhs)):
+        return None
+    return table.intern(added)
 
 
 def _is_added(u: Formula, f: Formula, witness: Term | None, n: int | None) -> bool:
@@ -550,10 +603,11 @@ def _is_added(u: Formula, f: Formula, witness: Term | None, n: int | None) -> bo
 
     ``witness`` is the rule's witness, None for a cut.  Each case
     matches ``f``'s body under the environment its builder substitutes,
-    so the dict settles a name that both quantifiers bind.
+    so the dict settles a name that both quantifiers bind.  Terms are
+    compared by ``_term_is``, never by ``==``.
     """
     if n is None:
-        return u is f or u == f
+        return u is f or _formula_is(u, f)
     if isinstance(f, ExistsLit):
         env = {f.var: n if witness is None else witness}
         return u.__class__ is LitFormula and _literal_is(u.lit, f.body, witness is None, env)
@@ -565,8 +619,27 @@ def _is_added(u: Formula, f: Formula, witness: Term | None, n: int | None) -> bo
     return (
         u.__class__ is ExistsLit
         and u.var == f.var2
-        and (u.bound is f.bound2 or u.bound == f.bound2)
+        and _term_is(u.bound, f.bound2, _NO_ENV)
         and _literal_is(u.body, f.body, True, env)
+    )
+
+
+def _formula_is(u: Formula, f: Formula) -> bool:
+    """Whether ``u == f`` for a quantified ``f``, comparing terms by ``_term_is``."""
+    if isinstance(f, ExistsLit):
+        return (
+            u.__class__ is ExistsLit
+            and u.var == f.var
+            and _term_is(u.bound, f.bound, _NO_ENV)
+            and _literal_is(u.body, f.body, False, _NO_ENV)
+        )
+    return (
+        u.__class__ is ExistsForall
+        and u.var1 == f.var1
+        and u.var2 == f.var2
+        and _term_is(u.bound1, f.bound1, _NO_ENV)
+        and _term_is(u.bound2, f.bound2, _NO_ENV)
+        and _literal_is(u.body, f.body, False, _NO_ENV)
     )
 
 
@@ -580,11 +653,19 @@ def _literal_is(u: Literal, body: Literal, negate: bool, env: dict[str, Term | i
     )
 
 
+_NO_ENV: dict[str, Term | int] = {}
+
+
 def _term_is(u: Term, t: Term, env: dict[str, Term | int]) -> bool:
     """Whether ``u == substitute_term(t, env)``, building nothing.
 
     ``env`` is ``substitute_term``'s environment, name to term, except
-    that an int stands for its numeral.
+    that an int stands for its numeral; with ``_NO_ENV`` this is
+    ``u == t``.  It takes one frame per level of ``t`` and of a
+    substituted term, where ``==`` on two equal dataclass terms takes
+    about three and passes the recursion limit within the depth cap.
+    A variable or numeral ``t`` is compared with ``==``, which stops at
+    the operation or the empty arguments.
     """
     if t.op == "var":
         at = env.get(t.name)
@@ -592,7 +673,7 @@ def _term_is(u: Term, t: Term, env: dict[str, Term | int]) -> bool:
             return u is t or u == t
         if at.__class__ is int:
             return u.op == "num" and u.value == at and u.name is None
-        return u is at or u == at
+        return u is at or _term_is(u, at, _NO_ENV)
     if t.op == "num":
         return u is t or u == t
     if u.op != t.op or u.value is not None or u.name is not None:
@@ -619,7 +700,7 @@ def _check_child(
     table.added[child] = added_id
     want = base.copy()
     insort(want, added_id)
-    got = table.record(child, upper)
+    got = sorted(table.record(child, upper))
     if got != want:
         missing = Counter(want) - Counter(got)
         surplus = Counter(got) - Counter(want)

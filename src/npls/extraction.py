@@ -102,19 +102,25 @@ class ExtractionContext:
     each child count and ``_witness`` each quantifier rule's witness
     value; and by formula id each initial literal's truth.  Nothing is
     normalized, and no witness or initial literal evaluated, again.
+    The path-level definitions below read these dicts.
 
-    The context derives the rest as lists by post-order id (``kb`` maps
-    a path to its id, ``path_of`` back): ``parent`` (the root is its
-    own), ``is_ef`` for exists-forall rules, ``left_upper`` for the
+    The compilers read lists by post-order id (``kb`` maps a path to
+    its id, ``path_of`` back).  Copied from the table: ``members``, each
+    sequent's id set, ``added_id``, the id each child adds (None at the
+    root), ``witness``, each quantifier rule's witness value, and
+    ``principal_id``, the formula id of each quantifier rule's principal
+    (None elsewhere).  Derived here: ``parent`` (the root is its own),
+    ``is_ef`` for exists-forall rules, ``left_upper`` for the
     value-indexed cut uppers (all but a cut's last), ``low``, the
     smallest id in the node's subtree, which is exactly ``low[i]..i``,
-    ``true_lit`` for sequents holding a true literal and ``true_goal``
-    for existential rules whose witnessing instance holds.  A child's
-    sequent is its parent's plus the formula it adds, so it holds a true
-    literal exactly when its parent does or that formula is one; each
-    distinct literal that validation did not evaluate is evaluated once.
-    ``d_max`` exceeds the deepest node by one, so exists-forall targets
-    always cost at least one.
+    ``true_lit`` for sequents holding a true literal, ``true_goal`` for
+    existential rules whose witnessing instance holds, and ``goal``,
+    each node's ``rightmost_goal`` (None where there is none).  A
+    child's sequent is its parent's plus the formula it adds, so it
+    holds a true literal exactly when its parent does or that formula is
+    one; each distinct literal that validation did not evaluate is
+    evaluated once.  ``d_max`` exceeds the deepest node by one, so
+    exists-forall targets always cost at least one.
     """
 
     def __init__(self, derivation: Derivation, mode: str):
@@ -140,7 +146,7 @@ class ExtractionContext:
         self._seq_ids = table.sequent
         self._seq_members = table.members
         self._added = added = table.added
-        self._children = children = table.children
+        self._children = table.children
         self._witness = table.witness
         self.end_id = table.sequent[()][0]
 
@@ -149,18 +155,26 @@ class ExtractionContext:
         self.n_nodes = n = len(paths)
         self.d_max = derivation.depth() + 1
         rules = [derivation.nodes[p].rule for p in paths]
-        self.is_ef = [isinstance(r, ExistsForallRule) for r in rules]
+        self.is_ef = is_ef = [isinstance(r, ExistsForallRule) for r in rules]
+        self.members = list(map(table.members.__getitem__, paths))
+        self.added_id = added_id = list(map(added.get, paths))
+        self.witness = list(map(self._witness.get, paths))
+        self.principal_id = list(map(table.principal.get, paths))
+        # Node id -> its children's ids, and -> the result of
+        # ``selected_upper``, each filled in on first need.
+        self._kids: dict[int, list[int]] = {}
+        self._selected: dict[int, int | None] = {}
         self.parent = parent = [kb[p[:-1]] for p in paths]
         self.left_upper = left_upper = [False] * n
         self.low = low = list(range(n))
         # Children come before their parent in post-order, and the root
         # comes last, so a child's ``low`` is final when it reaches the
-        # parent.
+        # parent.  A node's last child is the id just below it.
         for i in range(n - 1):
             up = parent[i]
             low[up] = min(low[up], low[i])
             if isinstance(rules[up], CutRule):
-                left_upper[i] = paths[i][-1] < children[paths[up]] - 1
+                left_upper[i] = i != up - 1
 
         # Truth of each distinct formula id: validation's for the initial
         # literals, the rest evaluated on first need.  A quantified
@@ -183,10 +197,19 @@ class ExtractionContext:
         for i in range(n - 2, -1, -1):
             up = parent[i]
             if isinstance(rules[up], ExistsRule):
-                true_goal[up] = holds(added[paths[i]])
+                true_goal[up] = holds(added_id[i])
                 true_lit[i] = true_lit[up] or true_goal[up]
             else:
-                true_lit[i] = true_lit[up] or holds(added[paths[i]])
+                true_lit[i] = true_lit[up] or holds(added_id[i])
+
+        # An ascending scan sees a node's last child first; a leaf is its
+        # own ``low``.
+        self.goal = goal = [None] * n
+        for i in range(n):
+            if true_goal[i] or is_ef[i]:
+                goal[i] = i
+            elif low[i] != i:
+                goal[i] = goal[i - 1]
 
     @staticmethod
     def _check_mode(d: Derivation, mode: str) -> None:
@@ -225,7 +248,7 @@ class ExtractionContext:
 
     def principal(self, path: NodePath) -> int:
         """The formula id of an existential or exists-forall rule's principal."""
-        return self._seq_ids[path][self.derivation.nodes[path].rule.principal]
+        return self.principal_id[self.kb[path]]
 
     def witness_value(self, path: NodePath) -> int:
         return self._witness[path]
@@ -236,6 +259,44 @@ class ExtractionContext:
 
     def child_count(self, path: NodePath) -> int:
         return self._children[path]
+
+    # Node facts by id
+
+    def child(self, i: int, k: int) -> int:
+        """The id of node ``i``'s child ``k``.
+
+        The last child is ``i - 1``, and each earlier sibling ends just
+        below the ``low`` of the next.
+        """
+        kids = self._kids.get(i)
+        if kids is None:
+            low = self.low
+            kids, c = [], i - 1
+            while c >= low[i]:
+                kids.append(c)
+                c = low[c] - 1
+            kids.reverse()
+            self._kids[i] = kids
+        return kids[k]
+
+    def selected_upper(self, tau: int) -> int | None:
+        """``_selected_upper`` by id, for a goal ``tau``.
+
+        The entry point is found by walking ``parent`` while the parent's
+        sequent holds tau's principal; sequents grow upward, so that is
+        the shortest prefix holding it.  Below the root it is a cut's
+        final upper, and validation keeps tau's witness value below the
+        cut's bound, so the selected child exists.
+        """
+        got = self._selected.get(tau, -1)
+        if got == -1:
+            f, entry = self.principal_id[tau], tau
+            parent, members, root = self.parent, self.members, self.n_nodes - 1
+            while entry != root and f in members[parent[entry]]:
+                entry = parent[entry]
+            got = None if entry == root else self.child(parent[entry], self.witness[tau])
+            self._selected[tau] = got
+        return got
 
 
 def target_condition(ctx: ExtractionContext, path: NodePath) -> bool:
@@ -317,15 +378,25 @@ def build_pls(ctx: ExtractionContext) -> NplsInstance:
     whose targets are the feasible points: the root and the
     value-indexed cut uppers whose sequents contain no true literal.
     Each target lists its ``pls_neighbor``, which is itself exactly on
-    the solutions.
+    the solutions.  The step is read off the context's ``goal`` and
+    ``selected_upper`` by id; a point with no goal asks ``pls_neighbor``,
+    which raises.
     """
     if ctx.mode != MODE_PLS:
         raise ModeError("build_pls needs a pls-mode context")
-    paths = ctx.path_of
+    goal = ctx.goal
     root = ctx.n_nodes - 1
+
+    def step(s: int) -> int:
+        tau = goal[s]
+        if tau is None:
+            return ctx.kb[pls_neighbor(ctx, ctx.path_of[s])]
+        kappa = ctx.selected_upper(tau)
+        return s if kappa is None else kappa
+
     # The root comes last in post-order and is no cut upper.
     feasible = [i for i in range(root) if ctx.left_upper[i] and not ctx.true_lit[i]]
-    table = {s: [ctx.kb[pls_neighbor(ctx, paths[s])]] for s in feasible + [root]}
+    table = {s: [step(s)] for s in feasible + [root]}
 
     d = max((ctx.n_nodes - 1).bit_length(), 1)
     return plain_instance(d, root, table, root, lambda t: t)
@@ -496,7 +567,12 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     rank of a row is its own id.  The context's lists by id hold the
     node facts, a list here holds the cost, and ``row`` builds one row's
     table from them when it is asked for, so a search pays only for the
-    rows it opens.
+    rows it opens.  ``gen_source``, ``extract`` and ``initial_target``
+    answer from the same lists and the context's ``selected_upper``, and
+    realize ``npls_gen_source``, ``npls_extract`` and ``rightmost_goal``.
+    Where one of those raises (a point that solves nothing, a branch with
+    no goal, a target with no selected upper), the instance calls it, so
+    it raises the same exception.
 
     The rows realize ``npls_sources``, ``npls_targets`` and
     ``npls_neighbor_rel`` without calling them per pair.  One pass from
@@ -516,6 +592,7 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     n = ctx.n_nodes
     root = n - 1
     is_ef, true_lit, true_goal, low = ctx.is_ef, ctx.true_lit, ctx.true_goal, ctx.low
+    members, principal, goal = ctx.members, ctx.principal_id, ctx.goal
     cost_of = [ctx.d_max - len(p) if ef else 0 for p, ef in zip(paths, is_ef)]
 
     # Parents come after their children in post-order, so a descending
@@ -542,15 +619,13 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
         if is_ef[i]:
             owned.setdefault(owner[i], []).append(i)
         elif true_goal[i]:
-            goals_of.setdefault(ctx.principal(paths[i]), []).append(i)
+            goals_of.setdefault(principal[i], []).append(i)
 
     def row(s: int) -> dict[int, list[int]] | None:
         if s not in source_ids:
             return None
         # Each rule is listed once: under its owner, or under its principal.
-        ts = sorted(
-            chain(owned.get(s, ()), *(goals_of.get(f, ()) for f in ctx._seq_members[paths[s]]))
-        )
+        ts = sorted(chain(owned.get(s, ()), *(goals_of.get(f, ()) for f in members[s])))
         # The exists-forall targets in low[y]..y-1 are y's descendants;
         # sorting two ascending runs merges them in linear time.
         plain = [t for t in ts if not is_ef[t]]
@@ -563,17 +638,37 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
         }
 
     def gen_source(s: int, y: int) -> int:
-        return kb[npls_gen_source(ctx, paths[s], paths[y])]
+        if not is_ef[y]:
+            return s
+        kappa = ctx.selected_upper(y)
+        if kappa is None:
+            return kb[npls_gen_source(ctx, paths[s], paths[y])]
+        return kappa
 
     def extract(s: int, y: int, z: int) -> int:
+        if not is_ef[y]:
+            return y
+        kappa = ctx.selected_upper(y) if true_goal[z] else None
+        if kappa is not None:
+            f = principal[z]
+            if f in members[ctx.parent[kappa]]:
+                return z
+            if f == ctx.added_id[kappa]:
+                got = goal[ctx.child(y, ctx.witness[z])]
+                if got is not None:
+                    return got
         return kb[npls_extract(ctx, paths[s], paths[y], paths[z])]
+
+    def initial_target(s: int) -> int:
+        got = goal[s]
+        return kb[rightmost_goal(ctx, paths[s])] if got is None else got
 
     return NplsInstance(
         d=max((n - 1).bit_length(), 1),
         sources=lambda: list(sources),
         row=row,
         initial_source=lambda: root,
-        initial_target=lambda s: kb[rightmost_goal(ctx, paths[s])],
+        initial_target=initial_target,
         cost=lambda t: cost_of[t],
         gen_source=gen_source,
         extract=extract,

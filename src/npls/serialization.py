@@ -70,6 +70,7 @@ from .derivation import (
 from .errors import FormatError
 from .nested_graph import CostedDigraph, DigraphTable, FamilyTable, NestedGraphFamily, family_table
 from .terms import (
+    MAX_TERM_DEPTH,
     OPS,
     ExistsForall,
     ExistsLit,
@@ -77,6 +78,7 @@ from .terms import (
     LitFormula,
     Literal,
     Term,
+    nests_too_deep,
     num,
     var,
 )
@@ -166,25 +168,6 @@ def term_to_json(t: Term) -> Any:
     if t.op == "var":
         return {"var": t.name}
     return {"op": t.op, "args": [term_to_json(a) for a in t.args]}
-
-
-# Validation, evaluation and hashing all recurse on a term's nesting, so
-# a term whose operations nest deeper than this is malformed input.
-MAX_TERM_DEPTH = 256
-
-
-def _nests_too_deep(terms: tuple[Term, ...]) -> bool:
-    """Whether any of ``terms`` nests more than ``MAX_TERM_DEPTH`` operations.
-
-    It steps down one level at a time, each distinct object once per
-    level, so it recurses nowhere and a shared subterm is not copied.
-    """
-    level: Any = terms
-    for _ in range(MAX_TERM_DEPTH + 1):
-        level = {id(a): a for t in level for a in t.args}.values()
-        if not level:
-            return False
-    return True
 
 
 def term_from_json(obj: Any, where: Where = "term") -> Term:
@@ -410,7 +393,7 @@ def _following(paths: list[tuple[int, ...]]):
         key = (kind, id(principal), id(witness), n)
         if key not in built:
             f = added_formula(rule, principal, n)
-            if witness is not None and f is not None and _nests_too_deep((f.lit.lhs, f.lit.rhs)):
+            if witness is not None and f is not None and nests_too_deep((f.lit.lhs, f.lit.rhs)):
                 raise ValueError(f"term nests more than {MAX_TERM_DEPTH} operations")
             built[key] = f
         f = built[key]

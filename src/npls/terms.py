@@ -37,6 +37,10 @@ _ARITY = {
 
 OPS = frozenset(_ARITY) - {"num", "var"}
 
+# Validation, evaluation and hashing all recurse on a term's nesting, so
+# a term whose operations nest deeper than this is malformed input.
+MAX_TERM_DEPTH = 256
+
 
 @dataclass(frozen=True)
 class Term:
@@ -101,6 +105,20 @@ def free_vars(t: Term) -> frozenset[str]:
     for a in t.args:
         out |= free_vars(a)
     return out
+
+
+def nests_too_deep(terms: tuple[Term, ...]) -> bool:
+    """Whether any of ``terms`` nests more than ``MAX_TERM_DEPTH`` operations.
+
+    It steps down one level at a time, each distinct object once per
+    level, so it recurses nowhere and a shared subterm is not copied.
+    """
+    level = terms
+    for _ in range(MAX_TERM_DEPTH + 1):
+        level = {id(a): a for t in level for a in t.args}.values()
+        if not level:
+            return False
+    return True
 
 
 def substitute_term(t: Term, env: Mapping[str, Term]) -> Term:

@@ -877,6 +877,66 @@ def test_an_omitted_sequent_that_does_not_follow_exits_two(tmp_path, capsys, edi
         assert (captured.out, captured.err) == ("", f"error: {message}\n"), command
 
 
+def _deep_witness_document(body_lhs, leaf_sequent=None):
+    """A root whose existential rule puts a 256-deep witness into ``body_lhs`` = 0.
+
+    The leaf states ``leaf_sequent`` when one is given and closes on its
+    formula 1.
+    """
+    body = {"neg": False, "lhs": body_lhs, "rhs": {"num": 0}}
+    leaf = {"path": [0], "rule": {"tag": "initial", "index": 1}}
+    if leaf_sequent is not None:
+        leaf["sequent"] = leaf_sequent
+    root = {
+        "path": [],
+        "rule": {"tag": "exists", "principal": 0, "witness": _div2s({"num": 0}, 256)},
+        "sequent": [{"ex": {"v": "v", "bound": {"num": 1}, "body": body}}],
+    }
+    return {"end_x": 0, "nodes": [root, leaf]}
+
+
+def _run_each(tmp_path, capsys, doc, commands=("validate", "extract")):
+    path = tmp_path / "d.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    got = {}
+    for command in commands:
+        for fmt in ("text", "machine"):
+            code = main([command, str(path), "--format", fmt])
+            got[command, fmt] = (code, *capsys.readouterr())
+    return got
+
+
+def test_a_stated_instance_with_an_equal_deep_witness_runs_as_its_compact_form(
+    tmp_path, capsys
+):
+    # The leaf states the instance with its own copy of the witness:
+    # equal to the rule's, 256 operations deep, and a distinct object.
+    # Comparing the two with dataclass == passes the recursion limit.
+    compact = _deep_witness_document({"var": "v"})
+    instance = {"neg": False, "lhs": _div2s({"num": 0}, 256), "rhs": {"num": 0}}
+    full = _deep_witness_document({"var": "v"}, [compact["nodes"][0]["sequent"][0], instance])
+    want = _run_each(tmp_path, capsys, compact)
+    assert want["validate", "text"][:2] == (0, "ok mode=pls\n")
+    assert want["extract", "text"][0] == 0
+    assert _run_each(tmp_path, capsys, full) == want
+
+
+def test_a_built_instance_past_the_depth_cap_is_a_validation_issue(tmp_path, capsys):
+    # A 256-deep body variable and a 256-deep witness make a 512-deep
+    # instance; the leaf states another sequent, so validation builds it.
+    lhs = _div2s({"var": "v"}, 256)
+    root = _deep_witness_document(lhs)["nodes"][0]
+    zero = {"neg": False, "lhs": {"num": 0}, "rhs": {"num": 0}}
+    doc = _deep_witness_document(lhs, [root["sequent"][0], zero])
+    got = _run_each(tmp_path, capsys, doc)
+    issue = "(0): added formula nests more than 256 operations"
+    assert got["validate", "text"] == (1, f"{issue}\n", "")
+    assert got["extract", "text"] == (1, "", f"error: ValidationFailed: derivation is invalid: {issue}\n")
+    for command in ("validate", "extract"):
+        assert "Traceback" not in got[command, "machine"][2], command
+        assert got[command, "machine"][0] == 1, command
+
+
 # Values that do not evaluate, and inputs that never reach validation.
 
 # Its value would be 2**(9*9), past the 64-bit cap.

@@ -268,7 +268,6 @@ def test_the_added_formula_need_not_come_last():
     assert report.ok
     table = report.table
     assert table.added[(1, 0)] == table.sequent[(1, 0)][0]
-    assert table.multiset[(1, 0)] == sorted(table.sequent[(1, 0)])
     assert table.members[(1, 0)] == set(table.sequent[(1, 0)])
 
 
@@ -670,6 +669,60 @@ def test_validation_builds_no_cut_instance_and_normalizes_each_quantified_object
     assert all(objects.get(id(f)) is f for f in quantified)
 
 
+def _full_checks(monkeypatch, d, mode):
+    """The children that ``validate`` hands to ``_check_child``, and its report."""
+    import npls.derivation as derivation
+
+    children = []
+    real = derivation._check_child
+
+    def check_child(table, child, *args):
+        children.append(child)
+        return real(table, child, *args)
+
+    monkeypatch.setattr(derivation, "_check_child", check_child)
+    return children, validate(d, mode)
+
+
+def test_only_a_child_that_is_not_derived_takes_the_full_check(monkeypatch):
+    from test_cli_golden import _broken_upper_d2
+
+    for d in (expand_template(t_d3(), 50), random_sigma2_derivation(20)):
+        children, report = _full_checks(monkeypatch, d, MODE_NPLS)
+        assert report.ok
+        assert children == []
+    # D2's upper (1,0) adds 1+1 = 2 in place of the instance 2 = 1+1.
+    broken = derivation_from_json(_broken_upper_d2())
+    mismatch = "(1,0): upper sequent mismatch: missing 1 formula(s), 1 unexpected formula(s)"
+    for mode, lines in (
+        (MODE_PLS, [mismatch]),
+        (MODE_NPLS, ["(): npls cuts must be on exists-forall formulas", mismatch]),
+    ):
+        children, report = _full_checks(monkeypatch, broken, mode)
+        assert children == [(1, 0)], mode
+        assert report.lines() == lines, mode
+
+
+def test_a_derived_child_repeats_its_parents_class_flags(monkeypatch):
+    # In pls mode the root's exists-forall formula exceeds the class at
+    # index 0; the derived child states it again and adds a literal.
+    ef = ExistsForall("z", num(1), "y", num(1), Literal(False, var("z"), var("y")))
+    ex = ExistsLit("y", num(1), Literal(False, var("y"), num(0)))
+    d = Derivation(
+        0,
+        {
+            (): ProofNode((ef, ex), ExistsRule(1, num(0))),
+            (0,): ProofNode((ef, ex, LitFormula(Literal(False, num(0), num(0)))), InitialRule(2)),
+        },
+    )
+    children, report = _full_checks(monkeypatch, d, MODE_PLS)
+    assert children == []
+    assert report.lines() == [
+        "(): formula 0 exceeds the pls quantifier class",
+        "(0): formula 0 exceeds the pls quantifier class",
+    ]
+
+
 def test_a_huge_inner_bound_is_refused_by_the_child_count(monkeypatch):
     import npls.derivation as derivation
 
@@ -895,7 +948,13 @@ def _added_cases(draw, case):
         bound1, bound2 = draw(_match_bounds), draw(_match_bounds)
         f = ExistsForall(var1, bound1, var2, bound2, draw(_match_literals))
     witness = None if case.startswith("cut") else draw(_match_terms)
-    n = 0 if case == "existential" else draw(st.integers(0, 3))
+    if case == "existential":
+        n = 0
+    elif case.startswith("cut"):
+        # None is the cut's final upper, which adds f itself.
+        n = draw(st.none() | st.integers(0, 3))
+    else:
+        n = draw(st.integers(0, 3))
     return f, witness, n
 
 

@@ -8,6 +8,7 @@ from npls.corpus import (
     d3,
     random_sigma1_derivation,
     random_sigma2_derivation,
+    t_d2,
     t_d3,
 )
 from npls.derivation import Derivation, InitialRule, ProofNode, substitute_numeral, validate
@@ -421,3 +422,49 @@ def test_build_npls_tables_match_the_path_level_definitions():
                 for y in targets
             ]
             assert list(tabulated.items()) == want, (name, row)
+
+
+def _same_answer(name, got, want):
+    """Call both; they return the same id, or raise the same type and message."""
+    try:
+        expected = want()
+    except Exception as exc:  # noqa: BLE001 - the path-level error is the expectation
+        with pytest.raises(type(exc)) as raised:
+            got()
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc), name
+    else:
+        assert got() == expected, name
+
+
+def test_id_level_answers_match_the_path_level_definitions():
+    # The tabulation cases include Sigma2 seeds 0-59.
+    for name, d in _tabulation_cases():
+        ctx = ExtractionContext(d, "npls")
+        inst = build_npls(ctx)
+        kb, paths = ctx.kb, ctx.path_of
+        ids = range(ctx.n_nodes)
+        # Every node, so that branches without a goal are asked too.
+        for s in ids:
+            _same_answer(
+                (name, s), lambda: inst.initial_target(s), lambda: kb[rightmost_goal(ctx, paths[s])]
+            )
+        for s in inst.sources():
+            for y, zs in inst.row(s).items():
+                if y in zs:
+                    continue
+                case = (name, paths[s], paths[y])
+                assert inst.gen_source(s, y) == kb[npls_gen_source(ctx, paths[s], paths[y])], case
+                for z in ids:
+                    _same_answer(
+                        (*case, paths[z]),
+                        lambda: inst.extract(s, y, z),
+                        lambda: kb[npls_extract(ctx, paths[s], paths[y], paths[z])],
+                    )
+    pls_cases = [(f.__name__, f()) for f in (d1, d2)]
+    pls_cases += [(f"T-D2 x={x}", substitute_numeral(t_d2(), x)) for x in range(8)]
+    pls_cases += [(f"sigma1 seed={seed}", random_sigma1_derivation(seed)) for seed in range(30)]
+    for name, d in pls_cases:
+        ctx = ExtractionContext(d, "pls")
+        row = build_pls(ctx).row(ctx.n_nodes - 1)
+        for s, step in row.items():
+            assert step == [ctx.kb[pls_neighbor(ctx, ctx.path_of[s])]], (name, s)
