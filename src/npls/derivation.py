@@ -26,6 +26,7 @@ The traversal order used as both cost and rank downstream is the
 post-order index: children before their parent, in increasing index
 order.  A node's index is smaller than another's exactly when its path
 properly extends the other or is smaller at the first differing entry.
+Validation numbers the nodes once, and keeps its node facts by index.
 """
 
 from __future__ import annotations
@@ -224,20 +225,20 @@ class ValidationIssue:
 
 
 class FormulaTable:
-    """One small int per distinct normalized formula of one derivation.
+    """One small int per distinct normalized formula, and validation's node facts.
 
     Ids are handed out in order of first sight, so two formulas get the
-    same id exactly when ``formulas_equal`` holds.  ``sequent`` maps a
-    node to its sequent as ids in sequent order and ``members`` to the
-    set of those ids, for membership probes; ``added`` maps each child
-    that validation checked to the id of the formula it adds over its
-    parent; a derived child's ``sequent`` and ``members`` are its
-    parent's plus that id.  ``children`` maps each node validation
-    reached to its child count, ``witness`` and ``principal`` each
-    existential or exists-forall rule whose witness and bound evaluate
-    to its witness value and to its principal's id, and ``truth`` the id
-    of each initial literal that evaluates, to its truth.  The ids
-    belong to this table alone and die with it.
+    same id exactly when ``formulas_equal`` holds.  Nodes are numbered
+    by ``postorder_index``: ``kb`` maps a path to its node id, ``paths``
+    lists the paths by id, and ``parent`` holds each parent's id, the
+    root being its own.  By node id, ``children`` holds each child
+    count, ``members`` each sequent's set of formula ids, for membership
+    probes, ``added`` the id of the formula each child adds over its
+    parent, and ``witness`` and ``principal`` each existential or
+    exists-forall rule's witness value and principal id; an entry
+    validation did not reach is None.  ``truth`` maps the id of each
+    initial literal that evaluates to its truth.  The ids belong to this
+    table alone and die with it.
 
     Decoded and expanded derivations share one object per distinct
     formula, so ``intern`` looks a formula up by identity first: each
@@ -245,17 +246,20 @@ class FormulaTable:
     occurs.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, kb: dict[NodePath, int]) -> None:
         self._ids: dict[Formula, int] = {}
         # id(f) -> (f, formula id); holding f keeps its id(f) from being
         # reused by another object while the table lives.
         self._by_object: dict[int, tuple[Formula, int]] = {}
-        self.sequent: dict[NodePath, tuple[int, ...]] = {}
-        self.members: dict[NodePath, frozenset[int]] = {}
-        self.added: dict[NodePath, int] = {}
-        self.children: dict[NodePath, int] = {}
-        self.witness: dict[NodePath, int] = {}
-        self.principal: dict[NodePath, int] = {}
+        self.kb = kb
+        self.paths = paths = list(kb)
+        n = len(paths)
+        self.parent = [kb[p[:-1]] for p in paths[:-1]] + [n - 1]
+        self.children: list[int | None] = [None] * n
+        self.members: list[frozenset[int] | None] = [None] * n
+        self.added: list[int | None] = [None] * n
+        self.witness: list[int | None] = [None] * n
+        self.principal: list[int | None] = [None] * n
         self.truth: dict[int, bool] = {}
 
     def intern(self, f: Formula) -> int:
@@ -270,23 +274,21 @@ class FormulaTable:
         """The normal form of every formula, indexed by id."""
         return list(self._ids)
 
-    def record(self, path: NodePath, sequent: tuple[Formula, ...]) -> tuple[int, ...]:
-        """Intern a node's sequent, once per node, and return its ids."""
-        got = self.sequent.get(path)
-        if got is None:
-            got = self.sequent[path] = tuple([self.intern(f) for f in sequent])
-            self.members[path] = frozenset(got)
-        return got
+    def record(self, i: int, sequent: tuple[Formula, ...]) -> list[int]:
+        """Intern node ``i``'s sequent, keep its id set, and return its ids."""
+        ids = [self.intern(f) for f in sequent]
+        self.members[i] = frozenset(ids)
+        return ids
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     """Issues found by ``validate``, with the formula table it built.
 
-    On a report that is ``ok`` the table holds every node's sequent and
-    child count, every child's added formula, every existential and
-    exists-forall rule's witness value and every initial literal's
-    truth; it takes no part in comparison or repr.
+    The table is None when the tree's shape is refused.  On a report
+    that is ``ok`` it holds every field for every node, by post-order
+    id, and every initial literal's truth; it takes no part in
+    comparison or repr.
     """
 
     mode: str
@@ -310,7 +312,9 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     lists one issue per offending node; an empty report means the
     derivation is sound at its substituted value.
 
-    One pass in path order fills the report's ``FormulaTable``, each
+    Once the tree's shape passes, ``postorder_index`` numbers the nodes,
+    the one numbering every later stage reads, and one pass in path
+    order fills the report's ``FormulaTable`` by those ids, each
     distinct formula object normalized once.  The formula a child adds
     is matched in place against the last formula of its upper sequent,
     which is then interned as it stands; the added formula is built by
@@ -320,8 +324,8 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
 
     A child is derived when its upper sequent is its lower sequent,
     object for object, followed by one formula that interns to the id
-    the rule adds.  Its ids and id set are then its parent's plus that
-    id, and at its own turn only its new formula takes the class and
+    the rule adds.  Its id set is then its parent's plus that id, and at
+    its own turn only its new formula takes the class and
     free-variable checks, the parent's class flags being repeated in
     index order.  Every other child takes the full check,
     ``_check_child``: its sequent is interned and its sorted ids are
@@ -348,7 +352,6 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
         raise ValueError(f"unknown mode {mode!r}")
     max_class = _MODE_CLASS[mode]
     issues: list[ValidationIssue] = []
-    table = FormulaTable()
 
     def flag(path: NodePath, message: str) -> None:
         issues.append(ValidationIssue(path, message))
@@ -368,6 +371,8 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             flag(p, f"child indices {sorted(indices)} are not contiguous from 0")
     if issues:
         return ValidationReport(mode, tuple(issues))
+    table = FormulaTable(postorder_index(d.nodes))
+    kb, members = table.kb, table.members
 
     def value(t: Term) -> int | None:
         try:
@@ -383,23 +388,24 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     # (rule kind, id(principal), id(witness)) -> _RuleFacts; ``d`` holds
     # both objects too, and a cut's witness is None.
     rule_facts: dict[tuple[type, int, int], _RuleFacts] = {}
-    # Derived child -> the indices of its parent's formulas that exceed
-    # the class; the parent's other formulas are closed.
-    derived: dict[NodePath, tuple[int, ...]] = {}
+    # Derived child's id -> the indices of its parent's formulas that
+    # exceed the class; the parent's other formulas are closed.
+    derived: dict[int, tuple[int, ...]] = {}
 
     for path in d.paths():
+        i = kb[path]
         node = d.nodes[path]
         sequent = node.sequent
-        high = derived.pop(path, None)
+        high = derived.pop(i, None)
         if high is None:
             high, start = (), 0
         else:
-            for i in high:
-                flag(path, f"formula {i} exceeds the {mode} quantifier class")
+            for k in high:
+                flag(path, f"formula {k} exceeds the {mode} quantifier class")
             start = len(sequent) - 1
         is_open = False
-        for i in range(start, len(sequent)):
-            f = sequent[i]
+        for k in range(start, len(sequent)):
+            f = sequent[k]
             check = checked.get(id(f))
             if check is None:
                 check = checked[id(f)] = (
@@ -408,16 +414,17 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
                 )
             too_high, extra = check
             if too_high:
-                flag(path, f"formula {i} exceeds the {mode} quantifier class")
-                high = (*high, i)
+                flag(path, f"formula {k} exceeds the {mode} quantifier class")
+                high = (*high, k)
             if extra:
-                flag(path, f"formula {i} has free variables {extra}")
+                flag(path, f"formula {k} has free variables {extra}")
                 is_open = True
         if is_open:
             continue
-        count = table.children[path] = len(order[path])
+        count = table.children[i] = len(order[path])
         rule = node.rule
-        ids = table.record(path, sequent)
+        if members[i] is None:
+            table.record(i, sequent)
 
         if isinstance(rule, InitialRule):
             if count != 0:
@@ -461,8 +468,8 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             flag(path, facts.stop.format(index=index))
             continue
         if witness is not None:
-            table.witness[path] = facts.witness
-            table.principal[path] = ids[index]
+            table.witness[i] = facts.witness
+            table.principal[i] = table.intern(principal)
         if facts.above is not None:
             flag(path, facts.above)
         if facts.inner is None:
@@ -474,10 +481,10 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
         # The added formulas' ids are interned at the first node that
         # gets this far, in child order.
         added_ids = facts.added_ids
-        members = table.members[path]
         base = None
         for n in range(count):
             child = path + (n,)
+            c = kb[child]
             upper = d.nodes[child].sequent
             if n == len(added_ids):
                 at = None if n == facts.final else n
@@ -485,18 +492,18 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             added = added_ids[n]
             if added is None:
                 flag(child, f"added formula nests more than {MAX_TERM_DEPTH} operations")
-            elif (
+                continue
+            table.added[c] = added
+            if (
                 len(upper) == len(sequent) + 1
                 and all(map(is_, upper, sequent))
                 and table.intern(upper[-1]) == added
             ):
-                table.added[child] = added
-                table.sequent[child] = (*ids, added)
-                table.members[child] = members | {added}
-                derived[child] = high
+                members[c] = members[i] | {added}
+                derived[c] = high
             else:
                 if base is None:
-                    base = sorted(ids)
+                    base = sorted(map(table.intern, sequent))
                 _check_child(table, child, upper, base, added, flag)
 
     return ValidationReport(mode, tuple(issues), table)
@@ -607,7 +614,7 @@ def _is_added(u: Formula, f: Formula, witness: Term | None, n: int | None) -> bo
     compared by ``_term_is``, never by ``==``.
     """
     if n is None:
-        return u is f or _formula_is(u, f)
+        return formula_is(u, f)
     if isinstance(f, ExistsLit):
         env = {f.var: n if witness is None else witness}
         return u.__class__ is LitFormula and _literal_is(u.lit, f.body, witness is None, env)
@@ -624,8 +631,12 @@ def _is_added(u: Formula, f: Formula, witness: Term | None, n: int | None) -> bo
     )
 
 
-def _formula_is(u: Formula, f: Formula) -> bool:
-    """Whether ``u == f`` for a quantified ``f``, comparing terms by ``_term_is``."""
+def formula_is(u: Formula, f: Formula) -> bool:
+    """Whether ``u == f``, comparing terms by ``_term_is``, one frame per level."""
+    if u is f:
+        return True
+    if isinstance(f, LitFormula):
+        return u.__class__ is LitFormula and _literal_is(u.lit, f.lit, False, _NO_ENV)
     if isinstance(f, ExistsLit):
         return (
             u.__class__ is ExistsLit
@@ -697,10 +708,9 @@ def _check_child(
     ``base`` is the lower sequent's sorted ids and ``added_id`` the id
     of the added formula.
     """
-    table.added[child] = added_id
     want = base.copy()
     insort(want, added_id)
-    got = sorted(table.record(child, upper))
+    got = sorted(table.record(table.kb[child], upper))
     if got != want:
         missing = Counter(want) - Counter(got)
         surplus = Counter(got) - Counter(want)

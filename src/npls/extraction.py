@@ -49,7 +49,6 @@ from .derivation import (
     ExistsRule,
     NodePath,
     format_path,
-    postorder_index,
     validate,
 )
 from .errors import GoalNotFound, ModeError, NotASolution, ValidationFailed
@@ -96,31 +95,26 @@ class ExtractionContext:
     the wrong shape, a cut the mode does not admit), so the mode walk
     runs only on refusal.
 
-    Validation's ``FormulaTable`` supplies, by node path: ``_seq_ids``
-    each sequent as formula ids in sequent order, ``_seq_members`` the
-    set of those ids, ``_added`` the id each child adds, ``_children``
-    each child count and ``_witness`` each quantifier rule's witness
-    value; and by formula id each initial literal's truth.  Nothing is
-    normalized, and no witness or initial literal evaluated, again.
-    The path-level definitions below read these dicts.
+    The context reads validation's ``FormulaTable`` as it stands, by
+    post-order id: ``kb`` maps a path to its id and ``path_of`` back,
+    and ``parent``, ``children``, ``members`` (each sequent's id set),
+    ``added_id`` (the id each child adds), ``witness`` and
+    ``principal_id`` are the table's lists under these names.  No
+    formula is normalized, and no witness or initial literal evaluated,
+    again.  The path-level definitions below convert a path with ``kb``
+    where they need a fact.
 
-    The compilers read lists by post-order id (``kb`` maps a path to
-    its id, ``path_of`` back).  Copied from the table: ``members``, each
-    sequent's id set, ``added_id``, the id each child adds (None at the
-    root), ``witness``, each quantifier rule's witness value, and
-    ``principal_id``, the formula id of each quantifier rule's principal
-    (None elsewhere).  Derived here: ``parent`` (the root is its own),
-    ``is_ef`` for exists-forall rules, ``left_upper`` for the
-    value-indexed cut uppers (all but a cut's last), ``low``, the
-    smallest id in the node's subtree, which is exactly ``low[i]..i``,
-    ``true_lit`` for sequents holding a true literal, ``true_goal`` for
-    existential rules whose witnessing instance holds, and ``goal``,
-    each node's ``rightmost_goal`` (None where there is none).  A
-    child's sequent is its parent's plus the formula it adds, so it
-    holds a true literal exactly when its parent does or that formula is
-    one; each distinct literal that validation did not evaluate is
-    evaluated once.  ``d_max`` exceeds the deepest node by one, so
-    exists-forall targets always cost at least one.
+    Derived here, by id: ``is_ef`` for exists-forall rules,
+    ``left_upper`` for the value-indexed cut uppers (all but a cut's
+    last), ``low``, the smallest id in the node's subtree, which is
+    exactly ``low[i]..i``, ``true_lit`` for sequents holding a true
+    literal, ``true_goal`` for existential rules whose witnessing
+    instance holds, and ``goal``, each node's ``rightmost_goal`` (None
+    where there is none).  A child's sequent is its parent's plus the
+    formula it adds, so it holds a true literal exactly when its parent
+    does or that formula is one; each distinct literal that validation
+    did not evaluate is evaluated once.  ``d_max`` exceeds the deepest
+    node by one, so exists-forall targets always cost at least one.
     """
 
     def __init__(self, derivation: Derivation, mode: str):
@@ -143,28 +137,23 @@ class ExtractionContext:
             )
         self.end_formula: ExistsLit = root[0]
         table = report.table
-        self._seq_ids = table.sequent
-        self._seq_members = table.members
-        self._added = added = table.added
-        self._children = table.children
-        self._witness = table.witness
-        self.end_id = table.sequent[()][0]
-
-        self.kb = kb = postorder_index(derivation.nodes.keys())
-        self.path_of = paths = list(kb)
+        self.end_id = table.intern(root[0])
+        self.kb = table.kb
+        self.path_of = paths = table.paths
+        self.parent = parent = table.parent
+        self.children = table.children
+        self.members = table.members
+        self.added_id = added_id = table.added
+        self.witness = table.witness
+        self.principal_id = table.principal
         self.n_nodes = n = len(paths)
         self.d_max = derivation.depth() + 1
         rules = [derivation.nodes[p].rule for p in paths]
         self.is_ef = is_ef = [isinstance(r, ExistsForallRule) for r in rules]
-        self.members = list(map(table.members.__getitem__, paths))
-        self.added_id = added_id = list(map(added.get, paths))
-        self.witness = list(map(self._witness.get, paths))
-        self.principal_id = list(map(table.principal.get, paths))
         # Node id -> its children's ids, and -> the result of
         # ``selected_upper``, each filled in on first need.
         self._kids: dict[int, list[int]] = {}
         self._selected: dict[int, int | None] = {}
-        self.parent = parent = [kb[p[:-1]] for p in paths]
         self.left_upper = left_upper = [False] * n
         self.low = low = list(range(n))
         # Children come before their parent in post-order, and the root
@@ -251,14 +240,11 @@ class ExtractionContext:
         return self.principal_id[self.kb[path]]
 
     def witness_value(self, path: NodePath) -> int:
-        return self._witness[path]
+        return self.witness[self.kb[path]]
 
     def is_left_upper(self, path: NodePath) -> bool:
         """True on the value-indexed uppers of a cut (all but the last)."""
         return self.left_upper[self.kb[path]]
-
-    def child_count(self, path: NodePath) -> int:
-        return self._children[path]
 
     # Node facts by id
 
@@ -319,7 +305,7 @@ def rightmost_goal(ctx: ExtractionContext, path: NodePath) -> NodePath:
             return current
         if ctx.is_exists_forall(current):
             return current
-        count = ctx.child_count(current)
+        count = ctx.children[ctx.kb[current]]
         if count == 0:
             raise GoalNotFound(
                 f"no witnessing rule on the rightmost branch above {format_path(path)}"
@@ -331,11 +317,12 @@ def _entry_point(ctx: ExtractionContext, path: NodePath, formula: int) -> NodePa
     """Shortest prefix of ``path`` whose sequent contains the formula.
 
     ``formula`` is an id of the context's formula table, and each prefix
-    is probed in its id set ``ctx._seq_members``.  The one caller passes
-    a goal's own principal, which lies in the goal's own sequent, so
-    some prefix always contains it.
+    is probed in its id set ``ctx.members``.  The one caller passes a
+    goal's own principal, which lies in the goal's own sequent, so some
+    prefix always contains it.
     """
-    return next(path[:k] for k in range(len(path) + 1) if formula in ctx._seq_members[path[:k]])
+    members, kb = ctx.members, ctx.kb
+    return next(path[:k] for k in range(len(path) + 1) if formula in members[kb[path[:k]]])
 
 
 def _selected_upper(ctx: ExtractionContext, tau: NodePath) -> NodePath | None:
@@ -379,8 +366,9 @@ def build_pls(ctx: ExtractionContext) -> NplsInstance:
     value-indexed cut uppers whose sequents contain no true literal.
     Each target lists its ``pls_neighbor``, which is itself exactly on
     the solutions.  The step is read off the context's ``goal`` and
-    ``selected_upper`` by id; a point with no goal asks ``pls_neighbor``,
-    which raises.
+    ``selected_upper`` by id: a feasible point holds no true literal, so
+    its rightmost branch, which ends in a true initial literal, reaches
+    the goal that introduced it.
     """
     if ctx.mode != MODE_PLS:
         raise ModeError("build_pls needs a pls-mode context")
@@ -388,10 +376,7 @@ def build_pls(ctx: ExtractionContext) -> NplsInstance:
     root = ctx.n_nodes - 1
 
     def step(s: int) -> int:
-        tau = goal[s]
-        if tau is None:
-            return ctx.kb[pls_neighbor(ctx, ctx.path_of[s])]
-        kappa = ctx.selected_upper(tau)
+        kappa = ctx.selected_upper(goal[s])
         return s if kappa is None else kappa
 
     # The root comes last in post-order and is no cut upper.
@@ -484,7 +469,7 @@ def npls_targets(ctx: ExtractionContext, sigma: NodePath, tau: NodePath) -> bool
             and _no_left_upper_between(ctx, sigma, tau)
         )
     if ctx.has_true_goal(tau):
-        return ctx.principal(tau) in ctx._seq_members[sigma]
+        return ctx.principal(tau) in ctx.members[ctx.kb[sigma]]
     return False
 
 
@@ -548,10 +533,10 @@ def npls_extract(
         raise NotASolution(f"node {format_path(rho)} does not solve its row")
     kappa = npls_gen_source(ctx, sigma, tau)
     rho_principal = ctx.principal(rho)
-    if rho_principal in ctx._seq_members[kappa[:-1]]:
+    if rho_principal in ctx.members[ctx.kb[kappa[:-1]]]:
         return rho
     # kappa, the row's cut upper, adds the negated cut instance.
-    if rho_principal != ctx._added[kappa]:
+    if rho_principal != ctx.added_id[ctx.kb[kappa]]:
         raise NotASolution(
             f"solution at {format_path(rho)} witnesses neither the row's cut "
             "instance nor an inherited formula"
@@ -571,8 +556,10 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     answer from the same lists and the context's ``selected_upper``, and
     realize ``npls_gen_source``, ``npls_extract`` and ``rightmost_goal``.
     Where one of those raises (a point that solves nothing, a branch with
-    no goal, a target with no selected upper), the instance calls it, so
-    it raises the same exception.
+    no goal), the instance calls it, so it raises the same exception.
+    An exists-forall target always has a selected upper: validation
+    admits it only with a principal that entered its branch at a cut's
+    final upper.
 
     The rows realize ``npls_sources``, ``npls_targets`` and
     ``npls_neighbor_rel`` without calling them per pair.  One pass from
@@ -638,12 +625,7 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
         }
 
     def gen_source(s: int, y: int) -> int:
-        if not is_ef[y]:
-            return s
-        kappa = ctx.selected_upper(y)
-        if kappa is None:
-            return kb[npls_gen_source(ctx, paths[s], paths[y])]
-        return kappa
+        return ctx.selected_upper(y) if is_ef[y] else s
 
     def extract(s: int, y: int, z: int) -> int:
         if not is_ef[y]:

@@ -12,8 +12,8 @@ the root's sequent and may leave out any other node's ``sequent``: an
 omitted sequent is the parent's sequent followed by the formula that
 the parent's rule adds at the node's index (``added_formula``), a cut's
 last present child adding the cut formula itself.
-``derivation_to_json`` leaves out exactly the sequents that follow, by
-``==``; a sequent that does not follow can only be stated.  An omitted
+``derivation_to_json`` leaves out exactly the sequents that follow; a
+sequent that does not follow can only be stated.  An omitted
 sequent that does not follow, or whose added formula nests past the
 term depth cap, fails with a FormatError naming its node.
 
@@ -66,6 +66,7 @@ from .derivation import (
     Rule,
     TemplateNode,
     added_formula,
+    formula_is,
 )
 from .errors import FormatError
 from .nested_graph import CostedDigraph, DigraphTable, FamilyTable, NestedGraphFamily, family_table
@@ -405,13 +406,17 @@ def _following(paths: list[tuple[int, ...]]):
 def derivation_to_json(d: Derivation) -> Any:
     """Encode a derivation, stating only the sequents that do not follow from the rules.
 
-    A non-root node's ``sequent`` is left out when it equals, by ``==``,
-    its parent's sequent followed by the formula that the parent's rule
+    A non-root node's ``sequent`` is left out when it equals its
+    parent's sequent followed by the formula that the parent's rule
     adds at the node's index (``added_formula``); a cut's last present
     child adds the cut formula.  The root, and every node whose sequent
     does not follow, state theirs, so ``derivation_from_json`` gives
     back an equal derivation, a broken one included.  So does a node
     whose parent's rule adds a formula too deep to decode.
+
+    Formulas are compared by ``formula_is``, one frame per term level:
+    dataclass ``==`` on two equal deep terms passes the recursion limit
+    within the depth cap.
     """
     paths = sorted(d.nodes)
     upper = _following(paths)
@@ -421,11 +426,12 @@ def derivation_to_json(d: Derivation) -> Any:
         out = {"path": list(path), "rule": rule_to_json(node.rule)}
         up = d.nodes.get(path[:-1]) if path else None
         try:
-            follows = up is not None and node.sequent == upper(up.rule, up.sequent, path)
+            want = None if up is None else upper(up.rule, up.sequent, path)
         except ValueError:
-            follows = False
-        if not follows:
-            out["sequent"] = [formula_to_json(f) for f in node.sequent]
+            want = None
+        seq = node.sequent
+        if not (want and len(want) == len(seq) and all(map(formula_is, seq, want))):
+            out["sequent"] = [formula_to_json(f) for f in seq]
         nodes.append(out)
     return {"end_x": d.end_x, "nodes": nodes}
 

@@ -186,6 +186,22 @@ def test_template_commands_validate_the_expansion_once(tmp_path, monkeypatch, ca
         assert len(calls) == 1, command
 
 
+def test_commands_number_the_nodes_once(monkeypatch, capsys):
+    # Validation numbers the nodes, and extraction reads its numbering.
+    calls = []
+    real = npls.derivation.postorder_index
+
+    def counting(paths):
+        calls.append(paths)
+        return real(paths)
+
+    monkeypatch.setattr(npls.derivation, "postorder_index", counting)
+    for argv in (["validate", "T-D3", "--x", "50"], ["extract", "D3"]):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert len(calls) == 1, argv
+
+
 def test_invalid_template_expansion_lists_node_paths(tmp_path, monkeypatch, capsys):
     path = _t_d3_file(tmp_path, family_witness=1)
     calls = _counting_validate(monkeypatch)
@@ -919,6 +935,21 @@ def test_a_stated_instance_with_an_equal_deep_witness_runs_as_its_compact_form(
     assert want["validate", "text"][:2] == (0, "ok mode=pls\n")
     assert want["extract", "text"][0] == 0
     assert _run_each(tmp_path, capsys, full) == want
+
+
+def test_a_stated_deep_instance_encodes_to_its_compact_form(tmp_path, capsys):
+    # In memory, the leaf's instance is its own object, equal to the one
+    # the encoder builds from the rule's 256-deep witness; comparing the
+    # two with dataclass == passes the recursion limit.
+    compact = _deep_witness_document({"var": "v"})
+    instance = {"neg": False, "lhs": _div2s({"num": 0}, 256), "rhs": {"num": 0}}
+    full = _deep_witness_document({"var": "v"}, [compact["nodes"][0]["sequent"][0], instance])
+    d = derivation_from_json(full)
+    assert validate(d, MODE_PLS).ok
+    doc = derivation_to_json(d)
+    assert dumps(doc) == dumps(compact)
+    assert dumps(derivation_to_json(derivation_from_json(doc))) == dumps(doc)
+    assert _run_each(tmp_path, capsys, doc) == _run_each(tmp_path, capsys, compact)
 
 
 def test_a_built_instance_past_the_depth_cap_is_a_validation_issue(tmp_path, capsys):

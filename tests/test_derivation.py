@@ -267,8 +267,9 @@ def test_the_added_formula_need_not_come_last():
     report = validate(moved, MODE_PLS)
     assert report.ok
     table = report.table
-    assert table.added[(1, 0)] == table.sequent[(1, 0)][0]
-    assert table.members[(1, 0)] == set(table.sequent[(1, 0)])
+    i = table.kb[(1, 0)]
+    assert table.added[i] == table.intern(moved.sequent((1, 0))[0])
+    assert table.members[i] == set(map(table.intern, moved.sequent((1, 0))))
 
 
 def test_missing_root_and_orphans_are_flagged():
@@ -472,7 +473,7 @@ def _formula_pairs(draw):
 @given(_formula_pairs())
 def test_formula_ids_are_equal_exactly_when_the_formulas_are(pair):
     kind, skeleton, a, names_a, b, names_b = pair
-    table = FormulaTable()
+    table = FormulaTable({(): 0})
     ia, ib = table.intern(a), table.intern(b)
     assert (ia == ib) == formulas_equal(a, b)
     assert (table.intern(a), table.intern(b)) == (ia, ib)
@@ -491,7 +492,7 @@ def test_formula_ids_survive_formulas_that_are_dropped_at_once():
     def make(k):
         return LitFormula(Literal(False, num(k % 7), var("x")))
 
-    table = FormulaTable()
+    table = FormulaTable({(): 0})
     ids = [table.intern(make(k)) for k in range(2000)]
     for a in range(7):
         for b in range(7):
@@ -833,23 +834,35 @@ def _assert_validation_matches_oracle(d):
         assert (got.table is None) == (want.table is None)
         if want.table is not None:
             assert got.table.formulas() == want.table.formulas()
-            assert got.table.sequent == want.table.sequent
+            assert got.table.kb == want.table.kb
+            assert got.table.members == want.table.members
             assert got.table.added == want.table.added
             assert got.table.children == want.table.children
             assert got.table.witness == want.table.witness
+            assert got.table.principal == want.table.principal
             assert got.table.truth == want.table.truth
         if got.ok:
-            # A valid derivation's counts and values, computed from scratch.
+            # A valid derivation's numbering, counts and values, computed
+            # from scratch.
+            table = got.table
+            kb = table.kb
+            assert table.paths == list(postorder_index(d.nodes))
+            assert all(table.parent[kb[p]] == kb[p[:-1]] for p in d.nodes if p)
+            assert table.parent[kb[()]] == kb[()]
             children = {p: 0 for p in d.nodes}
             for p in d.nodes:
                 if p:
                     children[p[:-1]] += 1
-            assert got.table.children == children
-            assert got.table.witness == {
-                p: eval_term(node.rule.witness, d.end_x)
-                for p, node in d.nodes.items()
+            assert table.children == [children[p] for p in table.paths]
+            assert table.witness == [
+                eval_term(node.rule.witness, d.end_x)
                 if isinstance(node.rule, (ExistsRule, ExistsForallRule))
-            }
+                else None
+                for node in map(d.nodes.__getitem__, table.paths)
+            ]
+            assert table.members == [
+                frozenset(map(table.intern, d.nodes[p].sequent)) for p in table.paths
+            ]
 
 
 def _replace_sequents(d, edit):

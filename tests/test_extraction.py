@@ -202,9 +202,11 @@ def test_rightmost_goal():
 
 def test_entry_point_is_where_a_formula_enters_the_branch():
     ctx = _npls_ctx()
-    # Formulas are ids of the context's table, in sequent order.
-    end, cut, b00 = ctx._seq_ids[(2, 0)]
-    assert end == ctx.end_id
+    # Formulas are ids of the context's table: (2,0) adds b00 over (2,),
+    # the root cut's final upper, which adds the cut formula.
+    kb = ctx.kb
+    end, cut, b00 = ctx.end_id, ctx.added_id[kb[(2,)]], ctx.added_id[kb[(2, 0)]]
+    assert ctx.members[kb[(2, 0)]] == {end, cut, b00}
     assert _entry_point(ctx, (2, 0), b00) == (2, 0)
     assert _entry_point(ctx, (2, 0), cut) == (2,)
     assert _entry_point(ctx, (2, 0), end) == ()
@@ -378,6 +380,15 @@ def _tabulation_cases():
         yield f"sigma2 seed={seed}", random_sigma2_derivation(seed)
 
 
+def _pls_cases():
+    yield "D1", d1()
+    yield "D2", d2()
+    for x in range(8):
+        yield f"T-D2 x={x}", substitute_numeral(t_d2(), x)
+    for seed in range(30):
+        yield f"sigma1 seed={seed}", random_sigma1_derivation(seed)
+
+
 def test_validation_leaves_extraction_no_unreachable_case():
     # What extraction relies on in place of re-checking it: every
     # exists-forall rule selects a value-indexed cut upper before it in
@@ -390,17 +401,29 @@ def test_validation_leaves_extraction_no_unreachable_case():
                 kappa = _selected_upper(ctx, tau)
                 assert kappa is not None and ctx.is_left_upper(kappa), (name, tau)
                 assert ctx.kb[kappa] < ctx.kb[tau], (name, tau)
+                assert ctx.selected_upper(ctx.kb[tau]) == ctx.kb[kappa], (name, tau)
         assert ctx.has_true_goal(extract_witness_npls(ctx).solution_node), name
+    # In pls mode, the root and every feasible point have a goal on
+    # their rightmost branch, so each plain step is defined.
+    for name, d in _pls_cases():
+        ctx = ExtractionContext(d, "pls")
+        root = ctx.n_nodes - 1
+        feasible = [i for i in range(root) if ctx.left_upper[i] and not ctx.true_lit[i]]
+        for s in feasible + [root]:
+            assert ctx.goal[s] is not None, (name, ctx.path_of[s])
+            assert ctx.path_of[ctx.goal[s]] == rightmost_goal(ctx, ctx.path_of[s]), name
+        assert ctx.has_true_goal(extract_witness_pls(ctx).solution_node), name
 
 
 def test_context_id_sets_hold_each_sequent_formula():
     cases = [("T-D3 x=7", substitute_numeral(t_d3(), 7))]
     cases += [(f"sigma2 seed={seed}", random_sigma2_derivation(seed)) for seed in range(60)]
     for name, d in cases:
-        ctx = ExtractionContext(d, "npls")
-        assert ctx._seq_members.keys() == d.nodes.keys(), name
-        for path, ids in ctx._seq_members.items():
-            assert ids == set(ctx._seq_ids[path]), (name, path)
+        # The context reads validation's table as it stands.
+        table = validate(d, "npls").table
+        assert table.kb.keys() == d.nodes.keys(), name
+        for path, i in table.kb.items():
+            assert table.members[i] == set(map(table.intern, d.sequent(path))), (name, path)
 
 
 def test_build_npls_tables_match_the_path_level_definitions():
@@ -460,10 +483,7 @@ def test_id_level_answers_match_the_path_level_definitions():
                         lambda: inst.extract(s, y, z),
                         lambda: kb[npls_extract(ctx, paths[s], paths[y], paths[z])],
                     )
-    pls_cases = [(f.__name__, f()) for f in (d1, d2)]
-    pls_cases += [(f"T-D2 x={x}", substitute_numeral(t_d2(), x)) for x in range(8)]
-    pls_cases += [(f"sigma1 seed={seed}", random_sigma1_derivation(seed)) for seed in range(30)]
-    for name, d in pls_cases:
+    for name, d in _pls_cases():
         ctx = ExtractionContext(d, "pls")
         row = build_pls(ctx).row(ctx.n_nodes - 1)
         for s, step in row.items():
