@@ -231,14 +231,14 @@ class FormulaTable:
     same id exactly when ``formulas_equal`` holds.  Nodes are numbered
     by ``postorder_index``: ``kb`` maps a path to its node id, ``paths``
     lists the paths by id, and ``parent`` holds each parent's id, the
-    root being its own.  By node id, ``children`` holds each child
-    count, ``members`` each sequent's set of formula ids, for membership
-    probes, ``added`` the id of the formula each child adds over its
-    parent, and ``witness`` and ``principal`` each existential or
-    exists-forall rule's witness value and principal id; an entry
-    validation did not reach is None.  ``truth`` maps the id of each
-    initial literal that evaluates to its truth.  The ids belong to this
-    table alone and die with it.
+    root being its own.  By node id, ``rule`` holds each node's rule,
+    ``children`` each child count, ``members`` each sequent's set of
+    formula ids, for membership probes, ``added`` the id of the formula
+    each child adds over its parent, and ``witness`` and ``principal``
+    each existential or exists-forall rule's witness value and
+    principal id; an entry validation did not reach is None.  ``truth``
+    maps the id of each initial literal that evaluates to its truth.
+    The ids belong to this table alone and die with it.
 
     Decoded and expanded derivations share one object per distinct
     formula, so ``intern`` looks a formula up by identity first: each
@@ -255,6 +255,7 @@ class FormulaTable:
         self.paths = paths = list(kb)
         n = len(paths)
         self.parent = [kb[p[:-1]] for p in paths[:-1]] + [n - 1]
+        self.rule: list[Rule | None] = [None] * n
         self.children: list[int | None] = [None] * n
         self.members: list[frozenset[int] | None] = [None] * n
         self.added: list[int | None] = [None] * n
@@ -422,7 +423,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
         if is_open:
             continue
         count = table.children[i] = len(order[path])
-        rule = node.rule
+        rule = table.rule[i] = node.rule
         if members[i] is None:
             table.record(i, sequent)
 

@@ -141,6 +141,7 @@ class ExtractionContext:
         self.kb = table.kb
         self.path_of = paths = table.paths
         self.parent = parent = table.parent
+        rules = table.rule
         self.children = table.children
         self.members = table.members
         self.added_id = added_id = table.added
@@ -148,7 +149,6 @@ class ExtractionContext:
         self.principal_id = table.principal
         self.n_nodes = n = len(paths)
         self.d_max = derivation.depth() + 1
-        rules = [derivation.nodes[p].rule for p in paths]
         self.is_ef = is_ef = [isinstance(r, ExistsForallRule) for r in rules]
         # Node id -> its children's ids, and -> the result of
         # ``selected_upper``, each filled in on first need.

@@ -26,19 +26,18 @@ object, index) added formula of a derivation is built once.  Locations
 are passed down as a parent location plus a key or index, and one is
 formatted only for a value that fails its check.
 
-Derivations, graphs and families carry thousands of small values, so
-they are checked in C-level passes over their types.  A derivation is
-checked as a whole document: passes over all nodes check the types,
-one ``map`` keys every stated formula occurrence, each distinct formula
-and raw rule is decoded once, and the omitted sequents are derived in
-path order.  A family is checked as a whole document
-too, into a preorder ``FamilyTable`` with no object per problem, and a
-digraph into a ``DigraphTable`` of its own pair lists, with no copy or
-sort: graph documents decode only to the tables they compile from.  For
-all three, the item-by-item walk runs only when a check fails, to name
-the first bad value with its location.  Templates are decoded node by
-node, through the same formula key.  The encoders take the objects that
-the fixtures and the generator build.
+A derivation states few sequents, so it is decoded node by node: one
+C-level check passes each path, each distinct stated formula and raw
+rule is decoded once, and the omitted sequents are derived in path
+order.  Templates are decoded node by node too, through the same
+formula key.  Graphs and families carry thousands of small values, so
+they are checked in C-level passes over their types: a family as a
+whole document, into a preorder ``FamilyTable`` with no object per
+problem, and a digraph into a ``DigraphTable`` of its own pair lists,
+with no copy or sort, so graph documents decode only to the tables they
+compile from.  For both, the item-by-item walk runs only when a check
+fails, to name the first bad value with its location.  The encoders
+take the objects that the fixtures and the generator build.
 
 Documents are distinguished by their top-level keys: a derivation has
 ``end_x`` and ``nodes``, a template has ``root``, a family has ``rank``
@@ -50,7 +49,7 @@ from __future__ import annotations
 import json
 import marshal
 import sys
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, itemgetter, lt, mul
 from typing import Any
 
@@ -152,7 +151,6 @@ def _get(obj: dict, key: str, where: Where) -> Any:
 # else, bools and int subclasses included, takes the per-item path.
 _INT = {int}
 _LIST = {list}
-_DICT = {dict}
 _PAIR = {2}
 # What an absent children or solutions array reads as; never mutated.
 _NO_ITEMS: list = []
@@ -289,11 +287,10 @@ def _shared_formula(raw: Any, where: Where, memo: dict[bytes, Formula]) -> Formu
 
     ``memo`` maps the ``_key`` of each raw formula that decoded to its
     value, so equal formulas in one document decode to one object.
-    The template decoder and the derivation walk call this once per
-    occurrence; ``_derivation_at_once`` keys all occurrences of a
-    derivation in one pass and fills the same kind of memo.  A value
-    nested too deeply for ``marshal`` has no key; it is decoded
-    without the memo, so the decoder's depth cap names its location.
+    The template and derivation decoders call this once per stated
+    occurrence, a cut formula included.  A value nested too deeply for
+    ``marshal`` has no key; it is decoded without the memo, so the
+    decoder's depth cap names its location.
     """
     try:
         key = _key(raw)
@@ -437,119 +434,72 @@ def derivation_to_json(d: Derivation) -> Any:
 
 
 def _path_from_json(obj: Any, where: Where) -> tuple[int, ...]:
-    path = []
-    for i, e in enumerate(_need_list(obj, where)):
-        n = _need_int(e, (where, i))
-        if n < 0:
-            raise _fail((where, i), "path entries are non-negative")
-        path.append(n)
-    return tuple(path)
+    """Node ``where``'s path; a list of non-negative ints passes one C-level check."""
+    if type(obj) is list and set(map(type, obj)) <= _INT and min(obj, default=0) >= 0:
+        return tuple(obj)
+    at = (where, ".path")
+    for i, e in enumerate(_need_list(obj, at)):
+        if _need_int(e, (at, i)) < 0:
+            raise _fail((at, i), "path entries are non-negative")
+    return tuple(obj)
+
+
+def _shared_rule(raw: Any, where: Where, rules: dict[bytes, Rule], memo: dict) -> Rule:
+    """Node ``where``'s rule, decoded once per document and keyed as a formula is."""
+    try:
+        key = _key(raw)
+    except ValueError:
+        return rule_from_json(raw, (where, ".rule"), memo)
+    rule = rules.get(key)
+    if rule is None:
+        rule = rules[key] = rule_from_json(raw, (where, ".rule"), memo)
+    return rule
 
 
 def derivation_from_json(obj: Any) -> Derivation:
-    """Decode a derivation, checking all of its nodes at once.
+    """Decode a derivation node by node, naming the first value that fails.
 
     A node other than the root may leave out its ``sequent`` when it
     follows from the parent's rule (see ``derivation_to_json``); a
-    stated sequent is taken as it stands.  A well-formed document is
-    decoded in whole-document passes (see ``_derivation_at_once``):
-    each distinct formula and each distinct raw rule is decoded once.
-    Only when a check fails does the node-by-node walk run, to name the
-    first bad value or the first omitted sequent that does not follow.
+    stated sequent is taken as it stands.  Each distinct formula and
+    each distinct raw rule is decoded once, keyed by its ``_key`` bytes,
+    and a cut formula goes through the formula memo, so it is the very
+    object its final upper holds.  Stated values are checked in document
+    order first.  The omitted sequents are then derived in path order,
+    so a parent's sequent is known before its children's, each from its
+    parent's sequent and rule (see ``_following``), and the first that
+    does not follow is named by its node.  A node follows from nothing
+    when it is the root, its parent is absent, or its parent's rule adds
+    no formula at its index; an added formula whose terms nest past the
+    depth cap fails as a stated one does.
     """
     d = _need_dict(obj, "derivation")
     end_x = _need_int(_get(d, "end_x", "derivation"), "derivation.end_x")
     if end_x < 0:
         raise _fail("derivation.end_x", "the parameter is non-negative")
     raw_nodes = _need_list(_get(d, "nodes", "derivation"), "derivation.nodes")
-    nodes = _derivation_at_once(raw_nodes)
-    if nodes is None:
-        nodes = _derivation_walk(raw_nodes)
-    if not nodes:
+    memo: dict[bytes, Formula] = {}
+    shared_rules: dict[bytes, Rule] = {}
+    index: dict[tuple[int, ...], int] = {}
+    rules: list[Rule] = []
+    sequents: list = []
+    omitted: list[int] = []
+    for i, raw in enumerate(raw_nodes):
+        where = ("derivation.nodes", i)
+        node = _need_dict(raw, where)
+        path = _path_from_json(_get(node, "path", where), where)
+        if path in index:
+            raise _fail((where, ".path"), "duplicate node path")
+        index[path] = i
+        rules.append(_shared_rule(_get(node, "rule", where), where, shared_rules, memo))
+        if "sequent" in node:
+            sequents.append(_sequent_from_json(node, where, memo))
+        else:
+            sequents.append(None)
+            omitted.append(i)
+    if not index:
         raise _fail("derivation.nodes", "a derivation needs at least one node")
-    return Derivation(end_x, nodes)
-
-
-# A stated sequent is a list; an omitted one reads as () until it is derived.
-_SEQUENT_TYPES = {list, tuple}
-
-
-def _derivation_at_once(raw_nodes: list) -> dict[tuple[int, ...], ProofNode] | None:
-    """Decode a derivation's nodes in C-level passes, or None when a check fails.
-
-    Passes over all nodes check the types of the node objects, of their
-    paths and stated sequents, and of the path entries.  One ``map``
-    keys every stated formula occurrence by its ``_key`` bytes.  Each
-    distinct key is decoded once, the key list is dropped once every
-    occurrence has its formula, and the shared formulas are sliced into
-    per-node sequents by the running sum of the sequent lengths.  Each
-    distinct raw rule is decoded once, keyed the same way, and a cut
-    formula goes through the formula memo, so it is the very object its
-    final upper holds.  The omitted sequents are then derived in path
-    order (see ``_derive_omitted``).  The node table shows duplicate
-    paths by its size.  A formula or rule that fails to decode, a value
-    too deeply nested to key, a lookup of a missing key, or an omitted
-    sequent that does not follow, is a failed check too.
-    """
-    try:
-        if not set(map(type, raw_nodes)) <= _DICT:
-            return None
-        paths = [n["path"] for n in raw_nodes]
-        rules = [n["rule"] for n in raw_nodes]
-        sequents = [n.get("sequent", ()) for n in raw_nodes]
-        if not (
-            set(map(type, paths)) <= _LIST
-            and set(map(type, sequents)) <= _SEQUENT_TYPES
-            and set(map(type, chain.from_iterable(paths))) <= _INT
-            and min(chain.from_iterable(paths), default=0) >= 0
-        ):
-            return None
-        raws = list(chain.from_iterable(sequents))
-        # _key's bytes, with marshal.dumps mapped directly so the pass stays in C.
-        keys = list(map(marshal.dumps, raws, repeat(_KEY_VERSION)))
-        # Each distinct key, first to its raw formula, then to its decoded one.
-        memo = dict(zip(keys, raws))
-        del raws
-        for k, raw in memo.items():
-            memo[k] = formula_from_json(raw, "formula")
-        shared = tuple(map(memo.__getitem__, keys))
-        del keys
-        ends = list(accumulate(map(len, sequents), initial=0))
-        sequent_of = list(map(shared.__getitem__, map(slice, ends, ends[1:])))
-        rule_keys = list(map(marshal.dumps, rules, repeat(_KEY_VERSION)))
-        rule_of = dict(zip(rule_keys, rules))
-        for k, raw in rule_of.items():
-            rule_of[k] = rule_from_json(raw, "rule", memo)
-        rules = list(map(rule_of.__getitem__, rule_keys))
-        paths = list(map(tuple, paths))
-        omitted = [i for i, n in enumerate(raw_nodes) if "sequent" not in n]
-        if omitted:
-            _derive_omitted(paths, rules, sequent_of, omitted)
-        nodes = dict(zip(paths, map(ProofNode, sequent_of, rules)))
-    except (FormatError, KeyError, TypeError, ValueError):
-        return None
-    return nodes if len(nodes) == len(raw_nodes) else None
-
-
-def _derive_omitted(
-    paths: list[tuple[int, ...]],
-    rules: list[Rule],
-    sequents: list,
-    omitted: list[int],
-) -> None:
-    """Fill in the omitted sequents, or raise FormatError naming the first that does not follow.
-
-    ``omitted`` lists the indices of the nodes whose ``sequents`` entry
-    is to be derived.  They are derived in path order, so a parent's
-    sequent is known before its children's, each from its parent's
-    sequent and rule.  Only the children present are derived, each
-    distinct added formula is built once, and no bound is evaluated.  A
-    node follows from nothing when it is the root, its parent is absent,
-    or its parent's rule adds no formula at its index; an added formula
-    whose terms nest past the depth cap fails as a stated one does.  The
-    caller refuses duplicate paths.
-    """
-    index = dict(zip(paths, count()))
+    paths = list(index)
     upper = _following(paths)
     for i in sorted(omitted, key=paths.__getitem__):
         path = paths[i]
@@ -566,53 +516,7 @@ def _derive_omitted(
         if got is None:
             raise _fail(where, "the sequent is omitted and does not follow from the parent's rule")
         sequents[i] = got
-
-
-def _shared_rule(raw: Any, where: Where, rules: dict[bytes, Rule], memo: dict) -> Rule:
-    """Decode a raw rule once per document, as ``_derivation_at_once`` does."""
-    try:
-        key = _key(raw)
-    except ValueError:
-        return rule_from_json(raw, where, memo)
-    rule = rules.get(key)
-    if rule is None:
-        rule = rules[key] = rule_from_json(raw, where, memo)
-    return rule
-
-
-def _derivation_walk(raw_nodes: list) -> dict[tuple[int, ...], ProofNode]:
-    """Decode a derivation's nodes one by one, naming the first value that fails.
-
-    It shares formulas and rules through the same keys as
-    ``_derivation_at_once``, and derives omitted sequents as it does, so
-    both decoders share formula objects alike.  Stated values are
-    checked in document order first; then the first omitted sequent in
-    path order that does not follow is named by its node.
-    """
-    memo: dict[bytes, Formula] = {}
-    shared_rules: dict[bytes, Rule] = {}
-    paths: list[tuple[int, ...]] = []
-    rules: list[Rule] = []
-    sequents: list = []
-    omitted: list[int] = []
-    seen: set[tuple[int, ...]] = set()
-    for i, raw in enumerate(raw_nodes):
-        where = ("derivation.nodes", i)
-        node = _need_dict(raw, where)
-        path = _path_from_json(_get(node, "path", where), (where, ".path"))
-        if path in seen:
-            raise _fail((where, ".path"), "duplicate node path")
-        seen.add(path)
-        paths.append(path)
-        rules.append(_shared_rule(_get(node, "rule", where), (where, ".rule"), shared_rules, memo))
-        if "sequent" in node:
-            sequents.append(_sequent_from_json(node, where, memo))
-        else:
-            sequents.append(())
-            omitted.append(i)
-    if omitted:
-        _derive_omitted(paths, rules, sequents, omitted)
-    return dict(zip(paths, map(ProofNode, sequents, rules)))
+    return Derivation(end_x, dict(zip(paths, map(ProofNode, sequents, rules))))
 
 
 # Templates

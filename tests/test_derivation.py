@@ -838,6 +838,7 @@ def _assert_validation_matches_oracle(d):
             assert got.table.members == want.table.members
             assert got.table.added == want.table.added
             assert got.table.children == want.table.children
+            assert got.table.rule == want.table.rule
             assert got.table.witness == want.table.witness
             assert got.table.principal == want.table.principal
             assert got.table.truth == want.table.truth
@@ -854,6 +855,7 @@ def _assert_validation_matches_oracle(d):
                 if p:
                     children[p[:-1]] += 1
             assert table.children == [children[p] for p in table.paths]
+            assert all(a is d.nodes[p].rule for a, p in zip(table.rule, table.paths))
             assert table.witness == [
                 eval_term(node.rule.witness, d.end_x)
                 if isinstance(node.rule, (ExistsRule, ExistsForallRule))
