@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import json
 import os
@@ -655,6 +656,40 @@ def test_gen_graph_is_deterministic(capsys):
     assert capsys.readouterr().out == first
     assert main(["gen-graph", "--seed", "8"]) == 0
     assert capsys.readouterr().out != first
+
+
+# sha256 of ``gen-graph`` stdout by (--max-width, --max-rank, --seed);
+# width None is the default width.
+_GEN_GRAPH_SHA256 = {
+    (None, 0, 1): "e11eb74b3fd3f1609f1a6764b3e820ee31ecc1146b71be01e5d2f8afd64ce993",
+    (None, 0, 2): "a1791b11a1e0e72d2b1670ce6bbce09a499ac3e5a29aba9a3118521ef528c192",
+    (None, 0, 3): "54c1b99f232dfd11f3e722ad0aaba5ea5f060a277155080b7e4267a474c438dd",
+    (None, 2, 1): "eb22793725f566b3a690b0fa4b2fe0e559f8fe68a9aee3e78a3491cd60d7e332",
+    (None, 2, 2): "0fadc722a84d6ac7fbfe54ac769af8d87403685328a1df38e10c04e966217ec4",
+    (None, 2, 3): "704bef2a613675885be3b7294875478383cf9b211583e25ae3fe9f391b6dba83",
+    (None, 4, 1): "40af6991e9a610c88b8770724191e8b2423b75001f989f80819f55488fac0ee1",
+    (None, 4, 2): "724675aba2a6db51ee85a9d4ca3a788d7f09cbe61d068fd1d91e3da34c472424",
+    (None, 4, 3): "a4b8b124e2aeef07e865e05abe7078b15dca9ea7fc688aa2c4f1b7135a205824",
+    (8, 0, 1): "04eb270c1cf34a01276150ec5bfbc510bb31a8234faf9bfa8e78561d9eb150e6",
+    (8, 0, 2): "3e1de756f0db5159a9d7cb9abfc6c942500b99f1756442502adc001c8ab1e4f7",
+    (8, 0, 3): "8b2dbe04031d254d9958047c17041365bb37e2ca77474796ee1635a7a47728f9",
+    (8, 2, 1): "4062ce1ffaa1cd714f56242fdbef354098b694489ec5b1b0f09eabb5d0ad316a",
+    (8, 2, 2): "4f3cc4ef6f5c0736084192cdf05176cafdcad16be353d3401eac60901ae4b1af",
+    (8, 2, 3): "1d332b1a5812d463b38bb3efdd242aa86a031eb8c0dc28dee603cb5512b37e31",
+    (8, 4, 1): "ad3401f35996adcf7e7a5e9bb645e77c01e26cc27b93f20527aaa38d7aa051cd",
+    (8, 4, 2): "8e0d9403ca135af8a3f03733fcf2205cdeb4a6cf685709a6981e9ea40194cd37",
+    (8, 4, 3): "e83f492e516094f3b4aaffd237f4acab8337256fa96b2ef27ed3c346a493a957",
+}
+
+
+@pytest.mark.parametrize("width, rank, seed", sorted(_GEN_GRAPH_SHA256, key=str))
+def test_gen_graph_prints_pinned_bytes(width, rank, seed):
+    argv = ["gen-graph", "--seed", str(seed), "--max-rank", str(rank)]
+    if width is not None:
+        argv += ["--max-width", str(width)]
+    code, out, err = _run(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _GEN_GRAPH_SHA256[width, rank, seed]
 
 
 def test_gen_graph_rank0_writes_a_plain_digraph(capsys):
