@@ -2,7 +2,7 @@
 
 The package has three layers.  ``search_core`` defines nested local
 search instances, of which a plain instance is the one-row rank-zero
-case, solvers for both, and an enumerating checker for the nine
+case, one solver for both, and an enumerating checker for the nine
 conditions every instance must satisfy.
 ``derivation`` and ``terms`` form a small sequent calculus for bounded
 arithmetic; ``extraction`` compiles its derivations into search
@@ -65,7 +65,6 @@ from .extraction import (
     target_condition,
 )
 from .nested_graph import (
-    CostedDigraph,
     DigraphTable,
     NestedGraphFamily,
     generate_family,

@@ -47,7 +47,6 @@ from .extraction import (
 from .nested_graph import (
     MAX_RANK,
     MAX_WIDTH,
-    CostedDigraph,
     DigraphTable,
     FamilyTable,
     NestedGraphFamily,
@@ -105,12 +104,13 @@ def _derivation(doc, args: argparse.Namespace) -> tuple[Derivation, str]:
 def _instance(args: argparse.Namespace) -> NplsInstance:
     """The search instance the input compiles to, for ``solve`` and ``verify``.
 
-    A file decodes to a table and a fixture is built as objects; a digraph
-    is a plain instance and a family a nested one, in either form.  A
-    derivation or template compiles through ExtractionContext in its mode.
+    A digraph is a table and compiles to a plain instance.  A family
+    compiles to a nested one: a file decodes to its table, and a fixture
+    is built as objects.  A derivation or template compiles through
+    ExtractionContext in its mode.
     """
     doc = _load_input(args.input)
-    if isinstance(doc, (DigraphTable, CostedDigraph)):
+    if isinstance(doc, DigraphTable):
         return pls_from_digraph(doc)
     if isinstance(doc, FamilyTable):
         return npls_from_table(doc)

@@ -24,7 +24,7 @@ from .derivation import (
     ProofNode,
     TemplateNode,
 )
-from .nested_graph import CostedDigraph, NestedGraphFamily, generate_family
+from .nested_graph import DigraphTable, NestedGraphFamily, generate_family
 from .terms import (
     ExistsForall,
     ExistsLit,
@@ -203,12 +203,12 @@ def t_d3() -> DerivationTemplate:
     )
 
 
-def g1() -> CostedDigraph:
+def g1() -> DigraphTable:
     """Six nodes, seven edges, one sink; descent from 0 visits 0, 1, 5."""
-    return CostedDigraph(
+    return DigraphTable(
         6,
-        ((0, 1), (0, 2), (1, 5), (2, 3), (3, 4), (4, 5), (5, 5)),
-        (5, 4, 4, 2, 1, 0),
+        [[0, 1], [0, 2], [1, 5], [2, 3], [3, 4], [4, 5], [5, 5]],
+        [5, 4, 4, 2, 1, 0],
     )
 
 

@@ -52,13 +52,7 @@ from .derivation import (
     validate,
 )
 from .errors import GoalNotFound, ModeError, NotASolution, ValidationFailed
-from .search_core import (
-    NplsInstance,
-    SearchTrace,
-    plain_instance,
-    solve_npls,
-    solve_pls,
-)
+from .search_core import NplsInstance, SearchTrace, plain_instance, solve_npls
 from .terms import (
     ExistsForall,
     ExistsLit,
@@ -97,8 +91,8 @@ class ExtractionContext:
 
     The context reads validation's ``FormulaTable`` as it stands, by
     post-order id: ``kb`` maps a path to its id and ``path_of`` back,
-    and ``parent``, ``children``, ``members`` (each sequent's id set),
-    ``added_id`` (the id each child adds), ``witness`` and
+    and ``parent``, ``children``, ``rule``, ``members`` (each sequent's
+    id set), ``added_id`` (the id each child adds), ``witness`` and
     ``principal_id`` are the table's lists under these names.  No
     formula is normalized, and no witness or initial literal evaluated,
     again.  The path-level definitions below convert a path with ``kb``
@@ -126,7 +120,6 @@ class ExtractionContext:
             raise ValidationFailed(
                 "derivation is invalid: " + "; ".join(report.lines()[:3]), report
             )
-        self.derivation = derivation
         self.mode = mode
         self.x = derivation.end_x
 
@@ -141,7 +134,7 @@ class ExtractionContext:
         self.kb = table.kb
         self.path_of = paths = table.paths
         self.parent = parent = table.parent
-        rules = table.rule
+        self.rule = rules = table.rule
         self.children = table.children
         self.members = table.members
         self.added_id = added_id = table.added
@@ -387,25 +380,28 @@ def build_pls(ctx: ExtractionContext) -> NplsInstance:
     return plain_instance(d, root, table, root, lambda t: t)
 
 
-def _report(ctx: ExtractionContext, tau: NodePath, trace: SearchTrace) -> WitnessReport:
-    # tau is a pls goal or an npls target that lists itself, so in both
-    # modes an existential rule.
-    witness = ctx.witness_value(tau)
-    instance = exists_instance(ctx.end_formula, ctx.derivation.rule(tau).witness)
+def _report(ctx: ExtractionContext, tau: int, trace: SearchTrace) -> WitnessReport:
+    # tau is the id of a pls goal or of an npls target that lists itself,
+    # so in both modes an existential rule.
+    witness = ctx.witness[tau]
+    instance = exists_instance(ctx.end_formula, ctx.rule[tau].witness)
     verified = (
-        ctx.principal(tau) == ctx.end_id
+        ctx.principal_id[tau] == ctx.end_id
         and witness < eval_term(ctx.end_formula.bound, ctx.x)
         and eval_literal(instance, ctx.x)
     )
-    return WitnessReport(witness, tau, verified, trace)
+    return WitnessReport(witness, ctx.path_of[tau], verified, trace)
 
 
 def extract_witness_pls(ctx: ExtractionContext, max_steps: int | None = None) -> WitnessReport:
-    """Run the plain search and read the witness off the solution's goal."""
-    inst = build_pls(ctx)
-    solution, trace = solve_pls(inst, max_steps)
-    tau = rightmost_goal(ctx, ctx.path_of[solution])
-    return _report(ctx, tau, trace)
+    """Run the plain search and read the witness off the solution's goal.
+
+    The plain instance has one rank-zero row, so ``solve_npls`` runs
+    plain descent on it.  Every target's step was read off its goal, so
+    the solution has one.
+    """
+    solution, trace = solve_npls(build_pls(ctx), max_steps)
+    return _report(ctx, ctx.goal[solution], trace)
 
 
 # Nested extraction (npls mode)
@@ -662,4 +658,4 @@ def extract_witness_npls(ctx: ExtractionContext, max_steps: int | None = None) -
     """Run the nested search and read the witness off the solution."""
     inst = build_npls(ctx)
     solution, trace = solve_npls(inst, max_steps)
-    return _report(ctx, ctx.path_of[solution], trace)
+    return _report(ctx, solution, trace)

@@ -10,9 +10,11 @@ A nested family stacks such graphs: each node of a positive-rank
 problem may be backed by a child problem of strictly smaller rank, and
 a stored table translates any solution of the child (one of its
 trivial cycles) into an outgoing edge of the backing node.  Families
-are the combinatorial model of the nested search.  Files decode to
-tables and the generator and fixtures build objects; both compile into
-search instances, a family through its one flat ``FamilyTable``.
+are the combinatorial model of the nested search.  A digraph has one
+form, the ``DigraphTable`` that files decode to and the generator and
+the fixtures build; a family file decodes to its flat ``FamilyTable``,
+while the generator builds ``NestedGraphFamily`` objects, which compile
+through that table.
 """
 
 from __future__ import annotations
@@ -30,23 +32,20 @@ from .errors import (
 from .search_core import NplsInstance, plain_instance
 
 
-@dataclass(frozen=True)
-class CostedDigraph:
-    """A finite digraph with one natural cost per node."""
+class DigraphTable(NamedTuple):
+    """A finite digraph with one natural cost per node.
+
+    ``edges`` holds ``[s, t]`` pairs in any order.  The decoder checks
+    that each edge end is a node and that there is one cost per node; a
+    decoded table holds the document's own lists.
+    """
 
     n_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    costs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.costs) != self.n_nodes:
-            raise ValueError("one cost per node required")
-        for s, t in self.edges:
-            if not (0 <= s < self.n_nodes and 0 <= t < self.n_nodes):
-                raise ValueError(f"edge ({s},{t}) leaves the node range")
+    edges: list[list[int]]
+    costs: list[int]
 
 
-def check_cost_condition(g: CostedDigraph | DigraphTable) -> None:
+def check_cost_condition(g: DigraphTable) -> None:
     """Raise unless every edge between distinct nodes lowers the cost; name the least that fails."""
     raising = [(s, t) for s, t in g.edges if s != t and g.costs[s] <= g.costs[t]]
     if raising:
@@ -54,7 +53,7 @@ def check_cost_condition(g: CostedDigraph | DigraphTable) -> None:
         raise CostConditionViolated(f"edge ({s},{t}) has costs {g.costs[s]} -> {g.costs[t]}")
 
 
-def descent_steps(g: CostedDigraph) -> list[int]:
+def descent_steps(g: DigraphTable) -> list[int]:
     """The descent step function of a costed digraph, as a table by node id.
 
     Each node steps to its smallest-id strictly cheaper successor, or
@@ -77,16 +76,8 @@ def _descent(n_nodes: int, edges, costs) -> tuple[list[int], bool]:
     return step, conforms
 
 
-class DigraphTable(NamedTuple):
-    """A checked digraph file with its own pair lists, unsorted; fields as in ``CostedDigraph``."""
-
-    n_nodes: int
-    edges: list[list[int]]
-    costs: list[int]
-
-
-def pls_from_digraph(g: CostedDigraph | DigraphTable) -> NplsInstance:
-    """View a costed digraph or a digraph table as a plain local search instance.
+def pls_from_digraph(g: DigraphTable) -> NplsInstance:
+    """View a costed digraph as a plain local search instance.
 
     The instance has one rank-zero source row, 0, whose targets are the
     node ids, each listing its entry of the descent step function; its
@@ -117,7 +108,7 @@ class NestedGraphFamily:
     these, as does the decoder's item walk to name a bad value; files decode to tables.
     """
 
-    graph: CostedDigraph
+    graph: DigraphTable
     rank: int
     children: Mapping[int, "NestedGraphFamily"] = field(default_factory=dict)
     solution_to_edge: Mapping[tuple[int, int], int] = field(default_factory=dict)
@@ -252,9 +243,8 @@ def generate_family(seed: int, max_rank: int, max_width: int) -> NestedGraphFami
 
     def build(rank: int, width: int) -> NestedGraphFamily:
         n = width
-        cost_list = list(range(n))
-        rng.shuffle(cost_list)
-        costs = tuple(cost_list)
+        costs = list(range(n))
+        rng.shuffle(costs)
         edges: set[tuple[int, int]] = set()
         for s in range(n):
             cheaper = [t for t in range(n) if costs[t] < costs[s]]
@@ -269,7 +259,7 @@ def generate_family(seed: int, max_rank: int, max_width: int) -> NestedGraphFami
                     edges.update((s, t) for t in picked)
                 else:
                     edges.add((s, s))
-        graph = CostedDigraph(n, tuple(sorted(edges)), costs)
+        graph = DigraphTable(n, [list(e) for e in sorted(edges)], costs)
         if rank == 0:
             return NestedGraphFamily(graph, 0)
         children: dict[int, NestedGraphFamily] = {}

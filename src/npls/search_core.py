@@ -1,4 +1,4 @@
-"""Local search instances, solvers and the condition checker.
+"""Local search instances, the nested solver and the condition checker.
 
 The paper's nested local search problem is a family, uniform in a
 natural number parameter x.  Here that uniformity lives in
@@ -17,10 +17,10 @@ source of strictly smaller rank; the solution of that subproblem is
 translated back into a strictly cheaper target of the original row.
 Nine checkable conditions make this recursion total.  A plain local
 search problem is the rank zero case with one row: its targets are the
-feasible points and each lists its step, so ``solve_pls`` and
-``solve_npls`` run the same descent.  An instance states its relation
-once, as one table per source row that maps each target to its
-neighbors; the solvers read the rows they open.
+feasible points and each lists its step, so ``solve_npls`` solves it
+with the descent it runs on every rank zero row.  An instance states
+its relation once, as one table per source row that maps each target
+to its neighbors; the solver reads the rows it opens.
 ``verify_npls_conditions`` fetches every row once and splits it into
 its solutions and its stuck targets, asking ``gen_source`` once per
 stuck target; each of the nine conditions is a scan over that split,
@@ -252,29 +252,16 @@ def _descend(
         y, cost_y = z, cost_z
 
 
-def _initial_row(inst: NplsInstance) -> tuple[PointId, dict[PointId, list[PointId]]]:
-    top = inst.initial_source()
-    row = inst.row(top)
-    if row is None:
-        raise InvariantViolation("initial source is not a source")
-    return top, row
-
-
 def solve_pls(inst: NplsInstance, max_steps: int | None = None) -> tuple[PointId, SearchTrace]:
-    """Plain descent on the initial row, which must have rank zero.
+    """``solve_npls`` on an instance whose initial row must have rank zero.
 
     A plain problem is the one-row, rank-zero case of a nested one, so
-    this runs the same descent that ``solve_npls`` runs on each
-    rank-zero row it opens, and records the same trace.
+    plain search is the nested search that opens no subproblem.
     """
-    budget = _default_budget(inst) if max_steps is None else max_steps
-    top, row = _initial_row(inst)
-    rank = inst.rank(top)
+    rank = inst.rank(inst.initial_source())
     if rank != 0:
         raise RankViolation(f"plain search needs a rank-0 initial row, not rank {rank}")
-    steps: list[TraceStep] = []
-    solution = _descend(inst, top, row, steps, budget)
-    return solution, SearchTrace(tuple(steps))
+    return solve_npls(inst, max_steps)
 
 
 def solve_npls(inst: NplsInstance, max_steps: int | None = None) -> tuple[PointId, SearchTrace]:
@@ -294,7 +281,10 @@ def solve_npls(inst: NplsInstance, max_steps: int | None = None) -> tuple[PointI
     steps: list[TraceStep] = []
     # One [source, row, rank, current target] per open positive-rank row.
     stack: list[list] = []
-    s, row = _initial_row(inst)
+    s = inst.initial_source()
+    row = inst.row(s)
+    if row is None:
+        raise InvariantViolation("initial source is not a source")
     while True:
         # Open row s: a rank-zero row is solved at once, into z; any
         # other row is pushed with its initial target.

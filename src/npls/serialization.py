@@ -37,7 +37,8 @@ problem, and a digraph into a ``DigraphTable`` of its own pair lists,
 with no copy or sort, so graph documents decode only to the tables they
 compile from.  For both, the item-by-item walk runs only when a check
 fails, to name the first bad value with its location.  The encoders
-take the objects that the fixtures and the generator build.
+take what the fixtures and the generator build: a family as
+``NestedGraphFamily`` objects, a digraph as its ``DigraphTable``.
 
 Documents are distinguished by their top-level keys: a derivation has
 ``end_x`` and ``nodes``, a template has ``root``, a family has ``rank``
@@ -68,7 +69,7 @@ from .derivation import (
     formula_is,
 )
 from .errors import FormatError
-from .nested_graph import CostedDigraph, DigraphTable, FamilyTable, NestedGraphFamily, family_table
+from .nested_graph import DigraphTable, FamilyTable, NestedGraphFamily, family_table
 from .terms import (
     MAX_TERM_DEPTH,
     OPS,
@@ -575,7 +576,7 @@ def template_from_json(obj: Any) -> DerivationTemplate:
 # Graphs and families
 
 
-def digraph_to_json(g: CostedDigraph) -> Any:
+def digraph_to_json(g: DigraphTable) -> Any:
     return {
         "n": g.n_nodes,
         "edges": [list(e) for e in sorted(g.edges)],
@@ -583,15 +584,21 @@ def digraph_to_json(g: CostedDigraph) -> Any:
     }
 
 
-def _need_edge(obj: Any, where: Where) -> tuple[int, int]:
+def _need_edge(obj: Any, where: Where) -> list[int]:
     pair = _need_list(obj, where)
     if len(pair) != 2:
         raise _fail(where, "an edge is a pair")
-    return _need_int(pair[0], (where, 0)), _need_int(pair[1], (where, 1))
+    _need_int(pair[0], (where, 0))
+    _need_int(pair[1], (where, 1))
+    return pair
 
 
-def _digraph_walk(obj: Any, where: Where) -> CostedDigraph:
-    """Decode a digraph item by item, naming the first value that fails."""
+def _digraph_walk(obj: Any, where: Where) -> DigraphTable:
+    """Decode a digraph item by item, naming the first value that fails.
+
+    After the types it checks the cost count, then names the least
+    edge, in sorted order, with an end outside the node range.
+    """
     d = _need_dict(obj, where)
     n = _need_int(_get(d, "n", where), (where, ".n"))
     if n <= 0:
@@ -602,10 +609,13 @@ def _digraph_walk(obj: Any, where: Where) -> CostedDigraph:
     costs = _need_list(_get(d, "costs", where), at)
     for i, c in enumerate(costs):
         _need_int(c, (at, i))
-    try:
-        return CostedDigraph(n, tuple(sorted(edges)), tuple(costs))
-    except ValueError as exc:
-        raise _fail(where, str(exc)) from exc
+    if len(costs) != n:
+        raise _fail(where, "one cost per node required")
+    outside = [(s, t) for s, t in edges if not (0 <= s < n and 0 <= t < n)]
+    if outside:
+        s, t = min(outside)
+        raise _fail(where, f"edge ({s},{t}) leaves the node range")
+    return DigraphTable(n, edges, costs)
 
 
 def _digraph_at_once(obj: Any) -> DigraphTable | None:
@@ -775,7 +785,8 @@ def document_from_json(obj: Any) -> Document:
     """Decode a document by its top-level keys; a family or a digraph decodes to its table.
 
     When a graph's whole-document checks fail, its item walk names the
-    first bad value, or else gives the table of the objects it built.
+    first bad value, or else gives the table: a digraph's directly, a
+    family's through the objects it built.
     """
     d = _need_dict(obj, "document")
     if "end_x" in d:
@@ -788,25 +799,21 @@ def document_from_json(obj: Any) -> Document:
         except RecursionError as exc:
             raise FormatError(_TOO_DEEP) from exc
     if "n" in d and "edges" in d:
-        table = _digraph_at_once(d)
-        if table is None:
-            g = _digraph_walk(d, "digraph")
-            table = DigraphTable(g.n_nodes, list(map(list, g.edges)), list(g.costs))
-        return table
+        return _digraph_at_once(d) or _digraph_walk(d, "digraph")
     raise _fail("document", "unrecognized document shape")
 
 
 def document_to_json(
-    value: Derivation | DerivationTemplate | NestedGraphFamily | CostedDigraph,
+    value: Derivation | DerivationTemplate | NestedGraphFamily | DigraphTable,
 ) -> Any:
-    """Encode a document as the fixtures and the generator build it: graphs as objects."""
+    """Encode a document as the fixtures and the generator build it: a family as objects."""
     if isinstance(value, Derivation):
         return derivation_to_json(value)
     if isinstance(value, DerivationTemplate):
         return template_to_json(value)
     if isinstance(value, NestedGraphFamily):
         return family_to_json(value)
-    if isinstance(value, CostedDigraph):
+    if isinstance(value, DigraphTable):
         return digraph_to_json(value)
     raise TypeError(f"not a serializable document: {type(value).__name__}")
 

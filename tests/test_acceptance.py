@@ -50,6 +50,7 @@ from npls.extraction import (
     build_pls,
     extract_witness_npls,
     extract_witness_pls,
+    pls_neighbor,
 )
 from npls.nested_graph import (
     NestedGraphFamily,
@@ -61,7 +62,6 @@ from npls.nested_graph import (
 from npls.search_core import (
     brute_force_npls,
     solve_npls,
-    solve_pls,
     verify_npls_conditions,
 )
 from npls.terms import (
@@ -247,24 +247,50 @@ def test_criterion_5_traversal_index_matches_the_pairwise_oracle():
     print("criterion 5: pass")
 
 
+def plain_walk(source, start, step, cost):
+    """Plain descent written out: the solution and the trace it leaves.
+
+    The start opens the row, each later point that is no fixed point of
+    ``step`` is one rank-zero step, and the fixed point closes the row;
+    a start that is a fixed point closes it at once.
+    """
+    steps, y, action = [], start, "init-target"
+    while step(y) != y:
+        steps.append((source, y, 0, cost(y), action))
+        y, action = step(y), "rank0-step"
+    steps.append((source, y, 0, cost(y), "solved"))
+    return y, tuple(steps)
+
+
 def test_criterion_6_rank_zero_rows_collapse_onto_plain_search():
     # Every plain instance the package builds: rank-zero families, the
-    # digraphs ``solve`` reads, and pls-mode derivations.
+    # digraphs ``solve`` reads, and pls-mode derivations.  Each is solved
+    # by the nested search, which must walk plain descent: over the
+    # descent step function from node 0 for graphs, and over
+    # ``pls_neighbor`` from the root for derivations, whose costs are ids.
     cases = []
     for seed in range(1, 21):
         family = generate_family(seed, 0, 1 + (seed - 1) % 8)
-        cases.append((("family", seed), npls_from_family(family)))
-        cases.append((("digraph", seed), pls_from_digraph(family.graph)))
-    cases.append((("digraph", "G1"), pls_from_digraph(g1())))
+        g = family.graph
+        walk = plain_walk(0, 0, descent_steps(g).__getitem__, g.costs.__getitem__)
+        cases.append((("family", seed), npls_from_family(family), walk))
+        cases.append((("digraph", seed), pls_from_digraph(g), walk))
+    g = g1()
+    walk = plain_walk(0, 0, descent_steps(g).__getitem__, g.costs.__getitem__)
+    cases.append((("digraph", "G1"), pls_from_digraph(g), walk))
     derivations = [("D1", d1()), ("D2", d2())]
     derivations += [(("sigma1", seed), random_sigma1_derivation(seed)) for seed in range(60)]
     for name, d in derivations:
-        cases.append((name, build_pls(ExtractionContext(d, MODE_PLS))))
-    for name, inst in cases:
-        y_nested, nested = solve_npls(inst)
-        y_plain, plain = solve_pls(inst)
-        assert y_nested == y_plain, name
-        assert nested.steps == plain.steps, name
+        ctx = ExtractionContext(d, MODE_PLS)
+        root = ctx.n_nodes - 1
+
+        def step(y, ctx=ctx):
+            return ctx.kb[pls_neighbor(ctx, ctx.path_of[y])]
+
+        cases.append((name, build_pls(ctx), plain_walk(root, root, step, lambda y: y)))
+    for name, inst, walk in cases:
+        y, trace = solve_npls(inst)
+        assert (y, trace.steps) == walk, name
     print("criterion 6: pass")
 
 

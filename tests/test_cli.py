@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import npls.cli
 import npls.derivation
 import npls.extraction
+import npls.search_core
 from npls.cli import main
 from npls.corpus import FIXTURES, d2, random_sigma1_derivation, random_sigma2_derivation, t_d3
 from npls.derivation import (
@@ -227,6 +228,31 @@ def test_extract_d2(capsys):
     assert _lines(capsys)[0] == "witness=2 verified=true"
 
 
+def test_plain_extraction_runs_the_nested_search_and_reads_its_goal_by_id(monkeypatch, capsys):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in ((npls.search_core, "solve_pls"), (npls.extraction, "rightmost_goal")):
+        fn = getattr(module, name)
+        for binder in (npls, npls.cli, npls.extraction, npls.search_core):
+            if getattr(binder, name, None) is fn:
+                monkeypatch.setattr(binder, name, counted(name, fn))
+    assert main(["extract", "D2"]) == 0
+    assert _lines(capsys) == ["witness=2 verified=true", "solution=(1)", "steps=2"]
+    assert calls == []
+    # The counters do count: the path-level step walks to its goal.
+    ctx = ExtractionContext(d2(), MODE_PLS)
+    npls.search_core.solve_pls(npls.extraction.build_pls(ctx))
+    npls.extraction.pls_neighbor(ctx, ())
+    assert calls == ["solve_pls", "rightmost_goal"]
+
+
 def test_extract_rejects_a_mode_mismatch(capsys):
     assert main(["extract", "D3", "--mode", "pls"]) == 1
     assert "ModeError" in capsys.readouterr().err
@@ -293,29 +319,26 @@ def test_commands_leave_no_reference_cycles(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
-def test_family_files_build_no_graph_or_family_objects(rank, tmp_path, monkeypatch, capsys):
-    from npls.nested_graph import CostedDigraph, NestedGraphFamily, generate_family
+def test_family_files_build_no_family_objects(rank, tmp_path, monkeypatch, capsys):
+    from npls.nested_graph import NestedGraphFamily, generate_family
     from npls.serialization import family_to_json
 
     path = tmp_path / f"family-{rank}.json"
     path.write_text(dumps(family_to_json(generate_family(rank, rank, 4))), encoding="utf-8")
     built = []
+    init = NestedGraphFamily.__init__
 
-    def counted(fn):
-        def wrapper(self, *args, **kwargs):
-            built.append(type(self).__name__)
-            return fn(self, *args, **kwargs)
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(CostedDigraph, "__post_init__", counted(CostedDigraph.__post_init__))
-    monkeypatch.setattr(NestedGraphFamily, "__init__", counted(NestedGraphFamily.__init__))
+    monkeypatch.setattr(NestedGraphFamily, "__init__", counted)
     assert main(["solve", str(path)]) == 0
     assert main(["verify", str(path)]) == 0
     assert built == []
-    # The counters do count: a fixture family is built as objects.
+    # The counter does count: a fixture family is built as objects.
     assert main(["solve", "NG2"]) == 0
-    assert "NestedGraphFamily" in built and "CostedDigraph" in built
+    assert built
 
 
 def test_verify_family_machine_output_is_pinned(capsys):
@@ -423,13 +446,13 @@ def test_verify_accepts_a_digraph_that_solve_accepts(tmp_path, capsys):
 
 
 def test_solve_descends_a_rank0_row_with_negative_costs(tmp_path, capsys):
-    from npls.nested_graph import CostedDigraph, NestedGraphFamily
+    from npls.nested_graph import DigraphTable, NestedGraphFamily
     from npls.serialization import family_to_json
 
     # Node 0 of the top problem is backed by a rank-0 chain 0 -> 1 -> 2
     # whose costs are all negative; strict decrease still ends the walk.
-    child = NestedGraphFamily(CostedDigraph(3, ((0, 1), (1, 2), (2, 2)), (-1, -2, -3)), 0)
-    top = NestedGraphFamily(CostedDigraph(2, ((0, 1), (1, 1)), (1, 0)), 1, {0: child}, {(0, 2): 1})
+    child = NestedGraphFamily(DigraphTable(3, [[0, 1], [1, 2], [2, 2]], [-1, -2, -3]), 0)
+    top = NestedGraphFamily(DigraphTable(2, [[0, 1], [1, 1]], [1, 0]), 1, {0: child}, {(0, 2): 1})
     path = tmp_path / "negative.json"
     path.write_text(dumps(family_to_json(top)), encoding="utf-8")
     assert main(["verify", str(path)]) == 0
@@ -456,7 +479,7 @@ _CHAIN_COSTS = st.one_of(st.integers(max_value=-1), st.just(0), st.integers(min_
 @settings(max_examples=100, deadline=None)
 @given(st.sets(_CHAIN_COSTS, max_size=40), st.booleans(), st.integers(0, 10**6))
 def test_machine_solve_records_are_the_encoder_bytes(tmp_path_factory, costs, head, offset):
-    from npls.nested_graph import CostedDigraph, pls_from_digraph
+    from npls.nested_graph import DigraphTable, pls_from_digraph
     from npls.search_core import solve_npls
     from npls.serialization import digraph_to_json
 
@@ -465,7 +488,7 @@ def test_machine_solve_records_are_the_encoder_bytes(tmp_path_factory, costs, he
     long_cost = 10**3999 + offset
     costs = sorted(costs | {long_cost if head else -long_cost}, reverse=True)
     n = len(costs)
-    g = CostedDigraph(n, tuple((i, min(i + 1, n - 1)) for i in range(n)), tuple(costs))
+    g = DigraphTable(n, [[i, min(i + 1, n - 1)] for i in range(n)], costs)
     path = tmp_path_factory.getbasetemp() / "chain.json"
     path.write_text(dumps(digraph_to_json(g)), encoding="utf-8")
     solution, trace = solve_npls(pls_from_digraph(g))
@@ -496,7 +519,7 @@ def _conforming_digraphs(draw) -> dict:
 
 
 def _object_outcome(doc: dict) -> tuple[int, str]:
-    """Exit code and stderr of the object path: the item walk, then the cost check."""
+    """Exit code and stderr of the item walk, then the cost check: no whole-document pass."""
     from npls import serialization
     from npls.errors import NplsError
     from npls.nested_graph import check_cost_condition
@@ -512,19 +535,24 @@ def _object_outcome(doc: dict) -> tuple[int, str]:
 
 @settings(max_examples=200, deadline=None)
 @given(_conforming_digraphs())
-def test_a_digraph_table_compiles_as_its_object_does(doc):
+def test_a_digraph_walk_gives_the_table_of_the_whole_document_pass(doc):
     from npls import serialization
     from npls.nested_graph import DigraphTable, descent_steps, pls_from_digraph
 
     table = serialization.loads_document(dumps(doc))
-    g = serialization._digraph_walk(doc, "digraph")
     assert table == DigraphTable(doc["n"], doc["edges"], doc["costs"])
-    assert g.edges == tuple(sorted(map(tuple, doc["edges"])))
-    from_table, from_object = pls_from_digraph(table), pls_from_digraph(g)
-    rows = {v: [t] for v, t in enumerate(descent_steps(g))}
-    assert from_table.row(0) == from_object.row(0) == rows
-    assert from_table.d == from_object.d
-    assert [from_table.cost(v) for v in rows] == list(g.costs)
+    assert serialization._digraph_at_once(doc) == table
+    assert serialization._digraph_walk(doc, "digraph") == table
+    # The one row lists each node's descent step: its least-id strictly cheaper successor.
+    costs = doc["costs"]
+    step = [
+        min((t for s, t in doc["edges"] if s == v and costs[t] < costs[v]), default=v)
+        for v in range(doc["n"])
+    ]
+    assert descent_steps(table) == step
+    inst = pls_from_digraph(table)
+    assert inst.row(0) == {v: [t] for v, t in enumerate(step)}
+    assert [inst.cost(v) for v in range(doc["n"])] == costs
 
 
 _BAD_ENDS = st.sampled_from([True, False, 1.0, "0", None, [0], -1, 6, 2**64])
@@ -569,37 +597,6 @@ def test_a_mutated_digraph_file_fails_as_the_object_path_does(tmp_path_factory, 
         assert (got if code else 0, err.getvalue()) == (code, message), command
 
 
-def test_digraph_files_build_no_graph_object(tmp_path, monkeypatch, capsys):
-    from npls.nested_graph import CostedDigraph, generate_family
-    from npls.serialization import digraph_to_json
-
-    doc = digraph_to_json(generate_family(3, 0, 16).graph)
-    doc["edges"].reverse()
-    path = tmp_path / "digraph.json"
-    path.write_text(dumps(doc), encoding="utf-8")
-    built = []
-    init = CostedDigraph.__post_init__
-
-    def counted(self):
-        built.append(self)
-        init(self)
-
-    monkeypatch.setattr(CostedDigraph, "__post_init__", counted)
-    assert main(["solve", str(path)]) == 0
-    assert main(["verify", str(path)]) == 0
-    assert built == []
-    # Naming a cost-raising edge builds no object either.
-    doc["edges"].append([7, 0])
-    path.write_text(dumps(doc), encoding="utf-8")
-    assert main(["solve", str(path)]) == 1
-    assert built == []
-    # The counter does count: the item walk builds the object that names an end out of range.
-    doc["edges"].append([16, 0])
-    path.write_text(dumps(doc), encoding="utf-8")
-    assert main(["solve", str(path)]) == 2
-    assert len(built) == 1
-
-
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -630,14 +627,14 @@ def test_a_fixture_runs_as_the_file_of_its_encoding_does(name, tmp_path):
 
 def test_verify_reports_corrupted_costs(tmp_path, capsys):
     from npls.corpus import ng2
-    from npls.nested_graph import CostedDigraph, NestedGraphFamily
+    from npls.nested_graph import DigraphTable, NestedGraphFamily
     from npls.serialization import family_to_json
 
     fam = ng2()
     costs = list(fam.graph.costs)
     costs[costs.index(0)] = 99
     bad = NestedGraphFamily(
-        CostedDigraph(fam.graph.n_nodes, fam.graph.edges, tuple(costs)),
+        DigraphTable(fam.graph.n_nodes, fam.graph.edges, costs),
         fam.rank,
         fam.children,
         fam.solution_to_edge,

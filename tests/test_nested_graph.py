@@ -5,11 +5,12 @@ from collections import Counter
 
 import pytest
 
+from npls import serialization
 from npls.cli import main
 from npls.corpus import g1, ng2
-from npls.errors import CostConditionViolated, TotalityViolated
+from npls.errors import CostConditionViolated, FormatError, TotalityViolated
 from npls.nested_graph import (
-    CostedDigraph,
+    DigraphTable,
     NestedGraphFamily,
     check_cost_condition,
     descent_steps,
@@ -19,39 +20,49 @@ from npls.nested_graph import (
 )
 from npls.search_core import (
     solve_npls,
-    solve_pls,
     verify_npls_conditions,
 )
 from npls.serialization import dumps, family_to_json
 
 
-def test_digraph_constructor_validation():
-    with pytest.raises(ValueError):
-        CostedDigraph(2, (), (1,))
-    with pytest.raises(ValueError):
-        CostedDigraph(2, ((0, 5),), (1, 0))
+def _digraph_errors(doc) -> list[str]:
+    """The messages of decoding ``doc`` as a document and of its item walk alone."""
+    messages = []
+    walk = serialization._digraph_walk
+    for decode in (serialization.document_from_json, lambda d: walk(d, "digraph")):
+        with pytest.raises(FormatError) as info:
+            decode(doc)
+        messages.append(str(info.value))
+    return messages
+
+
+def test_digraph_walk_checks_the_cost_count_and_edge_ends():
+    message = "digraph: one cost per node required"
+    assert _digraph_errors({"n": 2, "edges": [], "costs": [1]}) == [message] * 2
+    message = "digraph: edge (0,5) leaves the node range"
+    assert _digraph_errors({"n": 2, "edges": [[0, 5]], "costs": [1, 0]}) == [message] * 2
 
 
 @pytest.mark.parametrize(
     "edges, bad",
     [
-        (((0, 1), (2, 0), (0, -1)), "(2,0)"),
-        (((0, -1), (5, 0)), "(0,-1)"),
-        (((1, 0), (1, 1), (0, 2)), "(0,2)"),
+        # In sorted order, not in the document's: (0,-1) before (2,0).
+        ([[0, 1], [2, 0], [0, -1]], "(0,-1)"),
+        ([[0, -1], [5, 0]], "(0,-1)"),
+        ([[1, 0], [1, 1], [0, 2]], "(0,2)"),
     ],
 )
 def test_digraph_names_the_first_edge_out_of_range(edges, bad):
-    with pytest.raises(ValueError) as info:
-        CostedDigraph(2, edges, (1, 0))
-    assert str(info.value) == f"edge {bad} leaves the node range"
+    message = f"digraph: edge {bad} leaves the node range"
+    assert _digraph_errors({"n": 2, "edges": edges, "costs": [1, 0]}) == [message] * 2
 
 
 def test_cost_condition():
     check_cost_condition(g1())
     with pytest.raises(CostConditionViolated):
-        check_cost_condition(CostedDigraph(2, ((0, 1),), (0, 1)))
+        check_cost_condition(DigraphTable(2, [[0, 1]], [0, 1]))
     # A self-loop never violates the condition.
-    check_cost_condition(CostedDigraph(1, ((0, 0),), (5,)))
+    check_cost_condition(DigraphTable(1, [[0, 0]], [5]))
 
 
 def _sink_from(g, start):
@@ -67,12 +78,12 @@ def test_find_sink_on_the_fixture():
     assert _sink_from(g, 0) == 5
     assert _sink_from(g, 3) == 5
     assert _sink_from(g, 5) == 5
-    assert solve_pls(pls_from_digraph(g))[0] == 5
+    assert solve_npls(pls_from_digraph(g))[0] == 5
 
 
 def test_find_sink_rejects_nonconforming_costs():
     with pytest.raises(CostConditionViolated):
-        pls_from_digraph(CostedDigraph(2, ((0, 1),), (0, 1)))
+        pls_from_digraph(DigraphTable(2, [[0, 1]], [0, 1]))
 
 
 def test_find_sink_lands_in_a_sink_everywhere():
@@ -83,7 +94,7 @@ def test_find_sink_lands_in_a_sink_everywhere():
             end = _sink_from(g, start)
             assert all(g.costs[t] >= g.costs[end] for s, t in g.edges if s == end)
         # The plain solver walks the same descent from node 0.
-        assert solve_pls(pls_from_digraph(g))[0] == _sink_from(g, 0)
+        assert solve_npls(pls_from_digraph(g))[0] == _sink_from(g, 0)
 
 
 def test_generated_rank0_graphs_are_deterministic_chains():
@@ -95,7 +106,7 @@ def test_generated_rank0_graphs_are_deterministic_chains():
 
 def test_pls_from_digraph_keeps_only_decreasing_edges():
     # Node 0 steps to 1, not to the cheaper 2; a self-loop is never a step.
-    g = CostedDigraph(3, ((0, 2), (0, 1), (1, 2), (2, 2)), (3, 1, 0))
+    g = DigraphTable(3, [[0, 2], [0, 1], [1, 2], [2, 2]], [3, 1, 0])
     inst = pls_from_digraph(g)
     assert inst.row(0) == {0: [1], 1: [2], 2: [2]}
 
@@ -112,12 +123,12 @@ def test_verify_accepts_the_fixture_families():
 
 
 def _loop_graph():
-    return CostedDigraph(2, ((0, 1), (1, 1)), (1, 0))
+    return DigraphTable(2, [[0, 1], [1, 1]], [1, 0])
 
 
 def test_verify_flags_a_cost_violation_on_a_positive_rank():
     # Node 0 steps to the dearer node 1; its child's solution lifts along that edge.
-    g = CostedDigraph(2, ((0, 1), (1, 1)), (0, 1))
+    g = DigraphTable(2, [[0, 1], [1, 1]], [0, 1])
     fam = NestedGraphFamily(g, 1, {0: NestedGraphFamily(_loop_graph(), 0)}, {(0, 1): 1})
     assert _failed(fam) == {"cost_decrease": (0, 0, 1)}
 
@@ -151,19 +162,19 @@ def test_verify_flags_broken_solution_tables():
 
 
 def test_npls_from_family_requires_outgoing_edges():
-    fam = NestedGraphFamily(CostedDigraph(2, ((0, 1),), (1, 0)), 0)
+    fam = NestedGraphFamily(DigraphTable(2, [[0, 1]], [1, 0]), 0)
     with pytest.raises(TotalityViolated):
         npls_from_family(fam)
 
 
 def test_dead_ends_are_rejected_and_missing_loops_are_implicit():
     # A node without an outgoing edge stops compilation, naming the node.
-    dead_end = NestedGraphFamily(CostedDigraph(2, ((0, 1),), (1, 0)), 0)
+    dead_end = NestedGraphFamily(DigraphTable(2, [[0, 1]], [1, 0]), 0)
     with pytest.raises(TotalityViolated, match="problem 0: node 1 has no outgoing edge"):
         npls_from_family(dead_end)
     # A graph without self-loops is no fault: the cheapest node has no
     # strictly cheaper successor and rests on itself.
-    loopless = NestedGraphFamily(CostedDigraph(2, ((0, 1), (1, 0)), (1, 0)), 0)
+    loopless = NestedGraphFamily(DigraphTable(2, [[0, 1], [1, 0]], [1, 0]), 0)
     inst = npls_from_family(loopless)
     assert inst.row(0) == {0: [1], 1: [1]}
     assert verify_npls_conditions(inst).all_passed
@@ -177,10 +188,10 @@ def _unopened_dead_end(dead_end: bool) -> NestedGraphFamily:
     child of node 1.  With ``dead_end``, node 1 of that child has no
     outgoing edge.
     """
-    loop = NestedGraphFamily(CostedDigraph(1, ((0, 0),), (0,)), 0)
-    edges = ((0, 0),) if dead_end else ((0, 0), (1, 1))
-    unopened = NestedGraphFamily(CostedDigraph(2, edges, (0, 1)), 0)
-    top = CostedDigraph(2, ((0, 1), (1, 1)), (1, 0))
+    loop = NestedGraphFamily(DigraphTable(1, [[0, 0]], [0]), 0)
+    edges = [[0, 0]] if dead_end else [[0, 0], [1, 1]]
+    unopened = NestedGraphFamily(DigraphTable(2, edges, [0, 1]), 0)
+    top = DigraphTable(2, [[0, 1], [1, 1]], [1, 0])
     return NestedGraphFamily(top, 1, {0: loop, 1: unopened}, {(0, 0): 1})
 
 
@@ -207,7 +218,7 @@ def test_totality_is_checked_on_problems_the_search_never_opens(tmp_path, capsys
 def test_rank0_step_needs_a_strictly_cheaper_successor():
     # Families are compiled without a cost check; an edge between equal
     # costs is not a descent step, so node 0 rests on itself.
-    fam = NestedGraphFamily(CostedDigraph(2, ((0, 1), (1, 1)), (1, 1)), 0)
+    fam = NestedGraphFamily(DigraphTable(2, [[0, 1], [1, 1]], [1, 1]), 0)
     inst = npls_from_family(fam)
     assert inst.row(0) == {0: [0], 1: [1]}
 
@@ -218,7 +229,7 @@ def test_broken_costs_compile_and_fail_the_condition_check():
     costs = list(g.costs)
     costs[costs.index(0)] = 99
     bad = NestedGraphFamily(
-        CostedDigraph(g.n_nodes, g.edges, tuple(costs)),
+        DigraphTable(g.n_nodes, g.edges, costs),
         fam.rank,
         fam.children,
         fam.solution_to_edge,

@@ -29,6 +29,7 @@ from npls.errors import (
 from npls.extraction import ExtractionContext, build_npls, build_pls
 from npls.nested_graph import (
     NestedGraphFamily,
+    descent_steps,
     generate_family,
     npls_from_family,
     pls_from_digraph,
@@ -50,6 +51,7 @@ from npls.search_core import (
     solve_pls,
     verify_npls_conditions,
 )
+from test_acceptance import plain_walk
 
 
 def _chain(n, initial=None, step=lambda s: max(s - 1, 0)):
@@ -183,7 +185,7 @@ def test_solve_npls_on_the_family_fixture():
     assert solution in inst.row(top)[solution]
     # The top problem has problem id 0, so its packed points are node ids.
     assert top == 0 and 0 <= solution < fam.graph.n_nodes
-    assert (solution, solution) in set(fam.graph.edges)
+    assert [solution, solution] in fam.graph.edges
     for step in trace.steps:
         if step.action == DESCEND:
             assert step.rank < fam.rank
@@ -288,12 +290,13 @@ def test_solve_npls_needs_one_step_per_rank0_target(neighbors):
 
 
 def test_rank0_adapter_matches_the_nested_solver():
-    inst = npls_from_family(NestedGraphFamily(g1(), 0))
-    y_nested, tr_nested = solve_npls(inst)
-    y_plain, tr_plain = solve_pls(inst)
-    assert y_nested == y_plain == 5
-    assert tr_nested.steps == tr_plain.steps
-    assert tr_plain.steps == solve_pls(pls_from_digraph(g1()))[1].steps
+    # A rank-zero family and the plain digraph both walk G1's descent from node 0.
+    g = g1()
+    walk = plain_walk(0, 0, descent_steps(g).__getitem__, g.costs.__getitem__)
+    assert walk[0] == 5
+    for inst in (npls_from_family(NestedGraphFamily(g, 0)), pls_from_digraph(g)):
+        y, trace = solve_npls(inst)
+        assert (y, trace.steps) == walk
 
 
 def _rank_chain(k):

@@ -18,8 +18,6 @@ from npls.derivation import CutRule, expand_template
 from npls.errors import FormatError
 from npls.nested_graph import (
     MAX_RANK,
-    CostedDigraph,
-    DigraphTable,
     NestedGraphFamily,
     family_table,
     generate_family,
@@ -55,11 +53,9 @@ from test_cli_golden import REPEATS, _broken_upper_d2, _false_leaf_d3, full_form
 def test_fixture_round_trips(name):
     doc = FIXTURES[name]()
     again = loads_document(dumps(document_to_json(doc)))
-    # A family or digraph document decodes to its table.
+    # A family document decodes to its table.
     if isinstance(doc, NestedGraphFamily):
         doc = family_table(doc)
-    elif isinstance(doc, CostedDigraph):
-        doc = DigraphTable(doc.n_nodes, list(map(list, sorted(doc.edges))), list(doc.costs))
     assert again == doc
     assert type(again) is type(doc)
 

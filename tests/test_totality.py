@@ -17,7 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from npls.errors import TotalityViolated
-from npls.nested_graph import CostedDigraph, generate_family, npls_from_family
+from npls.nested_graph import generate_family, npls_from_family
 from npls.search_core import (
     NplsInstance,
     brute_force_npls,
@@ -72,13 +72,14 @@ def _mutate(draw, p):
     if field == "cost":
         costs = list(g.costs)
         costs[draw(node)] = draw(st.integers(0, n))
-        return replace(p, graph=CostedDigraph(n, g.edges, tuple(costs)))
+        return replace(p, graph=g._replace(costs=costs))
     if field == "add_edge":
-        edges = tuple(sorted(set(g.edges) | {(draw(node), draw(node))}))
-        return replace(p, graph=CostedDigraph(n, edges, g.costs))
+        edge = [draw(node), draw(node)]
+        edges = g.edges if edge in g.edges else sorted(g.edges + [edge])
+        return replace(p, graph=g._replace(edges=edges))
     if field == "drop_edge" and g.edges:
         gone = draw(st.sampled_from(g.edges))
-        return replace(p, graph=CostedDigraph(n, tuple(e for e in g.edges if e != gone), g.costs))
+        return replace(p, graph=g._replace(edges=[e for e in g.edges if e != gone]))
     if field == "rank":
         return replace(p, rank=draw(st.integers(0, 3)))
     if field == "solution_edge" and p.solution_to_edge:
