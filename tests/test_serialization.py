@@ -922,6 +922,35 @@ def test_full_form_writes_the_text_that_stated_every_sequent():
         assert (len(text), hashlib.sha256(text).hexdigest()) == _FULL_TEXT[name], name
 
 
+# SHA-256 of the compact documents of each set, one ``dumps`` line per
+# derivation.  ``bench/inputs.py`` writes its derivation files through the
+# same encoder, so equal digests mean the same benchmark inputs.
+_COMPACT_SHA256 = {
+    "sigma1-0-299": "de3c09194b3182943f867cd938760ac9a615004c38505b22ecda8fb06e238508",
+    "sigma2-0-299": "b12af2cfbee58a19e39825d388ae1cecb33a4532ec93d58f40aebd4db02e5c7e",
+    "D1-D3": "992b309241df07b6e2813993d794bd96abbd54ba777cfc85776e277c2a12de30",
+    "T-D2,T-D3": "bded7d35f45bd3060c33b579fe31c47099813f5211e5ad39bf10b3ea26bfbdc5",
+}
+
+
+def test_compact_documents_keep_their_pinned_bytes():
+    sets = {
+        "sigma1-0-299": (random_sigma1_derivation(s) for s in range(300)),
+        "sigma2-0-299": (random_sigma2_derivation(s) for s in range(300)),
+        "D1-D3": (FIXTURES[name]() for name in ("D1", "D2", "D3")),
+        "T-D2,T-D3": (
+            expand_template(FIXTURES[name](), x)
+            for name in ("T-D2", "T-D3")
+            for x in (0, 1, 3, 7, 50, 101, 400)
+        ),
+    }
+    for name, derivations in sets.items():
+        digest = hashlib.sha256()
+        for d in derivations:
+            digest.update(dumps(derivation_to_json(d)).encode() + b"\n")
+        assert digest.hexdigest() == _COMPACT_SHA256[name], name
+
+
 def test_family_parse_errors():
     graph = {"n": 1, "edges": [[0, 0]], "costs": [0]}
     assert "duplicate child node" in _error_location(
