@@ -16,9 +16,14 @@ path-level definitions.
 
 from __future__ import annotations
 
+import json
 import random
 import time
+from functools import lru_cache
 from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npls.corpus import (
     d1,
@@ -44,6 +49,7 @@ from npls.derivation import (
     substitute_numeral,
     validate,
 )
+from npls.errors import FormatError
 from npls.extraction import (
     ExtractionContext,
     build_npls,
@@ -64,6 +70,7 @@ from npls.search_core import (
     solve_npls,
     verify_npls_conditions,
 )
+from npls.serialization import derivation_from_json, derivation_to_json, dumps
 from npls.terms import (
     ExistsForall,
     ExistsLit,
@@ -376,3 +383,109 @@ def test_criterion_9_nine_conditions_hold_on_plain_extracted_derivations():
     assert points == 622
     assert elapsed < 10.0, elapsed
     print("criterion 9: pass")
+
+
+# Criterion 11: whatever validates extracts a verified witness.
+
+_OPS = {
+    "add": lambda a, b: a + b,
+    "mul": lambda a, b: a * b,
+    "monus": lambda a, b: max(a - b, 0),
+    "len": lambda a: a.bit_length(),
+    "smash": lambda a, b: 1 << (a.bit_length() * b.bit_length()),
+    "div2": lambda a: a // 2,
+    "cond": lambda a, b, c: b if a > 0 else c,
+}
+
+
+def _value(term, env):
+    """A raw JSON term's value, read without the package."""
+    if "num" in term:
+        return term["num"]
+    if "var" in term:
+        return env[term["var"]]
+    return _OPS[term["op"]](*(_value(a, env) for a in term["args"]))
+
+
+def _solves(end_formula, x, y):
+    """Whether ``y`` witnesses a raw bounded existential end-formula at ``x``."""
+    ex = end_formula["ex"]
+    body, env = ex["body"], {"x": x, ex["v"]: y}
+    holds = _value(body["lhs"], env) == _value(body["rhs"], env)
+    return y < _value(ex["bound"], {"x": x}) and holds != body["neg"]
+
+
+@lru_cache(maxsize=None)
+def _compact_document(sigma, seed):
+    d = (random_sigma1_derivation if sigma == 1 else random_sigma2_derivation)(seed)
+    return dumps(derivation_to_json(d)), d
+
+
+def _mutant(sigma, seed, kind, pick, value, step):
+    """The compact document with one rule field changed, or None when it stays equal."""
+    text, d = _compact_document(sigma, seed)
+    doc = json.loads(text)
+    tags = ("initial",) if kind == "index" else ("exists", "exists-forall")
+    nodes = [node for node in doc["nodes"] if node["rule"]["tag"] in tags]
+    if not nodes:
+        return None
+    node = nodes[pick % len(nodes)]
+    rule = node["rule"]
+    if kind == "witness":
+        f = d.sequent(tuple(node["path"]))[rule["principal"]]
+        bound = eval_term(f.bound if isinstance(f, ExistsLit) else f.bound1, d.end_x)
+        new = {"num": value % bound}
+    else:
+        new = rule[kind] + step
+    if rule[kind] == new:
+        return None
+    rule[kind] = new
+    return doc
+
+
+def test_criterion_11_every_valid_mutant_extracts_a_verified_witness():
+    # Mutate one rule of a compact Sigma-1 or Sigma-2 document: a witness
+    # to another numeral below its bound, a principal index by one, or an
+    # initial index by one.  Omitted sequents carry the change up the
+    # branch.  A mutant that validates must give an instance meeting the
+    # nine conditions and a witness that solves the end-formula.
+    seen = {"changed": 0, "valid": 0}
+
+    @settings(max_examples=1300, derandomize=True, deadline=None, database=None)
+    @given(
+        sigma=st.sampled_from((1, 2)),
+        seed=st.integers(0, 149),
+        kind=st.sampled_from(("witness", "principal", "index")),
+        pick=st.integers(0, 1 << 16),
+        value=st.integers(0, 1 << 16),
+        step=st.sampled_from((-1, 1)),
+    )
+    def run(sigma, seed, kind, pick, value, step):
+        doc = _mutant(sigma, seed, kind, pick, value, step)
+        if doc is None:
+            return
+        seen["changed"] += 1
+        try:
+            d = derivation_from_json(doc)
+        except FormatError:
+            return
+        mode = MODE_PLS if sigma == 1 else MODE_NPLS
+        if not validate(d, mode).ok:
+            return
+        seen["valid"] += 1
+        ctx = ExtractionContext(d, mode)
+        build, extract = (
+            (build_pls, extract_witness_pls) if sigma == 1 else (build_npls, extract_witness_npls)
+        )
+        report = verify_npls_conditions(build(ctx))
+        assert report.all_passed, report.lines()
+        got = extract(ctx)
+        assert got.verified
+        assert _solves(doc["nodes"][0]["sequent"][0], d.end_x, got.witness)
+
+    start = time.perf_counter()
+    run()
+    elapsed = time.perf_counter() - start
+    assert seen["changed"] >= 1000 and seen["valid"] >= 50, seen
+    assert elapsed < 30.0, elapsed
+    print("criterion 11: pass", seen)
