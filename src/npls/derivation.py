@@ -14,13 +14,14 @@ applied at that node.  Four rules occur:
   value, followed by a final upper sequent adding the formula itself.
 
 Upper sequents always contain their lower sequent, so walking up the
-tree only ever grows the multiset.  Validation accepts an upper that
-repeats its lower sequent's objects and ends in the added formula
-without comparing it, compares any other upper with the lower sequent
-as sorted lists of formula ids, and keeps each sequent's set of ids for
-membership probes.  Node paths are tuples of child indices; children of
-a wide rule are numbered by instance value, with the extra cut upper
-last.
+tree only ever grows the multiset.  This module is the one owner of what
+a node's sequent is.  A ``Derivation`` node holds its rule and either the
+formula its parent's rule adds there, when its sequent is the parent's
+followed by that formula, or its whole stated sequent (the root, and any
+upper that does not follow).  ``follow`` turns nodes given with whole or
+omitted sequents into this form, and ``Derivation.sequent`` builds a
+sequent on demand.  Node paths are tuples of child indices; children of a
+wide rule are numbered by instance value, with the extra cut upper last.
 
 The traversal order used as both cost and rank downstream is the
 post-order index: children before their parent, in increasing index
@@ -35,11 +36,12 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import is_
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import (
     NoSuchNode,
     NplsError,
+    OmittedSequent,
     ValidationFailed,
 )
 from .terms import (
@@ -124,9 +126,9 @@ def added_formula(rule: Rule, principal: Formula, n: int | None) -> Formula | No
     an existential rule's upper other than 0, a principal of the wrong
     shape, or a cut on a literal.  No bound is evaluated.
 
-    The rule is the one definition of what a child adds: validation
-    builds an added formula with it, and the derivation encoder and
-    decoders derive an omitted sequent with it.
+    This is the one definition of what a child adds: ``follow`` builds
+    an omitted sequent's added formula with it, and ``_is_added``
+    matches a given one against it without building.
     """
     if isinstance(rule, CutRule):
         if n is None:
@@ -144,31 +146,141 @@ def added_formula(rule: Rule, principal: Formula, n: int | None) -> Formula | No
 
 @dataclass(frozen=True)
 class ProofNode:
-    sequent: tuple[Formula, ...]
+    """A node as it is given: its whole sequent, or None to omit it, and its rule."""
+
+    sequent: tuple[Formula, ...] | None
     rule: Rule
 
 
-@dataclass(frozen=True)
+class Node(NamedTuple):
+    """A node as a ``Derivation`` keeps it.
+
+    ``sequent`` is the whole sequent, or, when ``derived``, only the one
+    formula the parent's rule adds, which the parent's sequent precedes.
+    """
+
+    sequent: tuple[Formula, ...]
+    rule: Rule
+    derived: bool
+
+
+# An added formula not yet looked at, and one whose terms nest past the cap.
+_UNSEEN = object()
+_TOO_DEEP = object()
+
+
+def follow(nodes: Mapping[NodePath, ProofNode]) -> dict[NodePath, Node]:
+    """The ``Node`` form of nodes given with whole or omitted sequents, in path order.
+
+    A node is derived when its sequent is its parent's plus the formula
+    the parent's rule adds at its index (``added_formula``), a cut's last
+    child adding the cut formula; the others state theirs.  The walk
+    keeps the branch's sequent on one stack, which principal indices
+    read.  A given sequent is compared with the parent's by identity,
+    then by ``formula_is``, and its last formula by ``_is_added``, so
+    nothing is built for it, and its last formula is held as it stands.
+    An omitted one's added formula is built once per distinct (rule kind,
+    principal, witness, index) objects; the first in path order that
+    cannot be, or whose built instance nests past the term depth cap,
+    raises OmittedSequent.
+    """
+    paths = sorted(nodes)
+    last = {p[:-1]: p[-1] for p in paths if p}
+    # (rule kind, id(principal), id(witness), index) -> an equal formula,
+    # None where nothing is added, or _TOO_DEEP; ``nodes`` holds the objects.
+    added_at: dict[tuple, object] = {}
+    out: dict[NodePath, Node] = {}
+    branch: list[Formula] = []
+    # (path, rule, the branch a stated node replaced, or None)
+    trail: list[tuple] = []
+    for path in paths:
+        while trail and len(trail[-1][0]) >= len(path):
+            saved = trail.pop()[2]
+            if saved is None:
+                branch.pop()
+            else:
+                branch = saved
+        node = nodes[path]
+        if node.__class__ is Node:
+            raise TypeError(f"node {format_path(path)} is a Node; give its whole sequent")
+        sequent, rule = node.sequent, node.rule
+        added = got = None
+        up = trail[-1] if trail and path and trail[-1][0] == path[:-1] else None
+        by, n = (up[1], path[-1]) if up else (None, None)
+        if isinstance(by, CutRule):
+            principal, witness = by.formula, None
+            n = None if n == last[up[0]] else n
+        elif isinstance(by, (ExistsRule, ExistsForallRule)) and 0 <= by.principal < len(branch):
+            principal, witness = branch[by.principal], by.witness
+        else:
+            principal = None
+        if principal is not None:
+            key = (by.__class__, id(principal), id(witness), n)
+            got = added_at.get(key, _UNSEEN)
+            if sequent is None:
+                if got is _UNSEEN:
+                    got = added_at[key] = _within_cap(added_formula(by, principal, n), witness)
+                added = None if got is _TOO_DEEP else got
+            elif len(sequent) == len(branch) + 1 and got is not None and got is not _TOO_DEEP:
+                u = sequent[-1]
+                if u is got or _is_added(u, by, principal, n):
+                    if got is _UNSEEN:
+                        added_at[key] = u
+                    if all(map(is_, sequent, branch)) or all(map(formula_is, sequent, branch)):
+                        added = u
+        if added is not None:
+            out[path] = Node((added,), rule, True)
+            trail.append((path, rule, None))
+            branch.append(added)
+        elif sequent is not None:
+            out[path] = Node(sequent, rule, False)
+            trail.append((path, rule, branch))
+            branch = list(sequent)
+        elif not path:
+            raise OmittedSequent(path, "the root states its sequent")
+        elif up is None:
+            raise OmittedSequent(path, "the sequent is omitted and the node has no parent")
+        elif got is _TOO_DEEP:
+            raise OmittedSequent(path, f"term nests more than {MAX_TERM_DEPTH} operations")
+        else:
+            message = "the sequent is omitted and does not follow from the parent's rule"
+            raise OmittedSequent(path, message)
+    return out
+
+
+def _within_cap(f: Formula | None, witness: Term | None):
+    """``f``, or ``_TOO_DEEP`` for an instance whose terms nest past the depth cap."""
+    if f is not None and witness is not None and nests_too_deep((f.lit.lhs, f.lit.rhs)):
+        return _TOO_DEEP
+    return f
+
+
+@dataclass(frozen=True, init=False)
 class Derivation:
-    """A closed derivation, obtained by substituting a value for x."""
+    """A closed derivation, obtained by substituting a value for x.
+
+    Built from ``ProofNode``s, it keeps what ``follow`` gives: ``nodes``
+    maps each path, in path order, to its ``Node``.
+    """
 
     end_x: int
-    nodes: Mapping[NodePath, ProofNode]
+    nodes: Mapping[NodePath, Node]
 
-    def node(self, path: NodePath) -> ProofNode:
-        try:
-            return self.nodes[path]
-        except KeyError:
-            raise NoSuchNode(f"no node at {format_path(path)}") from None
+    def __init__(self, end_x: int, nodes: Mapping[NodePath, ProofNode]) -> None:
+        object.__setattr__(self, "end_x", end_x)
+        object.__setattr__(self, "nodes", follow(nodes))
 
     def sequent(self, path: NodePath) -> tuple[Formula, ...]:
-        return self.node(path).sequent
-
-    def rule(self, path: NodePath) -> Rule:
-        return self.node(path).rule
-
-    def paths(self) -> list[NodePath]:
-        return sorted(self.nodes)
+        """The whole sequent at ``path``: one node lookup per level below it, up to a stated one."""
+        node = self.nodes.get(path)
+        if node is None:
+            raise NoSuchNode(f"no node at {format_path(path)}")
+        added = []
+        while node.derived:
+            added.append(node.sequent[0])
+            path = path[:-1]
+            node = self.nodes[path]
+        return node.sequent + tuple(reversed(added))
 
     def depth(self) -> int:
         return max(len(p) for p in self.nodes)
@@ -232,13 +344,12 @@ class FormulaTable:
     by ``postorder_index``: ``kb`` maps a path to its node id, ``paths``
     lists the paths by id, and ``parent`` holds each parent's id, the
     root being its own.  By node id, ``rule`` holds each node's rule,
-    ``children`` each child count, ``members`` each sequent's set of
-    formula ids, for membership probes, ``added`` the id of the formula
-    each child adds over its parent, and ``witness`` and ``principal``
-    each existential or exists-forall rule's witness value and
-    principal id; an entry validation did not reach is None.  ``truth``
-    maps the id of each initial literal that evaluates to its truth.
-    The ids belong to this table alone and die with it.
+    ``children`` each child count, ``added`` the id of the formula each
+    child adds over its parent, and ``witness`` and ``principal`` each
+    existential or exists-forall rule's witness value and principal id;
+    an entry validation did not reach is None.  ``truth`` maps the id of
+    each initial literal that evaluates to its truth.  The ids belong to
+    this table alone and die with it.
 
     Decoded and expanded derivations share one object per distinct
     formula, so ``intern`` looks a formula up by identity first: each
@@ -257,7 +368,6 @@ class FormulaTable:
         self.parent = [kb[p[:-1]] for p in paths[:-1]] + [n - 1]
         self.rule: list[Rule | None] = [None] * n
         self.children: list[int | None] = [None] * n
-        self.members: list[frozenset[int] | None] = [None] * n
         self.added: list[int | None] = [None] * n
         self.witness: list[int | None] = [None] * n
         self.principal: list[int | None] = [None] * n
@@ -274,12 +384,6 @@ class FormulaTable:
     def formulas(self) -> list[Formula]:
         """The normal form of every formula, indexed by id."""
         return list(self._ids)
-
-    def record(self, i: int, sequent: tuple[Formula, ...]) -> list[int]:
-        """Intern node ``i``'s sequent, keep its id set, and return its ids."""
-        ids = [self.intern(f) for f in sequent]
-        self.members[i] = frozenset(ids)
-        return ids
 
 
 @dataclass(frozen=True)
@@ -316,38 +420,24 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     Once the tree's shape passes, ``postorder_index`` numbers the nodes,
     the one numbering every later stage reads, and one pass in path
     order fills the report's ``FormulaTable`` by those ids, each
-    distinct formula object normalized once.  The formula a child adds
-    is matched in place against the last formula of its upper sequent,
-    which is then interned as it stands; the added formula is built by
-    ``added_formula`` only when that match fails (see ``_intern_added``),
-    and a built one whose terms nest more than ``MAX_TERM_DEPTH``
-    operations is flagged at the child, not interned.
-
-    A child is derived when its upper sequent is its lower sequent,
-    object for object, followed by one formula that interns to the id
-    the rule adds.  Its id set is then its parent's plus that id, and at
-    its own turn only its new formula takes the class and
-    free-variable checks, the parent's class flags being repeated in
-    index order.  Every other child takes the full check,
-    ``_check_child``: its sequent is interned and its sorted ids are
-    compared with the lower sequent's plus the added id.
+    distinct formula object normalized once, with the branch's sequent
+    on one stack that principal and literal indices read.  A derived
+    child (see ``follow``) costs constant work: it holds the formula its
+    parent's rule adds, and under a closed parent only that formula
+    takes the class and free-variable checks, the parent's class flags
+    being repeated.  A stated child takes ``_check_child`` against the
+    added formula that ``_intern_added`` builds.
 
     Work that depends only on shared objects runs once per object, keyed
-    by identity, and its issues are still flagged at every node:
-
-    * the class and free-variable checks, once per distinct formula;
-    * an initial literal's truth, once per formula id, kept in the
-      table's ``truth``;
-    * a quantifier rule's shape and closedness checks, its witness,
-      bound and inner bound values, and the formulas its children add,
-      once per distinct (rule kind, principal, witness) triple, a cut
-      being keyed by its cut formula.  The added formulas are looked at
-      only once a node's child count matches, so a huge bound is
-      refused by the count alone.
-
-    Per node remain the principal or literal index range, the child
-    count, the check of each upper sequent, and every message that names
-    the rule's index.
+    by identity, and its issues are still flagged at every node: the
+    class and free-variable checks, once per distinct formula; an
+    initial literal's truth, once per formula id, kept in the table's
+    ``truth``; a quantifier rule's shape and closedness checks and its
+    witness, bound and inner bound values, once per distinct (rule
+    kind, principal, witness) triple, a cut being keyed by its cut
+    formula.  A stated child's added formula is built only once its
+    parent's child count matches, so a huge bound is refused by the
+    count alone.
     """
     if mode not in _MODE_CLASS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -367,13 +457,13 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
                 flag(p, "parent node is missing")
             else:
                 order[p[:-1]].append(p[-1])
-    for p, indices in sorted(order.items()):
+    for p, indices in order.items():
         if sorted(indices) != list(range(len(indices))):
             flag(p, f"child indices {sorted(indices)} are not contiguous from 0")
     if issues:
         return ValidationReport(mode, tuple(issues))
     table = FormulaTable(postorder_index(d.nodes))
-    kb, members = table.kb, table.members
+    kb = table.kb
 
     def value(t: Term) -> int | None:
         try:
@@ -389,21 +479,32 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     # (rule kind, id(principal), id(witness)) -> _RuleFacts; ``d`` holds
     # both objects too, and a cut's witness is None.
     rule_facts: dict[tuple[type, int, int], _RuleFacts] = {}
-    # Derived child's id -> the indices of its parent's formulas that
-    # exceed the class; the parent's other formulas are closed.
-    derived: dict[int, tuple[int, ...]] = {}
+    # The sequent of the node being checked.
+    sequent: list[Formula] = []
+    # Per node on the branch: (path, the sequent a stated node replaced,
+    # its formulas' indices that exceed the class, whether none is open).
+    trail: list[tuple[NodePath, list | None, tuple[int, ...], bool]] = []
 
-    for path in d.paths():
+    for path, node in d.nodes.items():
+        while len(trail) > len(path):
+            saved = trail.pop()[1]
+            if saved is None:
+                sequent.pop()
+            else:
+                sequent = saved
         i = kb[path]
-        node = d.nodes[path]
-        sequent = node.sequent
-        high = derived.pop(i, None)
-        if high is None:
-            high, start = (), 0
+        if node.derived:
+            sequent.append(node.sequent[0])
+            saved = None
         else:
+            saved, sequent = sequent, list(node.sequent)
+        if node.derived and trail[-1][3]:
+            high = trail[-1][2]
             for k in high:
                 flag(path, f"formula {k} exceeds the {mode} quantifier class")
             start = len(sequent) - 1
+        else:
+            high, start = (), 0
         is_open = False
         for k in range(start, len(sequent)):
             f = sequent[k]
@@ -420,12 +521,11 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
             if extra:
                 flag(path, f"formula {k} has free variables {extra}")
                 is_open = True
+        trail.append((path, saved, high, not is_open))
         if is_open:
             continue
         count = table.children[i] = len(order[path])
         rule = table.rule[i] = node.rule
-        if members[i] is None:
-            table.record(i, sequent)
 
         if isinstance(rule, InitialRule):
             if count != 0:
@@ -479,33 +579,22 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
         if count != facts.inner:
             flag(path, f"{facts.name} has {count} children, expected {facts.inner}")
             continue
-        # The added formulas' ids are interned at the first node that
-        # gets this far, in child order.
-        added_ids = facts.added_ids
         base = None
         for n in range(count):
             child = path + (n,)
             c = kb[child]
-            upper = d.nodes[child].sequent
-            if n == len(added_ids):
-                at = None if n == facts.final else n
-                added_ids.append(_intern_added(table, upper, rule, principal, at))
-            added = added_ids[n]
+            upper = d.nodes[child]
+            if upper.derived:
+                table.added[c] = table.intern(upper.sequent[0])
+                continue
+            added = _intern_added(table, rule, principal, None if n == facts.final else n)
             if added is None:
                 flag(child, f"added formula nests more than {MAX_TERM_DEPTH} operations")
                 continue
             table.added[c] = added
-            if (
-                len(upper) == len(sequent) + 1
-                and all(map(is_, upper, sequent))
-                and table.intern(upper[-1]) == added
-            ):
-                members[c] = members[i] | {added}
-                derived[c] = high
-            else:
-                if base is None:
-                    base = sorted(map(table.intern, sequent))
-                _check_child(table, child, upper, base, added, flag)
+            if base is None:
+                base = sorted(map(table.intern, sequent))
+            _check_child(table, child, upper.sequent, base, added, flag)
 
     return ValidationReport(mode, tuple(issues), table)
 
@@ -521,13 +610,10 @@ class _RuleFacts:
     the witness's value, and ``above`` flags it not below the bound;
     ``inner`` is the number of children the rule must have, None when it
     does not evaluate; ``final`` is the index of the cut upper that adds
-    the cut formula itself, None for the other rules.  ``added_ids``
-    holds the table id of each child's added formula, filled in when a
-    node of the triple first reaches its children, so no instance is
-    looked at before the child count matches.
+    the cut formula itself, None for the other rules.
     """
 
-    __slots__ = ("stop", "witness", "above", "inner", "final", "name", "added_ids")
+    __slots__ = ("stop", "witness", "above", "inner", "final", "name")
 
     def __init__(self, rule: Rule, principal: Formula, value, mode: str) -> None:
         self.stop: str | None = None
@@ -535,7 +621,6 @@ class _RuleFacts:
         self.above: str | None = None
         self.inner: int | None = None
         self.final: int | None = None
-        self.added_ids: list[int] = []
         if isinstance(rule, CutRule):
             self.name = "cut"
             if mode == MODE_PLS and not isinstance(principal, ExistsLit):
@@ -569,67 +654,49 @@ class _RuleFacts:
         self.inner = 1 if exists else value(principal.bound2)
 
 
-def _intern_added(
-    table: FormulaTable,
-    upper: tuple[Formula, ...],
-    rule: Rule,
-    f: Formula,
-    n: int | None,
-) -> int | None:
-    """The table id of the formula that upper ``n`` of ``rule`` on ``f`` adds.
+def _intern_added(table: FormulaTable, rule: Rule, f: Formula, n: int | None) -> int | None:
+    """The table id of the formula that upper ``n`` of ``rule`` on ``f`` adds, built.
 
     ``n`` is None for a cut's final upper, as ``added_formula`` takes
-    it; validation has checked the rule's shape and child count.
-
-    An upper sequent usually lists the added formula last.  ``_is_added``
-    matches that occurrence against ``f``'s body under the environment
-    that building the instance substitutes, without building anything,
-    and on a match it is interned as it stands: one normalization and
-    one hash, found again by identity when its sequent is recorded.  The
-    added formula is built only when the match fails: a renamed bound
-    variable, an added formula that is not last, or a wrong upper.
-    Equal formulas have the same id, so both ways give the same id.
-
-    An instance puts a witness into a body, each within the depth cap,
-    so its terms may nest up to twice as deep.  Hashing such a term
-    recurses past the interpreter's limit, so a built instance that
-    nests more than ``MAX_TERM_DEPTH`` operations is not interned, and
-    the result is None.  A decoded upper never holds one, so it never
-    matches.
+    it; validation has checked the rule's shape and child count.  An
+    instance puts a witness into a body, each within the depth cap, so
+    its terms may nest up to twice as deep, and hashing such a term
+    recurses past the interpreter's limit: a built instance that nests
+    more than ``MAX_TERM_DEPTH`` operations is not interned, and the
+    result is None.
     """
-    witness = None if isinstance(rule, CutRule) else rule.witness
-    if upper and _is_added(upper[-1], f, witness, n):
-        return table.intern(upper[-1])
     added = added_formula(rule, f, n)
-    if witness is not None and nests_too_deep((added.lit.lhs, added.lit.rhs)):
+    if not isinstance(rule, CutRule) and nests_too_deep((added.lit.lhs, added.lit.rhs)):
         return None
     return table.intern(added)
 
 
-def _is_added(u: Formula, f: Formula, witness: Term | None, n: int | None) -> bool:
-    """Whether ``u`` equals what ``added_formula`` builds at ``n`` for a rule on ``f``.
+def _is_added(u: Formula, rule: Rule, f: Formula, n: int | None) -> bool:
+    """Whether ``u`` equals ``added_formula(rule, f, n)``, building nothing.
 
-    ``witness`` is the rule's witness, None for a cut.  Each case
-    matches ``f``'s body under the environment its builder substitutes,
-    so the dict settles a name that both quantifiers bind.  Terms are
-    compared by ``_term_is``, never by ``==``.
+    False where that is None.  Each case matches ``f``'s body under the
+    environment its builder substitutes, so the dict settles a name
+    that both quantifiers bind.  Terms are compared by ``_term_is``.
     """
-    if n is None:
+    cut = isinstance(rule, CutRule)
+    if cut and n is None:
         return formula_is(u, f)
-    if isinstance(f, ExistsLit):
-        env = {f.var: n if witness is None else witness}
-        return u.__class__ is LitFormula and _literal_is(u.lit, f.body, witness is None, env)
-    if witness is not None:
-        env = {f.var1: witness, f.var2: n}
-        return u.__class__ is LitFormula and _literal_is(u.lit, f.body, False, env)
-    # The inner quantifier shadows the outer one when both bind one name.
-    env = {} if f.var1 == f.var2 else {f.var1: n}
-    return (
-        u.__class__ is ExistsLit
-        and u.var == f.var2
-        and _term_is(u.bound, f.bound2, _NO_ENV)
-        and _literal_is(u.body, f.body, True, env)
-    )
+    if isinstance(f, ExistsLit) and (cut or n == 0 and isinstance(rule, ExistsRule)):
+        env = {f.var: n if cut else rule.witness}
+    elif isinstance(f, ExistsForall) and isinstance(rule, ExistsForallRule):
+        env = {f.var1: rule.witness, f.var2: n}
+    elif isinstance(f, ExistsForall) and cut:
+        # The inner quantifier shadows the outer one when both bind one name.
+        env = {} if f.var1 == f.var2 else {f.var1: n}
+        return (
+            u.__class__ is ExistsLit
+            and u.var == f.var2
+            and _term_is(u.bound, f.bound2, _NO_ENV)
+            and _literal_is(u.body, f.body, True, env)
+        )
+    else:
+        return False
+    return u.__class__ is LitFormula and _literal_is(u.lit, f.body, cut, env)
 
 
 def formula_is(u: Formula, f: Formula) -> bool:
@@ -711,7 +778,7 @@ def _check_child(
     """
     want = base.copy()
     insort(want, added_id)
-    got = sorted(table.record(table.kb[child], upper))
+    got = sorted(map(table.intern, upper))
     if got != want:
         missing = Counter(want) - Counter(got)
         surplus = Counter(got) - Counter(want)
@@ -850,7 +917,7 @@ def substitute_numeral(template: DerivationTemplate, x: int) -> Derivation:
 
 
 def detect_mode(d: Derivation) -> str:
-    """The smallest mode that could accept this derivation."""
+    """The smallest mode that could accept this derivation, read off rules and held formulas."""
     for node in d.nodes.values():
         if isinstance(node.rule, ExistsForallRule):
             return MODE_NPLS

@@ -35,6 +35,14 @@ class NoSuchNode(NplsError):
     """A node path does not occur in the derivation."""
 
 
+class OmittedSequent(NplsError):
+    """A node leaves out a sequent that does not follow; ``path`` names the node."""
+
+    def __init__(self, path: tuple[int, ...], message: str) -> None:
+        super().__init__(message)
+        self.path = path
+
+
 class ValidationFailed(NplsError):
     """A derivation or template failed validation.
 

@@ -32,13 +32,18 @@ Ranks and costs both come from tree shape: the rank of a row is its
 post-order index, the cost of an exists-forall target grows toward
 the root so the search sinks into the tree, and existential targets
 cost nothing because they end the row.
+
+Facts are read by post-order id off validation's table, and no sequent
+is kept per node: a validated sequent is the end-formula followed by
+what its branch added, so what a sequent holds, and where a goal's
+principal entered its branch, are found walking ``parent`` ids.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 from .derivation import (
     MODE_NPLS,
@@ -91,12 +96,11 @@ class ExtractionContext:
 
     The context reads validation's ``FormulaTable`` as it stands, by
     post-order id: ``kb`` maps a path to its id and ``path_of`` back,
-    and ``parent``, ``children``, ``rule``, ``members`` (each sequent's
-    id set), ``added_id`` (the id each child adds), ``witness`` and
-    ``principal_id`` are the table's lists under these names.  No
-    formula is normalized, and no witness or initial literal evaluated,
-    again.  The path-level definitions below convert a path with ``kb``
-    where they need a fact.
+    and ``parent``, ``children``, ``rule``, ``added_id`` (the id each
+    child adds), ``witness`` and ``principal_id`` are the table's lists
+    under these names.  No formula is normalized, and no witness or
+    initial literal evaluated, again.  The path-level definitions below
+    convert a path with ``kb`` where they need a fact.
 
     Derived here, by id: ``is_ef`` for exists-forall rules,
     ``left_upper`` for the value-indexed cut uppers (all but a cut's
@@ -136,7 +140,6 @@ class ExtractionContext:
         self.parent = parent = table.parent
         self.rule = rules = table.rule
         self.children = table.children
-        self.members = table.members
         self.added_id = added_id = table.added
         self.witness = table.witness
         self.principal_id = table.principal
@@ -195,29 +198,23 @@ class ExtractionContext:
 
     @staticmethod
     def _check_mode(d: Derivation, mode: str) -> None:
-        # The node's path is formatted only for the node that fails.
+        # In path order, an inherited formula is flagged where it is
+        # stated or added.  A path is formatted only for the node that fails.
         for path, node in d.nodes.items():
-            if mode == MODE_PLS:
-                if isinstance(node.rule, ExistsForallRule) or any(
-                    classify(f) > 1 for f in node.sequent
-                ):
-                    raise ModeError(
-                        f"exists-forall material needs npls mode at {format_path(path)}"
-                    )
-                if isinstance(node.rule, CutRule) and not isinstance(
-                    node.rule.formula, ExistsLit
-                ):
-                    raise ModeError(
-                        f"pls mode admits cuts on bounded existentials only at {format_path(path)}"
-                    )
+            rule = node.rule
+            cut = rule.formula if isinstance(rule, CutRule) else None
+            if mode == MODE_NPLS:
+                if cut is not None and not isinstance(cut, ExistsForall):
+                    message = "npls mode admits cuts on exists-forall formulas only"
+                else:
+                    continue
+            elif isinstance(rule, ExistsForallRule) or any(classify(f) > 1 for f in node.sequent):
+                message = "exists-forall material needs npls mode"
+            elif cut is not None and not isinstance(cut, ExistsLit):
+                message = "pls mode admits cuts on bounded existentials only"
             else:
-                if isinstance(node.rule, CutRule) and not isinstance(
-                    node.rule.formula, ExistsForall
-                ):
-                    raise ModeError(
-                        "npls mode admits cuts on exists-forall formulas only"
-                        f" at {format_path(path)}"
-                    )
+                continue
+            raise ModeError(f"{message} at {format_path(path)}")
 
     # Node predicates
 
@@ -258,22 +255,43 @@ class ExtractionContext:
             self._kids[i] = kids
         return kids[k]
 
+    def sequent_ids(self, v: int) -> set[int]:
+        """The formula ids of node ``v``'s sequent, one ``parent`` step per level below ``v``."""
+        ids, parent, added, root = {self.end_id}, self.parent, self.added_id, self.n_nodes - 1
+        while v != root:
+            ids.add(added[v])
+            v = parent[v]
+        return ids
+
+    def entry(self, tau: int) -> int:
+        """The node where goal ``tau``'s principal entered its branch.
+
+        It is the lowest node on the branch whose sequent holds the
+        principal: the root for the end-formula, else the lowest node that
+        adds it, found in one ``parent`` step per level below ``tau``.
+        """
+        f, root = self.principal_id[tau], self.n_nodes - 1
+        if f == self.end_id:
+            return root
+        parent, added = self.parent, self.added_id
+        v = entry = tau
+        while v != root:
+            if added[v] == f:
+                entry = v
+            v = parent[v]
+        return entry
+
     def selected_upper(self, tau: int) -> int | None:
         """``_selected_upper`` by id, for a goal ``tau``.
 
-        The entry point is found by walking ``parent`` while the parent's
-        sequent holds tau's principal; sequents grow upward, so that is
-        the shortest prefix holding it.  Below the root it is a cut's
-        final upper, and validation keeps tau's witness value below the
-        cut's bound, so the selected child exists.
+        Below the root, the principal's ``entry`` is a cut's final
+        upper, and validation keeps tau's witness value below the cut's
+        bound, so the selected child exists.  Each answer is kept.
         """
         got = self._selected.get(tau, -1)
         if got == -1:
-            f, entry = self.principal_id[tau], tau
-            parent, members, root = self.parent, self.members, self.n_nodes - 1
-            while entry != root and f in members[parent[entry]]:
-                entry = parent[entry]
-            got = None if entry == root else self.child(parent[entry], self.witness[tau])
+            k, entry = self.witness[tau], self.entry(tau)
+            got = None if entry == self.n_nodes - 1 else self.child(self.parent[entry], k)
             self._selected[tau] = got
         return got
 
@@ -310,12 +328,12 @@ def _entry_point(ctx: ExtractionContext, path: NodePath, formula: int) -> NodePa
     """Shortest prefix of ``path`` whose sequent contains the formula.
 
     ``formula`` is an id of the context's formula table, and each prefix
-    is probed in its id set ``ctx.members``.  The one caller passes a
-    goal's own principal, which lies in the goal's own sequent, so some
-    prefix always contains it.
+    is probed with ``ctx.sequent_ids``.  The one caller passes a goal's own
+    principal, which lies in the goal's own sequent, so some prefix
+    always contains it.
     """
-    members, kb = ctx.members, ctx.kb
-    return next(path[:k] for k in range(len(path) + 1) if formula in members[kb[path[:k]]])
+    kb = ctx.kb
+    return next(path[:k] for k in range(len(path) + 1) if formula in ctx.sequent_ids(kb[path[:k]]))
 
 
 def _selected_upper(ctx: ExtractionContext, tau: NodePath) -> NodePath | None:
@@ -465,7 +483,7 @@ def npls_targets(ctx: ExtractionContext, sigma: NodePath, tau: NodePath) -> bool
             and _no_left_upper_between(ctx, sigma, tau)
         )
     if ctx.has_true_goal(tau):
-        return ctx.principal(tau) in ctx.members[ctx.kb[sigma]]
+        return ctx.principal(tau) in ctx.sequent_ids(ctx.kb[sigma])
     return False
 
 
@@ -529,7 +547,7 @@ def npls_extract(
         raise NotASolution(f"node {format_path(rho)} does not solve its row")
     kappa = npls_gen_source(ctx, sigma, tau)
     rho_principal = ctx.principal(rho)
-    if rho_principal in ctx.members[ctx.kb[kappa[:-1]]]:
+    if rho_principal in ctx.sequent_ids(ctx.kb[kappa[:-1]]):
         return rho
     # kappa, the row's cut upper, adds the negated cut instance.
     if rho_principal != ctx.added_id[ctx.kb[kappa]]:
@@ -565,8 +583,8 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     exists-forall target belongs to exactly one row, its owner; an
     existential target belongs to every row whose sequent holds its
     principal, found through one map from principal to rules.  Building
-    takes time linear in the nodes and the sizes of the sequents; a row
-    then costs time linear in its targets and edges.
+    takes time linear in the nodes; a row then costs time linear in its
+    depth (see ``sequent_ids``), its targets and its edges.
     """
     if ctx.mode != MODE_NPLS:
         raise ModeError("build_npls needs an npls-mode context")
@@ -575,7 +593,7 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
     n = ctx.n_nodes
     root = n - 1
     is_ef, true_lit, true_goal, low = ctx.is_ef, ctx.true_lit, ctx.true_goal, ctx.low
-    members, principal, goal = ctx.members, ctx.principal_id, ctx.goal
+    principal, goal = ctx.principal_id, ctx.goal
     cost_of = [ctx.d_max - len(p) if ef else 0 for p, ef in zip(paths, is_ef)]
 
     # Parents come after their children in post-order, so a descending
@@ -608,7 +626,7 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
         if s not in source_ids:
             return None
         # Each rule is listed once: under its owner, or under its principal.
-        ts = sorted(chain(owned.get(s, ()), *(goals_of.get(f, ()) for f in members[s])))
+        ts = sorted(chain(owned.get(s, ()), *map(goals_of.get, ctx.sequent_ids(s), repeat(()))))
         # The exists-forall targets in low[y]..y-1 are y's descendants;
         # sorting two ascending runs merges them in linear time.
         plain = [t for t in ts if not is_ef[t]]
@@ -629,7 +647,7 @@ def build_npls(ctx: ExtractionContext) -> NplsInstance:
         kappa = ctx.selected_upper(y) if true_goal[z] else None
         if kappa is not None:
             f = principal[z]
-            if f in members[ctx.parent[kappa]]:
+            if f in ctx.sequent_ids(ctx.parent[kappa]):
                 return z
             if f == ctx.added_id[kappa]:
                 got = goal[ctx.child(y, ctx.witness[z])]

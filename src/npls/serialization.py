@@ -10,34 +10,35 @@ Each node of a derivation repeats its parent's side formulas, and its
 upper sequents follow from its rule.  So a derivation document states
 the root's sequent and may leave out any other node's ``sequent``: an
 omitted sequent is the parent's sequent followed by the formula that
-the parent's rule adds at the node's index (``added_formula``), a cut's
-last present child adding the cut formula itself.
-``derivation_to_json`` leaves out exactly the sequents that follow; a
-sequent that does not follow can only be stated.  An omitted
-sequent that does not follow, or whose added formula nests past the
-term depth cap, fails with a FormatError naming its node.
+the parent's rule adds at the node's index, a cut's last present child
+adding the cut formula itself.  ``derivation.follow`` is the one
+definition of which sequents follow: a ``Derivation`` keeps a derived
+node's added formula only, and ``derivation_to_json`` writes what each
+node holds, so it leaves out exactly the sequents that follow.  An
+omitted sequent that does not follow, or whose added formula nests
+past the term depth cap, fails with a FormatError naming its node.
 
 The derivation and template decoders keep a per-document memo keyed by
 the ``marshal`` bytes (version 2) of each raw formula, which tell
 ``true`` from ``1`` and ``1.0`` from ``1``: each distinct stated formula
 is decoded once, and equal stated formulas in one document decode to
-one shared object.  Each distinct (rule kind, principal object, witness
-object, index) added formula of a derivation is built once.  Locations
-are passed down as a parent location plus a key or index, and one is
+one shared object.  The derivation decoder keys raw rules and their raw
+witnesses the same way, so equal witnesses are one object too, and
+``follow`` builds each distinct added formula once.  Locations are
+passed down as a parent location plus a key or index, and one is
 formatted only for a value that fails its check.
 
 A derivation states few sequents, so it is decoded node by node: one
-C-level check passes each path, each distinct stated formula and raw
-rule is decoded once, and the omitted sequents are derived in path
-order.  Templates are decoded node by node too, through the same
-formula key.  Graphs and families carry thousands of small values, so
-they are checked in C-level passes over their types: a family as a
-whole document, into a preorder ``FamilyTable`` with no object per
-problem, and a digraph into a ``DigraphTable`` of its own pair lists,
-with no copy or sort, so graph documents decode only to the tables they
-compile from.  For both, the item-by-item walk runs only when a check
-fails, to name the first bad value with its location.  The encoders
-take what the fixtures and the generator build: a family as
+C-level check passes each path, and each distinct stated formula, raw
+witness and raw rule is decoded once.  Templates are decoded node by node
+too, through the same formula key.  Graphs and families carry thousands
+of small values, so they are checked in C-level passes over their types:
+a family as a whole document, into a preorder ``FamilyTable`` with no
+object per problem, and a digraph into a ``DigraphTable`` of its own
+pair lists, with no copy or sort, so graph documents decode only to the
+tables they compile from.  For both, the item-by-item walk runs only when
+a check fails, to name the first bad value with its location.  The
+encoders take what the fixtures and the generator build: a family as
 ``NestedGraphFamily`` objects, a digraph as its ``DigraphTable``.
 
 Documents are distinguished by their top-level keys: a derivation has
@@ -50,6 +51,7 @@ from __future__ import annotations
 import json
 import marshal
 import sys
+from functools import partial
 from itertools import chain, islice, repeat
 from operator import add, itemgetter, lt, mul
 from typing import Any
@@ -65,10 +67,8 @@ from .derivation import (
     ProofNode,
     Rule,
     TemplateNode,
-    added_formula,
-    formula_is,
 )
-from .errors import FormatError
+from .errors import FormatError, OmittedSequent
 from .nested_graph import DigraphTable, FamilyTable, NestedGraphFamily, family_table
 from .terms import (
     MAX_TERM_DEPTH,
@@ -79,7 +79,6 @@ from .terms import (
     LitFormula,
     Literal,
     Term,
-    nests_too_deep,
     num,
     var,
 )
@@ -283,24 +282,26 @@ def _key(raw: Any) -> bytes:
     return marshal.dumps(raw, _KEY_VERSION)
 
 
-def _shared_formula(raw: Any, where: Where, memo: dict[bytes, Formula]) -> Formula:
-    """Decode a raw formula once per document.
+def _shared(decode, raw: Any, where: Where, memo: dict[bytes, Any]) -> Any:
+    """Decode a raw formula, term or rule once per document.
 
-    ``memo`` maps the ``_key`` of each raw formula that decoded to its
-    value, so equal formulas in one document decode to one object.
-    The template and derivation decoders call this once per stated
-    occurrence, a cut formula included.  A value nested too deeply for
-    ``marshal`` has no key; it is decoded without the memo, so the
-    decoder's depth cap names its location.
+    ``memo`` maps the ``_key`` of each raw value that decoded to its
+    value, so equal values in one document decode to one object.  The
+    template and derivation decoders call this once per stated formula
+    occurrence, a cut formula included; the derivation decoder also
+    calls it once per raw rule, and once per raw witness of a distinct
+    raw rule.  A value nested too deeply for ``marshal`` has no
+    key; it is decoded without the memo, so the decoder's depth cap
+    names its location.
     """
     try:
         key = _key(raw)
     except ValueError:
-        return formula_from_json(raw, where)
-    f = memo.get(key)
-    if f is None:
-        f = memo[key] = formula_from_json(raw, where)
-    return f
+        return decode(raw, where)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = decode(raw, where)
+    return got
 
 
 def _sequent_from_json(
@@ -309,7 +310,7 @@ def _sequent_from_json(
     at = (where, ".sequent")
     sequent = []
     for j, raw in enumerate(_need_list(_get(node, "sequent", where), at)):
-        sequent.append(_shared_formula(raw, (at, j), memo))
+        sequent.append(_shared(formula_from_json, raw, (at, j), memo))
     return tuple(sequent)
 
 
@@ -330,106 +331,43 @@ def rule_to_json(rule: Rule) -> Any:
     raise TypeError(f"not a rule: {rule!r}")
 
 
-def rule_from_json(obj: Any, where: Where = "rule", memo: dict | None = None) -> Rule:
-    """Decode a rule; a cut formula is shared through ``memo`` when given."""
+def rule_from_json(
+    obj: Any, where: Where = "rule", memo: dict | None = None, terms: dict | None = None
+) -> Rule:
+    """Decode a rule; a cut formula is shared through ``memo``, and a witness through ``terms``."""
     d = _need_dict(obj, where)
     tag = _need_str(_get(d, "tag", where), (where, ".tag"))
     if tag == "initial":
         return InitialRule(_need_int(_get(d, "index", where), (where, ".index")))
     if tag in ("exists", "exists-forall"):
         principal = _need_int(_get(d, "principal", where), (where, ".principal"))
-        witness = term_from_json(_get(d, "witness", where), (where, ".witness"))
+        raw = _get(d, "witness", where)
+        witness = _shared(term_from_json, raw, (where, ".witness"), {} if terms is None else terms)
         cls = ExistsRule if tag == "exists" else ExistsForallRule
         return cls(principal, witness)
     if tag == "cut":
         memo = {} if memo is None else memo
-        return CutRule(_shared_formula(_get(d, "formula", where), (where, ".formula"), memo))
+        raw = _get(d, "formula", where)
+        return CutRule(_shared(formula_from_json, raw, (where, ".formula"), memo))
     raise _fail(where, f"unknown rule tag {tag!r}")
 
 
 # Derivations
 
 
-# A non-root path's parent path, and its index there.
-_UP = itemgetter(slice(None, -1))
-_INDEX = itemgetter(-1)
-
-
-def _following(paths: list[tuple[int, ...]]):
-    """The upper sequent that a child follows to, for a derivation with these ``paths``.
-
-    The returned function takes the parent's rule and sequent and the
-    child's path.  It finds the principal formula and hands it to
-    ``added_formula``, the parent's last child being a cut's final
-    upper, and gives the parent's sequent followed by the added formula,
-    or None where the rule adds nothing, a principal index out of range
-    included.  It builds each distinct (rule kind, principal object,
-    witness object, index) added formula once, so equal keys share one
-    object; the caller holds the keyed objects while it is in use.
-
-    An instance puts a witness into a body, each within the depth cap,
-    so its terms may nest up to twice as deep: such an instance raises
-    ValueError, as a stated sequent holding it fails to decode.
-    """
-    kids = sorted(filter(None, paths))
-    # A later sibling sorts after an earlier one, so each parent keeps its largest index.
-    last = dict(zip(map(_UP, kids), map(_INDEX, kids)))
-    built: dict[tuple, Formula | None] = {}
-
-    def upper(rule: Rule, lower: tuple[Formula, ...], path: tuple[int, ...]) -> tuple | None:
-        n = path[-1]
-        kind = rule.__class__
-        if kind is CutRule:
-            principal, witness = rule.formula, None
-            if n == last[path[:-1]]:
-                n = None
-        elif kind is ExistsRule or kind is ExistsForallRule:
-            if not 0 <= rule.principal < len(lower):
-                return None
-            principal, witness = lower[rule.principal], rule.witness
-        else:
-            return None
-        key = (kind, id(principal), id(witness), n)
-        if key not in built:
-            f = added_formula(rule, principal, n)
-            if witness is not None and f is not None and nests_too_deep((f.lit.lhs, f.lit.rhs)):
-                raise ValueError(f"term nests more than {MAX_TERM_DEPTH} operations")
-            built[key] = f
-        f = built[key]
-        return None if f is None else (*lower, f)
-
-    return upper
-
-
 def derivation_to_json(d: Derivation) -> Any:
     """Encode a derivation, stating only the sequents that do not follow from the rules.
 
-    A non-root node's ``sequent`` is left out when it equals its
-    parent's sequent followed by the formula that the parent's rule
-    adds at the node's index (``added_formula``); a cut's last present
-    child adds the cut formula.  The root, and every node whose sequent
-    does not follow, state theirs, so ``derivation_from_json`` gives
-    back an equal derivation, a broken one included.  So does a node
-    whose parent's rule adds a formula too deep to decode.
-
-    Formulas are compared by ``formula_is``, one frame per term level:
-    dataclass ``==`` on two equal deep terms passes the recursion limit
-    within the depth cap.
+    Each node writes what it holds (see ``follow``): a derived node
+    leaves its ``sequent`` out, and the root and every node whose
+    sequent does not follow state theirs, so ``derivation_from_json``
+    gives back an equal derivation, a broken one included.
     """
-    paths = sorted(d.nodes)
-    upper = _following(paths)
     nodes = []
-    for path in paths:
-        node = d.nodes[path]
+    for path, node in d.nodes.items():
         out = {"path": list(path), "rule": rule_to_json(node.rule)}
-        up = d.nodes.get(path[:-1]) if path else None
-        try:
-            want = None if up is None else upper(up.rule, up.sequent, path)
-        except ValueError:
-            want = None
-        seq = node.sequent
-        if not (want and len(want) == len(seq) and all(map(formula_is, seq, want))):
-            out["sequent"] = [formula_to_json(f) for f in seq]
+        if not node.derived:
+            out["sequent"] = [formula_to_json(f) for f in node.sequent]
         nodes.append(out)
     return {"end_x": d.end_x, "nodes": nodes}
 
@@ -445,34 +383,19 @@ def _path_from_json(obj: Any, where: Where) -> tuple[int, ...]:
     return tuple(obj)
 
 
-def _shared_rule(raw: Any, where: Where, rules: dict[bytes, Rule], memo: dict) -> Rule:
-    """Node ``where``'s rule, decoded once per document and keyed as a formula is."""
-    try:
-        key = _key(raw)
-    except ValueError:
-        return rule_from_json(raw, (where, ".rule"), memo)
-    rule = rules.get(key)
-    if rule is None:
-        rule = rules[key] = rule_from_json(raw, (where, ".rule"), memo)
-    return rule
-
-
 def derivation_from_json(obj: Any) -> Derivation:
     """Decode a derivation node by node, naming the first value that fails.
 
     A node other than the root may leave out its ``sequent`` when it
-    follows from the parent's rule (see ``derivation_to_json``); a
-    stated sequent is taken as it stands.  Each distinct formula and
-    each distinct raw rule is decoded once, keyed by its ``_key`` bytes,
-    and a cut formula goes through the formula memo, so it is the very
-    object its final upper holds.  Stated values are checked in document
-    order first.  The omitted sequents are then derived in path order,
-    so a parent's sequent is known before its children's, each from its
-    parent's sequent and rule (see ``_following``), and the first that
-    does not follow is named by its node.  A node follows from nothing
-    when it is the root, its parent is absent, or its parent's rule adds
-    no formula at its index; an added formula whose terms nest past the
-    depth cap fails as a stated one does.
+    follows from the parent's rule (see ``derivation_to_json``).  Each
+    distinct formula, raw witness and raw rule is decoded once, keyed
+    by its ``_key`` bytes, and a cut formula goes through the formula
+    memo, so it is the very object its final upper holds.  Stated values
+    are checked in document order first.  ``Derivation`` then derives
+    the omitted sequents through ``follow``, and the first in path
+    order that does not follow is named by its node: the root, a node
+    whose parent is absent, a parent's rule that adds no formula at its
+    index, or an added formula whose terms nest past the depth cap.
     """
     d = _need_dict(obj, "derivation")
     end_x = _need_int(_get(d, "end_x", "derivation"), "derivation.end_x")
@@ -480,44 +403,25 @@ def derivation_from_json(obj: Any) -> Derivation:
         raise _fail("derivation.end_x", "the parameter is non-negative")
     raw_nodes = _need_list(_get(d, "nodes", "derivation"), "derivation.nodes")
     memo: dict[bytes, Formula] = {}
+    terms: dict[bytes, Term] = {}
     shared_rules: dict[bytes, Rule] = {}
-    index: dict[tuple[int, ...], int] = {}
-    rules: list[Rule] = []
-    sequents: list = []
-    omitted: list[int] = []
+    decode_rule = partial(rule_from_json, memo=memo, terms=terms)
+    nodes: dict[tuple[int, ...], ProofNode] = {}
     for i, raw in enumerate(raw_nodes):
         where = ("derivation.nodes", i)
         node = _need_dict(raw, where)
         path = _path_from_json(_get(node, "path", where), where)
-        if path in index:
+        if path in nodes:
             raise _fail((where, ".path"), "duplicate node path")
-        index[path] = i
-        rules.append(_shared_rule(_get(node, "rule", where), where, shared_rules, memo))
-        if "sequent" in node:
-            sequents.append(_sequent_from_json(node, where, memo))
-        else:
-            sequents.append(None)
-            omitted.append(i)
-    if not index:
+        rule = _shared(decode_rule, _get(node, "rule", where), (where, ".rule"), shared_rules)
+        sequent = _sequent_from_json(node, where, memo) if "sequent" in node else None
+        nodes[path] = ProofNode(sequent, rule)
+    if not nodes:
         raise _fail("derivation.nodes", "a derivation needs at least one node")
-    paths = list(index)
-    upper = _following(paths)
-    for i in sorted(omitted, key=paths.__getitem__):
-        path = paths[i]
-        where = ("derivation.nodes", i)
-        if not path:
-            raise _fail(where, "the root states its sequent")
-        up = index.get(path[:-1])
-        if up is None:
-            raise _fail(where, "the sequent is omitted and the node has no parent")
-        try:
-            got = upper(rules[up], sequents[up], path)
-        except ValueError as exc:
-            raise _fail(where, str(exc)) from exc
-        if got is None:
-            raise _fail(where, "the sequent is omitted and does not follow from the parent's rule")
-        sequents[i] = got
-    return Derivation(end_x, dict(zip(paths, map(ProofNode, sequents, rules))))
+    try:
+        return Derivation(end_x, nodes)
+    except OmittedSequent as exc:
+        raise _fail(("derivation.nodes", list(nodes).index(exc.path)), str(exc)) from exc
 
 
 # Templates
@@ -621,19 +525,20 @@ def _digraph_walk(obj: Any, where: Where) -> DigraphTable:
 def _digraph_at_once(obj: Any) -> DigraphTable | None:
     """A digraph as the table of its own lists, or None when a check fails.
 
-    One C-level pass checks the types of the edge ends: a JSON pair that
-    is no array has no int among them, or is empty.  The costs' count is
-    checked before their types.  One walk unpacks each pair, which checks
-    its length, and checks both ends against ``n``.  A failed lookup is
-    a failed check too.
+    C-level passes check that every pair is an array and every end an
+    int, then the costs' count before their types.  One walk unpacks
+    each pair, which checks its length, and checks both ends against
+    ``n``.  A failed lookup is a failed check too.
     """
     try:
         n, edges, costs = obj["n"], obj["edges"], obj["costs"]
         if not (type(n) is int and n > 0 and type(edges) is list and type(costs) is list):
             return None
-        if not (set(map(type, chain.from_iterable(edges))) <= _INT and len(costs) == n):
+        if not set(map(type, edges)) <= _LIST:
             return None
-        if not set(map(type, costs)) <= _INT:
+        if not set(map(type, chain.from_iterable(edges))) <= _INT:
+            return None
+        if not (len(costs) == n and set(map(type, costs)) <= _INT):
             return None
         # C-level min and max over the ends took about three times as long.
         for s, t in edges:

@@ -175,8 +175,8 @@ def _end_formula_witnesses(d):
     # the end-formula; extraction must land on one of these.
     end = d.sequent(())[0]
     found = set()
-    for path in d.paths():
-        rule = d.rule(path)
+    for path, node in d.nodes.items():
+        rule = node.rule
         if isinstance(rule, ExistsRule) and formulas_equal(
             d.sequent(path)[rule.principal], end
         ):
@@ -301,8 +301,13 @@ def test_criterion_6_rank_zero_rows_collapse_onto_plain_search():
     print("criterion 6: pass")
 
 
+def _given(d):
+    """``d``'s nodes as a derivation is given: each with its whole sequent."""
+    return {p: ProofNode(d.sequent(p), node.rule) for p, node in d.nodes.items()}
+
+
 def _mutate(d, path, *, rule=None, sequent=None):
-    nodes = dict(d.nodes)
+    nodes = _given(d)
     node = nodes[path]
     nodes[path] = ProofNode(
         sequent=node.sequent if sequent is None else sequent,
@@ -312,7 +317,7 @@ def _mutate(d, path, *, rule=None, sequent=None):
 
 
 def _drop(d, paths):
-    return Derivation(d.end_x, {p: n for p, n in d.nodes.items() if p not in paths})
+    return Derivation(d.end_x, {p: n for p, n in _given(d).items() if p not in paths})
 
 
 def _negate_at(d, path, index):

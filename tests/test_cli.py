@@ -87,7 +87,7 @@ def test_validate_expands_templates(capsys):
 
 def _broken_d2_file(tmp_path):
     d = d2()
-    nodes = dict(d.nodes)
+    nodes = {p: ProofNode(d.sequent(p), node.rule) for p, node in d.nodes.items()}
     seq = tuple(
         LitFormula(f.lit.negate()) if isinstance(f, LitFormula) else f
         for f in nodes[(0,)].sequent

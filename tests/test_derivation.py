@@ -164,7 +164,7 @@ def test_tree_accessors():
     assert _children_of_root(d) == 3
     assert d.depth() == 2
     with pytest.raises(NoSuchNode):
-        d.node((7,))
+        d.sequent((7,))
 
 
 def test_fixtures_validate_in_their_modes():
@@ -188,8 +188,13 @@ def test_unknown_mode_rejected():
         validate(d2(), "fancy")
 
 
+def _given(d):
+    """``d``'s nodes as a derivation is given: each with its whole sequent."""
+    return {p: ProofNode(d.sequent(p), node.rule) for p, node in d.nodes.items()}
+
+
 def _mutate(d, path, *, rule=None, sequent=None):
-    nodes = dict(d.nodes)
+    nodes = _given(d)
     node = nodes[path]
     nodes[path] = ProofNode(
         sequent=node.sequent if sequent is None else sequent,
@@ -269,17 +274,17 @@ def test_the_added_formula_need_not_come_last():
     table = report.table
     i = table.kb[(1, 0)]
     assert table.added[i] == table.intern(moved.sequent((1, 0))[0])
-    assert table.members[i] == set(map(table.intern, moved.sequent((1, 0))))
+    assert moved.nodes[(1, 0)] == (seq[-1:] + seq[:-1], InitialRule(0), False)
 
 
 def test_missing_root_and_orphans_are_flagged():
     d = d2()
-    nodes = {p: n for p, n in d.nodes.items() if p != ()}
+    nodes = {p: n for p, n in _given(d).items() if p != ()}
     report = validate(Derivation(d.end_x, nodes), MODE_PLS)
     assert not report.ok
     assert report.issues[0].message == "missing root node"
 
-    nodes = dict(d2().nodes)
+    nodes = _given(d2())
     del nodes[(1,)]
     report = validate(Derivation(d.end_x, nodes), MODE_PLS)
     assert not report.ok
@@ -419,15 +424,15 @@ def test_memoised_expansion_matches_per_occurrence_substitution(template, x):
 
 def test_expansion_builds_a_formula_without_the_family_index_once():
     d = expand_template(_mixed_family_template(), 3)
-    members = [d.nodes[(n,)] for n in range(4)]
+    members = [(d.sequent((n,)), d.nodes[(n,)].rule) for n in range(4)]
     # closed and shadow do not mention i: one object for the family.
     for position in (0, 2):
-        assert len({id(m.sequent[position]) for m in members}) == 1
+        assert len({id(sequent[position]) for sequent, _ in members}) == 1
     # indexed and half do: one object per value of i.
     for position in (1, 3):
-        assert len({id(m.sequent[position]) for m in members}) == 4
+        assert len({id(sequent[position]) for sequent, _ in members}) == 4
     # The cut formula is the sequent's object at the same assignment.
-    assert all(m.rule.formula is m.sequent[3] for m in members)
+    assert all(rule.formula is sequent[3] for sequent, rule in members)
 
 
 # A formula skeleton: shape (0 literal, 1 existential, 2 exists-forall),
@@ -603,7 +608,7 @@ def _per_occurrence_copy(d):
                 tuple(formula_from_json(formula_to_json(f)) for f in node.sequent),
                 rule_from_json(rule_to_json(node.rule)),
             )
-            for p, node in d.nodes.items()
+            for p, node in _given(d).items()
         },
     )
 
@@ -635,18 +640,18 @@ def test_validation_checks_each_distinct_rule_and_literal_object_once(monkeypatc
     existential = []
     real = derivation._intern_added
 
-    def intern_added(table, upper, rule, f, n):
+    def intern_added(table, rule, f, n):
         if isinstance(rule, ExistsRule):
             existential.append(n)
-        return real(table, upper, rule, f, n)
+        return real(table, rule, f, n)
 
     monkeypatch.setattr(derivation, "_intern_added", intern_added)
     d = expand_template(t_d3(), 100)
     assert validate(d, MODE_NPLS).ok
-    # 102 existential rules share one (principal, witness) pair, whose
-    # added formula is looked at once, matched in place and never built;
-    # the 105 initial leaves share 4 literal objects.
-    assert existential == [0]
+    # The 102 existential rules' children are derived: each holds its
+    # added formula, which is interned as it stands and never built; the
+    # 105 initial leaves share 4 literal objects.
+    assert existential == []
     assert calls == {"exists_instance": 0, "eval_literal": 4}
 
 
@@ -774,7 +779,7 @@ def _two_cuts_on_one_formula():
 
 def test_cuts_sharing_a_formula_are_checked_once_and_flagged_per_node():
     d = _two_cuts_on_one_formula()
-    assert d.rule(()).formula is d.rule((1,)).formula
+    assert d.nodes[()].rule.formula is d.nodes[(1,)].rule.formula
     assert validate(d, MODE_PLS).ok
     # The root cut fills the shared facts first; the second cut's wrong
     # upper is still named by its own path.
@@ -793,8 +798,8 @@ def test_cuts_sharing_a_formula_are_checked_once_and_flagged_per_node():
     ]
 
 
-# Validation matches each added formula in place; it must report and
-# number formulas exactly as building, comparing and interning does.
+# Validation builds the formula a stated child adds; it must report and
+# number formulas exactly as building by substitution and interning does.
 
 
 def _built_added(f, witness, n):
@@ -807,17 +812,10 @@ def _built_added(f, witness, n):
     return LitFormula(exists_forall_instance(f, witness, n))
 
 
-def _oracle_intern_added(table, upper, rule, f, n):
-    """Build the added formula, compare it with the upper's last formula, intern."""
-    import npls.derivation as derivation
-
+def _oracle_intern_added(table, rule, f, n):
+    """Build the added formula by substitution and intern it."""
     witness = None if isinstance(rule, CutRule) else rule.witness
-    added = _built_added(f, witness, n)
-    if upper:
-        assert derivation._is_added(upper[-1], f, witness, n) == (upper[-1] == added)
-        if upper[-1] is added or upper[-1] == added:
-            added = upper[-1]
-    return table.intern(added)
+    return table.intern(_built_added(f, witness, n))
 
 
 def _assert_validation_matches_oracle(d):
@@ -835,7 +833,6 @@ def _assert_validation_matches_oracle(d):
         if want.table is not None:
             assert got.table.formulas() == want.table.formulas()
             assert got.table.kb == want.table.kb
-            assert got.table.members == want.table.members
             assert got.table.added == want.table.added
             assert got.table.children == want.table.children
             assert got.table.rule == want.table.rule
@@ -862,16 +859,18 @@ def _assert_validation_matches_oracle(d):
                 else None
                 for node in map(d.nodes.__getitem__, table.paths)
             ]
-            assert table.members == [
-                frozenset(map(table.intern, d.nodes[p].sequent)) for p in table.paths
-            ]
+            # Each sequent is the root's plus what its branch added.
+            root = list(map(table.intern, d.sequent(())))
+            for p in d.nodes:
+                branch = [table.added[kb[p[:k]]] for k in range(1, len(p) + 1)]
+                assert sorted(map(table.intern, d.sequent(p))) == sorted(root + branch)
 
 
 def _replace_sequents(d, edit):
     """``d`` with each non-root node's sequent replaced by ``edit(path, sequent)``."""
     nodes = {
         p: ProofNode(edit(p, node.sequent) if p else node.sequent, node.rule)
-        for p, node in d.nodes.items()
+        for p, node in _given(d).items()
     }
     return Derivation(d.end_x, nodes)
 
@@ -998,8 +997,12 @@ def test_the_added_formula_matcher_agrees_with_building_it(case, data):
         w if data.draw(st.booleans()) else witness,
         m if data.draw(st.booleans()) else n,
     )
-    assert derivation._is_added(u, f, witness, n) == (u == _built_added(f, witness, n))
-    assert derivation._is_added(_built_added(f, witness, n), f, witness, n)
+    if witness is None:
+        rule = CutRule(f)
+    else:
+        rule = (ExistsRule if isinstance(f, ExistsLit) else ExistsForallRule)(0, witness)
+    assert derivation._is_added(u, rule, f, n) == (u == _built_added(f, witness, n))
+    assert derivation._is_added(_built_added(f, witness, n), rule, f, n)
 
 
 def _fixture_derivations():

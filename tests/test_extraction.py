@@ -54,9 +54,14 @@ def test_mode_mismatch_raises_with_the_offending_path():
         ExtractionContext(d2(), "fancy")
 
 
+def _given(d):
+    """``d``'s nodes as a derivation is given: each with its whole sequent."""
+    return {p: ProofNode(d.sequent(p), node.rule) for p, node in d.nodes.items()}
+
+
 def test_invalid_derivations_are_rejected():
     d = d2()
-    nodes = dict(d.nodes)
+    nodes = _given(d)
     node = nodes[(1, 0)]
     nodes[(1, 0)] = ProofNode(node.sequent[:-1], node.rule)
     with pytest.raises(ValidationFailed) as info:
@@ -104,8 +109,8 @@ def test_context_evaluates_each_distinct_literal_once(monkeypatch):
     d = random_sigma2_derivation(20)
     ctx = ExtractionContext(d, "npls")
     assert len(evaluated) == len(set(evaluated))
-    for path, node in d.nodes.items():
-        lits = [f.lit for f in node.sequent if isinstance(f, LitFormula)]
+    for path in d.nodes:
+        lits = [f.lit for f in d.sequent(path) if isinstance(f, LitFormula)]
         assert target_condition(ctx, path) == (not any(real(lit, d.end_x) for lit in lits))
 
 
@@ -169,7 +174,7 @@ def test_a_mode_violation_is_named_before_other_issues():
         ExtractionContext(d3(), "pls")
     assert str(info.value) == "pls mode admits cuts on bounded existentials only at ()"
     # D3 with a leaf that points at a false literal still breaks pls mode first.
-    nodes = dict(d3().nodes)
+    nodes = _given(d3())
     nodes[(2, 1, 0)] = ProofNode(nodes[(2, 1, 0)].sequent, InitialRule(2))
     broken = Derivation(0, nodes)
     assert "(2,1,0): initial literal at index 2 is false" in validate(broken, "pls").lines()
@@ -206,7 +211,9 @@ def test_entry_point_is_where_a_formula_enters_the_branch():
     # the root cut's final upper, which adds the cut formula.
     kb = ctx.kb
     end, cut, b00 = ctx.end_id, ctx.added_id[kb[(2,)]], ctx.added_id[kb[(2, 0)]]
-    assert ctx.members[kb[(2, 0)]] == {end, cut, b00}
+    assert ctx.sequent_ids(kb[(2, 0)]) == {end, cut, b00}
+    assert ctx.sequent_ids(kb[(2,)]) == {end, cut}
+    assert ctx.entry(kb[(2, 1)]) == kb[(2,)] and ctx.entry(kb[(1,)]) == kb[()]
     assert _entry_point(ctx, (2, 0), b00) == (2, 0)
     assert _entry_point(ctx, (2, 0), cut) == (2,)
     assert _entry_point(ctx, (2, 0), end) == ()
@@ -415,15 +422,27 @@ def test_validation_leaves_extraction_no_unreachable_case():
         assert ctx.has_true_goal(extract_witness_pls(ctx).solution_node), name
 
 
-def test_context_id_sets_hold_each_sequent_formula():
+def test_context_sequent_ids_are_each_sequent_formula(monkeypatch):
+    from npls import extraction
+
+    reports = []
+    real = extraction.validate
+
+    def kept(d, mode):
+        reports.append(real(d, mode))
+        return reports[-1]
+
+    monkeypatch.setattr(extraction, "validate", kept)
     cases = [("T-D3 x=7", substitute_numeral(t_d3(), 7))]
     cases += [(f"sigma2 seed={seed}", random_sigma2_derivation(seed)) for seed in range(60)]
     for name, d in cases:
         # The context reads validation's table as it stands.
-        table = validate(d, "npls").table
+        ctx = ExtractionContext(d, "npls")
+        table = reports[-1].table
         assert table.kb.keys() == d.nodes.keys(), name
-        for path, i in table.kb.items():
-            assert table.members[i] == set(map(table.intern, d.sequent(path))), (name, path)
+        held = {i: set(map(table.intern, d.sequent(path))) for path, i in table.kb.items()}
+        for i, want in held.items():
+            assert ctx.sequent_ids(i) == want, (name, table.paths[i])
 
 
 def test_build_npls_tables_match_the_path_level_definitions():

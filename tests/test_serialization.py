@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from npls import serialization
 from npls.corpus import FIXTURES, ng2, random_sigma1_derivation, random_sigma2_derivation
 from npls.cli import main
-from npls.derivation import CutRule, expand_template
+from npls.derivation import CutRule, ExistsForallRule, ExistsRule, expand_template, validate
 from npls.errors import FormatError
+from npls.extraction import ExtractionContext, extract_witness_pls
 from npls.nested_graph import (
     MAX_RANK,
     NestedGraphFamily,
@@ -161,6 +162,15 @@ def test_digraph_parse_errors():
     assert "at least one node" in _error_location(
         document_from_json, {"n": 0, "edges": [], "costs": []}
     )
+
+
+def test_a_tuple_edge_pair_is_refused_by_both_digraph_passes():
+    # JSON has no tuple; an edge pair is an array even in a document built in memory.
+    doc = {"n": 2, "edges": [(0, 1)], "costs": [1, 0]}
+    message = "digraph.edges[0]: expected an array, got tuple"
+    assert serialization._digraph_at_once(doc) is None
+    assert _error_location(serialization._digraph_walk, doc, "digraph") == message
+    assert _error_location(document_from_json, doc) == message
 
 
 _LOOP = {"n": 1, "edges": [[0, 0]], "costs": [0]}
@@ -398,8 +408,8 @@ def test_an_omitted_instance_is_held_to_the_term_depth_cap(body_depth, witness_d
     if body_depth + witness_depth <= MAX_TERM_DEPTH:
         # Compared as JSON: == on two distinct terms this deep passes the recursion limit.
         for doc in (compact, full):
-            leaf = derivation_from_json(doc).nodes[(0,)]
-            assert [formula_to_json(f) for f in leaf.sequent] == full["nodes"][1]["sequent"]
+            leaf = derivation_from_json(doc).sequent((0,))
+            assert [formula_to_json(f) for f in leaf] == full["nodes"][1]["sequent"]
     else:
         message = "term nests more than 256 operations"
         assert _error_location(derivation_from_json, compact) == f"derivation.nodes[1]: {message}"
@@ -417,26 +427,68 @@ def test_a_node_under_a_too_deep_instance_states_its_sequent():
     assert derivation_from_json(derivation_to_json(d)) == d
 
 
+def _chain_document(depth):
+    """An existential chain: each of ``depth`` rules adds an instance of ∃y<4 (y = 2).
+
+    Only the root states its sequent.  Every instance is false but the
+    last, on which the leaf closes.
+    """
+    end = {"ex": {"v": "y", "bound": {"num": 4}, "body": _eq({"var": "y"}, {"num": 2})}}
+    witnesses = [(0, 1, 3)[k % 3] for k in range(depth - 1)] + [2]
+    nodes = [
+        {"path": [0] * k, "rule": {"tag": "exists", "principal": 0, "witness": {"num": w}}}
+        for k, w in enumerate(witnesses)
+    ]
+    nodes[0]["sequent"] = [end]
+    nodes.append({"path": [0] * depth, "rule": {"tag": "initial", "index": depth}})
+    return {"end_x": 0, "nodes": nodes}
+
+
+def test_a_deep_chain_keeps_one_formula_per_derived_node():
+    depth = 2000
+    d = derivation_from_json(_chain_document(depth))
+    assert len(d.nodes) == depth + 1
+    # The root states its one formula, and every other node the one it adds.
+    assert sum(len(node.sequent) for node in d.nodes.values()) <= depth + 1
+    assert all(node.derived for path, node in d.nodes.items() if path)
+    assert len(d.sequent((0,) * depth)) == depth + 1
+    report = validate(d, "pls")
+    assert report.ok
+    # No fact by node id is a set or a sequent; ``paths`` lists the node paths.
+    for name, facts in vars(report.table).items():
+        if name != "paths" and isinstance(facts, list) and len(facts) == len(d.nodes):
+            assert not any(isinstance(f, (set, frozenset, tuple)) for f in facts)
+    got = extract_witness_pls(ExtractionContext(d, "pls"))
+    assert (got.witness, got.verified, got.solution_node) == (2, True, (0,) * (depth - 1))
+
+
 def _counted_decoders(monkeypatch):
-    """The raw formulas and rules decoded from now on."""
-    formulas, rules = [], []
+    """The raw formulas, rules and witnesses decoded from now on."""
+    formulas, rules, witnesses = [], [], []
     decode, decode_rule = serialization.formula_from_json, serialization.rule_from_json
+    decode_term = serialization.term_from_json
 
     def counted(obj, where):
         formulas.append(obj)
         return decode(obj, where)
 
-    def counted_rule(obj, where, memo):
+    def counted_rule(obj, where, **memos):
         rules.append(obj)
-        return decode_rule(obj, where, memo)
+        return decode_rule(obj, where, **memos)
+
+    def counted_term(obj, where="term"):
+        if isinstance(where, tuple) and where[1] == ".witness":
+            witnesses.append(obj)
+        return decode_term(obj, where)
 
     monkeypatch.setattr(serialization, "formula_from_json", counted)
     monkeypatch.setattr(serialization, "rule_from_json", counted_rule)
-    return formulas, rules
+    monkeypatch.setattr(serialization, "term_from_json", counted_term)
+    return formulas, rules, witnesses
 
 
 def _distinct_raw(doc):
-    """The number of distinct raw formulas and of distinct raw rules of a derivation document.
+    """The numbers of distinct raw formulas, raw rules and raw witnesses of a derivation document.
 
     Only stated sequents count.  The ``repr`` of a raw value tells
     ``true`` from ``1``; every object of a document built by
@@ -445,25 +497,26 @@ def _distinct_raw(doc):
     nodes = doc["nodes"]
     formulas = {repr(f) for node in nodes for f in node.get("sequent", ())}
     formulas |= {repr(node["rule"]["formula"]) for node in nodes if node["rule"]["tag"] == "cut"}
-    return len(formulas), len({repr(node["rule"]) for node in nodes})
+    witnesses = {repr(node["rule"]["witness"]) for node in nodes if "witness" in node["rule"]}
+    return len(formulas), len({repr(node["rule"]) for node in nodes}), len(witnesses)
 
 
 def test_equal_formulas_in_one_derivation_decode_to_one_object(monkeypatch):
     doc = full_form(derivation_to_json(random_sigma2_derivation(20)))
-    decoded, rules = _counted_decoders(monkeypatch)
+    decoded, rules, witnesses = _counted_decoders(monkeypatch)
     d = loads_document(dumps(doc))
-    assert (len(decoded), len(rules)) == _distinct_raw(doc)
+    assert (len(decoded), len(rules), len(witnesses)) == _distinct_raw(doc)
     assert len(decoded) < sum(len(node["sequent"]) for node in doc["nodes"])
-    assert len(rules) < len(doc["nodes"])
+    assert len(witnesses) < len(rules) < len(doc["nodes"])
     shared: dict = {}
     cuts = 0
     for path, node in d.nodes.items():
         cut = (node.rule.formula,) if isinstance(node.rule, CutRule) else ()
-        for f in node.sequent + cut:
+        for f in d.sequent(path) + cut:
             assert shared.setdefault(f, f) is f
         if cut:
             final = max(p for p in d.nodes if p[:-1] == path and len(p) == len(path) + 1)
-            assert node.rule.formula is d.nodes[final].sequent[-1]
+            assert node.rule.formula is d.sequent(final)[-1]
             cuts += 1
     assert cuts
 
@@ -721,9 +774,10 @@ def test_well_formed_families_never_take_the_item_walk(monkeypatch):
 def _assert_shared(doc, d):
     """Check the objects that ``d``, decoded from ``doc``, shares.
 
-    Equal stated formulas and cut formulas are one object, a cut's final
-    upper ends with the cut formula object itself, and an omitted
-    sequent is its parent's objects followed by one added formula.
+    Equal stated formulas, cut formulas and witnesses are one object, a
+    cut's final upper ends with the cut formula object itself, and an
+    omitted sequent is its parent's objects followed by one added
+    formula, which the node holds alone.
     """
     stated = {tuple(node["path"]) for node in doc["nodes"] if "sequent" in node}
     shared: dict = {}
@@ -732,14 +786,17 @@ def _assert_shared(doc, d):
         if path in stated:
             assert all(shared.setdefault(f, f) is f for f in node.sequent)
         else:
-            lower = d.nodes[path[:-1]].sequent
-            assert len(node.sequent) == len(lower) + 1
-            assert all(map(is_, node.sequent, lower))
+            lower = d.sequent(path[:-1])
+            assert node.derived and len(node.sequent) == 1
+            assert all(map(is_, d.sequent(path), lower + node.sequent))
         if isinstance(node.rule, CutRule):
             cut = node.rule.formula
             assert shared.setdefault(cut, cut) is cut
             final = max(p for p in d.nodes if p[:-1] == path and len(p) == len(path) + 1)
-            assert d.nodes[final].sequent[-1] is cut
+            assert d.sequent(final)[-1] is cut
+        if isinstance(node.rule, (ExistsRule, ExistsForallRule)):
+            witness = node.rule.witness
+            assert shared.setdefault(("witness", witness), witness) is witness
 
 
 def _renamed_key(obj, at, new):
@@ -822,7 +879,7 @@ def test_a_mutated_derivation_fails_at_a_location_or_round_trips(
 
 
 def test_well_formed_derivations_decode_each_distinct_value_once(monkeypatch):
-    """Each distinct raw formula and raw rule of a document is decoded once.
+    """Each distinct raw formula, raw rule and raw witness of a document is decoded once.
 
     Over D1–D3 and the Σ1 and Σ2 derivations of seeds 0–59, in compact
     and in full form, every document decodes to the derivation it
@@ -833,11 +890,11 @@ def test_well_formed_derivations_decode_each_distinct_value_once(monkeypatch):
     docs = list(map(derivation_to_json, derivations))
     docs += list(map(full_form, docs))
     derivations += derivations
-    formulas, rules = _counted_decoders(monkeypatch)
+    formulas, rules, witnesses = _counted_decoders(monkeypatch)
     decoded = list(map(serialization.derivation_from_json, docs))
     assert decoded == derivations
     distinct = list(map(_distinct_raw, docs))
-    assert (len(formulas), len(rules)) == tuple(map(sum, zip(*distinct)))
+    assert (len(formulas), len(rules), len(witnesses)) == tuple(map(sum, zip(*distinct)))
     for doc, d in zip(docs, decoded):
         _assert_shared(doc, d)
 
