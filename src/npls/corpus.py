@@ -286,10 +286,10 @@ class _Grower:
         self.cut_step((), (self.end,), 0, self.fresh_cut(rng))
 
     def grow(self, path: NodePath, sequent: tuple[Formula, ...], depth: int) -> None:
-        for i, f in enumerate(sequent):
-            if isinstance(f, LitFormula) and eval_literal(f.lit):
-                self.nodes[path] = ProofNode(sequent, InitialRule(i))
-                return
+        f = sequent[-1]  # the parent closed on no literal, so only the new one can hold
+        if isinstance(f, LitFormula) and eval_literal(f.lit):
+            self.nodes[path] = ProofNode(sequent, InitialRule(len(sequent) - 1))
+            return
         if depth >= self.max_depth - 2 or self.max_nodes - len(self.nodes) < 16:
             self.close(path, sequent)
             return
@@ -317,9 +317,9 @@ class _Grower:
         ]
         k = self.rng.choice(candidates)
         f = sequent[k]
-        v = self.rng.randrange(eval_term(f.bound))
-        self.nodes[path] = ProofNode(sequent, ExistsRule(k, num(v)))
-        self.grow(path + (0,), sequent + (LitFormula(exists_instance(f, num(v))),), depth + 1)
+        v = num(self.rng.randrange(eval_term(f.bound)))
+        self.nodes[path] = ProofNode(sequent, ExistsRule(k, v))
+        self.grow(path + (0,), sequent + (LitFormula(exists_instance(f, v)),), depth + 1)
 
     def forall_step(self, path: NodePath, sequent, depth) -> bool:
         candidates = [i for i, f in enumerate(sequent) if isinstance(f, ExistsForall)]
@@ -327,10 +327,10 @@ class _Grower:
             return False
         k = self.rng.choice(candidates)
         f = sequent[k]
-        v = self.rng.randrange(eval_term(f.bound1))
-        self.nodes[path] = ProofNode(sequent, ExistsForallRule(k, num(v)))
+        v = num(self.rng.randrange(eval_term(f.bound1)))
+        self.nodes[path] = ProofNode(sequent, ExistsForallRule(k, v))
         for n in range(eval_term(f.bound2)):
-            child = sequent + (LitFormula(exists_forall_instance(f, num(v), n)),)
+            child = sequent + (LitFormula(exists_forall_instance(f, v, n)),)
             self.grow(path + (n,), child, depth + 1)
         return True
 

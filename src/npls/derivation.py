@@ -144,8 +144,7 @@ def added_formula(rule: Rule, principal: Formula, n: int | None) -> Formula | No
     return None
 
 
-@dataclass(frozen=True)
-class ProofNode:
+class ProofNode(NamedTuple):
     """A node as it is given: its whole sequent, or None to omit it, and its rule."""
 
     sequent: tuple[Formula, ...] | None
@@ -174,46 +173,41 @@ def follow(nodes: Mapping[NodePath, ProofNode]) -> dict[NodePath, Node]:
 
     A node is derived when its sequent is its parent's plus the formula
     the parent's rule adds at its index (``added_formula``), a cut's last
-    child adding the cut formula; the others state theirs.  The walk
-    keeps the branch's sequent on one stack, which principal indices
-    read.  A given sequent is compared with the parent's by identity,
-    then by ``formula_is``, and its last formula by ``_is_added``, so
-    nothing is built for it, and its last formula is held as it stands.
-    An omitted one's added formula is built once per distinct (rule kind,
-    principal, witness, index) objects; the first in path order that
-    cannot be, or whose built instance nests past the term depth cap,
-    raises OmittedSequent.
+    child, the one with no next sibling, adding the cut formula; the
+    others state theirs.  The walk keeps the branch's sequent on one
+    stack, which principal indices read.  A given sequent is compared
+    with the parent's by identity, then by ``formula_is``, and its last
+    formula by ``_is_added``, so nothing is built for it, and its last
+    formula is held as it stands.  An omitted one's added formula is
+    built once per distinct (rule kind, principal, witness, index)
+    objects; the first in path order that cannot be, or whose built
+    instance nests past the term depth cap, raises OmittedSequent.
     """
-    paths = sorted(nodes)
-    last = {p[:-1]: p[-1] for p in paths if p}
     # (rule kind, id(principal), id(witness), index) -> an equal formula,
     # None where nothing is added, or _TOO_DEEP; ``nodes`` holds the objects.
     added_at: dict[tuple, object] = {}
     out: dict[NodePath, Node] = {}
     branch: list[Formula] = []
-    # (path, rule, the branch a stated node replaced, or None)
-    trail: list[tuple] = []
-    for path in paths:
-        while trail and len(trail[-1][0]) >= len(path):
-            saved = trail.pop()[2]
+    # Per node on the path, deepest last: (depth, path, rule, the branch a stated node replaced).
+    trail: list[tuple] = [(-1, None, None, None)]
+    for path in sorted(nodes):
+        while trail[-1][0] >= len(path):
+            saved = trail.pop()[3]
             if saved is None:
                 branch.pop()
             else:
                 branch = saved
-        node = nodes[path]
-        if node.__class__ is Node:
-            raise TypeError(f"node {format_path(path)} is a Node; give its whole sequent")
-        sequent, rule = node.sequent, node.rule
-        added = got = None
-        up = trail[-1] if trail and path and trail[-1][0] == path[:-1] else None
-        by, n = (up[1], path[-1]) if up else (None, None)
-        if isinstance(by, CutRule):
-            principal, witness = by.formula, None
-            n = None if n == last[up[0]] else n
-        elif isinstance(by, (ExistsRule, ExistsForallRule)) and 0 <= by.principal < len(branch):
-            principal, witness = branch[by.principal], by.witness
-        else:
-            principal = None
+        sequent, rule = nodes[path]
+        added = got = principal = None
+        up = trail[-1]
+        if up[1] == path[:-1]:
+            by, n = up[2], path[-1]
+            if isinstance(by, CutRule):
+                principal, witness = by.formula, None
+                if up[1] + (n + 1,) not in nodes:
+                    n = None
+            elif isinstance(by, (ExistsRule, ExistsForallRule)) and 0 <= by.principal < len(branch):
+                principal, witness = branch[by.principal], by.witness
         if principal is not None:
             key = (by.__class__, id(principal), id(witness), n)
             got = added_at.get(key, _UNSEEN)
@@ -230,15 +224,15 @@ def follow(nodes: Mapping[NodePath, ProofNode]) -> dict[NodePath, Node]:
                         added = u
         if added is not None:
             out[path] = Node((added,), rule, True)
-            trail.append((path, rule, None))
+            trail.append((len(path), path, rule, None))
             branch.append(added)
         elif sequent is not None:
             out[path] = Node(sequent, rule, False)
-            trail.append((path, rule, branch))
+            trail.append((len(path), path, rule, branch))
             branch = list(sequent)
         elif not path:
             raise OmittedSequent(path, "the root states its sequent")
-        elif up is None:
+        elif up[1] != path[:-1]:
             raise OmittedSequent(path, "the sequent is omitted and the node has no parent")
         elif got is _TOO_DEEP:
             raise OmittedSequent(path, f"term nests more than {MAX_TERM_DEPTH} operations")
@@ -450,16 +444,22 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
     if () not in d.nodes:
         return ValidationReport(mode, (ValidationIssue((), "missing root node"),))
 
-    order: dict[NodePath, list[int]] = {p: [] for p in d.nodes}
+    # ``d.nodes`` is in path order, so a node's children run from 0 exactly
+    # when each child's index is the number of its siblings before it.
+    counts = dict.fromkeys(d.nodes, 0)
+    gaps = set()
     for p in d.nodes:
         if p:
-            if p[:-1] not in d.nodes:
+            k = counts.get(p[:-1])
+            if k is None:
                 flag(p, "parent node is missing")
-            else:
-                order[p[:-1]].append(p[-1])
-    for p, indices in order.items():
-        if sorted(indices) != list(range(len(indices))):
-            flag(p, f"child indices {sorted(indices)} are not contiguous from 0")
+                continue
+            if p[-1] != k:
+                gaps.add(p[:-1])
+            counts[p[:-1]] = k + 1
+    for p in filter(gaps.__contains__, d.nodes):
+        indices = [c[-1] for c in d.nodes if c and c[:-1] == p]
+        flag(p, f"child indices {indices} are not contiguous from 0")
     if issues:
         return ValidationReport(mode, tuple(issues))
     table = FormulaTable(postorder_index(d.nodes))
@@ -524,7 +524,7 @@ def validate(d: Derivation, mode: str = MODE_NPLS) -> ValidationReport:
         trail.append((path, saved, high, not is_open))
         if is_open:
             continue
-        count = table.children[i] = len(order[path])
+        count = table.children[i] = counts[path]
         rule = table.rule[i] = node.rule
 
         if isinstance(rule, InitialRule):
@@ -665,10 +665,8 @@ def _intern_added(table: FormulaTable, rule: Rule, f: Formula, n: int | None) ->
     more than ``MAX_TERM_DEPTH`` operations is not interned, and the
     result is None.
     """
-    added = added_formula(rule, f, n)
-    if not isinstance(rule, CutRule) and nests_too_deep((added.lit.lhs, added.lit.rhs)):
-        return None
-    return table.intern(added)
+    added = _within_cap(added_formula(rule, f, n), getattr(rule, "witness", None))
+    return None if added is _TOO_DEEP else table.intern(added)
 
 
 def _is_added(u: Formula, rule: Rule, f: Formula, n: int | None) -> bool:
@@ -825,16 +823,6 @@ class DerivationTemplate:
     root: TemplateNode
 
 
-def _subst_rule(rule: Rule, env: Mapping[str, Term], subst) -> Rule:
-    if isinstance(rule, ExistsRule):
-        return ExistsRule(rule.principal, subst(rule.witness, env))
-    if isinstance(rule, ExistsForallRule):
-        return ExistsForallRule(rule.principal, subst(rule.witness, env))
-    if isinstance(rule, CutRule):
-        return CutRule(subst(rule.formula, env))
-    return rule
-
-
 def expand_template(template: DerivationTemplate, x: int) -> Derivation:
     """Expand a template at a value of x, without validating the result.
 
@@ -850,7 +838,8 @@ def expand_template(template: DerivationTemplate, x: int) -> Derivation:
     distinct substituted formula and witness, so validation interns each
     formula just once, evaluates each initial literal once, and checks
     the rules of all replicates that share a principal and a witness
-    once.  Rule objects themselves are built per node.
+    once.  A rule is built once per template rule and substituted
+    witness or cut formula, so replicates share it too.
     """
     env0: dict[str, Term] = {"x": Term("num", value=x)}
     nodes: dict[NodePath, ProofNode] = {}
@@ -858,6 +847,8 @@ def expand_template(template: DerivationTemplate, x: int) -> Derivation:
     # whole expansion, so no id is reused meanwhile.
     free: dict[int, tuple[str, ...]] = {}
     memo: dict[tuple, Formula | Term] = {}
+    # (id(template rule), id(its substituted witness or cut formula)) -> rule
+    rules: dict[tuple[int, int], Rule] = {}
 
     def subst(obj: Formula | Term, env: dict[str, Term]) -> Formula | Term:
         is_term = isinstance(obj, Term)
@@ -870,9 +861,19 @@ def expand_template(template: DerivationTemplate, x: int) -> Derivation:
             got = memo[key] = (substitute_term if is_term else substitute_formula)(obj, env)
         return got
 
+    def subst_rule(rule: Rule, env: dict[str, Term]) -> Rule:
+        cut = isinstance(rule, CutRule)
+        if not (cut or isinstance(rule, (ExistsRule, ExistsForallRule))):
+            return rule
+        part = subst(rule.formula if cut else rule.witness, env)
+        key = (id(rule), id(part))
+        if key not in rules:
+            rules[key] = CutRule(part) if cut else type(rule)(rule.principal, part)
+        return rules[key]
+
     def expand(tnode: TemplateNode, path: NodePath, env: dict[str, Term]) -> None:
         sequent = tuple([subst(f, env) for f in tnode.sequent])
-        nodes[path] = ProofNode(sequent, _subst_rule(tnode.rule, env, subst))
+        nodes[path] = ProofNode(sequent, subst_rule(tnode.rule, env))
         index = 0
         if tnode.family is not None:
             bound = subst(tnode.family.bound, env)

@@ -83,6 +83,8 @@ from npls.terms import (
     var,
 )
 
+from derivation_helpers import given_nodes
+
 # Twenty seeds spread over ranks 1..3 and widths 2..4; every instance
 # stays inside the generator's supported range.
 _CONFIGS = ((1, 4), (2, 3), (2, 4), (3, 2), (3, 3))
@@ -301,13 +303,8 @@ def test_criterion_6_rank_zero_rows_collapse_onto_plain_search():
     print("criterion 6: pass")
 
 
-def _given(d):
-    """``d``'s nodes as a derivation is given: each with its whole sequent."""
-    return {p: ProofNode(d.sequent(p), node.rule) for p, node in d.nodes.items()}
-
-
 def _mutate(d, path, *, rule=None, sequent=None):
-    nodes = _given(d)
+    nodes = given_nodes(d)
     node = nodes[path]
     nodes[path] = ProofNode(
         sequent=node.sequent if sequent is None else sequent,
@@ -317,7 +314,7 @@ def _mutate(d, path, *, rule=None, sequent=None):
 
 
 def _drop(d, paths):
-    return Derivation(d.end_x, {p: n for p, n in _given(d).items() if p not in paths})
+    return Derivation(d.end_x, {p: n for p, n in given_nodes(d).items() if p not in paths})
 
 
 def _negate_at(d, path, index):

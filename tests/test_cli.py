@@ -45,6 +45,8 @@ from npls.serialization import (
     template_to_json,
 )
 from npls.terms import ExistsForall, ExistsLit, LitFormula, Literal, num, smash, var
+
+from derivation_helpers import given_nodes
 from test_cli_golden import full_form
 from test_derivation import _root_only
 
@@ -87,7 +89,7 @@ def test_validate_expands_templates(capsys):
 
 def _broken_d2_file(tmp_path):
     d = d2()
-    nodes = {p: ProofNode(d.sequent(p), node.rule) for p, node in d.nodes.items()}
+    nodes = given_nodes(d)
     seq = tuple(
         LitFormula(f.lit.negate()) if isinstance(f, LitFormula) else f
         for f in nodes[(0,)].sequent

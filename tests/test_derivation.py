@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import operator
 from functools import cmp_to_key
 from itertools import combinations
 
@@ -67,6 +68,8 @@ from npls.terms import (
     substitute_term,
     var,
 )
+
+from derivation_helpers import given_nodes
 
 
 def kb_less(a, b):
@@ -188,13 +191,8 @@ def test_unknown_mode_rejected():
         validate(d2(), "fancy")
 
 
-def _given(d):
-    """``d``'s nodes as a derivation is given: each with its whole sequent."""
-    return {p: ProofNode(d.sequent(p), node.rule) for p, node in d.nodes.items()}
-
-
 def _mutate(d, path, *, rule=None, sequent=None):
-    nodes = _given(d)
+    nodes = given_nodes(d)
     node = nodes[path]
     nodes[path] = ProofNode(
         sequent=node.sequent if sequent is None else sequent,
@@ -279,16 +277,30 @@ def test_the_added_formula_need_not_come_last():
 
 def test_missing_root_and_orphans_are_flagged():
     d = d2()
-    nodes = {p: n for p, n in _given(d).items() if p != ()}
+    nodes = {p: n for p, n in given_nodes(d).items() if p != ()}
     report = validate(Derivation(d.end_x, nodes), MODE_PLS)
     assert not report.ok
     assert report.issues[0].message == "missing root node"
 
-    nodes = _given(d2())
+    nodes = given_nodes(d2())
     del nodes[(1,)]
     report = validate(Derivation(d.end_x, nodes), MODE_PLS)
     assert not report.ok
     assert any("parent" in i.message or "contiguous" in i.message for i in report.issues)
+
+
+def test_orphans_and_child_index_gaps_are_flagged_in_path_order():
+    nodes = given_nodes(d3())
+    nodes[(2, 5)] = nodes.pop((2, 1, 1))
+    nodes[(1, 3)] = nodes.pop((1, 0))
+    nodes[(0, 1, 0)] = nodes[(0, 0)]
+    nodes[(3, 0)] = nodes[(0, 0)]
+    assert validate(Derivation(0, nodes), MODE_NPLS).lines() == [
+        "(0,1,0): parent node is missing",
+        "(3,0): parent node is missing",
+        "(1): child indices [3] are not contiguous from 0",
+        "(2): child indices [0, 1, 5] are not contiguous from 0",
+    ]
 
 
 def test_open_witness_is_flagged():
@@ -433,6 +445,16 @@ def test_expansion_builds_a_formula_without_the_family_index_once():
         assert len({id(sequent[position]) for sequent, _ in members}) == 4
     # The cut formula is the sequent's object at the same assignment.
     assert all(rule.formula is sequent[3] for sequent, rule in members)
+    # So each member's cut rule is its own, one per value of i.
+    assert len({id(rule) for _, rule in members}) == 4
+
+
+def test_expansion_builds_a_rule_once_per_substituted_witness():
+    d = expand_template(t_d3(), 5)
+    family = [p for p in d.nodes if len(p) == 1][:-1]
+    assert len(family) == 7
+    # The family's existential rule has a closed witness: one rule object.
+    assert len({id(d.nodes[p].rule) for p in family}) == 1
 
 
 # A formula skeleton: shape (0 literal, 1 existential, 2 exists-forall),
@@ -608,7 +630,7 @@ def _per_occurrence_copy(d):
                 tuple(formula_from_json(formula_to_json(f)) for f in node.sequent),
                 rule_from_json(rule_to_json(node.rule)),
             )
-            for p, node in _given(d).items()
+            for p, node in given_nodes(d).items()
         },
     )
 
@@ -798,8 +820,9 @@ def test_cuts_sharing_a_formula_are_checked_once_and_flagged_per_node():
     ]
 
 
-# Validation builds the formula a stated child adds; it must report and
-# number formulas exactly as building by substitution and interning does.
+# Validation decides which children are derived and builds the formula a
+# stated child adds; it must decide, report and number formulas exactly
+# as building by substitution, comparing with ``==`` and interning does.
 
 
 def _built_added(f, witness, n):
@@ -812,22 +835,87 @@ def _built_added(f, witness, n):
     return LitFormula(exists_forall_instance(f, witness, n))
 
 
+def _oracle_added(rule, f, n):
+    """What upper ``n`` of ``rule`` on ``f`` adds, built; None where it adds nothing."""
+    if isinstance(rule, CutRule):
+        if n is None or isinstance(f, (ExistsLit, ExistsForall)):
+            return _built_added(f, None, n)
+    elif isinstance(rule, ExistsRule):
+        if n == 0 and isinstance(f, ExistsLit):
+            return _built_added(f, rule.witness, n)
+    elif isinstance(rule, ExistsForallRule):
+        if isinstance(f, ExistsForall):
+            return _built_added(f, rule.witness, n)
+    return None
+
+
+def _oracle_is_added(u, rule, f, n):
+    added = _oracle_added(rule, f, n)
+    return added is not None and u == added
+
+
 def _oracle_intern_added(table, rule, f, n):
     """Build the added formula by substitution and intern it."""
-    witness = None if isinstance(rule, CutRule) else rule.witness
-    return table.intern(_built_added(f, witness, n))
+    return table.intern(_oracle_added(rule, f, n))
+
+
+def _agreeing(real, oracle):
+    """``oracle``, asserting at each call that ``real`` answers the same."""
+
+    def call(*args):
+        want = oracle(*args)
+        assert real(*args) == want, args
+        return want
+
+    return call
+
+
+def _assert_derived_exactly_where_the_rule_adds(d):
+    """A non-root node is derived exactly when its sequent is its parent's
+    plus what the parent's rule adds there, the cut formula at a cut's
+    last child, all read here from the whole sequents."""
+    last = {}
+    for p in d.nodes:
+        if p:
+            last[p[:-1]] = max(last.get(p[:-1], 0), p[-1])
+    for p, node in d.nodes.items():
+        q = p[:-1]
+        added = None
+        if p and q in d.nodes:
+            rule, lower = d.nodes[q].rule, d.sequent(q)
+            if isinstance(rule, CutRule):
+                added = _oracle_added(rule, rule.formula, None if p[-1] == last[q] else p[-1])
+            elif isinstance(rule, (ExistsRule, ExistsForallRule)):
+                if 0 <= rule.principal < len(lower):
+                    added = _oracle_added(rule, lower[rule.principal], p[-1])
+        follows = added is not None and d.sequent(p) == lower + (added,)
+        assert node.derived == follows, p
 
 
 def _assert_validation_matches_oracle(d):
     import npls.derivation as derivation
 
-    for mode in (MODE_PLS, MODE_NPLS):
+    _assert_derived_exactly_where_the_rule_adds(d)
+    # The same nodes given again, with each added formula and prefix
+    # compared as built and with ``==``, and each stated child's added
+    # formula built, where the package matches in place.
+    oracle = {
+        "_is_added": _agreeing(derivation._is_added, _oracle_is_added),
+        "formula_is": _agreeing(derivation.formula_is, operator.eq),
+        "_intern_added": _oracle_intern_added,
+    }
+    real = {name: getattr(derivation, name) for name in oracle}
+    try:
+        for name, value in oracle.items():
+            setattr(derivation, name, value)
+        rebuilt = Derivation(d.end_x, given_nodes(d))
+        wants = [validate(rebuilt, mode) for mode in (MODE_PLS, MODE_NPLS)]
+    finally:
+        for name, value in real.items():
+            setattr(derivation, name, value)
+    assert rebuilt.nodes == d.nodes
+    for mode, want in zip((MODE_PLS, MODE_NPLS), wants):
         got = validate(d, mode)
-        real, derivation._intern_added = derivation._intern_added, _oracle_intern_added
-        try:
-            want = validate(d, mode)
-        finally:
-            derivation._intern_added = real
         assert got.issues == want.issues
         assert (got.table is None) == (want.table is None)
         if want.table is not None:
@@ -870,7 +958,7 @@ def _replace_sequents(d, edit):
     """``d`` with each non-root node's sequent replaced by ``edit(path, sequent)``."""
     nodes = {
         p: ProofNode(edit(p, node.sequent) if p else node.sequent, node.rule)
-        for p, node in _given(d).items()
+        for p, node in given_nodes(d).items()
     }
     return Derivation(d.end_x, nodes)
 

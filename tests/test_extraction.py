@@ -35,6 +35,8 @@ from npls.extraction import (
 from npls.search_core import solve_npls, solve_pls
 from npls.terms import LitFormula, Literal, normalize, num
 
+from derivation_helpers import given_nodes
+
 
 def _pls_ctx(build=d2):
     return ExtractionContext(build(), "pls")
@@ -54,14 +56,9 @@ def test_mode_mismatch_raises_with_the_offending_path():
         ExtractionContext(d2(), "fancy")
 
 
-def _given(d):
-    """``d``'s nodes as a derivation is given: each with its whole sequent."""
-    return {p: ProofNode(d.sequent(p), node.rule) for p, node in d.nodes.items()}
-
-
 def test_invalid_derivations_are_rejected():
     d = d2()
-    nodes = _given(d)
+    nodes = given_nodes(d)
     node = nodes[(1, 0)]
     nodes[(1, 0)] = ProofNode(node.sequent[:-1], node.rule)
     with pytest.raises(ValidationFailed) as info:
@@ -174,7 +171,7 @@ def test_a_mode_violation_is_named_before_other_issues():
         ExtractionContext(d3(), "pls")
     assert str(info.value) == "pls mode admits cuts on bounded existentials only at ()"
     # D3 with a leaf that points at a false literal still breaks pls mode first.
-    nodes = _given(d3())
+    nodes = given_nodes(d3())
     nodes[(2, 1, 0)] = ProofNode(nodes[(2, 1, 0)].sequent, InitialRule(2))
     broken = Derivation(0, nodes)
     assert "(2,1,0): initial literal at index 2 is false" in validate(broken, "pls").lines()
