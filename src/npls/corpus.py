@@ -132,30 +132,19 @@ def t_d2() -> DerivationTemplate:
     """A constant template whose expansion at any x is exactly ``d2``.
 
     The two uppers of the cut differ in shape, so both are spelled out
-    explicitly rather than through a family schema.
+    explicitly rather than through a family schema.  Only the root
+    states its sequent; every other one follows from its parent's rule.
     """
     end = ExistsLit("y", num(3), _eq(var("y"), add(num(1), num(1))))
     cut = ExistsLit("z", num(2), _eq(add(var("z"), num(1)), num(2)))
-    end_inst = LitFormula(exists_instance(end, num(2)))
-    cut_inst = LitFormula(exists_instance(cut, num(1)))
-    neg0 = negated_instance(cut, 0)
-    neg1 = negated_instance(cut, 1)
     return DerivationTemplate(
         TemplateNode(
             (end,),
             CutRule(cut),
             (
-                TemplateNode((end, neg0), InitialRule(1)),
-                TemplateNode(
-                    (end, neg1),
-                    ExistsRule(0, num(2)),
-                    (TemplateNode((end, neg1, end_inst), InitialRule(2)),),
-                ),
-                TemplateNode(
-                    (end, cut),
-                    ExistsRule(1, num(1)),
-                    (TemplateNode((end, cut, cut_inst), InitialRule(2)),),
-                ),
+                TemplateNode(None, InitialRule(1)),
+                TemplateNode(None, ExistsRule(0, num(2)), (TemplateNode(None, InitialRule(2)),)),
+                TemplateNode(None, ExistsRule(1, num(1)), (TemplateNode(None, InitialRule(2)),)),
             ),
         )
     )
@@ -167,36 +156,18 @@ def t_d3() -> DerivationTemplate:
     The cut bound grows with x, so the number of value-indexed uppers
     does too; they all share one family schema that proves the
     end-formula outright.  The explicit final upper commits to z=0,
-    whose y=1 branch fails and continues with z=1.
+    whose y=1 branch fails and continues with z=1.  Only the root
+    states its sequent; every other one follows from its parent's rule.
     """
     end = ExistsLit("y", num(4), _eq(mul(var("y"), var("y")), add(var("y"), var("y"))))
     bound = add(var("x"), num(2))
     cut = ExistsForall("z", bound, "y", num(2), _eq(mul(var("z"), var("y")), var("y")))
-    neg_i = ExistsLit("y", num(2), Literal(True, mul(var("i"), var("y")), var("y")))
-    end_inst = LitFormula(exists_instance(end, num(2)))
-    left = TemplateNode(
-        (end, neg_i),
-        ExistsRule(0, num(2)),
-        (TemplateNode((end, neg_i, end_inst), InitialRule(2)),),
-    )
-    b01 = LitFormula(_eq(mul(num(0), num(1)), num(1)))
-    b00 = LitFormula(_eq(mul(num(0), num(0)), num(0)))
-    b10 = LitFormula(_eq(mul(num(1), num(0)), num(0)))
-    b11 = LitFormula(_eq(mul(num(1), num(1)), num(1)))
+    left = TemplateNode(None, ExistsRule(0, num(2)), (TemplateNode(None, InitialRule(2)),))
+    leaves = (TemplateNode(None, InitialRule(3)), TemplateNode(None, InitialRule(3)))
     right = TemplateNode(
-        (end, cut),
+        None,
         ExistsForallRule(1, num(0)),
-        (
-            TemplateNode((end, cut, b00), InitialRule(2)),
-            TemplateNode(
-                (end, cut, b01),
-                ExistsForallRule(1, num(1)),
-                (
-                    TemplateNode((end, cut, b01, b10), InitialRule(3)),
-                    TemplateNode((end, cut, b01, b11), InitialRule(3)),
-                ),
-            ),
-        ),
+        (TemplateNode(None, InitialRule(2)), TemplateNode(None, ExistsForallRule(1, num(1)), leaves)),
     )
     return DerivationTemplate(
         TemplateNode((end,), CutRule(cut), (right,), FamilySpec("i", bound, left))

@@ -39,6 +39,7 @@ from operator import is_
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import (
+    FormatError,
     NoSuchNode,
     NplsError,
     OmittedSequent,
@@ -802,7 +803,14 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class TemplateNode:
-    sequent: tuple[Formula, ...]
+    """A node schema: its sequent, or None where it follows, its rule and its children.
+
+    Expansion substitutes a stated sequent's formulas and the rule's
+    witness or cut formula; an omitted sequent is left to ``follow``,
+    as in a derivation document.
+    """
+
+    sequent: tuple[Formula, ...] | None
     rule: Rule
     children: tuple["TemplateNode", ...] = ()
     family: FamilySpec | None = None
@@ -817,7 +825,8 @@ class DerivationTemplate:
     replicated once per value below its bound, in value order, before
     any explicitly listed children; a cut template therefore lists the
     final upper explicitly and leaves the value-indexed uppers to its
-    family.
+    family.  The root states its sequent, and any other node may leave
+    it out where it follows from its parent's rule at every expansion.
     """
 
     root: TemplateNode
@@ -827,19 +836,23 @@ def expand_template(template: DerivationTemplate, x: int) -> Derivation:
     """Expand a template at a value of x, without validating the result.
 
     Raises ValidationFailed, with no report, when a family bound is
-    still open after substitution.  Callers that go on to validate in a
-    mode of their own use this to validate once; ``substitute_numeral``
-    is expansion plus validation.
+    still open after substitution, and FormatError, naming the expanded
+    node, when an omitted sequent does not follow.  Callers that go on
+    to validate in a mode of their own use this to validate once;
+    ``substitute_numeral`` is expansion plus validation.
 
-    Each template formula, witness and family bound is substituted once
-    per assignment of its own free variables, which bound variables
-    shadow: a formula that does not mention a family's index is built
-    once for the whole family.  The expansion shares one object per
-    distinct substituted formula and witness, so validation interns each
-    formula just once, evaluates each initial literal once, and checks
-    the rules of all replicates that share a principal and a witness
-    once.  A rule is built once per template rule and substituted
-    witness or cut formula, so replicates share it too.
+    Expansion substitutes rules, witnesses, cut formulas, family bounds
+    and the sequents a template states, nothing else: a node that omits
+    its sequent expands to ``ProofNode(None, rule)``, and ``follow``
+    builds its added formula once per distinct key.  Each of those is
+    substituted once per assignment of its own free variables, which
+    bound variables shadow: a formula that does not mention a family's
+    index is built once for the whole family.  The expansion shares one
+    object per distinct substituted formula and witness, so validation
+    interns each formula just once, evaluates each initial literal once,
+    and checks the rules of all replicates that share a principal and a
+    witness once.  A rule is built once per template rule and
+    substituted witness or cut formula, so replicates share it too.
     """
     env0: dict[str, Term] = {"x": Term("num", value=x)}
     nodes: dict[NodePath, ProofNode] = {}
@@ -872,7 +885,9 @@ def expand_template(template: DerivationTemplate, x: int) -> Derivation:
         return rules[key]
 
     def expand(tnode: TemplateNode, path: NodePath, env: dict[str, Term]) -> None:
-        sequent = tuple([subst(f, env) for f in tnode.sequent])
+        sequent = tnode.sequent
+        if sequent is not None:
+            sequent = tuple([subst(f, env) for f in sequent])
         nodes[path] = ProofNode(sequent, subst_rule(tnode.rule, env))
         index = 0
         if tnode.family is not None:
@@ -897,7 +912,10 @@ def expand_template(template: DerivationTemplate, x: int) -> Derivation:
         # expand reaches itself through its closure; unbinding it frees
         # that cycle, and ``nodes`` with it, without the cycle collector.
         del expand
-    return Derivation(x, nodes)
+    try:
+        return Derivation(x, nodes)
+    except OmittedSequent as exc:
+        raise FormatError(f"expansion at x={x}, node {format_path(exc.path)}: {exc}") from exc
 
 
 def substitute_numeral(template: DerivationTemplate, x: int) -> Derivation:

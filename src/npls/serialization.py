@@ -16,7 +16,10 @@ definition of which sequents follow: a ``Derivation`` keeps a derived
 node's added formula only, and ``derivation_to_json`` writes what each
 node holds, so it leaves out exactly the sequents that follow.  An
 omitted sequent that does not follow, or whose added formula nests
-past the term depth cap, fails with a FormatError naming its node.
+past the term depth cap, fails with a FormatError naming its node.  A
+template node other than the root may leave out its ``sequent`` too,
+and ``template_to_json`` writes one only where the node states it; an
+omitted one that does not follow fails when the template is expanded.
 
 The derivation and template decoders keep a per-document memo keyed by
 the ``marshal`` bytes (version 2) of each raw formula, which tell
@@ -428,10 +431,9 @@ def derivation_from_json(obj: Any) -> Derivation:
 
 
 def _template_node_to_json(node: TemplateNode) -> Any:
-    out: dict[str, Any] = {
-        "rule": rule_to_json(node.rule),
-        "sequent": [formula_to_json(f) for f in node.sequent],
-    }
+    out: dict[str, Any] = {"rule": rule_to_json(node.rule)}
+    if node.sequent is not None:
+        out["sequent"] = [formula_to_json(f) for f in node.sequent]
     if node.children:
         out["children"] = [_template_node_to_json(c) for c in node.children]
     if node.family is not None:
@@ -447,10 +449,13 @@ def template_to_json(t: DerivationTemplate) -> Any:
     return {"root": _template_node_to_json(t.root)}
 
 
-def _template_node_from_json(obj: Any, where: Where, memo: dict[bytes, Formula]) -> TemplateNode:
+def _template_node_from_json(
+    obj: Any, where: Where, memo: dict[bytes, Formula], root: bool = False
+) -> TemplateNode:
+    """Decode a template node; any but the root may leave out its ``sequent``."""
     d = _need_dict(obj, where)
     rule = rule_from_json(_get(d, "rule", where), (where, ".rule"), memo)
-    sequent = _sequent_from_json(d, where, memo)
+    sequent = _sequent_from_json(d, where, memo) if root or "sequent" in d else None
     at = (where, ".children")
     children = tuple(
         _template_node_from_json(c, (at, j), memo)
@@ -471,7 +476,7 @@ def _template_node_from_json(obj: Any, where: Where, memo: dict[bytes, Formula])
 def template_from_json(obj: Any) -> DerivationTemplate:
     d = _need_dict(obj, "template")
     try:
-        root = _template_node_from_json(_get(d, "root", "template"), "template.root", {})
+        root = _template_node_from_json(_get(d, "root", "template"), "template.root", {}, True)
     except RecursionError as exc:
         raise FormatError(_TOO_DEEP) from exc
     return DerivationTemplate(root)

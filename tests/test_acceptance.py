@@ -16,15 +16,19 @@ path-level definitions.
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from npls.cli import main
 from npls.corpus import (
     d1,
     d2,
@@ -41,10 +45,12 @@ from npls.derivation import (
     MODE_PLS,
     CutRule,
     Derivation,
+    DerivationTemplate,
     ExistsForallRule,
     ExistsRule,
     InitialRule,
     ProofNode,
+    expand_template,
     postorder_index,
     substitute_numeral,
     validate,
@@ -70,12 +76,19 @@ from npls.search_core import (
     solve_npls,
     verify_npls_conditions,
 )
-from npls.serialization import derivation_from_json, derivation_to_json, dumps
+from npls.serialization import (
+    derivation_from_json,
+    derivation_to_json,
+    dumps,
+    template_from_json,
+    template_to_json,
+)
 from npls.terms import (
     ExistsForall,
     ExistsLit,
     LitFormula,
     Literal,
+    add,
     eval_term,
     formulas_equal,
     mul,
@@ -84,6 +97,7 @@ from npls.terms import (
 )
 
 from derivation_helpers import given_nodes
+from test_derivation import _mutated_template, _template_sites
 
 # Twenty seeds spread over ranks 1..3 and widths 2..4; every instance
 # stays inside the generator's supported range.
@@ -491,3 +505,93 @@ def test_criterion_11_every_valid_mutant_extracts_a_verified_witness():
     assert seen["changed"] >= 1000 and seen["valid"] >= 50, seen
     assert elapsed < 30.0, elapsed
     print("criterion 11: pass", seen)
+
+
+# Criterion 11, template half: the same over compact templates at x in 0..4.
+
+
+def _first_replicate(tnode, steps, x):
+    """The template node ``steps`` lead to, and the path of its first expansion at ``x``."""
+    path = []
+    for step in steps:
+        width = eval_term(tnode.family.bound, x) if tnode.family is not None else 0
+        path.append(0 if step == "f" else width + step)
+        tnode = tnode.family.body if step == "f" else tnode.children[step]
+    return tnode, tuple(path)
+
+
+def _template_mutants(template, x):
+    """Each template that differs from ``template`` in one rule field or its family bound.
+
+    A witness moves to every other numeral below its bound at ``x``, a
+    principal index by one either way, and the root's family bound to
+    small numerals and to x plus a constant.
+    """
+    root = template.root
+    d = expand_template(template, x)
+    for steps, kind, _ in _template_sites(root):
+        if kind not in ("witness", "principal"):
+            continue
+        tnode, path = _first_replicate(root, steps, x)
+        rule = tnode.rule
+        if kind == "principal":
+            values = [rule.principal - 1, rule.principal + 1]
+        else:
+            f = d.sequent(path)[rule.principal]
+            bound = eval_term(f.bound if isinstance(f, ExistsLit) else f.bound1, x)
+            values = [num(w) for w in range(bound) if num(w) != rule.witness]
+        for value in values:
+            yield DerivationTemplate(_mutated_template(root, steps, kind, None, value))
+    if root.family is not None:
+        bounds = [num(v) for v in range(7)] + [add(var("x"), num(v)) for v in (0, 1, 3)]
+        for bound in bounds:
+            if bound != root.family.bound:
+                family = dataclasses.replace(root.family, bound=bound)
+                yield DerivationTemplate(dataclasses.replace(root, family=family))
+
+
+def _cli(command, path, x):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main([command, str(path), "--x", str(x)])
+
+
+def test_criterion_11_every_valid_template_mutant_extracts_a_verified_witness(tmp_path):
+    # Mutate one rule or the family bound of compact T-D2 and T-D3, whose
+    # omitted sequents carry the change up the branch.  A mutant that
+    # validates must give an instance meeting the nine conditions and a
+    # witness that solves the end-formula, and whenever ``validate --x``
+    # exits 0 on its document, ``extract`` and ``verify`` exit 0 too.
+    seen = {"changed": 0, "malformed": 0, "valid": 0}
+    path = tmp_path / "t.json"
+    for template, mode in ((t_d2, MODE_PLS), (t_d3, MODE_NPLS)):
+        for x in range(5):
+            for mutant in _template_mutants(template(), x):
+                seen["changed"] += 1
+                doc = template_to_json(mutant)
+                path.write_text(dumps(doc), encoding="utf-8")
+                try:
+                    d = expand_template(template_from_json(doc), x)
+                except FormatError:
+                    seen["malformed"] += 1
+                    assert _cli("validate", path, x) == 2
+                    continue
+                ok = validate(d, mode).ok
+                assert _cli("validate", path, x) == (0 if ok else 1)
+                if not ok:
+                    continue
+                seen["valid"] += 1
+                ctx = ExtractionContext(d, mode)
+                build, extract = (
+                    (build_pls, extract_witness_pls)
+                    if mode == MODE_PLS
+                    else (build_npls, extract_witness_npls)
+                )
+                report = verify_npls_conditions(build(ctx))
+                assert report.all_passed, report.lines()
+                got = extract(ctx)
+                assert got.verified
+                assert _solves(doc["root"]["sequent"][0], x, got.witness)
+                assert _cli("extract", path, x) == 0
+                assert _cli("verify", path, x) == 0
+    assert seen["changed"] >= 100 and seen["valid"] >= 10, seen
+    print("criterion 11, templates: pass", seen)

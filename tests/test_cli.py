@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import io
@@ -33,6 +34,7 @@ from npls.derivation import (
     ProofNode,
     TemplateNode,
     expand_template,
+    format_path,
     validate,
 )
 from npls.errors import FormatError, ModeError, ValidationFailed
@@ -46,7 +48,7 @@ from npls.serialization import (
 )
 from npls.terms import ExistsForall, ExistsLit, LitFormula, Literal, num, smash, var
 
-from derivation_helpers import given_nodes
+from derivation_helpers import given_nodes, stated_t_d3
 from test_cli_golden import full_form
 from test_derivation import _root_only
 
@@ -159,9 +161,9 @@ def test_fixture_directory_override(tmp_path, monkeypatch, capsys):
 
 
 def _t_d3_file(tmp_path, family_witness=2):
-    obj = template_to_json(t_d3())
+    obj = template_to_json(stated_t_d3())
     # The family schema proves the end-formula with witness 2; any other
-    # witness breaks the upper sequent of every value-indexed cut upper.
+    # witness breaks the stated upper sequent of every value-indexed cut upper.
     obj["root"]["family"]["body"]["rule"]["witness"] = {"num": family_witness}
     path = tmp_path / "t-d3.json"
     path.write_text(dumps(obj), encoding="utf-8")
@@ -1057,6 +1059,54 @@ def test_a_family_bound_left_open_fails_the_expansion(tmp_path, capsys):
     path.write_text(dumps(template_to_json(t)), encoding="utf-8")
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err == f"error: ValidationFailed: {message}\n"
+
+
+def test_a_template_root_without_its_sequent_is_malformed(tmp_path, capsys):
+    obj = template_to_json(t_d3())
+    del obj["root"]["sequent"]
+    path = tmp_path / "t.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: template.root: missing key 'sequent'\n"
+    # Built in memory, the same template fails at expansion.
+    t = DerivationTemplate(dataclasses.replace(t_d3().root, sequent=None))
+    with pytest.raises(FormatError, match=r"^expansion at x=0, node \(\): the root states"):
+        expand_template(t, 0)
+
+
+def _under_initial(root):
+    # The family body's leaf gets a child, whose sequent nothing adds.
+    root["family"]["body"]["children"][0]["children"] = [{"rule": {"tag": "initial", "index": 0}}]
+    return (0, 0, 0)
+
+
+def _principal_out_of_range(root):
+    root["family"]["body"]["rule"]["principal"] = 2
+    return (0, 0)
+
+
+@pytest.mark.parametrize("edit", [_under_initial, _principal_out_of_range])
+def test_an_omitted_template_sequent_that_does_not_follow_is_malformed(tmp_path, capsys, edit):
+    text = "the sequent is omitted and does not follow from the parent's rule"
+    obj = template_to_json(t_d3())
+    at = edit(obj["root"])
+    path = tmp_path / "t.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    for command in ("validate", "extract", "verify"):
+        assert main([command, str(path), "--x", "3"]) == 2, command
+        err = capsys.readouterr().err
+        assert err == f"error: expansion at x=3, node {format_path(at)}: {text}\n", command
+    # A derivation document with the same defect names its node by index, with the same text.
+    doc = derivation_to_json(expand_template(t_d3(), 3))
+    if edit is _under_initial:
+        doc["nodes"].append({"path": list(at), "rule": {"tag": "initial", "index": 0}})
+    else:
+        parent = next(node for node in doc["nodes"] if node["path"] == list(at[:-1]))
+        parent["rule"]["principal"] = 2
+    path.write_text(dumps(doc), encoding="utf-8")
+    i = [tuple(node["path"]) for node in doc["nodes"]].index(at)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: derivation.nodes[{i}]: {text}\n"
 
 
 def test_a_negative_parameter_fails_decoding(tmp_path, capsys):

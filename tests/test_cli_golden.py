@@ -9,7 +9,8 @@ one each at ranks 2, 3 and 4, and on three broken families: one whose
 solution table points a node along an edge it does not have, one whose
 child has its parent's rank, and one with an edge that raises the cost.
 It records ``validate`` and ``extract`` in both formats at x = 3 on four
-broken T-D3 templates: one whose family witness reaches its bound, one
+broken T-D3 templates, each stating every sequent so that its edits can
+reach any node's: one whose family witness reaches its bound, one
 with a false leaf, one whose cut uppers rename a bound variable, and one
 whose cut upper n adds the instance at n+1.  It records ``validate``
 and ``extract`` in both formats on two copies of D2 whose later node
@@ -53,7 +54,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from npls.cli import main
-from npls.corpus import d2, d3, random_sigma1_derivation, random_sigma2_derivation, t_d3
+from npls.corpus import d2, d3, random_sigma1_derivation, random_sigma2_derivation
 from npls.nested_graph import generate_family
 from npls.serialization import (
     derivation_from_json,
@@ -64,6 +65,8 @@ from npls.serialization import (
     formula_to_json,
     template_to_json,
 )
+
+from derivation_helpers import stated_t_d3
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 TMP = "<tmp>"
@@ -179,8 +182,8 @@ BROKEN = {
 
 
 def _t_d3_body() -> tuple[dict, dict]:
-    """T-D3 as a document, and the existential rule node of its family body."""
-    doc = template_to_json(t_d3())
+    """T-D3 with every sequent stated, as a document, and its family body's existential rule node."""
+    doc = template_to_json(stated_t_d3())
     body = doc["root"]["family"]["body"]
     assert body["rule"] == {"tag": "exists", "principal": 0, "witness": {"num": 2}}
     return doc, body

@@ -69,7 +69,7 @@ from npls.terms import (
     var,
 )
 
-from derivation_helpers import given_nodes
+from derivation_helpers import given_nodes, stated_t_d2, stated_t_d3
 
 
 def kb_less(a, b):
@@ -382,7 +382,9 @@ def _expand_per_occurrence(template, x):
         return r
 
     def expand(tnode, path, env):
-        sequent = tuple(substitute_formula(f, env) for f in tnode.sequent)
+        sequent = tnode.sequent
+        if sequent is not None:
+            sequent = tuple(substitute_formula(f, env) for f in sequent)
         nodes[path] = ProofNode(sequent, rule(tnode.rule, env))
         index = 0
         if tnode.family is not None:
@@ -425,8 +427,8 @@ def _mixed_family_template():
 
 @pytest.mark.parametrize(
     "template, x",
-    [(t_d2(), 0), (t_d2(), 5)]
-    + [(t_d3(), x) for x in (0, 1, 2, 3, 7, 50)]
+    [(t(), x) for t in (t_d2, stated_t_d2) for x in (0, 5)]
+    + [(t(), x) for t in (t_d3, stated_t_d3) for x in (0, 1, 2, 3, 7, 50)]
     + [(_mixed_family_template(), x) for x in (0, 1, 3, 6)],
 )
 def test_memoised_expansion_matches_per_occurrence_substitution(template, x):
@@ -540,7 +542,7 @@ def _template_sites(tnode, at=()):
     sites = []
     if isinstance(tnode.rule, (ExistsRule, ExistsForallRule)):
         sites += [(at, "witness", None), (at, "principal", None)]
-    for i, f in enumerate(tnode.sequent):
+    for i, f in enumerate(tnode.sequent or ()):
         sites.append((at, "literal" if isinstance(f, LitFormula) else "bound", i))
     for k, child in enumerate(tnode.children):
         sites += _template_sites(child, at + (k,))
@@ -577,7 +579,15 @@ def _mutated_template(tnode, steps, kind, position, value):
     return dataclasses.replace(tnode, children=tuple(children))
 
 
-_SHARING_TEMPLATES = {"T-D2": t_d2, "T-D3": t_d3, "mixed": _mixed_family_template}
+# The fixtures state the root's sequent alone; their stated-sequent
+# variants let a mutation reach any node's sequent.
+_SHARING_TEMPLATES = {
+    "T-D2": t_d2,
+    "T-D3": t_d3,
+    "stated T-D2": stated_t_d2,
+    "stated T-D3": stated_t_d3,
+    "mixed": _mixed_family_template,
+}
 
 
 def _assert_sharing_changes_no_report(shared, unshared):
@@ -658,6 +668,9 @@ def _count_calls(monkeypatch, module, names):
 def test_validation_checks_each_distinct_rule_and_literal_object_once(monkeypatch):
     import npls.derivation as derivation
 
+    # Expansion builds the added formulas of T-D3's omitted sequents; the
+    # counters start after it, so they count validation's calls alone.
+    d = expand_template(t_d3(), 100)
     calls = _count_calls(monkeypatch, derivation, ("exists_instance", "eval_literal"))
     existential = []
     real = derivation._intern_added
@@ -668,7 +681,6 @@ def test_validation_checks_each_distinct_rule_and_literal_object_once(monkeypatc
         return real(table, rule, f, n)
 
     monkeypatch.setattr(derivation, "_intern_added", intern_added)
-    d = expand_template(t_d3(), 100)
     assert validate(d, MODE_NPLS).ok
     # The 102 existential rules' children are derived: each holds its
     # added formula, which is interned as it stands and never built; the
@@ -682,19 +694,50 @@ def test_validation_builds_no_cut_instance_and_normalizes_each_quantified_object
 ):
     import npls.derivation as derivation
 
-    calls = _count_calls(monkeypatch, derivation, ("negated_instance",))
+    built = []
+    real_instance = derivation.negated_instance
+
+    def negated_instance(f, n):
+        built.append(n)
+        return real_instance(f, n)
+
+    monkeypatch.setattr(derivation, "negated_instance", negated_instance)
+    d = expand_template(t_d3(), 100)
+    # The root cut's 102 value-indexed uppers omit their sequents, so
+    # expansion builds each one's negated instance exactly once.
+    assert built == list(range(102))
+    built.clear()
     normalized = []
     real = derivation.normalize
     monkeypatch.setattr(derivation, "normalize", lambda f: normalized.append(f) or real(f))
-    d = expand_template(t_d3(), 100)
     assert validate(d, MODE_NPLS).ok
-    # The root cut's 103 uppers each add a formula that is matched in
-    # place, so none is built and each is normalized as it stands.
-    assert calls == {"negated_instance": 0}
+    # The root cut's 103 uppers each hold the formula they add, so
+    # validation builds none and normalizes each as it stands.
+    assert built == []
     quantified = [f for f in normalized if not isinstance(f, LitFormula)]
     objects = {id(f): f for node in d.nodes.values() for f in node.sequent}
     assert len({id(f) for f in quantified}) == len(quantified)
     assert all(objects.get(id(f)) is f for f in quantified)
+
+
+def test_compact_expansion_substitutes_no_more_formulas_as_x_grows(monkeypatch):
+    import npls.derivation as derivation
+
+    calls = _count_calls(monkeypatch, derivation, ("substitute_formula",))
+    counts = []
+    for x in (10, 100):
+        calls["substitute_formula"] = 0
+        expand_template(t_d3(), x)
+        counts.append(calls["substitute_formula"])
+    # The root's end-formula and the cut formula; no other sequent is stated.
+    assert counts == [2, 2]
+
+
+@pytest.mark.parametrize("x", [0, 1, 3, 7, 50, 101, 400])
+def test_compact_and_stated_templates_expand_alike(x):
+    for compact, stated in ((t_d2, stated_t_d2), (t_d3, stated_t_d3)):
+        got = derivation_to_json(expand_template(compact(), x))
+        assert got == derivation_to_json(expand_template(stated(), x))
 
 
 def _full_checks(monkeypatch, d, mode):
